@@ -46,23 +46,24 @@ def _sign(n: int) -> int:
     return (n > 0) - (n < 0)
 
 
-def cmp_sqrt(v: int, d: int, r: Fraction) -> int:
-    """Exact sign of v*sqrt(d) - r for integer v and rational r.
+def sign_lin(x: int, y: int, d) -> int:
+    """Exact sign of x + y*sqrt(d) for integers x and y.
 
-    Isolates the radical and squares once, tracking signs; valid whenever d
-    is not a perfect square (so v*sqrt(d) = r only when both vanish).
+    Squares once when the two terms have opposite signs; valid whenever d
+    is not a perfect square (so the sum vanishes only when x = y = 0).  d
+    is never read when y = 0.
     """
-    p, q = r.numerator, r.denominator
-    lhs = v * q  # compare lhs*sqrt(d) against p
-    if lhs == 0:
-        return -_sign(p)
-    if p <= 0 <= lhs or (p < 0 and lhs > 0):
-        return 1
-    if lhs < 0 <= p or (lhs < 0 and p > 0):
-        return -1
-    # same strict sign on both sides: square and compare
-    diff = lhs * lhs * d - p * p
-    return _sign(diff) if lhs > 0 else -_sign(diff)
+    sx, sy = _sign(x), _sign(y)
+    if sx == sy or sy == 0:
+        return sx
+    if sx == 0:
+        return sy
+    return sx if x * x > d * y * y else sy
+
+
+def cmp_sqrt(v: int, d: int, r: Fraction) -> int:
+    """Exact sign of v*sqrt(d) - r for integer v and rational r."""
+    return sign_lin(-r.numerator, v * r.denominator, d)
 
 
 def floor_sqrt_multiple(v: int, d: int) -> int:
@@ -79,11 +80,13 @@ def floor_linear(c: Fraction, v: int, d: int) -> int:
     """floor(c + v*sqrt(d)) for rational c and integer v, exact."""
     if v == 0:
         return c.numerator // c.denominator
-    k = c.numerator // c.denominator + floor_sqrt_multiple(v, d)
-    # k is within 1 of the answer; settle with exact comparisons
-    while cmp_sqrt(v, d, Fraction(k + 1) - c) >= 0:
+    p, q = c.numerator, c.denominator
+    k = p // q + floor_sqrt_multiple(v, d)
+    # k is within 1 of the answer; settle with the exact sign of
+    # q*(c + v*sqrt(d) - k)
+    while sign_lin(p - (k + 1) * q, v * q, d) >= 0:
         k += 1
-    while cmp_sqrt(v, d, Fraction(k) - c) < 0:
+    while sign_lin(p - k * q, v * q, d) < 0:
         k -= 1
     return k
 
@@ -202,7 +205,7 @@ class QuadElem:
         # sign of (a1*ob - oa1*b) + (a2*ob - oa2*b) sqrt(d), positive denom
         u = self.a1 * o.b - o.a1 * self.b
         v = self.a2 * o.b - o.a2 * self.b
-        return cmp_sqrt(v, self.d, Fraction(-u))
+        return sign_lin(u, v, self.d)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -256,10 +259,12 @@ def in_interval(x, lo, hi) -> bool:
     lo = Fraction(lo)
     hi = Fraction(hi)
     if isinstance(x, QuadElem):
-        # x >= lo  <=>  a2*sqrt(d) >= lo*b - a1, and symmetrically
-        if cmp_sqrt(x.a2, x.d, lo * x.b - x.a1) < 0:
+        # x >= p/q  <=>  (q*a1 - p*b) + q*a2*sqrt(d) >= 0, and symmetrically
+        p, q = lo.numerator, lo.denominator
+        if sign_lin(q * x.a1 - p * x.b, q * x.a2, x.d) < 0:
             return False
-        return cmp_sqrt(x.a2, x.d, hi * x.b - x.a1) <= 0
+        p, q = hi.numerator, hi.denominator
+        return sign_lin(p * x.b - q * x.a1, -q * x.a2, x.d) >= 0
     x = Fraction(x)
     return lo <= x <= hi
 

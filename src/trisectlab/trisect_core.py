@@ -2,11 +2,13 @@
 
 A number a in [-2, 2] is accepted when the cubic x^3 - 3x - a has a root in
 the ambient field, witnessed by an explicit beta with f(beta) = a where
-f(x) = x^3 - 3x.  Over the rationals a cube-denominator fast path decides
-directly; over a quadratic field the decision searches the height ball
-B(S) with S the proven preimage bound, so a miss is a proof of absence.
-The density experiment measures how quickly the accepted fraction of a
-height ball decays as the height bound grows.
+f(x) = x^3 - 3x.  The decision is the cube-denominator argument: the
+denominator of a fixes at most tau(8d) candidate denominators of a root,
+and for each one the numerator coordinates follow from the integer floors
+of the real roots of two integer cubics, so the cost grows with the number
+of digits of a, not with its height.  The density experiment measures how
+quickly the accepted fraction of a height ball decays as the height bound
+grows.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .exact_arith import (
     height,
     in_interval,
     quadratic_field,
+    sign_lin,
 )
 from .height_enum import HeightBall, count_ball_interval, enumerate_ball_interval
 from .polyalg import IntPoly, RatPoly, eisenstein_check, is_prime, resultant_minpoly
@@ -36,17 +39,23 @@ F_CUBIC = RatPoly((0, -3, 0, 1))  # y^3 - 3y
 
 
 def icbrt(n: int) -> int:
-    """floor(n^(1/3)) for n >= 0."""
+    """floor(n^(1/3)) for n >= 0, by integer Newton iteration.
+
+    The start 2^ceil(bits/3) exceeds the root.  By AM-GM each step
+    floor((2x + floor(n/x^2))/3) stays >= floor(n^(1/3)), and it strictly
+    decreases while x^3 > n, so the first step that fails to decrease
+    leaves x at the floor.
+    """
     if n < 0:
         raise ValueError("icbrt needs n >= 0")
-    if n == 0:
-        return 0
-    x = int(round(n ** (1.0 / 3.0)))
-    while x > 0 and x * x * x > n:
-        x -= 1
-    while (x + 1) ** 3 <= n:
-        x += 1
-    return x
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
 
 
 def ceil_cbrt(x) -> int:
@@ -207,41 +216,43 @@ def phi_bound_check(D, E, x, T) -> dict:
     }
 
 
-def _integer_roots_depressed(s: int, p: int) -> list[int]:
-    """Integer roots of r^3 - 3*s^2*r - p, by binary search on the three
-    monotone branches (turning points at -s and s)."""
+def _root_floors(c: int, P: int, Q: int, d) -> list[int]:
+    """Sorted floors of the real roots of g(t) = t^3 - 3c^2*t - (P + Q*sqrt(d))
+    for c >= 1 (d is unused when Q = 0).
 
-    def g(r: int) -> int:
-        return r * r * r - 3 * s * s * r - p
+    g has its turning points at -c and c, so each of its three monotone
+    branches holds at most one root, and every root lies in [-M, M] with
+    M = max(2c, (4|P + Q*sqrt(d)|)^(1/3)) (beyond 2c, |t^3 - 3c^2*t| >=
+    |t|^3/4).  On each branch the floor is found by integer bisection, with
+    the sign of g(k) = (k^3 - 3c^2*k - P) - Q*sqrt(d) decided exactly by
+    :func:`sign_lin`.  A double root at a turning point is reported once.
+    """
+    c3 = 3 * c * c
+    N = abs(P) + (abs(Q) * (isqrt(d) + 1) if Q else 0)  # >= |P + Q*sqrt(d)|
+    M = max(2 * c, icbrt(4 * N) + 1)
 
-    bound = max(2 * s, icbrt(4 * abs(p)) + 1) + 1
-    roots = []
+    def sign_g(k: int) -> int:
+        return sign_lin(k * k * k - c3 * k - P, -Q, d)
 
-    def bisect(lo: int, hi: int, increasing: bool):
-        if lo > hi:
-            return
-        glo, ghi = g(lo), g(hi)
-        lo_v, hi_v = (glo, ghi) if increasing else (ghi, glo)
-        if lo_v > 0 or hi_v < 0:
-            return
+    def last(lo: int, hi: int, keep) -> int:
+        # largest k in [lo, hi] with keep(k), given keep(lo) and monotonicity
         while lo < hi:
-            mid = (lo + hi) // 2
-            v = g(mid)
-            if v == 0:
-                roots.append(mid)
-                return
-            if (v < 0) == increasing:
-                lo = mid + 1
+            mid = (lo + hi + 1) // 2
+            if keep(mid):
+                lo = mid
             else:
                 hi = mid - 1
-        if g(lo) == 0:
-            roots.append(lo)
+        return lo
 
-    bisect(-bound, -s, True)
-    bisect(-s, s, False)
-    bisect(s, bound, True)
-    out = sorted(set(roots))
-    return out
+    at_left, at_right = sign_g(-c), sign_g(c)
+    floors = set()
+    if at_left >= 0:
+        floors.add(last(-M, -c, lambda k: sign_g(k) <= 0))
+        if at_right <= 0:
+            floors.add(last(-c, c, lambda k: sign_g(k) >= 0))
+    if at_right <= 0:
+        floors.add(last(c, M, lambda k: sign_g(k) <= 0))
+    return sorted(floors)
 
 
 def _try_eisenstein_cert(a: Fraction) -> Certificate | None:
@@ -256,48 +267,83 @@ def _try_eisenstein_cert(a: Fraction) -> Certificate | None:
 
 
 def _decide_rational(a: Fraction) -> TrisectionVerdict:
-    """Cube-denominator fast path: a = p/q is an image of a rational
-    exactly when q = s^3 and some integer r has r*(r^2 - 3s^2) = p."""
+    """Cube-denominator fast path: a = p/q is an image of a rational r/s in
+    lowest terms exactly when q = s^3 (the image (r^3 - 3rs^2)/s^3 is
+    already reduced) and r is an integer root of t^3 - 3s^2*t - p."""
     p, q = a.numerator, a.denominator
     s = icbrt(q)
     if s * s * s == q:
-        roots = _integer_roots_depressed(s, p)
-        if roots:
-            witness = Fraction(roots[0], s)
-            assert apply_f(witness) == a
-            return TrisectionVerdict(True, witness, "rational-fast-path")
+        for r in _root_floors(s, p, 0, None):
+            if r * r * r - 3 * s * s * r == p:
+                return TrisectionVerdict(True, Fraction(r, s), "rational-fast-path")
     return TrisectionVerdict(
         False, None, "rational-fast-path", certificate=_try_eisenstein_cert(a)
     )
 
 
-_IMAGE_INDEX: dict[int, tuple[int, dict]] = {}
+def _divisors(n: int) -> list[int]:
+    small = [k for k in range(1, isqrt(n) + 1) if n % k == 0]
+    return small + [n // k for k in reversed(small) if k * k != n]
 
 
-def _image_index(d: int, S: int) -> dict:
-    """First-witness map {f(beta): beta} over B(S) ∩ [-2, 2], cached per
-    radicand and regrown monotonically."""
-    cached = _IMAGE_INDEX.get(d)
-    if cached is not None and cached[0] >= S:
-        return cached[1]
-    ball = HeightBall(quadratic_field(d), S)
-    index: dict = {}
-    for beta in enumerate_ball_interval(ball, -2, 2):
-        img = apply_f(beta)
-        if img not in index:
-            index[img] = beta
-    _IMAGE_INDEX[d] = (S, index)
-    return index
+def _quadratic_preimage(a: QuadElem) -> QuadElem | None:
+    """The preimage of a under f in Q(sqrt(d)) that is smallest in
+    (denominator, a2, a1), or None when a has no preimage.
+
+    Completeness.  Let x = (b1 + b2*sqrt(d))/c be a canonical preimage of
+    the canonical a = (alpha1 + alpha2*sqrt(d))/beta.  By :func:`raw_image`
+    f(x) = (A1 + A2*sqrt(d))/c^3 with G = gcd(A1, A2, c^3) dividing 8d, so
+    c^3 = G*beta for a divisor G of 8d: at most tau(8d) candidates for c,
+    each one cube test.  For such c, y = b1 + b2*sqrt(d) satisfies
+    y^3 - 3c^2*y = G*(alpha1 + alpha2*sqrt(d)), and by conjugation
+    y' = b1 - b2*sqrt(d) is a real root of the conjugate cubic.  With
+    k = floor(y) and k' = floor(y') (found by :func:`_root_floors`),
+    k + k' <= 2*b1 < k + k' + 2 leaves b1 = ceil((k + k')/2), and
+    |2*b2*sqrt(d) - (k - k')| < 1 leaves b2 = sign(k - k') times
+    floor(|k - k'|/(2 sqrt(d))) or one more.  A candidate is accepted only
+    when both integer coordinate equations A1 = G*alpha1 and A2 = G*alpha2
+    hold, which is f(x) = a exactly.  So every preimage is found and
+    nothing else is; only integers are used, so no precision bound enters.
+    """
+    alpha1, alpha2, beta, d = a.a1, a.a2, a.b, a.d
+    found = []
+    for G in _divisors(8 * d):
+        c = icbrt(G * beta)
+        if c * c * c != G * beta:
+            continue
+        P1, P2, c2 = G * alpha1, G * alpha2, c * c
+        for k in _root_floors(c, P1, P2, d):
+            for kc in _root_floors(c, P1, -P2, d):
+                b1 = -((-k - kc) // 2)
+                m = k - kc
+                j = isqrt(m * m // (4 * d))
+                for b2 in (j, j + 1) if m >= 0 else (-j, -j - 1):
+                    if (
+                        b1 * (b1 * b1 + 3 * d * b2 * b2 - 3 * c2) == P1
+                        and b2 * (3 * b1 * b1 + d * b2 * b2 - 3 * c2) == P2
+                        and gcd(gcd(b1, b2), c) == 1
+                    ):
+                        found.append((c, b2, b1))
+    if not found:
+        return None
+    c, b2, b1 = min(found)
+    return QuadElem(b1, b2, c, d)
 
 
 def decide_trisection(a, field: FieldDescriptor | None = None) -> TrisectionVerdict:
     """Decide membership of a (in [-2, 2]) with an exact witness or a
     sound refusal.
 
-    Rational a in a quadratic ambient field is decided by the bounded
-    search as well; a quadratic root would force a rational one because
-    conjugation pairs the quadratic roots of the cubic, so verdicts agree
-    across ambient fields (tested, not assumed).
+    Over the rationals the denominator of a must be a cube s^3 and the
+    witness numerator an integer root of one cubic.  Over Q(sqrt(d)) the
+    witness comes from :func:`_quadratic_preimage`, the same argument with
+    the tau(8d) candidate denominators allowed by the image gcd bound;
+    rational a goes through it too (its witness may be irrational, as
+    -sqrt(3) for a = 0 over Q(sqrt(3))).  Both paths cost a polynomial in
+    the number of digits of a.  ``search_bound`` is the proven preimage
+    height bound S(height(a)) that every witness satisfies; a non-member
+    with rational a = 3r/s carries an Eisenstein certificate when one
+    applies.
     """
     if isinstance(a, QuadElem):
         if field is not None and (field.degree != 2 or field.d != a.d):
@@ -313,13 +359,11 @@ def decide_trisection(a, field: FieldDescriptor | None = None) -> TrisectionVerd
         return _decide_rational(a)
     aq = a if isinstance(a, QuadElem) else QuadElem.from_rational(a, field.d)
     S = preimage_bound(field, height(aq))
-    index = _image_index(field.d, int(S))
-    beta = index.get(aq)
+    beta = _quadratic_preimage(aq)
     if beta is not None:
-        assert apply_f(beta) == aq
-        return TrisectionVerdict(True, beta, "bounded-search", search_bound=S)
+        return TrisectionVerdict(True, beta, "cube-denominator", search_bound=S)
     cert = _try_eisenstein_cert(aq.as_fraction()) if aq.is_rational else None
-    return TrisectionVerdict(False, None, "bounded-search", certificate=cert, search_bound=S)
+    return TrisectionVerdict(False, None, "cube-denominator", certificate=cert, search_bound=S)
 
 
 def eisenstein_cert_3rs(r: int, s: int) -> Certificate:
@@ -352,13 +396,23 @@ def eisenstein_cert_3rs(r: int, s: int) -> Certificate:
 
 
 def _verify_eisenstein_3rs(data: dict) -> bool:
-    r, s = data["r"], data["s"]
+    """Recompute every claim field from r and s; a missing key or a
+    non-integer r or s fails the check."""
+    r, s = data.get("r"), data.get("s")
+    if type(r) is not int or type(s) is not int:
+        return False
     if r == 0 or s <= 0 or gcd(r, s) != 1 or r % 3 == 0 or s % 3 == 0:
         return False
+    a = Fraction(3 * r, s)
     poly = IntPoly((-3 * r, -3 * s, 0, s))
-    if [str(c) for c in poly.coeffs] != data["coeffs"]:
-        return False
-    return eisenstein_check(poly, 3)
+    return (
+        type(data.get("prime")) is int
+        and data["prime"] == 3
+        and data.get("a") == str(a)
+        and data.get("in_range") is (abs(a) <= 2)
+        and data.get("coeffs") == poly.coeff_strings()
+        and eisenstein_check(poly, 3)
+    )
 
 
 def yates_certificate(k: int) -> tuple[int, int]:

@@ -109,6 +109,17 @@ def test_bad_arguments_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_overflow_is_bad_arguments_not_falsified(capsys):
+    assert main(["lehmer", "--sides", "1e400,2"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_decide_huge_rational_denominator(capsys):
+    code, out = run_cli(["decide", "--field", "q", "--a=1/1" + "0" * 400], capsys)
+    assert code == 0
+    assert json.loads(out)["member"] is False
+
+
 def test_cap_exceeded_exit_3(capsys):
     assert main(["density", "--field", "q", "--R", "100,1000", "--cap", "10"]) == 3
     capsys.readouterr()

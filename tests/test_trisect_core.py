@@ -3,11 +3,14 @@ and the density experiment."""
 
 import json
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trisectlab.errors import BadParameters, OutOfRange
 from trisectlab.exact_arith import (
@@ -22,6 +25,8 @@ from trisectlab.height_enum import HeightBall, enumerate_ball_interval
 from trisectlab.polyalg import IntPoly, rational_roots
 from trisectlab.trisect_core import (
     Certificate,
+    TrisectionVerdict,
+    _try_eisenstein_cert,
     apply_f,
     ceil_cbrt,
     decide_trisection,
@@ -49,6 +54,15 @@ def _rational_image_set(H: int) -> set:
         if height(img) <= H:
             out.add(img)
     return out
+
+
+def _image_index(d: int, S: int) -> dict:
+    """Bounded-search oracle: first-witness map {f(beta): beta} over
+    B(S) ∩ [-2, 2], in the enumeration order (b, a2, a1)."""
+    index: dict = {}
+    for beta in enumerate_ball_interval(HeightBall(quadratic_field(d), S), -2, 2):
+        index.setdefault(apply_f(beta), beta)
+    return index
 
 
 def test_apply_f_examples():
@@ -92,6 +106,15 @@ def test_gcd_bound_sweep_small_and_spot_checks():
 
 def test_cbrt_helpers():
     assert icbrt(0) == 0 and icbrt(7) == 1 and icbrt(8) == 2 and icbrt(26) == 2
+    for n in range(5000):
+        r = icbrt(n)
+        assert r ** 3 <= n < (r + 1) ** 3
+    assert icbrt(10 ** 75 + 7) == 10 ** 25
+    assert icbrt(10 ** 1200) == 10 ** 400
+    k = 10 ** 100 + 12345
+    assert icbrt(k ** 3 - 1) == k - 1
+    assert icbrt(k ** 3) == k
+    assert icbrt(k ** 3 + 1) == k
     assert ceil_cbrt(8) == 2 and ceil_cbrt(9) == 3
     assert ceil_cbrt(Fraction(1, 8)) == 1
 
@@ -160,6 +183,64 @@ def test_decide_endpoints_and_range():
         decide_trisection(canonicalize(2, 1, 1, 5))
 
 
+def test_decide_matches_bounded_search_oracle():
+    """Every canonical a of height <= H over Q(sqrt d): the verdict equals
+    the one read off the first-witness index over B(S(H)), which holds
+    every preimage of such a."""
+    H = 20
+    for d in (2, 3, 5, 6, 7):
+        field = quadratic_field(d)
+        index = _image_index(d, int(preimage_bound(field, H)))
+        for a in enumerate_ball_interval(HeightBall(field, H), -2, 2):
+            beta = index.get(a)
+            cert = _try_eisenstein_cert(a.as_fraction()) if beta is None and a.is_rational else None
+            expected = TrisectionVerdict(beta is not None, beta, "cube-denominator", cert,
+                                         preimage_bound(field, height(a)))
+            assert decide_trisection(a) == expected, a
+
+
+@st.composite
+def _preimages(draw):
+    d = draw(st.sampled_from((None, 2, 3, 5, 6, 7)))
+    c = draw(st.integers(1, 5 * 10 ** 29))
+    b1 = draw(st.integers(-2 * c, 2 * c))
+    if d is None:
+        return Fraction(b1, c)
+    b2 = draw(st.just(0) | st.integers(-c, c))
+    g = gcd(gcd(b1, b2), c)
+    x = QuadElem(b1 // g, b2 // g, c // g, d)
+    assume(in_interval(x, -2, 2))
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(_preimages())
+def test_decide_finds_high_members(beta):
+    a = apply_f(beta)
+    field = RATIONAL_FIELD if isinstance(beta, Fraction) else quadratic_field(beta.d)
+    v = decide_trisection(a, field)
+    assert v.member and apply_f(v.witness) == a
+    bound = v.search_bound if v.search_bound is not None else preimage_bound(field, height(a))
+    assert height(v.witness) <= bound
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        Fraction(1, 10 ** 75),
+        Fraction(1, 10 ** 400),
+        canonicalize(1, 1, 10 ** 5, 2),
+        canonicalize(1, 1, 10 ** 50, 3),
+    ],
+    ids=["1/10^75", "1/10^400", "(1+sqrt2)/10^5", "(1+sqrt3)/10^50"],
+)
+def test_deep_probes_are_fast_non_members(a):
+    start = time.perf_counter()
+    v = decide_trisection(a)
+    assert time.perf_counter() - start < 0.05
+    assert not v.member and v.witness is None
+
+
 def test_witness_soundness_randomized():
     rng = random.Random(17)
     found = 0
@@ -214,6 +295,34 @@ def test_eisenstein_cert_examples():
     for bad in ((0, 1), (3, 2), (2, 3), (2, 4)):
         with pytest.raises(BadParameters):
             eisenstein_cert_3rs(*bad)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("a", "5/7"),
+        ("in_range", False),
+        ("prime", 5),
+        ("prime", "3"),
+        ("r", 2),
+        ("s", 5),
+        ("s", "2"),
+        ("r", 1.0),
+        ("coeffs", ["-3", "-6", "0", "1"]),
+    ],
+)
+def test_eisenstein_verifier_rejects_tampering(key, value):
+    data = dict(eisenstein_cert_3rs(1, 2).data)
+    data[key] = value
+    assert not Certificate("eisenstein-3rs", data).verify()
+
+
+def test_eisenstein_verifier_rejects_missing_fields():
+    data = eisenstein_cert_3rs(1, 2).data
+    for key in data:
+        partial = {k: v for k, v in data.items() if k != key}
+        assert not Certificate("eisenstein-3rs", partial).verify(), key
+    assert not Certificate("eisenstein-3rs", {"r": 1}).verify()
 
 
 def test_square_family_check():
