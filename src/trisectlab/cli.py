@@ -67,7 +67,7 @@ class RunConfig:
     degree_cap: int = algdeg.DEGREE_CAP
     out: str | None = None
     fmt: str = "json"
-    shards: int = 1
+    shards: int = 1  # validated, then unused: output never depended on it
     seed: int = 0
     quick: bool = False
 
@@ -133,7 +133,7 @@ def _run_decide(config: RunConfig) -> int:
 
 
 def _run_density(config: RunConfig) -> int:
-    report = density_experiment(config.field, config.R_list, shards=config.shards, cap=config.cap)
+    report = density_experiment(config.field, config.R_list, cap=config.cap)
     payload = report.to_dict()
     rows = [
         [payload["field"], payload["d"], point["R"], point["num"], point["den"],
@@ -147,7 +147,7 @@ def _run_density(config: RunConfig) -> int:
 
 def _run_lehmer(config: RunConfig) -> int:
     box = Box(tuple(Fraction(s) for s in config.sides))
-    report = lehmer_report(box, shards=config.shards)
+    report = lehmer_report(box)
     payload = report.to_dict()
     header = (["k"] + [f"side{i+1}" for i in range(box.k)]
               + ["count", "main_term", "error", "f_k", "eccentricity"])
@@ -354,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"enumeration cap (default from ${CAP_ENV_VAR})")
         p.add_argument("--seed", type=int, default=0)
         if shards:
-            p.add_argument("--shards", type=int, default=1)
+            p.add_argument("--shards", type=int, default=1,
+                           help="accepted (must be >= 1); output and work do not depend on it")
 
     def add_field(p):
         p.add_argument("--field", choices=("q", "rational", "quad", "quadratic"),

@@ -10,6 +10,7 @@ toolkit; :func:`lehmer_report` assembles them into one record.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,7 +126,7 @@ def mobius_table(n: int) -> list[int]:
     return _MOBIUS_CACHE
 
 
-def sieve_count(box: Box, shards: int = 1) -> int:
+def sieve_count(box: Box) -> int:
     """Exact number of coprime k-tuples of positive integers inside the
     box, by the Moebius sum over j up to the smallest floored side."""
     floors = box.floors()
@@ -135,31 +136,23 @@ def sieve_count(box: Box, shards: int = 1) -> int:
     mu = mobius_table(jmax)
     nums = [s.numerator for s in box.sides]
     dens = [s.denominator for s in box.sides]
-
-    def partial(js) -> int:
-        total = 0
-        for j in js:
-            m = mu[j]
-            if m == 0:
-                continue
-            prod = 1
-            for p, q in zip(nums, dens):
-                prod *= p // (q * j)
-                if prod == 0:
-                    break
-            total += m * prod
-        return total
-
-    if shards <= 1:
-        return partial(range(1, jmax + 1))
-    chunks = [range(1 + s, jmax + 1, shards) for s in range(shards)]
-    return sum(partial(c) for c in chunks)
+    total = 0
+    for j in range(1, jmax + 1):
+        m = mu[j]
+        if m == 0:
+            continue
+        prod = 1
+        for p, q in zip(nums, dens):
+            prod *= p // (q * j)
+            if prod == 0:
+                break
+        total += m * prod
+    return total
 
 
-def brute_count(box: Box, cap: int = 10 ** 8, shards: int = 1) -> int:
-    """Oracle: direct enumeration with a k-ary gcd test, sharded over the
-    leading coordinate.  Refuses boxes whose floored volume exceeds
-    ``cap``."""
+def brute_count(box: Box, cap: int = 10 ** 8) -> int:
+    """Oracle: direct enumeration with a k-ary gcd test.  Refuses boxes
+    whose floored volume exceeds ``cap``."""
     floors = box.floors()
     volume = 1
     for f in floors:
@@ -182,13 +175,7 @@ def brute_count(box: Box, cap: int = 10 ** 8, shards: int = 1) -> int:
             total += rec(idx + 1, math.gcd(g, a))
         return total
 
-    if shards <= 1:
-        return rec(0, 0)
-    total = 0
-    for start in range(shards):
-        for a in range(1 + start, floors[0] + 1, shards):
-            total += rec(1, a)
-    return total
+    return rec(0, 0)
 
 
 def coprime_count_table(floors: tuple[int, ...]) -> np.ndarray:
@@ -247,10 +234,11 @@ def error_term_budget(box: Box) -> float:
     return gamma ** (box.k - 1)
 
 
+@functools.lru_cache(maxsize=32)
 def zeta(k: int, tol: float = 1e-12) -> float:
     """zeta(k) within tol: partial sums plus the integral tail bound
     N^(1-k)/(k-1); the returned value is the midpoint of the rigorous
-    bracket."""
+    bracket.  Memoized (bounded): zeta(2) sums about 10^6 terms."""
     if k < 2:
         raise BadParameters("zeta requires k >= 2")
     if tol <= 0:
@@ -267,10 +255,10 @@ def zeta(k: int, tol: float = 1e-12) -> float:
     return partial + (lo + hi) / 2
 
 
-def lehmer_report(box: Box, shards: int = 1) -> CountReport:
+def lehmer_report(box: Box) -> CountReport:
     """Exact count, analytic main term, signed error, error budget, and
     eccentricity for one box."""
-    count = sieve_count(box, shards=shards)
+    count = sieve_count(box)
     main = 1.0
     for s in box.sides:
         main *= float(s)

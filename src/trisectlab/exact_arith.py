@@ -61,34 +61,13 @@ def sign_lin(x: int, y: int, d) -> int:
     return sx if x * x > d * y * y else sy
 
 
-def cmp_sqrt(v: int, d: int, r: Fraction) -> int:
-    """Exact sign of v*sqrt(d) - r for integer v and rational r."""
-    return sign_lin(-r.numerator, v * r.denominator, d)
-
-
 def floor_sqrt_multiple(v: int, d: int) -> int:
-    """floor(v*sqrt(d)) for integer v, exact (d squarefree, so irrational
-    unless v = 0)."""
-    if v == 0:
-        return 0
-    if v > 0:
+    """floor(v*sqrt(d)) for integers v and d >= 1, exact whether or not d
+    is a perfect square."""
+    if v >= 0:
         return isqrt(v * v * d)
-    return -isqrt(v * v * d) - 1
-
-
-def floor_linear(c: Fraction, v: int, d: int) -> int:
-    """floor(c + v*sqrt(d)) for rational c and integer v, exact."""
-    if v == 0:
-        return c.numerator // c.denominator
-    p, q = c.numerator, c.denominator
-    k = p // q + floor_sqrt_multiple(v, d)
-    # k is within 1 of the answer; settle with the exact sign of
-    # q*(c + v*sqrt(d) - k)
-    while sign_lin(p - (k + 1) * q, v * q, d) >= 0:
-        k += 1
-    while sign_lin(p - k * q, v * q, d) < 0:
-        k -= 1
-    return k
+    # -ceil(sqrt(n)) = -(isqrt(n - 1) + 1) for n >= 1
+    return -isqrt(v * v * d - 1) - 1
 
 
 @dataclass(frozen=True)

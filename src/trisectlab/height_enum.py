@@ -3,8 +3,10 @@ certifies a lower bound for the in-interval count.
 
 A height ball B(R) over a field is the finite set of canonical elements of
 height at most R.  Enumeration is lexicographic in (b, a1[, a2]) so streams
-are reproducible; counting goes through the coprime-tuple sieve instead of
-enumeration and the two are cross-checked in the tests.
+are reproducible.  One row kernel serves the full and the interval streams
+and the interval count; the whole-ball count goes through the coprime-tuple
+sieve instead, and the tests cross-check the two.  Streams and counts run
+serially in one thread; nothing is sharded.
 """
 
 from __future__ import annotations
@@ -17,12 +19,7 @@ from math import gcd, isqrt
 
 from .coprime_count import Box, mobius_table, sieve_count, zeta
 from .errors import BadParameters, CapExceeded
-from .exact_arith import (
-    FieldDescriptor,
-    QuadElem,
-    floor_linear,
-    in_interval,
-)
+from .exact_arith import FieldDescriptor, QuadElem, floor_sqrt_multiple, in_interval
 
 DEFAULT_ENUM_CAP = 20_000_000
 
@@ -55,67 +52,72 @@ def count_ball(ball: HeightBall) -> int:
     return 4 * sieve_count(Box((F, F, F))) + 4 * sieve_count(Box((F, F))) + 1
 
 
+def _rows(ball: HeightBall, lo: Fraction | None = None, hi: Fraction | None = None):
+    """The rows of B(R), or of B(R) ∩ [lo, hi] when an interval is given,
+    in (b, a1[, a2]) order: the one loop nest behind both streams and the
+    interval count.
+
+    A row (b, a1, a_lo, a_hi, g) stands for the elements whose last
+    coordinate (a2 over Q(sqrt(d)), the numerator over Q) is an integer in
+    [a_lo, a_hi] prime to g = gcd(a1, b); gcd(0, g) = g, so 0 belongs only
+    when g = 1.  Q runs as the case d = 1 with a1 fixed at 0.  On a row
+    lo*b <= a1 + a2*sqrt(d) <= hi*b, so with hi = p/q the upper end is
+    a2 <= floor((p*b - q*a1)*sqrt(d)/(q*d)), which is
+    floor_sqrt_multiple(p*b - q*a1, d) // (q*d); the lower end is its
+    mirror.  The clip is exact integer arithmetic.
+    """
+    F = ball.bound
+    d = ball.field.d or 1
+    a1_values = range(-F, F + 1) if d > 1 else (0,)
+    for b in range(1, F + 1):
+        for a1 in a1_values:
+            a_lo, a_hi = -F, F
+            if lo is not None:
+                p, q = lo.numerator, lo.denominator
+                a_lo = max(a_lo, -(floor_sqrt_multiple(q * a1 - p * b, d) // (q * d)))
+                p, q = hi.numerator, hi.denominator
+                a_hi = min(a_hi, floor_sqrt_multiple(p * b - q * a1, d) // (q * d))
+            yield b, a1, a_lo, a_hi, gcd(a1, b)
+
+
+def _stream(ball: HeightBall, lo: Fraction | None = None, hi: Fraction | None = None):
+    """The coprime elements of the rows of :func:`_rows`, in row order."""
+    d = ball.field.d
+    for b, a1, a_lo, a_hi, g in _rows(ball, lo, hi):
+        for a in range(a_lo, a_hi + 1):
+            if gcd(g, a) == 1:
+                yield QuadElem(a1, a, b, d) if d else Fraction(a, b)
+
+
+def _interval(lo, hi) -> tuple[Fraction, Fraction]:
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi:
+        raise BadParameters("interval endpoints out of order")
+    return lo, hi
+
+
 def enumerate_ball(ball: HeightBall, cap: int | None = None):
     """Yield every element of B(R) exactly once, lexicographic in
     (b, a1[, a2])."""
     cap = DEFAULT_ENUM_CAP if cap is None else cap
     if count_ball(ball) > cap:
         raise CapExceeded(f"|B({ball.R})| exceeds cap {cap}")
-    F = ball.bound
-    if ball.field.degree == 1:
-        for b in range(1, F + 1):
-            for a in range(-F, F + 1):
-                if gcd(a, b) == 1:
-                    yield Fraction(a, b)
-        return
-    d = ball.field.d
-    for b in range(1, F + 1):
-        for a1 in range(-F, F + 1):
-            g1 = gcd(a1, b)
-            for a2 in range(-F, F + 1):
-                if gcd(g1, a2) == 1:
-                    yield QuadElem(a1, a2, b, d)
+    yield from _stream(ball)
 
 
-def enumerate_ball_interval(ball: HeightBall, lo, hi, cap: int | None = None, b_values=None):
-    """Yield the elements of B(R) lying in [lo, hi], same order as
+def enumerate_ball_interval(ball: HeightBall, lo, hi, cap: int | float | None = None):
+    """Yield the elements of B(R) lying in [lo, hi], in the same order as
     :func:`enumerate_ball`.
 
-    The a1 range is clipped per (b, a2) to the strip
-    |a1 + a2*sqrt(d)| <= max(|lo|, |hi|)*b before the gcd test; membership
-    itself is decided exactly.  ``b_values`` restricts the denominators
-    visited (the sharding hook); the cap is enforced only on full streams.
+    Each row is clipped to the interval exactly before the gcd test, so
+    membership needs no further check.  The cap (default
+    ``DEFAULT_ENUM_CAP``) bounds the exact interval count.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo > hi:
-        raise BadParameters("interval endpoints out of order")
-    F = ball.bound
-    if b_values is None:
-        cap = DEFAULT_ENUM_CAP if cap is None else cap
-        if count_ball_interval(ball, lo, hi) > cap:
-            raise CapExceeded(f"|B({ball.R}) in [{lo}, {hi}]| exceeds cap {cap}")
-        b_values = range(1, F + 1)
-    if ball.field.degree == 1:
-        for b in b_values:
-            a_lo = max(-F, math.ceil(lo * b))
-            a_hi = min(F, math.floor(hi * b))
-            for a in range(a_lo, a_hi + 1):
-                if gcd(a, b) == 1:
-                    yield Fraction(a, b)
-        return
-    d = ball.field.d
-    strip = max(abs(lo), abs(hi))
-    for b in b_values:
-        sb = strip * b
-        for a2 in range(-F, F + 1):
-            a_lo = max(-F, -floor_linear(sb, a2, d))
-            a_hi = min(F, floor_linear(sb, -a2, d))
-            g1 = gcd(a2, b)
-            for a1 in range(a_lo, a_hi + 1):
-                if gcd(g1, a1) == 1:
-                    x = QuadElem(a1, a2, b, d)
-                    if in_interval(x, lo, hi):
-                        yield x
+    lo, hi = _interval(lo, hi)
+    cap = DEFAULT_ENUM_CAP if cap is None else cap
+    if count_ball_interval(ball, lo, hi) > cap:
+        raise CapExceeded(f"|B({ball.R}) in [{lo}, {hi}]| exceeds cap {cap}")
+    yield from _stream(ball, lo, hi)
 
 
 def materialize_lines(stream) -> str:
@@ -180,27 +182,8 @@ def _coprime_in_range(a_lo: int, a_hi: int, g: int) -> int:
 
 def count_ball_interval(ball: HeightBall, lo, hi) -> int:
     """Exact |B(R) ∩ [lo, hi]| without materializing the stream."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo > hi:
-        raise BadParameters("interval endpoints out of order")
-    F = ball.bound
-    if F < 1:
-        return 0
-    total = 0
-    if ball.field.degree == 1:
-        for b in range(1, F + 1):
-            a_lo = max(-F, math.ceil(lo * b))
-            a_hi = min(F, math.floor(hi * b))
-            total += _coprime_in_range(a_lo, a_hi, b)
-        return total
-    d = ball.field.d
-    for b in range(1, F + 1):
-        lob, hib = lo * b, hi * b
-        for a2 in range(-F, F + 1):
-            a_lo = max(-F, -floor_linear(-lob, a2, d))
-            a_hi = min(F, floor_linear(hib, -a2, d))
-            total += _coprime_in_range(a_lo, a_hi, gcd(a2, b))
-    return total
+    lo, hi = _interval(lo, hi)
+    return sum(_coprime_in_range(a_lo, a_hi, g) for _, _, a_lo, a_hi, g in _rows(ball, lo, hi))
 
 
 @dataclass(frozen=True)

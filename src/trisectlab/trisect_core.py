@@ -14,14 +14,13 @@ grows.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
 
-from .errors import BadParameters, CapExceeded, GcdBoundViolated, OutOfRange
+from .errors import BadParameters, GcdBoundViolated, OutOfRange
 from .exact_arith import (
     RATIONAL_FIELD,
     FieldDescriptor,
@@ -91,7 +90,12 @@ class Certificate:
         return {"kind": self.kind, "data": self.data}
 
     def verify(self) -> bool:
-        return _CERT_VERIFIERS[self.kind](self.data)
+        """True iff the data re-checks; an unknown kind raises
+        ``BadParameters``."""
+        verifier = _CERT_VERIFIERS.get(self.kind)
+        if verifier is None:
+            raise BadParameters(f"unknown certificate kind {self.kind!r}")
+        return verifier(self.data)
 
 
 @dataclass(frozen=True)
@@ -430,7 +434,10 @@ def yates_certificate(k: int) -> tuple[int, int]:
 
 
 def _verify_yates(data: dict) -> bool:
-    return 3 * data["a"] + data["b"] * data["k"] == 1 and data["k"] % 3 != 0
+    k, a, b = data.get("k"), data.get("a"), data.get("b")
+    if type(k) is not int or type(a) is not int or type(b) is not int:
+        return False
+    return 3 * a + b * k == 1 and k % 3 != 0
 
 
 def square_family_check(H: int) -> dict:
@@ -487,47 +494,28 @@ def _slope_fit(points) -> float | None:
 def density_experiment(
     field: FieldDescriptor,
     R_list,
-    shards: int = 1,
     cap: int | None = None,
 ) -> DensityReport:
     """Measure delta(R) = |accepted ∩ B(R) ∩ [-2,2]| / |B(R) ∩ [-2,2]| for
     each R, plus the log-log slope across the points.
 
-    The numerator enumerates the preimage ball B(S(R_max)) ∩ [-2, 2] once
-    (sharded by denominator, merged by set union, so the result is
-    independent of the shard count), applies f, deduplicates canonically,
-    and counts images of height <= R; every image of height <= R has all
-    its preimages inside B(S(R)), so this equals the per-R definition.
-    The denominator is the exact interval count.
+    The numerator enumerates the preimage ball B(S(R_max)) ∩ [-2, 2] once,
+    in one serial pass, applies f, deduplicates canonically, and counts
+    images of height <= R; every image of height <= R has all its
+    preimages inside B(S(R)), so this equals the per-R definition.  The
+    denominator is the exact interval count.  With ``cap`` set,
+    ``CapExceeded`` is raised when the preimage interval count exceeds it;
+    ``cap=None`` sets no cap.
     """
     R_list = [Fraction(R) for R in R_list]
     if not R_list or any(b <= a for a, b in zip(R_list, R_list[1:])):
         raise BadParameters("R list must be strictly increasing and nonempty")
-    if shards < 1:
-        raise BadParameters("shard count must be >= 1")
     S_max = int(preimage_bound(field, R_list[-1]))
-    ball = HeightBall(field, S_max)
-    if cap is not None and count_ball_interval(ball, -2, 2) > cap:
-        raise CapExceeded(f"preimage ball B({S_max}) exceeds cap {cap}")
-
-    def shard_images(shard: int) -> dict:
-        out: dict = {}
-        bs = range(1 + shard, S_max + 1, shards)
-        for beta in enumerate_ball_interval(ball, -2, 2, b_values=bs, cap=cap):
-            img = apply_f(beta)
-            if img not in out:
-                out[img] = height(img)
-        return out
-
-    if shards == 1:
-        images = shard_images(0)
-    else:
-        images = {}
-        with ThreadPoolExecutor(max_workers=shards) as pool:
-            for part in pool.map(shard_images, range(shards)):
-                images.update(part)
-
-    heights = sorted(images.values())
+    preimages = enumerate_ball_interval(
+        HeightBall(field, S_max), -2, 2, cap=math.inf if cap is None else cap
+    )
+    images = {apply_f(beta) for beta in preimages}
+    heights = sorted(height(img) for img in images)
     points = []
     for R in R_list:
         numerator = _count_le(heights, R)
@@ -547,6 +535,11 @@ def _count_le(sorted_heights: list[int], R: Fraction) -> int:
     return bisect.bisect_right(sorted_heights, R)
 
 
+# Bound on |minpoly(f(q^(1/m)))| that both the witness and its verifier
+# require; the verifier never reads it from the certificate.
+WITNESS_RESIDUAL_TOL = 1e-20
+
+
 def nonconstructible_witness(m: int, q: int) -> Certificate:
     """Certificate that a = f(q^(1/m)) is an accepted number of exact odd
     degree m > 1, hence not constructible (constructible degrees are powers
@@ -559,10 +552,10 @@ def nonconstructible_witness(m: int, q: int) -> Certificate:
     """
     if m < 2 or m % 2 == 0 or m % 3 == 0:
         raise BadParameters("m must be odd, > 1, and prime to 3")
+    if q > 2 ** m:  # before the trial division, which is slow for large q
+        raise BadParameters("q^(1/m) must lie in (0, 2]")
     if not is_prime(q):
         raise BadParameters("q must be prime")
-    if q > 2 ** m:
-        raise BadParameters("q^(1/m) must lie in (0, 2]")
     poly = resultant_minpoly(m, Fraction(q), F_CUBIC)
     if poly.degree != m:
         raise AssertionError(f"resultant degree {poly.degree} != {m}")
@@ -570,7 +563,7 @@ def nonconstructible_witness(m: int, q: int) -> Certificate:
     if deriv_gcd.degree != 0:
         raise AssertionError("resultant is not squarefree; degree collapse")
     residual_bound = _witness_residual(poly, m, q)
-    if residual_bound >= 1e-20:
+    if residual_bound >= WITNESS_RESIDUAL_TOL:
         raise AssertionError(f"numeric residual {residual_bound} too large")
     return Certificate(
         kind="nonconstructible-witness",
@@ -580,7 +573,7 @@ def nonconstructible_witness(m: int, q: int) -> Certificate:
             "minpoly": poly.coeff_strings(),
             "degree": m,
             "squarefree": True,
-            "residual_below": 1e-20,
+            "residual_below": WITNESS_RESIDUAL_TOL,
         },
     )
 
@@ -596,16 +589,17 @@ def _witness_residual(poly: IntPoly, m: int, q: int) -> float:
 
 
 def _verify_nonconstructible(data: dict) -> bool:
-    m, q = data["m"], data["q"]
-    poly = resultant_minpoly(m, Fraction(q), F_CUBIC)
-    if poly.coeff_strings() != data["minpoly"] or poly.degree != m:
+    """Rebuild the certificate from m and q, which re-runs every degree,
+    squarefreeness and residual check against ``WITNESS_RESIDUAL_TOL``, and
+    compare every field, types included; malformed data fails the check."""
+    m, q = data.get("m"), data.get("q")
+    if type(m) is not int or type(q) is not int:
         return False
-    if m % 2 == 0 or m % 3 == 0 or m < 2:
+    try:
+        expected = nonconstructible_witness(m, q).data
+    except (BadParameters, AssertionError):
         return False
-    deriv_gcd = poly.to_rat().gcd(poly.derivative().to_rat())
-    if deriv_gcd.degree != 0:
-        return False
-    return _witness_residual(poly, m, q) < data["residual_below"]
+    return data == expected and all(type(data[k]) is type(v) for k, v in expected.items())
 
 
 def gcd_bound_sweep(d: int, height_bound: int) -> dict:

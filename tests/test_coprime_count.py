@@ -153,9 +153,3 @@ def test_error_scaling_fixed_eccentricity():
             assert abs(count - main) / budget <= 10
 
 
-def test_shard_invariance():
-    box = Box((321, 250))
-    baseline = sieve_count(box)
-    assert all(sieve_count(box, shards=s) == baseline for s in (2, 4, 8))
-    small = Box((30, 17, 9))
-    assert all(brute_count(small, shards=s) == brute_count(small) for s in (2, 4, 8))

@@ -16,8 +16,6 @@ from trisectlab.errors import (
 from trisectlab.exact_arith import (
     QuadElem,
     canonicalize,
-    cmp_sqrt,
-    floor_linear,
     format_element,
     height,
     height_in_basis,
@@ -165,18 +163,6 @@ def test_cmp_against_interval_arithmetic():
         assert indecisive < 500
     finally:
         iv.prec = old
-
-
-def test_cmp_sqrt_and_floor_linear():
-    assert cmp_sqrt(1, 2, Fraction(3, 2)) < 0   # sqrt(2) < 1.5
-    assert cmp_sqrt(1, 2, Fraction(7, 5)) > 0   # sqrt(2) > 1.4
-    assert cmp_sqrt(0, 2, Fraction(0)) == 0
-    assert cmp_sqrt(-2, 3, Fraction(-7, 2)) > 0  # -2*sqrt(3) > -3.5
-    for c, v, d in ((Fraction(7, 2), 3, 2), (Fraction(-9, 4), -2, 5), (Fraction(0), 1, 7)):
-        value = float(c) + v * d ** 0.5
-        got = floor_linear(c, v, d)
-        assert got <= value < got + 1.000001
-        assert abs(got - (value // 1)) <= 1e-9
 
 
 def test_height_in_basis_examples():

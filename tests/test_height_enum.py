@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trisectlab.coprime_count import zeta
 from trisectlab.errors import BadParameters, CapExceeded
@@ -102,6 +104,34 @@ def test_interval_count_matches_enumeration(field):
         stream = list(enumerate_ball_interval(ball, lo, hi))
         assert got == len(stream)
         assert all(in_interval(x, lo, hi) for x in stream)
+
+
+_small_fractions = st.builds(
+    Fraction, st.integers(-12, 12) | st.integers(-90, 90), st.integers(1, 7)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@example(d=None, R=3, ends=(Fraction(1), Fraction(1)), point=True)
+@example(d=None, R=6, ends=(Fraction(-5, 2), Fraction(-1)), point=False)
+@example(d=2, R=5, ends=(Fraction(-3, 2), Fraction(5, 3)), point=False)
+@given(
+    d=st.sampled_from((None, 2, 3, 5, 6, 7, 30)),
+    R=st.integers(0, 12),
+    ends=st.tuples(_small_fractions, _small_fractions),
+    point=st.booleans(),
+)
+def test_interval_kernel_matches_filtered_ball(d, R, ends, point):
+    """The clipped rows against the slow exact path: filter the whole ball
+    with in_interval.  Endpoints reach past the ball (|x| <= 12(1 + sqrt 30)
+    < 90) and include lo == hi."""
+    lo, hi = sorted(ends)
+    if point:
+        hi = lo
+    ball = HeightBall(RATIONAL_FIELD if d is None else quadratic_field(d), R)
+    expected = [x for x in enumerate_ball(ball) if in_interval(x, lo, hi)]
+    assert list(enumerate_ball_interval(ball, lo, hi)) == expected
+    assert count_ball_interval(ball, lo, hi) == len(expected)
 
 
 def test_interval_validation_and_caps():

@@ -57,11 +57,14 @@ def _rational_image_set(H: int) -> set:
 
 
 def _image_index(d: int, S: int) -> dict:
-    """Bounded-search oracle: first-witness map {f(beta): beta} over
-    B(S) ∩ [-2, 2], in the enumeration order (b, a2, a1)."""
+    """Bounded-search oracle: map {f(beta): beta} over B(S) ∩ [-2, 2],
+    keeping for each image the preimage smallest in (b, a2, a1)."""
     index: dict = {}
     for beta in enumerate_ball_interval(HeightBall(quadratic_field(d), S), -2, 2):
-        index.setdefault(apply_f(beta), beta)
+        img = apply_f(beta)
+        best = index.get(img)
+        if best is None or (beta.b, beta.a2, beta.a1) < (best.b, best.a2, best.a1):
+            index[img] = beta
     return index
 
 
@@ -325,6 +328,18 @@ def test_eisenstein_verifier_rejects_missing_fields():
     assert not Certificate("eisenstein-3rs", {"r": 1}).verify()
 
 
+def test_unknown_certificate_kind_is_a_typed_error():
+    with pytest.raises(BadParameters):
+        Certificate("nope", {}).verify()
+
+
+def test_yates_verifier_rejects_malformed_data():
+    assert not Certificate("yates-bezout", {"k": 3}).verify()
+    assert not Certificate("yates-bezout", {"k": 2, "a": 1}).verify()
+    assert not Certificate("yates-bezout", {"k": 2, "a": 1, "b": -1.0}).verify()
+    assert not Certificate("yates-bezout", {"k": "2", "a": 1, "b": -1}).verify()
+
+
 def test_square_family_check():
     report = square_family_check(100)
     assert report["falsifications"] == []
@@ -421,14 +436,6 @@ def test_density_monotonicity_and_bounds():
     assert report.target_exponent == pytest.approx(-4 / 3)
 
 
-def test_density_shard_independence():
-    base = density_experiment(RATIONAL_FIELD, [50, 100]).to_dict()
-    for shards in (2, 4, 8):
-        assert density_experiment(RATIONAL_FIELD, [50, 100], shards=shards).to_dict() == base
-    base_q = density_experiment(quadratic_field(2), [10, 20]).to_dict()
-    assert density_experiment(quadratic_field(2), [10, 20], shards=4).to_dict() == base_q
-
-
 def test_density_validation():
     with pytest.raises(BadParameters):
         density_experiment(RATIONAL_FIELD, [10, 10])
@@ -451,6 +458,34 @@ def test_nonconstructible_witness_examples():
     for bad in ((3, 2), (4, 2), (2, 2), (1, 2), (5, 4), (5, 37)):
         with pytest.raises(BadParameters):
             nonconstructible_witness(*bad)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        {"degree": 99, "squarefree": False, "residual_below": 1e300},
+        {"degree": 99},
+        {"degree": "5"},
+        {"squarefree": False},
+        {"squarefree": 1},
+        {"residual_below": 1e300},
+        {"m": 7},
+        {"m": 5.0},
+        {"q": 3},
+        {"minpoly": ["1", "0", "0", "0", "0", "1"]},
+    ],
+)
+def test_nonconstructible_verifier_rejects_tampering(tamper):
+    data = dict(nonconstructible_witness(5, 2).data)
+    data.update(tamper)
+    assert not Certificate("nonconstructible-witness", data).verify()
+
+
+def test_nonconstructible_verifier_rejects_missing_fields():
+    data = nonconstructible_witness(5, 2).data
+    for key in data:
+        partial = {k: v for k, v in data.items() if k != key}
+        assert not Certificate("nonconstructible-witness", partial).verify(), key
 
 
 def test_certificate_serialization_roundtrip():
