@@ -7,7 +7,7 @@ the accepted set; and generates re-verifiable irreducibility, n-section,
 and algebraic-degree certificates.
 """
 
-from .coprime_count import Box, CountReport, brute_count, lehmer_report, mobius, sieve_count
+from .coprime_count import Box, CountReport, brute_count, lehmer_report, sieve_count
 from .exact_arith import (
     FieldDescriptor,
     QuadElem,
@@ -86,7 +86,6 @@ __all__ = [
     "height",
     "in_interval",
     "lehmer_report",
-    "mobius",
     "nonconstructible_witness",
     "parse_element",
     "preimage_bound",

@@ -154,21 +154,6 @@ def cn_degree_check(n: int, cap: int = DEGREE_CAP) -> dict:
     return {"n": n, "j": j, "m": m, "degree": degree, "expected": 2 ** n, "ok": degree == 2 ** n}
 
 
-def dn_degree_check(n: int, cap: int = DEGREE_CAP) -> dict:
-    """Companion check for 2cos(pi/3 - pi/2^n), mapping the angle to its
-    positive residue (cos is even, so n = 1 folds to pi/6)."""
-    if n < 1:
-        raise BadParameters("n must be >= 1")
-    j, m = abs(2 ** n - 3), 3 * 2 ** (n + 1)
-    g = gcd(j, m)
-    j, m = j // g, m // g
-    if euler_phi(m) // 2 > cap:
-        raise CapExceeded(f"phi({m})/2 exceeds cap {cap}")
-    degree = angle_degree(j, m)
-    expected = 2 ** n if n >= 2 else 2
-    return {"n": n, "j": j, "m": m, "degree": degree, "expected": expected, "ok": degree == expected}
-
-
 class Biquad:
     """Exact arithmetic in Q(sqrt(2), sqrt(3)): w + x*sqrt(2) + y*sqrt(3)
     + z*sqrt(6) with rational coordinates.  Only the little that the n <= 2

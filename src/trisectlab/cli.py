@@ -185,7 +185,7 @@ def _run_boxcount(config: RunConfig) -> int:
 
 
 def _run_nsect(config: RunConfig) -> int:
-    cert = nsect.nonsectability_cert(config.p, config.c, config.den)
+    cert = trisect_core.nonsectability_cert(config.p, config.c, config.den)
     payload = cert.to_dict()
     payload["verified"] = cert.verify()
     _emit(config, payload,
@@ -301,8 +301,8 @@ def _verify_checks(config: RunConfig):
     a, b = yates_certificate(7)
     ok = ok and Certificate("yates-bezout", {"k": 7, "a": a, "b": b}).verify()
     ok = ok and trisect_core.nonconstructible_witness(5, 2).verify()
-    ok = ok and nsect.nonsectability_cert(3, 3, 4).verify()
-    ok = ok and nsect.nonsectability_cert(5, 5, 7).verify()
+    ok = ok and trisect_core.nonsectability_cert(3, 3, 4).verify()
+    ok = ok and trisect_core.nonsectability_cert(5, 5, 7).verify()
     yield "certificates", ok, None
 
     # multiple-angle polynomial structure and the trisection bridge

@@ -82,25 +82,6 @@ class CountReport:
         )
 
 
-def mobius(j: int) -> int:
-    """mu(j) by trial-division factorization."""
-    if j < 1:
-        raise BadParameters("mobius needs j >= 1")
-    out = 1
-    n = j
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            out = -out
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out = -out
-    return out
-
-
 _MOBIUS_CACHE: list[int] = [0, 1]
 
 
@@ -176,41 +157,6 @@ def brute_count(box: Box, cap: int = 10 ** 8) -> int:
         return total
 
     return rec(0, 0)
-
-
-def coprime_count_table(floors: tuple[int, ...]) -> np.ndarray:
-    """Counts of coprime tuples for every integer sub-box at once: entry
-    [m1-1, ..., mk-1] is the count for the box (m1, ..., mk).
-
-    Enumerates the full grid with vectorized gcds, then accumulates; this
-    is the enumeration oracle shared across all sub-boxes.
-    """
-    grids = np.ix_(*(np.arange(1, f + 1, dtype=np.int64) for f in floors))
-    g = grids[0]
-    for axis in grids[1:]:
-        g = np.gcd(g, axis)
-    table = (g == 1).astype(np.int64)
-    for axis in range(len(floors)):
-        np.cumsum(table, axis=axis, out=table)
-    return table
-
-
-def sieve_count_table(floors: tuple[int, ...]) -> np.ndarray:
-    """Moebius-sum counts for every integer sub-box at once; same layout
-    as :func:`coprime_count_table`."""
-    jmax = min(floors)
-    mu = mobius_table(jmax)
-    shape = tuple(floors)
-    table = np.zeros(shape, dtype=np.int64)
-    for j in range(1, jmax + 1):
-        if mu[j] == 0:
-            continue
-        vecs = np.ix_(*(np.arange(1, f + 1, dtype=np.int64) // j for f in floors))
-        prod = vecs[0].copy()
-        for axis in vecs[1:]:
-            prod = prod * axis
-        table += mu[j] * prod
-    return table
 
 
 def eccentricity(box: Box) -> Fraction:

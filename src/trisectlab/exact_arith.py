@@ -317,12 +317,6 @@ def _basis_change_ints(w1: QuadElem, w2: QuadElem):
     return n[0][0], n[0][1], n[1][0], n[1][1], denom
 
 
-def height_in_basis(x: QuadElem, w1: QuadElem, w2: QuadElem) -> int:
-    """Height of x in the basis {w1, w2} of Q(sqrt(d))."""
-    n11, n12, n21, n22, delta = _basis_change_ints(w1, w2)
-    return _height_from_change(x.a1, x.a2, x.b, n11, n12, n21, n22, delta)
-
-
 def _height_from_change(a1, a2, b, n11, n12, n21, n22, delta) -> int:
     u1 = n11 * a1 + n12 * a2
     u2 = n21 * a1 + n22 * a2

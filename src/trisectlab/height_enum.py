@@ -120,22 +120,6 @@ def enumerate_ball_interval(ball: HeightBall, lo, hi, cap: int | float | None = 
     yield from _stream(ball, lo, hi)
 
 
-def materialize_lines(stream) -> str:
-    """One canonical element per line, in stream order."""
-    from .exact_arith import format_element
-
-    return "".join(format_element(x) + "\n" for x in stream)
-
-
-def materialize_json(stream) -> str:
-    """JSON array of canonical element strings, in stream order."""
-    import json
-
-    from .exact_arith import format_element
-
-    return json.dumps([format_element(x) for x in stream])
-
-
 _SPF_CACHE: list[int] = [0, 1]
 
 

@@ -1,20 +1,22 @@
-"""Angle n-section machinery around the multiple-angle polynomial.
+"""The multiple-angle polynomial of an odd prime.
 
 For an odd prime p the polynomial P(x, a) with P(cos t, cos pt) = 0 has
 degree p, leading coefficient 2^(p-1), x-coefficient (-1)^((p-1)/2) * p,
 and every non-leading coefficient divisible by p; Eisenstein at p then
-certifies angles that cannot be p-sected.  Note the cos convention here
-(not 2*cos): the bridge to the trisection cubic is 2*P(x, a) = p(2x, 2a).
+certifies angles that cannot be p-sected.  That certificate,
+``trisect_core.nonsectability_cert``, lives with the other certificate
+kinds; this module imports nothing from ``trisect_core``.  Note the cos
+convention here (not 2*cos): the bridge to the trisection cubic is
+2*P(x, a) = p(2x, 2a).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb
 
-from .errors import BadParameters, NotOddPrime
-from .polyalg import IntPoly, eisenstein_check, euler_phi, is_prime
-from .trisect_core import Certificate, register_certificate_kind
+from .errors import NotOddPrime
+from .polyalg import IntPoly, is_prime
 
 
 @dataclass(frozen=True)
@@ -71,94 +73,3 @@ def verify_structure(pp: PsectionPoly) -> dict:
         "divisibility_ok": divis_ok,
         "ok": leading_ok and x_coeff_ok and divis_ok,
     }
-
-
-def nonsectability_cert(p: int, c: int, dd: int) -> Certificate:
-    """Certificate that dd^p * P(x, c/dd) is Eisenstein at p, so the angle
-    with cos = c/dd cannot be p-sected."""
-    if dd < 1:
-        raise BadParameters("denominator must be positive")
-    if c % p != 0 or c % (p * p) == 0:
-        raise BadParameters(f"need p | c and p^2 does not divide c")
-    if gcd(c, dd) != 1:
-        raise BadParameters("c and dd must be coprime")
-    if abs(c) > dd:
-        raise BadParameters("|c/dd| must be <= 1 to name a real angle")
-    pp = psection_poly(p)
-    cleared = pp.with_parameter(c, dd)
-    if not eisenstein_check(cleared, p):
-        raise AssertionError(f"Eisenstein at {p} failed for c/dd = {c}/{dd}")
-    return Certificate(
-        kind="eisenstein-psection",
-        data={
-            "p": p,
-            "c": c,
-            "dd": dd,
-            "coeffs": cleared.coeff_strings(),
-        },
-    )
-
-
-def _verify_psection(data: dict) -> bool:
-    p, c, dd = data["p"], data["c"], data["dd"]
-    if c % p != 0 or c % (p * p) == 0 or gcd(c, dd) != 1 or abs(c) > dd:
-        return False
-    cleared = psection_poly(p).with_parameter(c, dd)
-    if cleared.coeff_strings() != data["coeffs"]:
-        return False
-    return eisenstein_check(cleared, p)
-
-
-register_certificate_kind("eisenstein-psection", _verify_psection)
-
-
-def nsect_reduce(n: int) -> dict:
-    """Either n is a power of two (every angle splits by iterated
-    bisection) or its smallest odd prime factor p obstructs: an angle with
-    no p-section has no n-section either."""
-    if n < 1:
-        raise BadParameters("n must be positive")
-    m = n
-    while m % 2 == 0:
-        m //= 2
-    if m == 1:
-        return {"n": n, "power_of_two": True, "obstruction": None}
-    f = 3
-    while m % f:
-        f += 2
-    return {
-        "n": n,
-        "power_of_two": False,
-        "obstruction": f,
-        "rationale": f"an n-section of any angle yields a {f}-section of it",
-    }
-
-
-@dataclass(frozen=True)
-class DenseFamilyCert:
-    """Bezout pair a*n + b*m = 1 showing 2*pi/m splits into n parts once
-    2*pi/n is granted; the Gauss condition on phi(n) is reported, not
-    enforced."""
-
-    n: int
-    m: int
-    a: int
-    b: int
-    phi_power_of_two: bool
-
-
-def dense_family_certificate(n: int, m: int) -> DenseFamilyCert:
-    if n < 1 or m < 1:
-        raise BadParameters("n and m must be positive")
-    if gcd(m, n) != 1:
-        raise BadParameters(f"gcd({m}, {n}) != 1")
-    # least absolute residue of m^{-1} mod n keeps the pair small
-    if n == 1:
-        a, b = 1 - m, 1
-    else:
-        inv = pow(m, -1, n)
-        b = inv if inv <= n - inv else inv - n
-        a = (1 - b * m) // n
-    assert a * n + b * m == 1
-    phi = euler_phi(n)
-    return DenseFamilyCert(n=n, m=m, a=a, b=b, phi_power_of_two=phi & (phi - 1) == 0)

@@ -86,10 +86,6 @@ class IntPoly:
         return IntPoly(())
 
     @staticmethod
-    def x() -> "IntPoly":
-        return IntPoly((0, 1))
-
-    @staticmethod
     def const(c: int) -> "IntPoly":
         return IntPoly((c,))
 

@@ -9,6 +9,12 @@ of the real roots of two integer cubics, so the cost grows with the number
 of digits of a, not with its height.  The density experiment measures how
 quickly the accepted fraction of a height ball decays as the height bound
 grows.
+
+This module also owns every certificate kind: Eisenstein refusals of
+a = 3r/s, Yates Bezout pairs, the square-family check, odd-degree
+non-constructible witnesses and p-section refusals.  ``_CERT_KINDS`` is
+the one table of kinds, each with the exact key set of its data, so
+``Certificate.verify`` covers every kind whatever else was imported.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .exact_arith import (
     sign_lin,
 )
 from .height_enum import HeightBall, count_ball_interval, enumerate_ball_interval
+from .nsect import psection_poly
 from .polyalg import IntPoly, RatPoly, eisenstein_check, is_prime, resultant_minpoly
 
 F_CUBIC = RatPoly((0, -3, 0, 1))  # y^3 - 3y
@@ -90,11 +97,14 @@ class Certificate:
         return {"kind": self.kind, "data": self.data}
 
     def verify(self) -> bool:
-        """True iff the data re-checks; an unknown kind raises
-        ``BadParameters``."""
-        verifier = _CERT_VERIFIERS.get(self.kind)
-        if verifier is None:
+        """True iff the data has exactly its kind's keys and re-checks; an
+        unknown kind raises ``BadParameters``."""
+        entry = _CERT_KINDS.get(self.kind)
+        if entry is None:
             raise BadParameters(f"unknown certificate kind {self.kind!r}")
+        keys, verifier = entry
+        if not isinstance(self.data, dict) or self.data.keys() != keys:
+            return False
         return verifier(self.data)
 
 
@@ -189,35 +199,6 @@ def preimage_bound(field: FieldDescriptor, R) -> Fraction:
     if field.degree == 1:
         return Fraction(ceil_cbrt(8 * R))
     return Fraction(ceil_cbrt(64 * field.d * R))
-
-
-def phi_curve(D, E, x) -> Fraction:
-    """The scaled depressed cubic D*(x^3 - 3*E^2*x)."""
-    D, E, x = Fraction(D), Fraction(E), Fraction(x)
-    if D <= 0 or E <= 0:
-        raise BadParameters("D and E must be positive")
-    return D * (x ** 3 - 3 * E * E * x)
-
-
-def phi_bound_check(D, E, x, T) -> dict:
-    """Instance check of the cube-root escape bound: whenever E^3 <= T,
-    the implication (phi <= D*T => x <= 2*T^(1/3)) holds, along with its
-    odd-symmetric mirror."""
-    D, E, x, T = Fraction(D), Fraction(E), Fraction(x), Fraction(T)
-    value = phi_curve(D, E, x)
-    premise = E ** 3 <= T
-    # x <= 2*T^(1/3)  <=>  x <= 0 or x^3 <= 8T
-    upper = (not premise) or not (value <= D * T) or (x <= 0 or x ** 3 <= 8 * T)
-    lower = (not premise) or not (value >= -D * T) or (x >= 0 or x ** 3 >= -8 * T)
-    odd = phi_curve(D, E, -x) == -value
-    return {
-        "phi": value,
-        "premise_E_cubed_le_T": premise,
-        "upper_implication": upper,
-        "lower_implication": lower,
-        "odd_symmetry": odd,
-        "ok": upper and lower and odd,
-    }
 
 
 def _root_floors(c: int, P: int, Q: int, d) -> list[int]:
@@ -399,24 +380,23 @@ def eisenstein_cert_3rs(r: int, s: int) -> Certificate:
     )
 
 
+def _rebuilds(data: dict, build, *params) -> bool:
+    """True iff every parameter is an int (bool excluded) and the producer
+    ``build(*params)`` returns exactly ``data``, field types included.  The
+    producer re-runs every check behind the claim; a refused rebuild is
+    False."""
+    if any(type(v) is not int for v in params):
+        return False
+    try:
+        expected = build(*params).data
+    except (BadParameters, AssertionError):
+        return False
+    return data == expected and all(type(data[k]) is type(v) for k, v in expected.items())
+
+
 def _verify_eisenstein_3rs(data: dict) -> bool:
-    """Recompute every claim field from r and s; a missing key or a
-    non-integer r or s fails the check."""
-    r, s = data.get("r"), data.get("s")
-    if type(r) is not int or type(s) is not int:
-        return False
-    if r == 0 or s <= 0 or gcd(r, s) != 1 or r % 3 == 0 or s % 3 == 0:
-        return False
-    a = Fraction(3 * r, s)
-    poly = IntPoly((-3 * r, -3 * s, 0, s))
-    return (
-        type(data.get("prime")) is int
-        and data["prime"] == 3
-        and data.get("a") == str(a)
-        and data.get("in_range") is (abs(a) <= 2)
-        and data.get("coeffs") == poly.coeff_strings()
-        and eisenstein_check(poly, 3)
-    )
+    """Recompute every claim field from r and s."""
+    return _rebuilds(data, eisenstein_cert_3rs, data["r"], data["s"])
 
 
 def yates_certificate(k: int) -> tuple[int, int]:
@@ -434,8 +414,8 @@ def yates_certificate(k: int) -> tuple[int, int]:
 
 
 def _verify_yates(data: dict) -> bool:
-    k, a, b = data.get("k"), data.get("a"), data.get("b")
-    if type(k) is not int or type(a) is not int or type(b) is not int:
+    k, a, b = data["k"], data["a"], data["b"]
+    if any(type(v) is not int for v in (k, a, b)):
         return False
     return 3 * a + b * k == 1 and k % 3 != 0
 
@@ -471,10 +451,10 @@ def square_family_check(H: int) -> dict:
 
 
 def _verify_square_family(data: dict) -> bool:
-    report = square_family_check(data["H"])
-    return (
-        report["checked"] == data["checked"]
-        and len(report["falsifications"]) == data["members_found"] == 0
+    """Re-run the check at height H; it must count the same squares and
+    find no member among them."""
+    return data["members_found"] == 0 and _rebuilds(
+        data, lambda H: square_family_check(H)["certificate"], data["H"]
     )
 
 
@@ -591,15 +571,42 @@ def _witness_residual(poly: IntPoly, m: int, q: int) -> float:
 def _verify_nonconstructible(data: dict) -> bool:
     """Rebuild the certificate from m and q, which re-runs every degree,
     squarefreeness and residual check against ``WITNESS_RESIDUAL_TOL``, and
-    compare every field, types included; malformed data fails the check."""
-    m, q = data.get("m"), data.get("q")
-    if type(m) is not int or type(q) is not int:
-        return False
-    try:
-        expected = nonconstructible_witness(m, q).data
-    except (BadParameters, AssertionError):
-        return False
-    return data == expected and all(type(data[k]) is type(v) for k, v in expected.items())
+    compare every field."""
+    return _rebuilds(data, nonconstructible_witness, data["m"], data["q"])
+
+
+def nonsectability_cert(p: int, c: int, dd: int) -> Certificate:
+    """Certificate that dd^p * P(x, c/dd) is Eisenstein at p, so the angle
+    with cos = c/dd cannot be p-sected (P is the multiple-angle polynomial
+    of :func:`nsect.psection_poly`, which refuses a p that is not an odd
+    prime)."""
+    pp = psection_poly(p)
+    if dd < 1:
+        raise BadParameters("denominator must be positive")
+    if c % p != 0 or c % (p * p) == 0:
+        raise BadParameters("need p | c and p^2 does not divide c")
+    if gcd(c, dd) != 1:
+        raise BadParameters("c and dd must be coprime")
+    if abs(c) > dd:
+        raise BadParameters("|c/dd| must be <= 1 to name a real angle")
+    cleared = pp.with_parameter(c, dd)
+    if not eisenstein_check(cleared, p):
+        raise AssertionError(f"Eisenstein at {p} failed for c/dd = {c}/{dd}")
+    return Certificate(
+        kind="eisenstein-psection",
+        data={
+            "p": p,
+            "c": c,
+            "dd": dd,
+            "coeffs": cleared.coeff_strings(),
+        },
+    )
+
+
+def _verify_psection(data: dict) -> bool:
+    """Rebuild the certificate from p, c and dd, which re-runs the
+    preconditions (p an odd prime) and the Eisenstein check."""
+    return _rebuilds(data, nonsectability_cert, data["p"], data["c"], data["dd"])
 
 
 def gcd_bound_sweep(d: int, height_bound: int) -> dict:
@@ -626,14 +633,19 @@ def gcd_bound_sweep(d: int, height_bound: int) -> dict:
     return {"d": d, "height_bound": H, "elements_checked": checked, "max_gcd": worst}
 
 
-_CERT_VERIFIERS = {
-    "eisenstein-3rs": _verify_eisenstein_3rs,
-    "yates-bezout": _verify_yates,
-    "square-family": _verify_square_family,
-    "nonconstructible-witness": _verify_nonconstructible,
+# The one table of certificate kinds: kind -> (exact key set of the data,
+# verifier).  ``Certificate.verify`` checks the key set, so a verifier may
+# index every key it names.
+_CERT_KINDS = {
+    "eisenstein-3rs": (
+        frozenset({"r", "s", "prime", "a", "coeffs", "in_range"}),
+        _verify_eisenstein_3rs,
+    ),
+    "yates-bezout": (frozenset({"k", "a", "b"}), _verify_yates),
+    "square-family": (frozenset({"H", "checked", "members_found"}), _verify_square_family),
+    "nonconstructible-witness": (
+        frozenset({"m", "q", "minpoly", "degree", "squarefree", "residual_below"}),
+        _verify_nonconstructible,
+    ),
+    "eisenstein-psection": (frozenset({"p", "c", "dd", "coeffs"}), _verify_psection),
 }
-
-
-def register_certificate_kind(kind: str, verifier) -> None:
-    """Extension hook for certificate kinds defined by other modules."""
-    _CERT_VERIFIERS[kind] = verifier

@@ -1,0 +1,94 @@
+"""Reference oracles that the tests compare the library against.
+
+Nothing in ``trisectlab`` calls these; they are independent (and slower)
+ways to compute what the library computes, kept beside the tests.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from trisectlab.coprime_count import mobius_table
+from trisectlab.errors import BadParameters
+
+
+def mobius(j: int) -> int:
+    """mu(j) by trial-division factorization."""
+    if j < 1:
+        raise BadParameters("mobius needs j >= 1")
+    out = 1
+    n = j
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out = -out
+    return out
+
+
+def coprime_count_table(floors: tuple[int, ...]) -> np.ndarray:
+    """Counts of coprime tuples for every integer sub-box at once: entry
+    [m1-1, ..., mk-1] is the count for the box (m1, ..., mk).
+
+    Enumerates the full grid with vectorized gcds, then accumulates; this
+    is the enumeration oracle shared across all sub-boxes.
+    """
+    grids = np.ix_(*(np.arange(1, f + 1, dtype=np.int64) for f in floors))
+    g = grids[0]
+    for axis in grids[1:]:
+        g = np.gcd(g, axis)
+    table = (g == 1).astype(np.int64)
+    for axis in range(len(floors)):
+        np.cumsum(table, axis=axis, out=table)
+    return table
+
+
+def sieve_count_table(floors: tuple[int, ...]) -> np.ndarray:
+    """Moebius-sum counts for every integer sub-box at once; same layout
+    as :func:`coprime_count_table`."""
+    jmax = min(floors)
+    mu = mobius_table(jmax)
+    table = np.zeros(tuple(floors), dtype=np.int64)
+    for j in range(1, jmax + 1):
+        if mu[j] == 0:
+            continue
+        vecs = np.ix_(*(np.arange(1, f + 1, dtype=np.int64) // j for f in floors))
+        prod = vecs[0].copy()
+        for axis in vecs[1:]:
+            prod = prod * axis
+        table += mu[j] * prod
+    return table
+
+
+def phi_curve(D, E, x) -> Fraction:
+    """The scaled depressed cubic D*(x^3 - 3*E^2*x)."""
+    D, E, x = Fraction(D), Fraction(E), Fraction(x)
+    if D <= 0 or E <= 0:
+        raise BadParameters("D and E must be positive")
+    return D * (x ** 3 - 3 * E * E * x)
+
+
+def phi_bound_check(D, E, x, T) -> dict:
+    """Instance check of the cube-root escape bound: whenever E^3 <= T,
+    the implication (phi <= D*T => x <= 2*T^(1/3)) holds, along with its
+    odd-symmetric mirror."""
+    D, E, x, T = Fraction(D), Fraction(E), Fraction(x), Fraction(T)
+    value = phi_curve(D, E, x)
+    premise = E ** 3 <= T
+    # x <= 2*T^(1/3)  <=>  x <= 0 or x^3 <= 8T
+    upper = (not premise) or not (value <= D * T) or (x <= 0 or x ** 3 <= 8 * T)
+    lower = (not premise) or not (value >= -D * T) or (x >= 0 or x ** 3 >= -8 * T)
+    odd = phi_curve(D, E, -x) == -value
+    return {
+        "phi": value,
+        "premise_E_cubed_le_T": premise,
+        "upper_implication": upper,
+        "lower_implication": lower,
+        "odd_symmetry": odd,
+        "ok": upper and lower and odd,
+    }

@@ -11,15 +11,9 @@ from math import gcd, log
 import mpmath
 import numpy as np
 
+from oracles import coprime_count_table, sieve_count_table
 from trisectlab.cli import main as cli_main
-from trisectlab.coprime_count import (
-    Box,
-    brute_count,
-    coprime_count_table,
-    sieve_count,
-    sieve_count_table,
-    zeta,
-)
+from trisectlab.coprime_count import Box, brute_count, sieve_count, zeta
 from trisectlab.exact_arith import RATIONAL_FIELD, height, quadratic_field
 from trisectlab.height_enum import (
     HeightBall,
@@ -30,7 +24,7 @@ from trisectlab.height_enum import (
     qbox_count,
     qbox_main_term,
 )
-from trisectlab.nsect import nonsectability_cert, psection_poly, verify_structure
+from trisectlab.nsect import psection_poly, verify_structure
 from trisectlab.polyalg import IntPoly, is_prime, rational_roots, resultant_minpoly
 from trisectlab.trisect_core import (
     F_CUBIC,
@@ -39,6 +33,7 @@ from trisectlab.trisect_core import (
     eisenstein_cert_3rs,
     gcd_bound_sweep,
     nonconstructible_witness,
+    nonsectability_cert,
     square_family_check,
 )
 

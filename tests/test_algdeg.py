@@ -1,5 +1,6 @@
 """Doubling tower, exact table, identity residuals, and cosine degrees."""
 
+import math
 import random
 
 import mpmath
@@ -11,7 +12,6 @@ from trisectlab.algdeg import (
     angle_degree,
     angle_number,
     cn_degree_check,
-    dn_degree_check,
     identity_suite,
     p_tower,
     tower_checks,
@@ -77,9 +77,12 @@ def test_cn_dn_degrees():
     assert cn_degree_check(2)["degree"] == 4
     for n in range(1, 9):
         assert cn_degree_check(n)["ok"]
-    assert dn_degree_check(1)["degree"] == 2   # folds to 2cos(pi/6) = sqrt(3)
-    for n in range(2, 9):
-        assert dn_degree_check(n)["ok"]
+    # 2cos(pi/3 - pi/2^n) = 2cos(2*pi*(2^n - 3)/(3*2^(n+1))); n = 1 folds
+    # to 2cos(pi/6) = sqrt(3) since cos is even
+    for n in range(1, 9):
+        j, m = abs(2 ** n - 3), 3 * 2 ** (n + 1)
+        g = math.gcd(j, m)
+        assert angle_degree(j // g, m // g) == (2 ** n if n >= 2 else 2)
 
 
 def test_biquad_arithmetic():

@@ -105,6 +105,8 @@ def test_bad_arguments_exit_2(capsys):
     capsys.readouterr()
     assert main(["nsect", "--p", "3", "--c", "9", "--d", "10"]) == 2
     capsys.readouterr()
+    assert main(["nsect", "--p", "0", "--c", "3", "--d", "4"]) == 2  # not an odd prime
+    capsys.readouterr()
     assert main(["density", "--field", "q", "--R", "100,50"]) == 2
     capsys.readouterr()
 

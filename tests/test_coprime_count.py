@@ -8,17 +8,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import coprime_count_table, mobius, sieve_count_table
 from trisectlab.coprime_count import (
     Box,
     brute_count,
-    coprime_count_table,
     eccentricity,
     error_term_budget,
     lehmer_report,
-    mobius,
     mobius_table,
     sieve_count,
-    sieve_count_table,
     zeta,
 )
 from trisectlab.errors import BadParameters, CapExceeded

@@ -18,7 +18,6 @@ from trisectlab.exact_arith import (
     canonicalize,
     format_element,
     height,
-    height_in_basis,
     in_interval,
     is_squarefree,
     parse_element,
@@ -165,35 +164,20 @@ def test_cmp_against_interval_arithmetic():
         iv.prec = old
 
 
-def test_height_in_basis_examples():
-    w1 = canonicalize(1, 0, 1, 2)
-    w2 = canonicalize(1, 1, 1, 2)
-    assert height_in_basis(canonicalize(0, 1, 1, 2), w1, w2) == 1
-    assert height_in_basis(w1, w1, w2) == 1
-    assert height_in_basis(canonicalize(1, 1, 2, 2), w1, w2) == 2
-
-
-def test_height_in_basis_degenerate():
+def test_commensurability_degenerate_basis():
     w1 = canonicalize(1, 1, 1, 2)
     w2 = canonicalize(2, 2, 1, 2)
     with pytest.raises(DegenerateBasis):
-        height_in_basis(canonicalize(0, 1, 1, 2), w1, w2)
+        verify_commensurability(2, (w1, w2), 3)
 
 
 def test_height_permutation_invariance():
     """Swapping the basis order just permutes coordinates, so heights in
-    the swapped basis agree with the standard height."""
-    import random
-
-    rng = random.Random(7)
+    the swapped basis agree with the standard height: factor exactly 1."""
     for d in (2, 5):
         w1 = canonicalize(0, 1, 1, d)  # sqrt(d)
         w2 = canonicalize(1, 0, 1, d)  # 1
-        for _ in range(200):
-            a1, a2 = rng.randint(-25, 25), rng.randint(-25, 25)
-            b = rng.randint(1, 25)
-            x = canonicalize(a1, a2, b, d)
-            assert height_in_basis(x, w1, w2) == height(x)
+        assert verify_commensurability(d, (w1, w2), 12) == (1, True)
 
 
 def test_commensurability_examples():

@@ -1,7 +1,6 @@
 """Height-ball streams, count formulas, interval restriction, and the
 certified sub-box."""
 
-import json
 from fractions import Fraction
 from math import gcd
 
@@ -150,18 +149,6 @@ def test_asymptotic_count_ratio():
     assert 0.97 <= got * zeta(2) / (2 * 10.0 ** 8) <= 1.03
     got2 = count_ball(HeightBall(quadratic_field(2), 300))
     assert 0.97 <= got2 * zeta(3) / (4 * 300.0 ** 3) <= 1.03
-
-
-def test_stream_materialization():
-    from trisectlab.height_enum import materialize_json, materialize_lines
-
-    ball = HeightBall(quadratic_field(2), 1)
-    text = materialize_lines(enumerate_ball(ball))
-    assert len(text.splitlines()) == 9
-    assert "(-1-1*sqrt(2))/1" in text
-    as_json = json.loads(materialize_json(enumerate_ball(ball)))
-    assert len(as_json) == 9
-    assert as_json[0] == "(-1-1*sqrt(2))/1"
 
 
 def test_qbox_examples():

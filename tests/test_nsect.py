@@ -1,21 +1,19 @@
-"""Multiple-angle polynomial structure and n-section certificates."""
+"""Multiple-angle polynomial structure and p-section certificates."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+import trisectlab
 from trisectlab.errors import BadParameters, NotOddPrime
-from trisectlab.nsect import (
-    dense_family_certificate,
-    nonsectability_cert,
-    nsect_reduce,
-    psection_poly,
-    verify_structure,
-)
+from trisectlab.nsect import psection_poly, verify_structure
 from trisectlab.polyalg import IntPoly, eisenstein_check, is_prime
-from trisectlab.trisect_core import decide_trisection
+from trisectlab.trisect_core import Certificate, decide_trisection, nonsectability_cert
 
 ODD_PRIMES_TO_31 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -91,27 +89,55 @@ def test_cross_check_with_trisection_decision():
         assert not decide_trisection(Fraction(2 * c, dd)).member
 
 
-def test_nsect_reduce():
-    assert nsect_reduce(8)["power_of_two"]
-    assert nsect_reduce(1)["power_of_two"]
-    assert nsect_reduce(12)["obstruction"] == 3
-    assert nsect_reduce(15)["obstruction"] == 3
-    assert nsect_reduce(35)["obstruction"] == 5
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        {"p": 3.0},
+        {"p": True},
+        {"p": 9},
+        {"p": 2},
+        {"p": 1},
+        {"p": 0},
+        {"p": -3},
+        {"c": 3.0},
+        {"dd": 4.0},
+        {"dd": 0},
+        {"coeffs": ("-48", "-192", "0", "256")},
+        {"coeffs": [-48, -192, 0, 256]},
+    ],
+)
+def test_psection_verifier_rejects_malformed_data(tamper):
+    data = dict(nonsectability_cert(3, 3, 4).data)
+    data.update(tamper)
+    assert not Certificate("eisenstein-psection", data).verify()
 
 
-def test_dense_family_certificates():
-    cert = dense_family_certificate(5, 4)
-    assert (cert.a, cert.b) == (1, -1) and cert.phi_power_of_two
-    cert = dense_family_certificate(3, 2)
-    assert (cert.a, cert.b) == (1, -1)
-    with pytest.raises(BadParameters):
-        dense_family_certificate(5, 10)
-    rng = random.Random(13)
-    for _ in range(100):
-        n, m = rng.randint(1, 400), rng.randint(1, 400)
-        from math import gcd
+def _fresh_python(code: str) -> None:
+    """Run code in a new interpreter that finds this trisectlab first."""
+    src = os.path.dirname(os.path.dirname(trisectlab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert result.returncode == 0, result.stderr
 
-        if gcd(n, m) != 1:
-            continue
-        cert = dense_family_certificate(n, m)
-        assert cert.a * n + cert.b * m == 1
+
+def test_psection_kind_needs_no_import_side_effect():
+    """In a fresh interpreter that imports only trisect_core, the
+    eisenstein-psection kind verifies; and nsect by itself does not load
+    trisect_core."""
+    _fresh_python(
+        "from trisectlab.trisect_core import Certificate\n"
+        "data = {'p': 3, 'c': 3, 'dd': 4, 'coeffs': ['-48', '-192', '0', '256']}\n"
+        "assert Certificate('eisenstein-psection', data).verify() is True\n"
+    )
+    # A bare package object stands in for trisectlab/__init__.py (which
+    # imports trisect_core itself), so only nsect's own imports run.
+    _fresh_python(
+        "import importlib.util, sys, types\n"
+        "package = types.ModuleType('trisectlab')\n"
+        "package.__path__ = importlib.util.find_spec('trisectlab').submodule_search_locations\n"
+        "sys.modules['trisectlab'] = package\n"
+        "import trisectlab.nsect\n"
+        "assert 'trisectlab.trisect_core' not in sys.modules, sorted(sys.modules)\n"
+    )

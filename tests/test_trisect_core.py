@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import phi_bound_check, phi_curve
 from trisectlab.errors import BadParameters, OutOfRange
 from trisectlab.exact_arith import (
     RATIONAL_FIELD,
@@ -35,8 +36,7 @@ from trisectlab.trisect_core import (
     gcd_bound_sweep,
     icbrt,
     nonconstructible_witness,
-    phi_bound_check,
-    phi_curve,
+    nonsectability_cert,
     preimage_bound,
     raw_image,
     square_family_check,
@@ -340,6 +340,27 @@ def test_yates_verifier_rejects_malformed_data():
     assert not Certificate("yates-bezout", {"k": "2", "a": 1, "b": -1}).verify()
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {},
+        {"H": 100, "checked": 41},
+        {"H": "100", "checked": 41, "members_found": 0},
+        {"H": 100.0, "checked": 41, "members_found": 0},
+        {"H": True, "checked": 1, "members_found": 0},
+        {"H": 100, "checked": "41", "members_found": 0},
+        {"H": 100, "checked": 41, "members_found": False},
+        {"H": 100, "checked": 41, "members_found": "0"},
+        {"H": 100, "checked": 42, "members_found": 0},
+        {"H": 0, "checked": 0, "members_found": 0},
+        {"H": 100, "checked": 41, "members_found": 0, "extra": 1},
+    ],
+)
+def test_square_family_verifier_rejects_malformed_data(data):
+    assert square_family_check(100)["certificate"].data["checked"] == 41
+    assert not Certificate("square-family", data).verify()
+
+
 def test_square_family_check():
     report = square_family_check(100)
     assert report["falsifications"] == []
@@ -492,3 +513,72 @@ def test_certificate_serialization_roundtrip():
     cert = eisenstein_cert_3rs(1, 2)
     loaded = Certificate(**json.loads(json.dumps(cert.to_dict())))
     assert loaded.verify()
+
+
+# One valid certificate of every kind, and the producer that rebuilds a
+# certificate's data from its parameters.
+_KINDS = {
+    "eisenstein-3rs": (
+        lambda: eisenstein_cert_3rs(1, 4).data,
+        lambda d: eisenstein_cert_3rs(d["r"], d["s"]).data,
+    ),
+    "yates-bezout": (
+        lambda: dict(zip("kab", (7, *yates_certificate(7)))),
+        lambda d: dict(zip("kab", (d["k"], *yates_certificate(d["k"])))),
+    ),
+    "square-family": (
+        lambda: square_family_check(40)["certificate"].data,
+        lambda d: square_family_check(d["H"])["certificate"].data,
+    ),
+    "nonconstructible-witness": (
+        lambda: nonconstructible_witness(5, 2).data,
+        lambda d: nonconstructible_witness(d["m"], d["q"]).data,
+    ),
+    "eisenstein-psection": (
+        lambda: nonsectability_cert(3, 3, 4).data,
+        lambda d: nonsectability_cert(d["p"], d["c"], d["dd"]).data,
+    ),
+}
+
+
+def _retyped(value):
+    """The same value as another JSON type: int <-> str, anything else to
+    str (a bool becomes an int)."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return int(value) if value.lstrip("-").isdigit() else 0
+    return str(value)
+
+
+def _single_field_mutations(data: dict):
+    """For each key: delete it, change its type, add 1 to an int; plus one
+    extra key."""
+    for key, value in data.items():
+        yield {k: v for k, v in data.items() if k != key}
+        yield {**data, key: _retyped(value)}
+        if type(value) is int:
+            yield {**data, key: value + 1}
+    yield {**data, "extra": 1}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_single_field_mutations_never_verify(kind):
+    """Every single-field mutation of a valid certificate verifies False
+    or raises BadParameters, with one exception: it may verify when it
+    equals what the producer returns for the mutated parameters (so
+    square-family H 40 -> 41 names the same squares)."""
+    valid, rebuild = _KINDS[kind]
+    data = valid()
+    assert Certificate(kind, data).verify()
+    mutations = list(_single_field_mutations(data))
+    assert len(mutations) >= 2 * len(data) + 1
+    for mutated in mutations:
+        try:
+            ok = Certificate(kind, mutated).verify()
+        except BadParameters:
+            continue
+        if ok:
+            assert rebuild(mutated) == mutated, mutated
