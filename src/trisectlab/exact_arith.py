@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import (
     DegenerateBasis,
@@ -59,15 +59,6 @@ def sign_lin(x: int, y: int, d) -> int:
     if sx == 0:
         return sy
     return sx if x * x > d * y * y else sy
-
-
-def floor_sqrt_multiple(v: int, d: int) -> int:
-    """floor(v*sqrt(d)) for integers v and d >= 1, exact whether or not d
-    is a perfect square."""
-    if v >= 0:
-        return isqrt(v * v * d)
-    # -ceil(sqrt(n)) = -(isqrt(n - 1) + 1) for n >= 1
-    return -isqrt(v * v * d - 1) - 1
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,18 @@ certifies a lower bound for the in-interval count.
 
 A height ball B(R) over a field is the finite set of canonical elements of
 height at most R.  Enumeration is lexicographic in (b, a1[, a2]) so streams
-are reproducible.  One row kernel serves the full and the interval streams
-and the interval count; the whole-ball count goes through the coprime-tuple
-sieve instead, and the tests cross-check the two.  Streams and counts run
+are reproducible.  One numpy row-block kernel, :func:`_row_blocks`, serves
+the full and the interval streams, the interval count, the density
+numerator and the image-gcd sweep: it yields int64 arrays
+(b, a1, a_lo, a_hi, g) for consecutive blocks of rows, so memory per block
+is bounded whatever the height.  Its interval clip is exact integer
+arithmetic (a float square root corrected by integer steps), and inputs
+whose clip terms could pass 2^62 are refused with ``CapExceeded`` up front:
+that is the kernel's int64 domain.  The interval count sums each block in
+numpy, by inclusion-exclusion over the primes of g read from a
+smallest-prime-factor table that each call builds for itself; no table
+outlives its call.  The whole-ball count goes through the coprime-tuple
+sieve instead, and the tests cross-check the two.  Everything runs
 serially in one thread; nothing is sharded.
 """
 
@@ -17,9 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
+import numpy as np
+
 from .coprime_count import Box, mobius_table, sieve_count, zeta
 from .errors import BadParameters, CapExceeded
-from .exact_arith import FieldDescriptor, QuadElem, floor_sqrt_multiple, in_interval
+from .exact_arith import FieldDescriptor, QuadElem, in_interval
 
 DEFAULT_ENUM_CAP = 20_000_000
 
@@ -52,10 +63,46 @@ def count_ball(ball: HeightBall) -> int:
     return 4 * sieve_count(Box((F, F, F))) + 4 * sieve_count(Box((F, F))) + 1
 
 
-def _rows(ball: HeightBall, lo: Fraction | None = None, hi: Fraction | None = None):
+# Rows per block of the count, and (row, coordinate) cells per block of the
+# element streams: both bound a block's memory whatever the height.
+BLOCK_ROWS = 1 << 13
+BLOCK_CELLS = 1 << 15
+# Every intermediate of the kernel and of the image map stays below this,
+# so int64 arithmetic is exact on the whole domain the guards admit.
+INT64_SAFE = 1 << 62
+
+
+def check_int64(bound: int, what: str) -> None:
+    """Refuse with ``CapExceeded`` when ``bound`` (an upper bound on every
+    magnitude a vectorized step forms) could pass ``INT64_SAFE``."""
+    if bound > INT64_SAFE:
+        raise CapExceeded(f"{what} exceeds the int64 kernel domain")
+
+
+def _isqrt(n: np.ndarray) -> np.ndarray:
+    """Elementwise floor(sqrt(n)) for 0 <= n <= 2^62: a float first guess,
+    then integer steps until r^2 <= n < (r+1)^2 holds exactly."""
+    r = np.sqrt(n.astype(np.float64)).astype(np.int64)
+    while (over := r * r > n).any():
+        r -= over
+    while (under := (r + 1) * (r + 1) <= n).any():
+        r += under
+    return r
+
+
+def _floor_sqrt_multiple(v: np.ndarray, d: int) -> np.ndarray:
+    """Elementwise floor(v*sqrt(d)) for v*v*d <= 2^62, exact whether or not
+    d is a perfect square: isqrt(v^2*d) for v >= 0, else
+    -ceil(sqrt(v^2*d)) = -(isqrt(v^2*d - 1) + 1)."""
+    n = v * v * d
+    return np.where(v >= 0, _isqrt(n), -_isqrt(np.maximum(n - 1, 0)) - 1)
+
+
+def _row_blocks(ball: HeightBall, lo: Fraction | None, hi: Fraction | None, rows: int):
     """The rows of B(R), or of B(R) ∩ [lo, hi] when an interval is given,
-    in (b, a1[, a2]) order: the one loop nest behind both streams and the
-    interval count.
+    as int64 arrays (b, a1, a_lo, a_hi, g) over consecutive blocks of at
+    most ``rows`` rows in (b, a1) order: the one kernel behind both streams,
+    the interval count, the density numerator and the image-gcd sweep.
 
     A row (b, a1, a_lo, a_hi, g) stands for the elements whose last
     coordinate (a2 over Q(sqrt(d)), the numerator over Q) is an integer in
@@ -63,30 +110,60 @@ def _rows(ball: HeightBall, lo: Fraction | None = None, hi: Fraction | None = No
     when g = 1.  Q runs as the case d = 1 with a1 fixed at 0.  On a row
     lo*b <= a1 + a2*sqrt(d) <= hi*b, so with hi = p/q the upper end is
     a2 <= floor((p*b - q*a1)*sqrt(d)/(q*d)), which is
-    floor_sqrt_multiple(p*b - q*a1, d) // (q*d); the lower end is its
+    _floor_sqrt_multiple(p*b - q*a1, d) // (q*d); the lower end is its
     mirror.  The clip is exact integer arithmetic.
+
+    Domain: with F = floor(R), every clip term is at most (|p| + q)*F in
+    magnitude, and an input whose ((|p| + q)*F)^2 * d, or whose row count,
+    could pass 2^62 raises ``CapExceeded`` before any work.
     """
     F = ball.bound
     d = ball.field.d or 1
-    a1_values = range(-F, F + 1) if d > 1 else (0,)
-    for b in range(1, F + 1):
-        for a1 in a1_values:
-            a_lo, a_hi = -F, F
-            if lo is not None:
-                p, q = lo.numerator, lo.denominator
-                a_lo = max(a_lo, -(floor_sqrt_multiple(q * a1 - p * b, d) // (q * d)))
-                p, q = hi.numerator, hi.denominator
-                a_hi = min(a_hi, floor_sqrt_multiple(p * b - q * a1, d) // (q * d))
-            yield b, a1, a_lo, a_hi, gcd(a1, b)
+    width = 2 * F + 1 if d > 1 else 1
+    check_int64(F * width, "row count")
+    if lo is not None:
+        for e in (lo, hi):
+            check_int64((abs(e.numerator) + e.denominator) ** 2 * F * F * d, "interval clip")
+    for start in range(0, F * width, rows):
+        idx = np.arange(start, min(start + rows, F * width), dtype=np.int64)
+        b = idx // width + 1
+        a1 = idx % width - (F if d > 1 else 0)
+        a_lo = np.full_like(b, -F)
+        a_hi = np.full_like(b, F)
+        if lo is not None:
+            p, q = lo.numerator, lo.denominator
+            a_lo = np.maximum(a_lo, -(_floor_sqrt_multiple(q * a1 - p * b, d) // (q * d)))
+            p, q = hi.numerator, hi.denominator
+            a_hi = np.minimum(a_hi, _floor_sqrt_multiple(p * b - q * a1, d) // (q * d))
+        yield b, a1, a_lo, a_hi, np.gcd(a1, b)
+
+
+def element_blocks(ball: HeightBall, lo: Fraction | None = None, hi: Fraction | None = None):
+    """The elements of the rows of :func:`_row_blocks` as int64 arrays
+    (b, a1, a) per block, in row order and ascending a within a row: each
+    row is expanded by a ragged arange and filtered to gcd(a, g) = 1.  A
+    block covers at most ``BLOCK_CELLS`` (row, coordinate) cells, or one
+    row when a row is wider."""
+    rows = max(1, BLOCK_CELLS // (2 * ball.bound + 1))
+    for b, a1, a_lo, a_hi, g in _row_blocks(ball, lo, hi, rows):
+        n = np.maximum(a_hi - a_lo + 1, 0)
+        row = np.repeat(np.arange(len(n)), n)
+        a = np.arange(len(row), dtype=np.int64) - np.repeat(np.cumsum(n) - n, n) + a_lo[row]
+        keep = np.gcd(a, g[row]) == 1
+        row, a = row[keep], a[keep]
+        yield b[row], a1[row], a
 
 
 def _stream(ball: HeightBall, lo: Fraction | None = None, hi: Fraction | None = None):
-    """The coprime elements of the rows of :func:`_rows`, in row order."""
+    """The elements of :func:`element_blocks` as Python values."""
     d = ball.field.d
-    for b, a1, a_lo, a_hi, g in _rows(ball, lo, hi):
-        for a in range(a_lo, a_hi + 1):
-            if gcd(g, a) == 1:
-                yield QuadElem(a1, a, b, d) if d else Fraction(a, b)
+    for b, a1, a in element_blocks(ball, lo, hi):
+        if d:
+            for x1, x2, y in zip(a1.tolist(), a.tolist(), b.tolist()):
+                yield QuadElem(x1, x2, y, d)
+        else:
+            for x, y in zip(a.tolist(), b.tolist()):
+                yield Fraction(x, y)
 
 
 def _interval(lo, hi) -> tuple[Fraction, Fraction]:
@@ -120,54 +197,54 @@ def enumerate_ball_interval(ball: HeightBall, lo, hi, cap: int | float | None = 
     yield from _stream(ball, lo, hi)
 
 
-_SPF_CACHE: list[int] = [0, 1]
-
-
-def _spf_table(n: int) -> list[int]:
-    """Smallest-prime-factor table up to n, memoized."""
-    global _SPF_CACHE
-    if n < len(_SPF_CACHE):
-        return _SPF_CACHE
-    size = max(n + 1, 2 * len(_SPF_CACHE))
-    spf = list(range(size))
-    for p in range(2, isqrt(size - 1) + 1):
-        if spf[p] == p:
-            for m in range(p * p, size, p):
-                if spf[m] == m:
-                    spf[m] = p
-    _SPF_CACHE = spf
+def _spf_table(n: int) -> np.ndarray:
+    """Smallest-prime-factor table of 0..n: sweeping k down from isqrt(n),
+    each k overwrites its multiples from k^2 on, so the last write to a
+    composite is its least prime factor."""
+    spf = np.arange(n + 1, dtype=np.int64)
+    for k in range(isqrt(n), 1, -1):
+        spf[k * k :: k] = k
     return spf
 
 
-def _signed_squarefree_divisors(n: int) -> list[tuple[int, int]]:
-    """(divisor, mu) pairs over the squarefree divisors of n."""
-    spf = _spf_table(n)
-    out = [(1, 1)]
-    while n > 1:
-        p = spf[n]
-        while n % p == 0:
-            n //= p
-        out += [(d * p, -s) for d, s in out]
-    return out
+def _coprime_total(a_lo: np.ndarray, a_hi: np.ndarray, g: np.ndarray, spf: np.ndarray) -> int:
+    """Sum over rows of #{a in [a_lo, a_hi] : gcd(a, g) = 1} for nonempty
+    ranges, by inclusion-exclusion over the squarefree divisors e of g:
+    the sum of mu(e)*(floor(a_hi/e) - floor((a_lo - 1)/e)).  0 is a
+    multiple of every e, so it counts only when g = 1.
 
-
-def _coprime_in_range(a_lo: int, a_hi: int, g: int) -> int:
-    """#{a in [a_lo, a_hi] : gcd(a, g) = 1}, counting a = 0 only when
-    g = 1 (gcd(0, g) = g convention)."""
-    if a_lo > a_hi:
-        return 0
-    if g == 1:
-        return a_hi - a_lo + 1
-    total = 0
-    for e, s in _signed_squarefree_divisors(g):
-        total += s * (a_hi // e - (a_lo - 1) // e)
-    return total
+    The divisors are built one distinct prime at a time; each term keeps
+    only the rows whose g it divides, so a row costs 2^omega(g) terms."""
+    below = a_lo - 1
+    terms = [(np.arange(len(g)), np.ones_like(g), 1)]  # (rows, e, mu(e))
+    rest = g.copy()
+    while (live := rest > 1).any():
+        p = spf[rest]
+        while (hit := live & (rest % p == 0)).any():
+            rest[hit] //= p[hit]
+        for rows, e, mu in list(terms):
+            sel = live[rows]
+            terms.append((rows[sel], e[sel] * p[rows[sel]], -mu))
+    return sum(mu * int((a_hi[rows] // e - below[rows] // e).sum()) for rows, e, mu in terms)
 
 
 def count_ball_interval(ball: HeightBall, lo, hi) -> int:
-    """Exact |B(R) ∩ [lo, hi]| without materializing the stream."""
+    """Exact |B(R) ∩ [lo, hi]| without materializing the stream.
+
+    Each block of rows is summed in numpy: a row with g = 1 adds
+    a_hi - a_lo + 1, any other row its inclusion-exclusion count over the
+    primes of g, read from a smallest-prime-factor table of size floor(R)
+    built for this call (8 bytes per entry; no other memory grows with R).
+    """
     lo, hi = _interval(lo, hi)
-    return sum(_coprime_in_range(a_lo, a_hi, g) for _, _, a_lo, a_hi, g in _rows(ball, lo, hi))
+    spf = None
+    total = 0
+    for _, _, a_lo, a_hi, g in _row_blocks(ball, lo, hi, BLOCK_ROWS):
+        keep = a_lo <= a_hi
+        if spf is None:  # after the first block, so the domain guard runs first
+            spf = _spf_table(ball.bound)
+        total += _coprime_total(a_lo[keep], a_hi[keep], g[keep], spf)
+    return total
 
 
 @dataclass(frozen=True)
@@ -258,7 +335,8 @@ def _qbox_members(spec: QBoxSpec):
 def qbox(spec: QBoxSpec, sample_cap: int = 200_000, seed: int = 0) -> dict:
     """Count the box difference and verify, element by element (or on a
     random sample above ``sample_cap``), that every member lies in B(R)
-    and in [-2, 2] exactly."""
+    and in [-2, 2] exactly; over Q that is the integer test
+    -2b <= a <= 2b."""
     count = qbox_count(spec)
     main = qbox_main_term(spec)
     F = spec.R.numerator // spec.R.denominator
@@ -276,10 +354,10 @@ def qbox(spec: QBoxSpec, sample_cap: int = 200_000, seed: int = 0) -> dict:
             violations += 1
             continue
         if spec.field.degree == 1:
-            x = Fraction(nums[0], b)
+            inside = -2 * b <= nums[0] <= 2 * b
         else:
-            x = QuadElem(nums[0], nums[1], b, spec.field.d)
-        if not in_interval(x, -2, 2):
+            inside = in_interval(QuadElem(nums[0], nums[1], b, spec.field.d), -2, 2)
+        if not inside:
             violations += 1
     return {
         "field": spec.field.label(),

@@ -8,13 +8,17 @@ and for each one the numerator coordinates follow from the integer floors
 of the real roots of two integer cubics, so the cost grows with the number
 of digits of a, not with its height.  The density experiment measures how
 quickly the accepted fraction of a height ball decays as the height bound
-grows.
+grows; it runs on int64 arrays, block by block through the row-block
+kernel of ``height_enum`` and the array image map :func:`_images`, which
+the image-gcd sweep shares.
 
 This module also owns every certificate kind: Eisenstein refusals of
 a = 3r/s, Yates Bezout pairs, the square-family check, odd-degree
 non-constructible witnesses and p-section refusals.  ``_CERT_KINDS`` is
 the one table of kinds, each with the exact key set of its data, so
-``Certificate.verify`` covers every kind whatever else was imported.
+``Certificate.verify`` covers every kind whatever else was imported;
+verifiers that re-run a producer refuse parameters past a module cap with
+``CapExceeded``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .errors import BadParameters, GcdBoundViolated, OutOfRange
+from .errors import BadParameters, CapExceeded, GcdBoundViolated, OutOfRange
 from .exact_arith import (
     RATIONAL_FIELD,
     FieldDescriptor,
@@ -37,7 +41,7 @@ from .exact_arith import (
     quadratic_field,
     sign_lin,
 )
-from .height_enum import HeightBall, count_ball_interval, enumerate_ball_interval
+from .height_enum import HeightBall, check_int64, count_ball_interval, element_blocks
 from .nsect import psection_poly
 from .polyalg import IntPoly, RatPoly, eisenstein_check, is_prime, resultant_minpoly
 
@@ -187,6 +191,30 @@ def apply_f(x):
         return canonicalize(t.A1, t.A2, t.B, x.d)
     x = Fraction(x)
     return x * x * x - 3 * x
+
+
+def _images(x1: np.ndarray, x2: np.ndarray, b: np.ndarray, d: int):
+    """:func:`raw_image` over int64 arrays of canonical (x1 + x2*sqrt(d))/b:
+    returns the reduced image coordinates A1/G, A2/G, B/G and G.  Q is the
+    case x2 = 0, d = 1.
+
+    Raises ``GcdBoundViolated`` when some G does not divide 8d.  Domain:
+    with S the largest coordinate, every intermediate is at most
+    (4 + 3d)*S^3 in magnitude; each caller refuses up front, with
+    ``CapExceeded``, a height where that could pass 2^62.
+    """
+    bb = 3 * b * b
+    A1 = x1 * (x1 * x1 + 3 * d * x2 * x2 - bb)
+    A2 = x2 * (3 * x1 * x1 + d * x2 * x2 - bb)
+    B = b * b * b
+    G = np.gcd(np.gcd(A1, B), A2)
+    bad = np.flatnonzero((8 * d) % G)
+    if bad.size:
+        i = bad[0]
+        x1, x2, b = int(x1[i]), int(x2[i]), int(b[i])
+        x = QuadElem(x1, x2, b, d) if d > 1 else Fraction(x1, b)
+        raise GcdBoundViolated(f"G | 8d fails at {x}")
+    return A1 // G, A2 // G, B // G, G
 
 
 def preimage_bound(field: FieldDescriptor, R) -> Fraction:
@@ -380,13 +408,25 @@ def eisenstein_cert_3rs(r: int, s: int) -> Certificate:
     )
 
 
-def _rebuilds(data: dict, build, *params) -> bool:
+# Largest value of the parameter that a verifier's re-run grows with (the
+# height H, the prime p, the degree m).  Each sits where the slowest
+# accepted verify takes about 1 s (Python 3.11 on a 2-CPU x86 VM); past it
+# verify raises ``CapExceeded``.  Never read from the data.
+SQUARE_FAMILY_MAX_H = 500_000
+PSECTION_MAX_P = 601
+WITNESS_MAX_M = 31
+
+
+def _rebuilds(data: dict, build, *params, cap: int | None = None) -> bool:
     """True iff every parameter is an int (bool excluded) and the producer
     ``build(*params)`` returns exactly ``data``, field types included.  The
     producer re-runs every check behind the claim; a refused rebuild is
-    False."""
+    False.  A first parameter above ``cap`` raises ``CapExceeded`` before
+    the producer runs."""
     if any(type(v) is not int for v in params):
         return False
+    if cap is not None and params[0] > cap:
+        raise CapExceeded(f"certificate parameter {params[0]} exceeds the verify cap {cap}")
     try:
         expected = build(*params).data
     except (BadParameters, AssertionError):
@@ -454,7 +494,8 @@ def _verify_square_family(data: dict) -> bool:
     """Re-run the check at height H; it must count the same squares and
     find no member among them."""
     return data["members_found"] == 0 and _rebuilds(
-        data, lambda H: square_family_check(H)["certificate"], data["H"]
+        data, lambda H: square_family_check(H)["certificate"], data["H"],
+        cap=SQUARE_FAMILY_MAX_H,
     )
 
 
@@ -479,26 +520,38 @@ def density_experiment(
     """Measure delta(R) = |accepted ∩ B(R) ∩ [-2,2]| / |B(R) ∩ [-2,2]| for
     each R, plus the log-log slope across the points.
 
-    The numerator enumerates the preimage ball B(S(R_max)) ∩ [-2, 2] once,
-    in one serial pass, applies f, deduplicates canonically, and counts
-    images of height <= R; every image of height <= R has all its
-    preimages inside B(S(R)), so this equals the per-R definition.  The
-    denominator is the exact interval count.  With ``cap`` set,
-    ``CapExceeded`` is raised when the preimage interval count exceeds it;
-    ``cap=None`` sets no cap.
+    The numerator runs once over the preimage ball B(S(R_max)) ∩ [-2, 2]
+    in blocks of coordinate arrays from the row-block kernel, maps each
+    block through :func:`_images` (exact int64: a preimage height S with
+    (4 + 3d)*S^3 past 2^62 raises ``CapExceeded`` before any work), keeps
+    the images of height <= R_max, deduplicates them with ``np.unique``
+    and counts heights <= R by ``searchsorted``; every image of height
+    <= R has all its preimages inside B(S(R)), so this equals the per-R
+    definition.  The denominator is the exact interval count.
+    With ``cap`` set, ``CapExceeded`` is raised when the preimage interval
+    count exceeds it; ``cap=None`` sets no cap.
     """
     R_list = [Fraction(R) for R in R_list]
     if not R_list or any(b <= a for a, b in zip(R_list, R_list[1:])):
         raise BadParameters("R list must be strictly increasing and nonempty")
-    S_max = int(preimage_bound(field, R_list[-1]))
-    preimages = enumerate_ball_interval(
-        HeightBall(field, S_max), -2, 2, cap=math.inf if cap is None else cap
-    )
-    images = {apply_f(beta) for beta in preimages}
-    heights = sorted(height(img) for img in images)
+    ball = HeightBall(field, preimage_bound(field, R_list[-1]))
+    d = field.d or 1
+    check_int64((4 + 3 * d) * ball.bound ** 3, f"image of B({ball.R})")
+    if cap is not None and count_ball_interval(ball, -2, 2) > cap:
+        raise CapExceeded(f"|B({ball.R}) in [-2, 2]| exceeds cap {cap}")
+    top = R_list[-1].numerator // R_list[-1].denominator
+    kept = []
+    for b, a1, a in element_blocks(ball, Fraction(-2), Fraction(2)):
+        # over Q the numerator a is the only coordinate
+        x1, x2 = (a1, a) if d > 1 else (a, a1)
+        A1, A2, B, _ = _images(x1, x2, b, d)
+        img = np.stack([A1, A2, B], axis=1)
+        kept.append(img[np.abs(img).max(axis=1) <= top])
+    images = np.unique(np.concatenate(kept), axis=0)
+    heights = np.sort(np.abs(images).max(axis=1))
     points = []
     for R in R_list:
-        numerator = _count_le(heights, R)
+        numerator = int(np.searchsorted(heights, R.numerator // R.denominator, "right"))
         denominator = count_ball_interval(HeightBall(field, R), -2, 2)
         points.append(DensityPoint(R, numerator, denominator))
     return DensityReport(
@@ -507,12 +560,6 @@ def density_experiment(
         slope=_slope_fit(points),
         target_exponent=-(2.0 / 3.0) * (field.degree + 1),
     )
-
-
-def _count_le(sorted_heights: list[int], R: Fraction) -> int:
-    import bisect
-
-    return bisect.bisect_right(sorted_heights, R)
 
 
 # Bound on |minpoly(f(q^(1/m)))| that both the witness and its verifier
@@ -572,7 +619,7 @@ def _verify_nonconstructible(data: dict) -> bool:
     """Rebuild the certificate from m and q, which re-runs every degree,
     squarefreeness and residual check against ``WITNESS_RESIDUAL_TOL``, and
     compare every field."""
-    return _rebuilds(data, nonconstructible_witness, data["m"], data["q"])
+    return _rebuilds(data, nonconstructible_witness, data["m"], data["q"], cap=WITNESS_MAX_M)
 
 
 def nonsectability_cert(p: int, c: int, dd: int) -> Certificate:
@@ -606,31 +653,25 @@ def nonsectability_cert(p: int, c: int, dd: int) -> Certificate:
 def _verify_psection(data: dict) -> bool:
     """Rebuild the certificate from p, c and dd, which re-runs the
     preconditions (p an odd prime) and the Eisenstein check."""
-    return _rebuilds(data, nonsectability_cert, data["p"], data["c"], data["dd"])
+    return _rebuilds(
+        data, nonsectability_cert, data["p"], data["c"], data["dd"], cap=PSECTION_MAX_P
+    )
 
 
 def gcd_bound_sweep(d: int, height_bound: int) -> dict:
-    """Vectorized check of G | 8d over every canonical element of height
-    <= the bound; returns counts and raises on any violation."""
-    H = height_bound
-    a1 = np.arange(-H, H + 1, dtype=np.int64).reshape(-1, 1)
-    a2 = np.arange(-H, H + 1, dtype=np.int64).reshape(1, -1)
-    a1c, a2c = np.abs(a1), np.abs(a2)
+    """Vectorized check of G | 8d over every canonical element of
+    Q(sqrt(d)) of height <= the bound, block by block through the row-block
+    kernel and :func:`_images`; returns counts and raises
+    ``GcdBoundViolated`` on any violation (``CapExceeded`` past the int64
+    domain of :func:`_images`)."""
+    check_int64((4 + 3 * d) * height_bound ** 3, f"image of B({height_bound})")
     checked = 0
     worst = 1
-    for b in range(1, H + 1):
-        coprime = np.gcd(np.gcd(a1c, a2c), b) == 1
-        A1 = a1 ** 3 + (3 * d) * a1 * a2 ** 2 - (3 * b * b) * a1
-        A2 = 3 * a1 ** 2 * a2 + d * a2 ** 3 - (3 * b * b) * a2
-        G = np.gcd(np.gcd(np.abs(A1), np.abs(A2)), b ** 3)
-        bad = coprime & ((8 * d) % G != 0)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            x = QuadElem(int(a1[i, 0]), int(a2[0, j]), b, d)
-            raise GcdBoundViolated(f"G | 8d fails at {x}")
-        checked += int(coprime.sum())
-        worst = max(worst, int(G[coprime].max(initial=1)))
-    return {"d": d, "height_bound": H, "elements_checked": checked, "max_gcd": worst}
+    for b, a1, a2 in element_blocks(HeightBall(quadratic_field(d), height_bound)):
+        G = _images(a1, a2, b, d)[3]
+        checked += len(G)
+        worst = max(worst, int(G.max(initial=1)))
+    return {"d": d, "height_bound": height_bound, "elements_checked": checked, "max_gcd": worst}
 
 
 # The one table of certificate kinds: kind -> (exact key set of the data,

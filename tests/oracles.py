@@ -5,11 +5,13 @@ ways to compute what the library computes, kept beside the tests.
 """
 
 from fractions import Fraction
+from math import gcd, isqrt
 
 import numpy as np
 
 from trisectlab.coprime_count import mobius_table
 from trisectlab.errors import BadParameters
+from trisectlab.exact_arith import QuadElem
 
 
 def mobius(j: int) -> int:
@@ -92,3 +94,46 @@ def phi_bound_check(D, E, x, T) -> dict:
         "odd_symmetry": odd,
         "ok": upper and lower and odd,
     }
+
+
+def floor_sqrt_multiple(v: int, d: int) -> int:
+    """floor(v*sqrt(d)) for integers v and d >= 1, exact whether or not d
+    is a perfect square."""
+    if v >= 0:
+        return isqrt(v * v * d)
+    # -ceil(sqrt(n)) = -(isqrt(n - 1) + 1) for n >= 1
+    return -isqrt(v * v * d - 1) - 1
+
+
+def ball_rows(ball, lo: Fraction | None = None, hi: Fraction | None = None):
+    """The rows of B(R), or of B(R) ∩ [lo, hi], one Python tuple
+    (b, a1, a_lo, a_hi, g) at a time in (b, a1[, a2]) order: the reference
+    for the numpy row-block kernel of ``height_enum``.
+
+    A row stands for the elements whose last coordinate (a2 over
+    Q(sqrt(d)), the numerator over Q) is an integer in [a_lo, a_hi] prime
+    to g = gcd(a1, b), with gcd(0, g) = g.  Q runs as d = 1 with a1 = 0.
+    With hi = p/q the upper end is floor_sqrt_multiple(p*b - q*a1, d) // (q*d);
+    the lower end is its mirror.
+    """
+    F = ball.bound
+    d = ball.field.d or 1
+    a1_values = range(-F, F + 1) if d > 1 else (0,)
+    for b in range(1, F + 1):
+        for a1 in a1_values:
+            a_lo, a_hi = -F, F
+            if lo is not None:
+                p, q = lo.numerator, lo.denominator
+                a_lo = max(a_lo, -(floor_sqrt_multiple(q * a1 - p * b, d) // (q * d)))
+                p, q = hi.numerator, hi.denominator
+                a_hi = min(a_hi, floor_sqrt_multiple(p * b - q * a1, d) // (q * d))
+            yield b, a1, a_lo, a_hi, gcd(a1, b)
+
+
+def ball_stream(ball, lo: Fraction | None = None, hi: Fraction | None = None):
+    """The coprime elements of :func:`ball_rows`, in row order."""
+    d = ball.field.d
+    for b, a1, a_lo, a_hi, g in ball_rows(ball, lo, hi):
+        for a in range(a_lo, a_hi + 1):
+            if gcd(g, a) == 1:
+                yield QuadElem(a1, a, b, d) if d else Fraction(a, b)

@@ -1,5 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line
-with its runtime and running at the stated tolerance."""
+with its runtime, and the same facts as one JSON line
+{"criterion", "status", "elapsed_s", "limit_s"}, and running at the stated
+tolerance."""
 
 import json
 import random
@@ -53,6 +55,8 @@ def criterion(number: int, description: str, limit_seconds: float):
         elapsed = time.perf_counter() - start
         status = "FAIL" if failed else "PASS"
         print(f"{status} criterion {number:2d} [{elapsed:7.2f}s <= {limit_seconds}s] {description}")
+        print(json.dumps({"criterion": number, "status": status,
+                          "elapsed_s": round(elapsed, 4), "limit_s": limit_seconds}))
         if failed is None:
             assert elapsed < limit_seconds, f"criterion {number} overran {limit_seconds}s"
 

@@ -1,13 +1,16 @@
 """Height-ball streams, count formulas, interval restriction, and the
 certified sub-box."""
 
+import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import ball_stream
 from trisectlab.coprime_count import zeta
 from trisectlab.errors import BadParameters, CapExceeded
 from trisectlab.exact_arith import (
@@ -18,6 +21,7 @@ from trisectlab.exact_arith import (
     quadratic_field,
 )
 from trisectlab.height_enum import (
+    INT64_SAFE,
     HeightBall,
     QBoxSpec,
     count_ball,
@@ -28,6 +32,7 @@ from trisectlab.height_enum import (
     qbox_count,
     qbox_main_term,
 )
+from trisectlab.height_enum import _isqrt
 
 QUAD_DS = (2, 3, 5, 6, 7)
 
@@ -131,6 +136,60 @@ def test_interval_kernel_matches_filtered_ball(d, R, ends, point):
     expected = [x for x in enumerate_ball(ball) if in_interval(x, lo, hi)]
     assert list(enumerate_ball_interval(ball, lo, hi)) == expected
     assert count_ball_interval(ball, lo, hi) == len(expected)
+
+
+_endpoints = st.builds(Fraction, st.integers(-90, 90), st.integers(1, 90))
+
+
+@settings(max_examples=120, deadline=None)
+@example(d=None, R=15, ends=(Fraction(-2), Fraction(2)))
+@example(d=30, R=15, ends=(Fraction(-90), Fraction(90)))
+@example(d=7, R=15, ends=(Fraction(-1, 89), Fraction(-1, 89)))
+@given(
+    d=st.sampled_from((None, 2, 3, 5, 6, 7, 30)),
+    R=st.integers(0, 15),
+    ends=st.tuples(_endpoints, _endpoints),
+)
+def test_row_kernel_matches_python_rows(d, R, ends):
+    """The numpy row blocks against the Python rows of ``oracles``: the
+    interval stream in order, the interval count and the whole-ball
+    stream, with plain int coordinates throughout."""
+    lo, hi = sorted(ends)
+    ball = HeightBall(RATIONAL_FIELD if d is None else quadratic_field(d), R)
+    expected = list(ball_stream(ball, lo, hi))
+    got = list(enumerate_ball_interval(ball, lo, hi))
+    assert got == expected
+    assert count_ball_interval(ball, lo, hi) == len(expected)
+    whole = list(enumerate_ball(ball))
+    assert whole == list(ball_stream(ball))
+    for x in got + whole:
+        coords = (x.a1, x.a2, x.b) if d else (x.numerator, x.denominator)
+        assert all(type(c) is int for c in coords)
+
+
+def test_vectorized_isqrt_is_exact_at_the_edges():
+    roots = [0, 1, 2, 3, 1000, 3037000499, 2 ** 31 - 1, 2 ** 31]
+    n = [max(0, k * k + e) for k in roots for e in (-1, 0, 1)]
+    n = [v for v in n if v <= INT64_SAFE]
+    got = _isqrt(np.array(n, dtype=np.int64)).tolist()
+    assert got == [isqrt(v) for v in n]
+
+
+@pytest.mark.parametrize(
+    "ball, lo, hi",
+    [
+        (HeightBall(quadratic_field(2), 2 ** 31), -2, 2),
+        (HeightBall(RATIONAL_FIELD, 10), Fraction(-1, 10 ** 18), 2),
+        (HeightBall(quadratic_field(30), 10), -2, 10 ** 18),
+    ],
+)
+def test_int64_domain_is_refused_up_front(ball, lo, hi):
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="int64"):
+        count_ball_interval(ball, lo, hi)
+    with pytest.raises(CapExceeded, match="int64"):
+        next(enumerate_ball_interval(ball, lo, hi, cap=float("inf")))
+    assert time.perf_counter() - start < 5
 
 
 def test_interval_validation_and_caps():

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import phi_bound_check, phi_curve
-from trisectlab.errors import BadParameters, OutOfRange
+from oracles import ball_stream, phi_bound_check, phi_curve
+from trisectlab.errors import BadParameters, CapExceeded, OutOfRange
 from trisectlab.exact_arith import (
     RATIONAL_FIELD,
     QuadElem,
@@ -22,9 +22,12 @@ from trisectlab.exact_arith import (
     in_interval,
     quadratic_field,
 )
-from trisectlab.height_enum import HeightBall, enumerate_ball_interval
+from trisectlab.height_enum import HeightBall, count_ball, enumerate_ball, enumerate_ball_interval
 from trisectlab.polyalg import IntPoly, rational_roots
 from trisectlab.trisect_core import (
+    PSECTION_MAX_P,
+    SQUARE_FAMILY_MAX_H,
+    WITNESS_MAX_M,
     Certificate,
     TrisectionVerdict,
     _try_eisenstein_cert,
@@ -105,6 +108,22 @@ def test_gcd_bound_sweep_small_and_spot_checks():
         g = gcd(gcd(a1, a2), b)
         x = QuadElem(a1 // g, a2 // g, b // g, d)
         assert (8 * d) % raw_image(x).G == 0
+
+
+@pytest.mark.parametrize("d", (2, 7))
+def test_gcd_bound_sweep_counts_every_canonical_element(d):
+    H = 12
+    ball = HeightBall(quadratic_field(d), H)
+    report = gcd_bound_sweep(d, H)
+    assert report["elements_checked"] == count_ball(ball)
+    assert report["max_gcd"] == max(raw_image(x).G for x in enumerate_ball(ball))
+
+
+def test_gcd_bound_sweep_refuses_past_int64():
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="int64"):
+        gcd_bound_sweep(2, 10 ** 6)
+    assert time.perf_counter() - start < 5
 
 
 def test_cbrt_helpers():
@@ -447,6 +466,36 @@ def test_density_numerator_identity_quadratic(d):
         assert members == point.numerator
 
 
+@pytest.mark.parametrize(
+    "field, R_list",
+    [
+        (RATIONAL_FIELD, [25, 50, 100, 200]),
+        (quadratic_field(2), [10, 25, 50]),
+        (quadratic_field(5), [10, 25, 50]),
+    ],
+    ids=["Q", "d2", "d5"],
+)
+def test_density_numerator_matches_apply_f_oracle(field, R_list):
+    """The array numerator against f applied element by element to the
+    Python-row preimage ball, deduplicated in a set."""
+    ball = HeightBall(field, preimage_bound(field, R_list[-1]))
+    heights = [
+        height(img)
+        for img in {apply_f(x) for x in ball_stream(ball) if in_interval(x, -2, 2)}
+    ]
+    report = density_experiment(field, R_list)
+    assert [p.numerator for p in report.points] == [
+        sum(1 for h in heights if h <= R) for R in R_list
+    ]
+
+
+def test_density_refuses_past_int64():
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="int64"):
+        density_experiment(RATIONAL_FIELD, [10 ** 18])
+    assert time.perf_counter() - start < 5
+
+
 def test_density_monotonicity_and_bounds():
     report = density_experiment(RATIONAL_FIELD, [10, 20, 40, 80])
     nums = [p.numerator for p in report.points]
@@ -507,6 +556,42 @@ def test_nonconstructible_verifier_rejects_missing_fields():
     for key in data:
         partial = {k: v for k, v in data.items() if k != key}
         assert not Certificate("nonconstructible-witness", partial).verify(), key
+
+
+@pytest.mark.parametrize(
+    "kind, data",
+    [
+        ("square-family", {"H": 10 ** 10, "checked": 1, "members_found": 0}),
+        ("eisenstein-psection", {"p": 10007, "c": 10007, "dd": 10008, "coeffs": []}),
+        (
+            "nonconstructible-witness",
+            {"m": 1001, "q": 2, "minpoly": [], "degree": 1001, "squarefree": True,
+             "residual_below": 1e-20},
+        ),
+    ],
+)
+def test_verifier_caps_refuse_costly_parameters(kind, data):
+    """Each of these re-ran its producer for over 20 s before the caps."""
+    assert SQUARE_FAMILY_MAX_H >= 100 and PSECTION_MAX_P >= 5 and WITNESS_MAX_M >= 23
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        Certificate(kind, data).verify()
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "kind, key, cap",
+    [
+        ("square-family", "H", SQUARE_FAMILY_MAX_H),
+        ("eisenstein-psection", "p", PSECTION_MAX_P),
+        ("nonconstructible-witness", "m", WITNESS_MAX_M),
+    ],
+)
+def test_verifier_caps_start_just_past_the_cap(kind, key, cap):
+    data = dict(_KINDS[kind][0]())
+    data[key] = cap + 1
+    with pytest.raises(CapExceeded):
+        Certificate(kind, data).verify()
 
 
 def test_certificate_serialization_roundtrip():
