@@ -7,6 +7,8 @@ the accepted set; and generates re-verifiable irreducibility, n-section,
 and algebraic-degree certificates.
 """
 
+from types import ModuleType as _ModuleType
+
 from .coprime_count import Box, CountReport, brute_count, lehmer_report, sieve_count
 from .exact_arith import (
     FieldDescriptor,
@@ -55,46 +57,6 @@ from .trisect_core import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Box",
-    "Certificate",
-    "CountReport",
-    "DensityReport",
-    "FieldDescriptor",
-    "HeightBall",
-    "IntPoly",
-    "QBoxSpec",
-    "QuadElem",
-    "RATIONAL_FIELD",
-    "RatPoly",
-    "TrisectionVerdict",
-    "apply_f",
-    "brute_count",
-    "canonicalize",
-    "chebyshev_like",
-    "cos_minimal_poly",
-    "count_ball",
-    "count_ball_interval",
-    "cyclotomic",
-    "decide_trisection",
-    "density_experiment",
-    "eisenstein_cert_3rs",
-    "eisenstein_check",
-    "enumerate_ball",
-    "enumerate_ball_interval",
-    "format_element",
-    "height",
-    "in_interval",
-    "lehmer_report",
-    "nonconstructible_witness",
-    "parse_element",
-    "preimage_bound",
-    "qbox",
-    "quadratic_field",
-    "rational_roots",
-    "raw_image",
-    "resultant_minpoly",
-    "sieve_count",
-    "square_family_check",
-    "yates_certificate",
-]
+# every public name imported above; the submodules are not part of it
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -1,11 +1,10 @@
-"""Counting relatively prime k-tuples in boxes with real side lengths.
+"""Counting relatively prime k-tuples in boxes with real side lengths, and
+:func:`mobius_sum`, the one Moebius counter behind every exact count.
 
-The exact count over a box with sides n_1, ..., n_k (each >= 1, stored as
-exact rationals so floors never inherit float fuzz) is the Moebius sum
-sum_j mu(j) * prod_i floor(n_i / j), truncated at the smallest floored
-side.  A direct enumeration oracle, the eccentricity and error-budget
-functions, and a zeta evaluator with a rigorous tail bound complete the
-toolkit; :func:`lehmer_report` assembles them into one record.
+Box sides are exact rationals, so floors never inherit float fuzz.  An
+enumeration oracle, eccentricity and error budgets, and a zeta with a
+rigorous tail bound complete the toolkit; :func:`lehmer_report`
+assembles them into one record.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
@@ -82,53 +82,83 @@ class CountReport:
         )
 
 
-_MOBIUS_CACHE: list[int] = [0, 1]
+# Largest Moebius sieve of one count (about 9 bytes an entry; the Mertens
+# recursion covers the rest), and most quotient blocks one count may have.
+SIEVE_MAX = 1 << 23
+MAX_BLOCKS = 1 << 22
 
 
-def mobius_table(n: int) -> list[int]:
-    """mu(0..n) via a sieve, memoized across calls (density experiments
-    hit this in a loop)."""
-    global _MOBIUS_CACHE
-    if n < len(_MOBIUS_CACHE):
-        return _MOBIUS_CACHE
-    size = max(n + 1, 2 * len(_MOBIUS_CACHE))
-    mu = np.ones(size, dtype=np.int64)
-    primes_mask = np.ones(size, dtype=bool)
-    primes_mask[:2] = False
-    for p in range(2, size):
-        if primes_mask[p]:
-            primes_mask[p * p :: p] = False
+def _mobius_sieve(n: int) -> np.ndarray:
+    """mu(0..n) as int8: each prime p <= sqrt(n) flips the sign of its
+    multiples, zeroes those of p^2 and is divided out of them once, which
+    leaves a squarefree m at most one prime above sqrt(n) to flip for."""
+    mu = np.ones(n + 1, dtype=np.int8)
+    rest = np.arange(n + 1, dtype=np.int32)
+    for p in range(2, isqrt(n) + 1):
+        if rest[p] == p:  # p is prime
             mu[p::p] *= -1
-            sq = p * p
-            if sq < size:
-                mu[sq::sq] = 0
+            mu[p * p :: p * p] = 0
+            rest[p::p] //= p
+    mu[rest > 1] *= -1
     mu[0] = 0
-    _MOBIUS_CACHE = mu.tolist()
-    return _MOBIUS_CACHE
+    return mu
+
+
+def _mertens(xs: np.ndarray) -> np.ndarray:
+    """M(x) = mu(1) + ... + mu(x) at each x of the sorted array xs, which
+    must hold floor(x/k) wherever that passes the sieve limit, about
+    max(xs)^(2/3).  Above it M(x) = 1 - sum_{k=2}^{x} M(floor(x/k)): k up to
+    s = isqrt(x) one by one, larger k grouped by quotient q <= x/(s+1)."""
+    top = int(xs[-1])
+    limit = max(isqrt(top), min(int(top ** (2 / 3)), SIEVE_MAX))
+    small = np.cumsum(_mobius_sieve(limit), dtype=np.int32)
+    big = {}
+    large = xs[xs > limit].tolist()
+    for x in large:
+        s = isqrt(x)
+        split = x // (limit + 1)  # floor(x/k) passes the limit for k <= split
+        ks = np.arange(max(2, split + 1), s + 1, dtype=np.int64)
+        qs = np.arange(1, x // (s + 1) + 1, dtype=np.int64)
+        runs = x // qs - x // (qs + 1)  # the k with quotient q, all > s
+        big[x] = (1 - sum(big[x // k] for k in range(2, split + 1))
+                  - int(small[x // ks].sum()) - int(runs @ small[qs]))
+    out = small[np.minimum(xs, limit)]
+    out[xs > limit] = [big[x] for x in large]
+    return out
+
+
+def mobius_sum(ns, L) -> int:
+    """sum_{e=1}^{min ns} mu(e) * L(floor(n_1/e), ..., floor(n_k/e)), exact.
+
+    The quotients are constant on blocks of e ending at the floor
+    quotients of the n_i, so a block adds (M(end) - M(start - 1)) * L, M
+    the Mertens function of :func:`_mertens` (Deleglise and Rivat).  L gets
+    one object array of Python ints per n_i, its quotient at each block of
+    nonzero weight, and returns their values.  About 2*sqrt(n) blocks per
+    distinct n; past ``MAX_BLOCKS``, ``CapExceeded`` up front.
+    """
+    m = min(ns)
+    if m < 1:
+        return 0
+    # the floor quotients of n are every v <= isqrt(n) and n // k for
+    # k <= isqrt(n); those <= m start at k = n // (m + 1) + 1
+    spans = [(n, isqrt(n), n // (m + 1) + 1) for n in set(ns)]
+    blocks = sum(min(s, m) + max(0, s - k0 + 1) for _, s, k0 in spans)
+    if blocks > MAX_BLOCKS:
+        raise CapExceeded(f"{blocks} quotient blocks exceed the cap {MAX_BLOCKS}")
+    ends = [np.arange(1, min(s, m) + 1, dtype=np.int64) for _, s, _ in spans]
+    ends += [n // np.arange(k0, s + 1, dtype=np.int64) for n, s, k0 in spans if k0 <= s]
+    ends = np.sort(np.concatenate(ends))  # a repeated end gets weight 0
+    weights = np.diff(_mertens(ends), prepend=0)
+    live = weights != 0
+    starts = np.concatenate(([1], ends[:-1] + 1))[live].astype(object)
+    values = L(*(n // starts for n in ns))
+    return int(np.dot(weights[live].astype(object), np.asarray(values, dtype=object)))
 
 
 def sieve_count(box: Box) -> int:
-    """Exact number of coprime k-tuples of positive integers inside the
-    box, by the Moebius sum over j up to the smallest floored side."""
-    floors = box.floors()
-    jmax = min(floors)
-    if jmax < 1:
-        return 0
-    mu = mobius_table(jmax)
-    nums = [s.numerator for s in box.sides]
-    dens = [s.denominator for s in box.sides]
-    total = 0
-    for j in range(1, jmax + 1):
-        m = mu[j]
-        if m == 0:
-            continue
-        prod = 1
-        for p, q in zip(nums, dens):
-            prod *= p // (q * j)
-            if prod == 0:
-                break
-        total += m * prod
-    return total
+    """Exact number of coprime k-tuples of positive integers in the box."""
+    return mobius_sum(box.floors(), lambda *quotients: math.prod(quotients))
 
 
 def brute_count(box: Box, cap: int = 10 ** 8) -> int:
@@ -164,17 +194,10 @@ def eccentricity(box: Box) -> Fraction:
     return max(box.sides) / min(box.sides)
 
 
-def geometric_mean(box: Box) -> float:
-    prod = 1.0
-    for s in box.sides:
-        prod *= float(s)
-    return prod ** (1.0 / box.k)
-
-
 def error_term_budget(box: Box) -> float:
     """f_k(n): gamma*ln(gamma) for k = 2, gamma^(k-1) otherwise, with
     gamma the geometric mean of the sides."""
-    gamma = geometric_mean(box)
+    gamma = math.prod(float(s) for s in box.sides) ** (1.0 / box.k)
     if box.k == 2:
         return gamma * math.log(gamma)
     return gamma ** (box.k - 1)
@@ -205,10 +228,7 @@ def lehmer_report(box: Box) -> CountReport:
     """Exact count, analytic main term, signed error, error budget, and
     eccentricity for one box."""
     count = sieve_count(box)
-    main = 1.0
-    for s in box.sides:
-        main *= float(s)
-    main /= zeta(box.k)
+    main = math.prod(float(s) for s in box.sides) / zeta(box.k)
     return CountReport(
         box=box,
         count=count,

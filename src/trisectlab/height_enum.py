@@ -4,18 +4,18 @@ certifies a lower bound for the in-interval count.
 A height ball B(R) over a field is the finite set of canonical elements of
 height at most R.  Enumeration is lexicographic in (b, a1[, a2]) so streams
 are reproducible.  One numpy row-block kernel, :func:`_row_blocks`, serves
-the full and the interval streams, the interval count, the density
-numerator and the image-gcd sweep: it yields int64 arrays
-(b, a1, a_lo, a_hi, g) for consecutive blocks of rows, so memory per block
-is bounded whatever the height.  Its interval clip is exact integer
-arithmetic (a float square root corrected by integer steps), and inputs
-whose clip terms could pass 2^62 are refused with ``CapExceeded`` up front:
-that is the kernel's int64 domain.  The interval count sums each block in
-numpy, by inclusion-exclusion over the primes of g read from a
-smallest-prime-factor table that each call builds for itself; no table
-outlives its call.  The whole-ball count goes through the coprime-tuple
-sieve instead, and the tests cross-check the two.  Everything runs
-serially in one thread; nothing is sharded.
+the full and the interval streams, the density numerator and the image-gcd
+sweep: it yields int64 arrays (b, a1, a_lo, a_hi, g) for consecutive
+blocks of rows, so memory per block is bounded whatever the height.  Its
+interval clip is exact integer arithmetic (a float square root corrected
+by integer steps), and inputs whose clip terms could pass 2^62 are refused
+with ``CapExceeded`` up front: that is the kernel's int64 domain.
+
+Counts never walk rows: |B(R) ∩ [lo, hi]| is the Moebius sum
+sum_e mu(e) * L(floor(R/e)) of :func:`coprime_count.mobius_sum`, with L
+the lattice points of the region at height N in closed form by floor sums.
+The whole ball and the certified sub-box count the same way.
+Everything runs serially in one thread; nothing is sharded.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .coprime_count import Box, mobius_table, sieve_count, zeta
+from .coprime_count import mobius_sum, zeta
 from .errors import BadParameters, CapExceeded
 from .exact_arith import FieldDescriptor, QuadElem, in_interval
 
@@ -53,22 +53,20 @@ class HeightBall:
 
 
 def count_ball(ball: HeightBall) -> int:
-    """Exact |B(R)| assembled from sieve counts over the sign/zero pattern
-    decomposition plus the singleton zero element."""
-    F = ball.bound
-    if F < 1:
-        return 0
-    if ball.field.degree == 1:
-        return 2 * sieve_count(Box((F, F))) + 1
-    return 4 * sieve_count(Box((F, F, F))) + 4 * sieve_count(Box((F, F))) + 1
+    """Exact |B(R)| by :func:`coprime_count.mobius_sum`: at height N there
+    are N*(2N + 1)^k integer points with 1 <= b <= N, k the degree."""
+    k = ball.field.degree
+    return mobius_sum((ball.bound,), lambda N: N * (2 * N + 1) ** k)
 
 
-# Rows per block of the count, and (row, coordinate) cells per block of the
-# element streams: both bound a block's memory whatever the height.
-BLOCK_ROWS = 1 << 13
+# (row, coordinate) cells per block of the element streams, and values of
+# a2 per block of the quadratic interval count: both bound a block's memory
+# whatever the height.
 BLOCK_CELLS = 1 << 15
-# Every intermediate of the kernel and of the image map stays below this,
-# so int64 arithmetic is exact on the whole domain the guards admit.
+BLOCK_A2 = 1 << 14
+# Every intermediate of the kernel, of the quadratic count and of the image
+# map stays below this, so int64 arithmetic is exact on the whole domain
+# the guards admit.
 INT64_SAFE = 1 << 62
 
 
@@ -102,7 +100,7 @@ def _row_blocks(ball: HeightBall, lo: Fraction | None, hi: Fraction | None, rows
     """The rows of B(R), or of B(R) ∩ [lo, hi] when an interval is given,
     as int64 arrays (b, a1, a_lo, a_hi, g) over consecutive blocks of at
     most ``rows`` rows in (b, a1) order: the one kernel behind both streams,
-    the interval count, the density numerator and the image-gcd sweep.
+    the density numerator and the image-gcd sweep.
 
     A row (b, a1, a_lo, a_hi, g) stands for the elements whose last
     coordinate (a2 over Q(sqrt(d)), the numerator over Q) is an integer in
@@ -197,54 +195,88 @@ def enumerate_ball_interval(ball: HeightBall, lo, hi, cap: int | float | None = 
     yield from _stream(ball, lo, hi)
 
 
-def _spf_table(n: int) -> np.ndarray:
-    """Smallest-prime-factor table of 0..n: sweeping k down from isqrt(n),
-    each k overwrites its multiples from k^2 on, so the last write to a
-    composite is its least prime factor."""
-    spf = np.arange(n + 1, dtype=np.int64)
-    for k in range(isqrt(n), 1, -1):
-        spf[k * k :: k] = k
-    return spf
+def _floor_sum(n, m: int, a: int, b):
+    """sum_{i=0}^{n-1} floor((a*i + b)/m), elementwise over n >= 0 and
+    0 <= b < m, for a >= 0 and m >= 1: the Euclidean reduction of the
+    AtCoder Library's ``floor_sum``.  (m, a) take the same steps for every
+    element, so there are O(log m) array steps; each term is part of the
+    (nonnegative) answer."""
+    total = 0
+    while True:
+        if a >= m:
+            total = total + n * (n - 1) // 2 * (a // m)
+            a %= m
+        total = total + n * (b // m)
+        b = b % m
+        if a == 0:
+            return total
+        y = a * n + b
+        n, b = y // m, y % m
+        m, a = a, m
 
 
-def _coprime_total(a_lo: np.ndarray, a_hi: np.ndarray, g: np.ndarray, spf: np.ndarray) -> int:
-    """Sum over rows of #{a in [a_lo, a_hi] : gcd(a, g) = 1} for nonempty
-    ranges, by inclusion-exclusion over the squarefree divisors e of g:
-    the sum of mu(e)*(floor(a_hi/e) - floor((a_lo - 1)/e)).  0 is a
-    multiple of every e, so it counts only when g = 1.
-
-    The divisors are built one distinct prime at a time; each term keeps
-    only the rows whose g it divides, so a row costs 2^omega(g) terms."""
-    below = a_lo - 1
-    terms = [(np.arange(len(g)), np.ones_like(g), 1)]  # (rows, e, mu(e))
-    rest = g.copy()
-    while (live := rest > 1).any():
-        p = spf[rest]
-        while (hit := live & (rest % p == 0)).any():
-            rest[hit] //= p[hit]
-        for rows, e, mu in list(terms):
-            sel = live[rows]
-            terms.append((rows[sel], e[sel] * p[rows[sel]], -mu))
-    return sum(mu * int((a_hi[rows] // e - below[rows] // e).sum()) for rows, e, mu in terms)
+def _clipped_floor_sum(p: int, q: int, r, N):
+    """sum_{b=1}^{N} clip(floor((p*b + r)/q), -N - 1, N), elementwise over
+    arrays r and N (int64 or object) for q >= 1.  The summand is monotone
+    in b (b -> N + 1 - b turns p < 0 round), so b splits into a run clipped
+    at -N - 1, one :func:`_floor_sum` and a run clipped at N.  Magnitudes
+    stay within 3*(N + 1)^2 and 2*(|p| + q)*(N + 2) + |r|."""
+    if p < 0:
+        p, r = -p, r + p * (N + 1)
+    if p == 0:
+        return N * np.minimum(np.maximum(r // q, -N - 1), N)
+    low = np.minimum(np.maximum((-N * q - r - 1) // p, 0), N)  # b <= low: below -N
+    high = np.minimum(np.maximum(((N + 1) * q - r - 1) // p, low), N)  # b > high: above N
+    first = p * (low + 1) + r
+    n = high - low
+    return (-N - 1) * low + N * (N - high) + n * (first // q) + _floor_sum(n, q, p, first % q)
 
 
 def count_ball_interval(ball: HeightBall, lo, hi) -> int:
-    """Exact |B(R) ∩ [lo, hi]| without materializing the stream.
-
-    Each block of rows is summed in numpy: a row with g = 1 adds
-    a_hi - a_lo + 1, any other row its inclusion-exclusion count over the
-    primes of g, read from a smallest-prime-factor table of size floor(R)
-    built for this call (8 bytes per entry; no other memory grows with R).
+    """Exact |B(R) ∩ [lo, hi]| as sum_e mu(e) * L(floor(R/e)) by
+    :func:`coprime_count.mobius_sum`: L(N) counts all integer (a1, a2, b),
+    1 <= b <= N, |a1|, |a2| <= N, lo*b <= a1 + a2*sqrt(d) <= hi*b (over Q,
+    a2 = 0).  With lo = p1/q1, hi = p2/q2 and a2 fixed, a1 runs from
+    -floor((-p1*b + floor(q1*a2*sqrt d))/q1) to
+    floor((p2*b - ceil(q2*a2*sqrt d))/q2), as floor((n - t)/q) =
+    floor((n - ceil t)/q) for integer n: two :func:`_clipped_floor_sum`.
+    Over Q that is exact Python-int work on about 2*sqrt(R) blocks; over
+    Q(sqrt d), int64 blocks of ``BLOCK_A2`` values of a2, about R*log(R)
+    in all, with ``CapExceeded`` up front for inputs that could pass 2^62.
     """
     lo, hi = _interval(lo, hi)
-    spf = None
-    total = 0
-    for _, _, a_lo, a_hi, g in _row_blocks(ball, lo, hi, BLOCK_ROWS):
-        keep = a_lo <= a_hi
-        if spf is None:  # after the first block, so the domain guard runs first
-            spf = _spf_table(ball.bound)
-        total += _coprime_total(a_lo[keep], a_hi[keep], g[keep], spf)
-    return total
+    (p1, q1), (p2, q2) = (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
+    F = ball.bound
+    d = ball.field.d
+
+    def rows(N, floor_lo, ceil_hi):  # the points of L(N) for each a2
+        return (N + _clipped_floor_sum(p2, q2, -ceil_hi, N)
+                + _clipped_floor_sum(-p1, q1, floor_lo, N))
+
+    if not d:
+        return mobius_sum((F,), lambda N: rows(N, 0, 0))
+    p, q = max(abs(p1), abs(p2)), max(q1, q2)
+    check_int64(max(q * q * F * F * d, 2 * (p + q * (isqrt(d) + 2)) * (F + 2),
+                    BLOCK_A2 * 3 * (F + 1) ** 2), "interval count")
+    # floor(q1*a2*sqrt d) and ceil(q2*a2*sqrt d) at a2 = -F..F, one block at a time
+    floor_lo, ceil_hi = np.empty((2, 2 * F + 1), dtype=np.int64)
+    for i in range(0, 2 * F + 1, BLOCK_A2):
+        a2 = np.arange(i, min(i + BLOCK_A2, 2 * F + 1), dtype=np.int64) - F
+        floor_lo[i : i + BLOCK_A2] = _floor_sqrt_multiple(q1 * a2, d)
+        ceil_hi[i : i + BLOCK_A2] = -_floor_sqrt_multiple(-q2 * a2, d)
+    mirror = lo == -hi  # then a2 < 0 mirrors a2 > 0 under (a1, a2) -> (-a1, -a2)
+
+    def lattice_points(Ns):
+        out = []
+        for N in Ns.tolist():
+            total = 0
+            for i in range(F + 1 if mirror else F - N, F + N + 1, BLOCK_A2):
+                j = min(i + BLOCK_A2, F + N + 1)
+                total += int(rows(N, floor_lo[i:j], ceil_hi[i:j]).sum())
+            out.append(2 * total + int(rows(N, 0, 0)) if mirror else total)
+        return out
+
+    return mobius_sum((F,), lattice_points)
 
 
 @dataclass(frozen=True)
@@ -263,47 +295,26 @@ class QBoxSpec:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "R", R)
 
-    def side_floors(self, j: int = 1):
-        """Floored sides (n/j, m/j) of the outer and inner boxes; the
+    def side_floors(self):
+        """Floored sides (n, m) of the outer and inner boxes; the
         irrational side 2R/((k+1)sqrt(d)) floors exactly through isqrt."""
         k = self.field.degree
         R = self.R
         c = 2 * R / (k + 1)
         if k == 1:
-            n = (math.floor(c / j), math.floor(R / j))
-            m = (n[0], math.floor(k * R / ((k + 1) * j)))
-            return n, m
+            n = (math.floor(c), math.floor(R))
+            return n, (n[0], math.floor(k * R / (k + 1)))
         d = self.field.d
         num, den = c.numerator, c.denominator
-        # floor( (num/den) / (j*sqrt(d)) ) = floor(num*sqrt(d)) // (den*j*d)
-        rad = isqrt(num * num * d) // (den * j * d)
-        n = (math.floor(c / j), rad, math.floor(R / j))
-        m = (n[0], n[1], math.floor(k * R / ((k + 1) * j)))
-        return n, m
-
-
-def _generalized_sieve(spec: QBoxSpec, inner: bool) -> int:
-    n0, m0 = spec.side_floors(1)
-    sides = m0 if inner else n0
-    jmax = min(sides)
-    if jmax < 1:
-        return 0
-    mu = mobius_table(jmax)
-    total = 0
-    for j in range(1, jmax + 1):
-        if mu[j] == 0:
-            continue
-        nj, mj = spec.side_floors(j)
-        prod = 1
-        for f in (mj if inner else nj):
-            prod *= f
-        total += mu[j] * prod
-    return total
+        # floor( (num/den) / sqrt(d) ) = floor(num*sqrt(d)) // (den*d)
+        n = (math.floor(c), isqrt(num * num * d) // (den * d), math.floor(R))
+        return n, (n[0], n[1], math.floor(k * R / (k + 1)))
 
 
 def qbox_count(spec: QBoxSpec) -> int:
-    """|Q(R)| = (outer box count) - (inner box count)."""
-    return _generalized_sieve(spec, inner=False) - _generalized_sieve(spec, inner=True)
+    """|Q(R)| = (outer box count) - (inner box count), over the side floors."""
+    n, m = spec.side_floors()
+    return mobius_sum(n, lambda *q: math.prod(q)) - mobius_sum(m, lambda *q: math.prod(q))
 
 
 def qbox_main_term(spec: QBoxSpec) -> float:
@@ -315,7 +326,7 @@ def qbox_main_term(spec: QBoxSpec) -> float:
 
 def _qbox_members(spec: QBoxSpec):
     """Enumerate the (a..., b) tuples of the box difference."""
-    n, m = spec.side_floors(1)
+    n, m = spec.side_floors()
     k = spec.field.degree
     b_lo, b_hi = m[-1] + 1, n[-1]
     if k == 1:

@@ -43,7 +43,7 @@ from .exact_arith import (
 )
 from .height_enum import HeightBall, check_int64, count_ball_interval, element_blocks
 from .nsect import psection_poly
-from .polyalg import IntPoly, RatPoly, eisenstein_check, is_prime, resultant_minpoly
+from .polyalg import IntPoly, RatPoly, divisors, eisenstein_check, is_prime, resultant_minpoly
 
 F_CUBIC = RatPoly((0, -3, 0, 1))  # y^3 - 3y
 
@@ -294,11 +294,6 @@ def _decide_rational(a: Fraction) -> TrisectionVerdict:
     )
 
 
-def _divisors(n: int) -> list[int]:
-    small = [k for k in range(1, isqrt(n) + 1) if n % k == 0]
-    return small + [n // k for k in reversed(small) if k * k != n]
-
-
 def _quadratic_preimage(a: QuadElem) -> QuadElem | None:
     """The preimage of a under f in Q(sqrt(d)) that is smallest in
     (denominator, a2, a1), or None when a has no preimage.
@@ -320,7 +315,7 @@ def _quadratic_preimage(a: QuadElem) -> QuadElem | None:
     """
     alpha1, alpha2, beta, d = a.a1, a.a2, a.b, a.d
     found = []
-    for G in _divisors(8 * d):
+    for G in divisors(8 * d):
         c = icbrt(G * beta)
         if c * c * c != G * beta:
             continue
@@ -410,21 +405,31 @@ def eisenstein_cert_3rs(r: int, s: int) -> Certificate:
 
 # Largest value of the parameter that a verifier's re-run grows with (the
 # height H, the prime p, the degree m).  Each sits where the slowest
-# accepted verify takes about 1 s (Python 3.11 on a 2-CPU x86 VM); past it
-# verify raises ``CapExceeded``.  Never read from the data.
+# accepted verify takes about 1 s (Python 3.11 on a 2-CPU x86 VM); past it,
+# or past CERT_MAX_DIGITS digits in any integer a certificate holds (below
+# Python's 4,300-digit int-to-str limit), verify raises ``CapExceeded``.
+# Never read from the data.
 SQUARE_FAMILY_MAX_H = 500_000
 PSECTION_MAX_P = 601
 WITNESS_MAX_M = 31
+CERT_MAX_DIGITS = 4000
+
+
+def _check_digits(v: int, what: str) -> None:
+    if abs(v) >= 10 ** CERT_MAX_DIGITS:
+        raise CapExceeded(f"{what} has more than {CERT_MAX_DIGITS} digits")
 
 
 def _rebuilds(data: dict, build, *params, cap: int | None = None) -> bool:
     """True iff every parameter is an int (bool excluded) and the producer
     ``build(*params)`` returns exactly ``data``, field types included.  The
     producer re-runs every check behind the claim; a refused rebuild is
-    False.  A first parameter above ``cap`` raises ``CapExceeded`` before
-    the producer runs."""
+    False.  A parameter past ``CERT_MAX_DIGITS`` digits, or a first
+    parameter above ``cap``, raises ``CapExceeded`` before the producer
+    runs."""
     if any(type(v) is not int for v in params):
         return False
+    _check_digits(max(params, key=abs), "a certificate parameter")
     if cap is not None and params[0] > cap:
         raise CapExceeded(f"certificate parameter {params[0]} exceeds the verify cap {cap}")
     try:
@@ -636,6 +641,8 @@ def nonsectability_cert(p: int, c: int, dd: int) -> Certificate:
         raise BadParameters("c and dd must be coprime")
     if abs(c) > dd:
         raise BadParameters("|c/dd| must be <= 1 to name a real angle")
+    # cleared coefficients are below (4*dd)^p: |c| <= dd, P's below (1 + sqrt 2)^p
+    _check_digits(2 ** (p * (dd.bit_length() + 2)), "a cleared coefficient")
     cleared = pp.with_parameter(c, dd)
     if not eisenstein_check(cleared, p):
         raise AssertionError(f"Eisenstein at {p} failed for c/dd = {c}/{dd}")

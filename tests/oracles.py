@@ -4,14 +4,15 @@ Nothing in ``trisectlab`` calls these; they are independent (and slower)
 ways to compute what the library computes, kept beside the tests.
 """
 
+import math
 from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
 
-from trisectlab.coprime_count import mobius_table
 from trisectlab.errors import BadParameters
 from trisectlab.exact_arith import QuadElem
+from trisectlab.height_enum import _row_blocks
 
 
 def mobius(j: int) -> int:
@@ -31,6 +32,80 @@ def mobius(j: int) -> int:
     if n > 1:
         out = -out
     return out
+
+
+def mobius_table(n: int) -> list[int]:
+    """mu(0..n) by the plain sieve over every p <= n."""
+    mu = np.ones(n + 1, dtype=np.int64)
+    composite = np.zeros(n + 1, dtype=bool)
+    for p in range(2, n + 1):
+        if not composite[p]:
+            composite[p * p :: p] = True
+            mu[p::p] *= -1
+            mu[p * p :: p * p] = 0
+    mu[0] = 0
+    return mu.tolist()
+
+
+def sieve_count_loop(box) -> int:
+    """The Moebius sum over every j up to the smallest floored side, each
+    term from the exact rational sides: the reference for
+    ``coprime_count.sieve_count``."""
+    jmax = min(box.floors())
+    if jmax < 1:
+        return 0
+    mu = mobius_table(jmax)
+    total = 0
+    for j in range(1, jmax + 1):
+        if mu[j]:
+            total += mu[j] * math.prod(s.numerator // (s.denominator * j) for s in box.sides)
+    return total
+
+
+def generalized_sieve(spec, inner: bool) -> int:
+    """The outer (or inner) box count of a ``QBoxSpec`` by the j-loop, each
+    side floored afresh from R at every j."""
+    k = spec.field.degree
+    c = 2 * spec.R / (k + 1)
+    total = 0
+    for j in range(1, math.floor(c) + 1):
+        sides = [math.floor(c / j)]
+        if k == 2:
+            d = spec.field.d
+            sides.append(isqrt(c.numerator ** 2 * d) // (c.denominator * j * d))
+        sides.append(math.floor((k if inner else k + 1) * spec.R / ((k + 1) * j)))
+        total += mobius(j) * math.prod(sides)
+    return total
+
+
+def row_kernel_count(ball, lo: Fraction, hi: Fraction) -> int:
+    """|B(R) ∩ [lo, hi]| row by row over the numpy row blocks of
+    ``height_enum``: each row adds #{a in [a_lo, a_hi] : gcd(a, g) = 1} by
+    inclusion-exclusion over the squarefree divisors e of g, the sum of
+    mu(e)*(floor(a_hi/e) - floor((a_lo - 1)/e)), with the primes of g read
+    from a smallest-prime-factor table.  0 is a multiple of every e, so it
+    counts only when g = 1."""
+    F = ball.bound
+    spf = np.arange(F + 1, dtype=np.int64)
+    for k in range(isqrt(F), 1, -1):
+        spf[k * k :: k] = k
+    total = 0
+    for _, _, a_lo, a_hi, g in _row_blocks(ball, lo, hi, 1 << 13):
+        keep = a_lo <= a_hi
+        a_lo, a_hi, g = a_lo[keep], a_hi[keep], g[keep]
+        below = a_lo - 1
+        terms = [(np.arange(len(g)), np.ones_like(g), 1)]  # (rows, e, mu(e))
+        rest = g.copy()
+        while (live := rest > 1).any():
+            p = spf[rest]
+            while (hit := live & (rest % p == 0)).any():
+                rest[hit] //= p[hit]
+            for rows, e, mu in list(terms):
+                sel = live[rows]
+                terms.append((rows[sel], e[sel] * p[rows[sel]], -mu))
+        total += sum(mu * int((a_hi[rows] // e - below[rows] // e).sum())
+                     for rows, e, mu in terms)
+    return total
 
 
 def coprime_count_table(floors: tuple[int, ...]) -> np.ndarray:

@@ -1,21 +1,27 @@
 """Sieve counting against the enumeration oracle, plus the analytic
 side-guards."""
 
+import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import coprime_count_table, mobius, sieve_count_table
+from oracles import coprime_count_table, mobius, mobius_table, sieve_count_loop, sieve_count_table
+from trisectlab.cli import main as cli_main
 from trisectlab.coprime_count import (
     Box,
+    _mobius_sieve,
     brute_count,
     eccentricity,
     error_term_budget,
     lehmer_report,
-    mobius_table,
+    mobius_sum,
     sieve_count,
     zeta,
 )
@@ -26,8 +32,58 @@ def test_mobius_examples_and_sieve_agreement():
     assert mobius(1) == 1
     assert mobius(6) == 1
     assert mobius(12) == 0
-    table = mobius_table(500)
+    table = _mobius_sieve(500)
+    assert table.dtype == np.int8 and table[0] == 0
     assert all(table[j] == mobius(j) for j in range(1, 501))
+    # past sqrt(n) one prime factor is left to the final sign flip
+    assert _mobius_sieve(10 ** 5).tolist() == mobius_table(10 ** 5)
+
+
+@pytest.mark.parametrize("k, value", enumerate((-1, 1, 2, -23, -48, 212, 1037, 1928, -222), 1))
+def test_mertens_known_values(k, value):
+    """M(10^k) = sum_{e <= 10^k} mu(e), which is mobius_sum with L = 1."""
+    assert mobius_sum((10 ** k,), lambda q: [1] * len(q)) == value
+
+
+def test_mobius_sum_sees_each_quotient_block_once():
+    calls = []
+
+    def L(a, b):
+        calls.append(len(a))
+        return a * b
+
+    assert mobius_sum((1000, 37), L) == sieve_count_loop(Box((1000, 37)))
+    assert len(calls) == 1 and calls[0] < 37
+    assert mobius_sum((0, 5), L) == 0 and len(calls) == 1
+
+
+_sides = st.builds(Fraction, st.integers(1, 4000), st.integers(1, 9))
+
+
+@settings(max_examples=200, deadline=None)
+@example(sides=(Fraction(59, 10), Fraction(16, 5)))
+@example(sides=(Fraction(1), Fraction(10 ** 30)))
+@example(sides=(Fraction(3999, 2), Fraction(3999, 2), Fraction(3999, 2), Fraction(3999, 2)))
+@given(sides=st.lists(_sides.filter(lambda x: x >= 1), min_size=2, max_size=4).map(tuple))
+def test_sieve_count_matches_j_loop(sides):
+    """The quotient-block counter against the Moebius sum over every j."""
+    box = Box(sides)
+    assert sieve_count(box) == sieve_count_loop(box)
+
+
+def test_block_cap_refuses_before_any_work():
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="quotient blocks"):
+        sieve_count(Box((10 ** 30, 10 ** 30)))
+    assert time.perf_counter() - start < 1
+
+
+def test_lehmer_at_a_billion(capsys):
+    """2*Phi(10^9) - 1 coprime pairs in the 10^9 x 10^9 square."""
+    start = time.perf_counter()
+    assert cli_main(["lehmer", "--sides", "1e9,1e9"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 607927102346016827
+    assert time.perf_counter() - start < 3
 
 
 def test_box_validation():

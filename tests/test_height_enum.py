@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import ball_stream
-from trisectlab.coprime_count import zeta
+from oracles import ball_stream, generalized_sieve, row_kernel_count
+from trisectlab.coprime_count import mobius_sum, zeta
 from trisectlab.errors import BadParameters, CapExceeded
 from trisectlab.exact_arith import (
     RATIONAL_FIELD,
@@ -32,7 +32,7 @@ from trisectlab.height_enum import (
     qbox_count,
     qbox_main_term,
 )
-from trisectlab.height_enum import _isqrt
+from trisectlab.height_enum import _clipped_floor_sum, _isqrt
 
 QUAD_DS = (2, 3, 5, 6, 7)
 
@@ -184,12 +184,90 @@ def test_vectorized_isqrt_is_exact_at_the_edges():
     ],
 )
 def test_int64_domain_is_refused_up_front(ball, lo, hi):
+    """The streams refuse past the int64 domain of the row kernel.  The
+    count over Q runs on Python ints and has no such domain: it returns
+    the exact count instead."""
     start = time.perf_counter()
-    with pytest.raises(CapExceeded, match="int64"):
-        count_ball_interval(ball, lo, hi)
+    if ball.field.d:
+        with pytest.raises(CapExceeded, match="int64"):
+            count_ball_interval(ball, lo, hi)
+    else:
+        expected = sum(1 for x in enumerate_ball(ball) if in_interval(x, lo, hi))
+        assert count_ball_interval(ball, lo, hi) == expected
     with pytest.raises(CapExceeded, match="int64"):
         next(enumerate_ball_interval(ball, lo, hi, cap=float("inf")))
     assert time.perf_counter() - start < 5
+
+
+_count_ends = st.builds(Fraction, st.integers(-90, 90), st.integers(1, 90))
+
+
+@settings(max_examples=150, deadline=None)
+@example(d=None, R=60, ends=(Fraction(-2), Fraction(2)), point=False)
+@example(d=30, R=60, ends=(Fraction(-90), Fraction(90)), point=False)
+@example(d=7, R=41, ends=(Fraction(-1, 89), Fraction(-1, 89)), point=True)
+@example(d=2, R=60, ends=(Fraction(89, 90), Fraction(89, 90)), point=True)
+@given(
+    d=st.sampled_from((None, 2, 3, 5, 6, 7, 30)),
+    R=st.integers(0, 60),
+    ends=st.tuples(_count_ends, _count_ends),
+    point=st.booleans(),
+)
+def test_interval_count_matches_row_oracle(d, R, ends, point):
+    """The Moebius count against the row-kernel count of ``oracles``, with
+    endpoints of height <= 90 reaching past the ball and lo == hi."""
+    lo, hi = sorted(ends)
+    if point:
+        hi = lo
+    ball = HeightBall(RATIONAL_FIELD if d is None else quadratic_field(d), R)
+    assert count_ball_interval(ball, lo, hi) == row_kernel_count(ball, lo, hi)
+
+
+def _lattice_points_q(N: int) -> int:
+    """All integer (a, b), 1 <= b <= N, |a| <= min(N, 2b): with h = N // 2,
+    rows b <= h hold 4b + 1 points and the others 2N + 1."""
+    h = N // 2
+    return 2 * h * (h + 1) + h + (N - h) * (2 * N + 1)
+
+
+def test_counts_past_int64_are_exact():
+    """Over Q at R = 10^10 the count passes 2^63; the quotient sums run on
+    Python ints and match the closed-form lattice count term by term."""
+    N = np.array([1, 2, 3, 10 ** 6 + 1, 10 ** 12, 3 * 10 ** 12 + 7], dtype=object)
+    got = N + _clipped_floor_sum(2, 1, 0, N) + _clipped_floor_sum(2, 1, 0, N)
+    assert got.tolist() == [_lattice_points_q(n) for n in N.tolist()]
+    assert max(got) > 2 ** 63
+    F = 10 ** 10
+    count = count_ball_interval(HeightBall(RATIONAL_FIELD, F), -2, 2)
+    assert count > 2 ** 63
+    assert count == mobius_sum((F,), lambda q: [_lattice_points_q(n) for n in q.tolist()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.integers(-40, 40),
+    q=st.integers(1, 40),
+    r=st.lists(st.integers(-3000, 3000), min_size=1, max_size=5),
+    N=st.integers(0, 60),
+    big=st.booleans(),
+)
+def test_clipped_floor_sum_matches_direct_sum(p, q, r, N, big):
+    """Against the summand added up b by b, in int64 and in Python ints."""
+    r = np.array(r, dtype=object if big else np.int64)
+    got = _clipped_floor_sum(p, q, r, N).tolist()
+    want = [sum(min(max((p * b + x) // q, -N - 1), N) for b in range(1, N + 1))
+            for x in r.tolist()]
+    assert got == want
+
+
+def test_qbox_count_matches_generalized_sieve():
+    for field in (RATIONAL_FIELD, quadratic_field(2), quadratic_field(3), quadratic_field(5)):
+        for R in (2, 3, 4, Fraction(37, 3), 50, 333, 2000):
+            if R < field.degree + 1:
+                continue
+            spec = QBoxSpec(field, R)
+            expected = generalized_sieve(spec, inner=False) - generalized_sieve(spec, inner=True)
+            assert qbox_count(spec) == expected
 
 
 def test_interval_validation_and_caps():

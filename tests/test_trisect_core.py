@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import ball_stream, phi_bound_check, phi_curve
+from trisectlab.cli import main as cli_main
 from trisectlab.errors import BadParameters, CapExceeded, OutOfRange
 from trisectlab.exact_arith import (
     RATIONAL_FIELD,
@@ -25,6 +26,7 @@ from trisectlab.exact_arith import (
 from trisectlab.height_enum import HeightBall, count_ball, enumerate_ball, enumerate_ball_interval
 from trisectlab.polyalg import IntPoly, rational_roots
 from trisectlab.trisect_core import (
+    CERT_MAX_DIGITS,
     PSECTION_MAX_P,
     SQUARE_FAMILY_MAX_H,
     WITNESS_MAX_M,
@@ -592,6 +594,33 @@ def test_verifier_caps_start_just_past_the_cap(kind, key, cap):
     data[key] = cap + 1
     with pytest.raises(CapExceeded):
         Certificate(kind, data).verify()
+
+
+@pytest.mark.parametrize(
+    "kind, data",
+    [
+        ("eisenstein-psection", {"p": 5, "c": 5, "dd": 10 ** 1000 + 1, "coeffs": []}),
+        ("eisenstein-psection", {"p": 5, "c": 5, "dd": 10 ** CERT_MAX_DIGITS + 1, "coeffs": []}),
+        ("eisenstein-3rs", {"r": 10 ** 5000, "s": 1, "prime": 3, "a": "", "coeffs": [],
+                            "in_range": False}),
+    ],
+)
+def test_digit_cap_refuses_huge_integers(kind, data):
+    """Integers whose rebuilt certificate would pass Python's int-to-str
+    limit get a typed refusal, not a bare ValueError."""
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="digits"):
+        Certificate(kind, data).verify()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_digit_cap_at_the_cli(capsys):
+    start = time.perf_counter()
+    assert cli_main(["nsect", "--p", "5", "--c", "5", "--d", "1" + "0" * 1000 + "1"]) == 3
+    assert time.perf_counter() - start < 1.0
+    capsys.readouterr()
+    assert cli_main(["nsect", "--p", "5", "--c", "5", "--d", "1" + "0" * 100 + "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
 
 
 def test_certificate_serialization_roundtrip():
