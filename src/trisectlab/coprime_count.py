@@ -9,7 +9,6 @@ assembles them into one record.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -203,25 +202,39 @@ def error_term_budget(box: Box) -> float:
     return gamma ** (box.k - 1)
 
 
-@functools.lru_cache(maxsize=32)
+# B_2, B_4, ..., B_12: the Bernoulli numbers of the Euler-Maclaurin tail.
+_BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+              Fraction(5, 66), Fraction(-691, 2730))
+# zeta's bracket always shrinks below 1/256 of the float spacing on [1, 2),
+# which holds every zeta(k): the result is correctly rounded unless zeta(k)
+# lies that close to a rounding boundary.
+_FLOAT_HALF_WIDTH = Fraction(1, 2 ** 60)
+
+
 def zeta(k: int, tol: float = 1e-12) -> float:
-    """zeta(k) within tol: partial sums plus the integral tail bound
-    N^(1-k)/(k-1); the returned value is the midpoint of the rigorous
-    bracket.  Memoized (bounded): zeta(2) sums about 10^6 terms."""
+    """zeta(k) within tol by Euler-Maclaurin in exact rationals: the partial
+    sum to N - 1, the tail integral N^(1-k)/(k-1), N^(-k)/2 and the
+    Bernoulli terms T_j = B_2j/(2j)! * k(k+1)...(k+2j-2) * N^(1-k-2j) for
+    j = 1..5.  As x^(-k) is completely monotone, the remainder lies between
+    0 and T_6; the returned value is the midpoint of that rigorous bracket,
+    rounded once to a float, and N doubles until its half-width |T_6|/2 is
+    at most both tol and ``_FLOAT_HALF_WIDTH``."""
     if k < 2:
         raise BadParameters("zeta requires k >= 2")
     if tol <= 0:
         raise BadParameters("tol must be positive")
-    n = 2
-    while True:
-        # tail lies in [hi_tail(n+1), hi_tail(n)]
-        lo = (n + 1) ** (1 - k) / (k - 1)
-        hi = n ** (1 - k) / (k - 1)
-        if (hi - lo) / 2 <= tol:
-            break
+
+    def bernoulli_term(j: int, n: int) -> Fraction:
+        rising = math.prod(range(k, k + 2 * j - 1))
+        return _BERNOULLI[j - 1] * rising / (math.factorial(2 * j) * n ** (k + 2 * j - 1))
+
+    n = 8
+    while abs(bernoulli_term(6, n)) / 2 > min(tol, _FLOAT_HALF_WIDTH):
         n *= 2
-    partial = math.fsum(i ** (-float(k)) for i in range(1, n + 1))
-    return partial + (lo + hi) / 2
+    total = sum(Fraction(1, i ** k) for i in range(1, n))
+    total += Fraction(1, (k - 1) * n ** (k - 1)) + Fraction(1, 2 * n ** k)
+    total += sum(bernoulli_term(j, n) for j in range(1, 6)) + bernoulli_term(6, n) / 2
+    return float(total)
 
 
 def lehmer_report(box: Box) -> CountReport:

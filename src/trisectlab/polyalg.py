@@ -3,17 +3,16 @@
 Dense polynomials with arbitrary-precision integer (:class:`IntPoly`) or
 rational (:class:`RatPoly`) coefficients, stored ascending with no trailing
 zero; the zero polynomial has degree -1.  On top of the ring arithmetic sit
-the Eisenstein test, rational root finding, fraction-free Sylvester
-resultants, cyclotomic polynomials, the minimal polynomials of 2*cos(2*pi/m),
-and the Chebyshev-like doubling family.
+the Eisenstein test, rational root finding, characteristic polynomials in
+Q[y]/(y^m - q) from power sums, cyclotomic polynomials, the minimal
+polynomials of 2*cos(2*pi/m), and the Chebyshev-like doubling family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, gcd
+from math import gcd
 
 from .errors import NotPrime
 
@@ -131,12 +130,6 @@ class IntPoly:
         return IntPoly(out)
 
     __rmul__ = __mul__
-
-    def shift(self, k: int) -> "IntPoly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return IntPoly((0,) * k + self.coeffs)
 
     def div_exact(self, other: "IntPoly") -> "IntPoly":
         """Exact division; raises if the remainder is nonzero."""
@@ -379,93 +372,72 @@ def rational_roots(p) -> set[Fraction]:
     return roots
 
 
-def _bareiss_det(mat: list[list[RatPoly]]) -> RatPoly:
-    """Fraction-free determinant of a matrix over Q[x]; all interior
-    divisions are exact."""
-    n = len(mat)
-    sign = 1
-    prev = RatPoly.const(1)
-    for r in range(n - 1):
-        if mat[r][r].is_zero():
-            for i in range(r + 1, n):
-                if not mat[i][r].is_zero():
-                    mat[r], mat[i] = mat[i], mat[r]
-                    sign = -sign
-                    break
-            else:
-                return RatPoly.zero()
-        pivot = mat[r][r]
-        for i in range(r + 1, n):
-            for j in range(r + 1, n):
-                num = pivot * mat[i][j] - mat[i][r] * mat[r][j]
-                mat[i][j] = num.div_exact(prev)
-            mat[i][r] = RatPoly.zero()
-        prev = pivot
-    det = mat[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def sylvester_resultant(a: list[RatPoly], b: list[RatPoly]) -> RatPoly:
-    """Resultant in y of two polynomials whose y-coefficients (ascending)
-    are themselves polynomials in x."""
-    m, n = len(a) - 1, len(b) - 1
-    size = m + n
-    zero = RatPoly.zero()
-    mat = []
-    arev = list(reversed(a))
-    brev = list(reversed(b))
-    for i in range(n):
-        mat.append([zero] * i + arev + [zero] * (n - 1 - i))
-    for i in range(m):
-        mat.append([zero] * i + brev + [zero] * (m - 1 - i))
-    return _bareiss_det(mat)
-
-
 def resultant_minpoly(m: int, q, g: RatPoly) -> IntPoly:
     """Characteristic polynomial of g(beta) for beta a root of y^m - q,
     as a primitive integer polynomial of degree m in x.
 
-    Computed as Res_y(y^m - q, g(y) - x) by fraction-free elimination of
-    the Sylvester matrix.
+    The charpoly of multiplication by g on Q[y]/(y^m - q) is the product
+    of x - g(beta_i) over the m roots beta_i.  Its power sums are the
+    traces p_k = m * [y^0](g^k mod y^m - q), and Newton's identities
+    k*e_k = sum_{i=1..k} (-1)^(i-1) * e_{k-i} * p_i turn them into the
+    elementary symmetric functions e_k, the coefficients up to sign:
+    O(m^2) exact operations.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if g.is_zero():
         raise ValueError("g must be nonzero")
     q = Fraction(q)
-    f1 = [RatPoly.const(-q)] + [RatPoly.zero()] * (m - 1) + [RatPoly.const(1)]
-    f2 = [RatPoly.const(c) for c in g.coeffs]
-    f2[0] = RatPoly((g.coeffs[0], Fraction(-1)))
-    res = sylvester_resultant(f1, f2)
-    out, _ = res.clear_denominators()
-    out = out.primitive()
-    if out.degree != m:
-        raise ValueError(f"resultant degree {out.degree} != {m}")
-    return out
+    red = [Fraction(0)] * m
+    for i, c in enumerate(g.coeffs):
+        red[i % m] += c * q ** (i // m)
+    terms = [(i, c) for i, c in enumerate(red) if c]
+    power = [Fraction(1)] + [Fraction(0)] * (m - 1)  # g^k mod y^m - q
+    p = [Fraction(0)]
+    for _ in range(m):
+        nxt = [Fraction(0)] * m
+        for i, c in terms:
+            for j, a in enumerate(power):
+                if a:
+                    if i + j < m:
+                        nxt[i + j] += c * a
+                    else:
+                        nxt[i + j - m] += c * a * q
+        power = nxt
+        p.append(m * power[0])
+    e = [Fraction(1)]
+    for k in range(1, m + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * p[i] for i in range(1, k + 1)) / k)
+    charpoly = RatPoly(tuple((-1) ** k * e[k] for k in range(m, -1, -1)))
+    return charpoly.clear_denominators()[0].primitive()
 
 
-@lru_cache(maxsize=None)
 def cyclotomic(m: int) -> IntPoly:
-    """The m-th cyclotomic polynomial, via x^m - 1 = prod of cyclotomics
-    over the divisors of m and exact division; degree phi(m)."""
+    """The m-th cyclotomic polynomial, degree phi(m): one exact division
+    Phi_np(x) = Phi_n(x^p) / Phi_n(x) per prime p of m, which builds Phi_r
+    for the radical r of m, then Phi_m(x) = Phi_r(x^(m/r))."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m == 1:
-        return IntPoly((-1, 1))
-    num = IntPoly((-1,) + (0,) * (m - 1) + (1,))
-    for e in divisors(m):
-        if e < m:
-            num = num.div_exact(cyclotomic(e))
-    return num
+
+    def at_power(poly: IntPoly, s: int) -> IntPoly:
+        out = [0] * (poly.degree * s + 1)
+        out[::s] = poly.coeffs
+        return IntPoly(out)
+
+    poly, r = IntPoly((-1, 1)), 1
+    for p in factorize(m):
+        poly, r = at_power(poly, p).div_exact(poly), r * p
+    return at_power(poly, m // r)
 
 
-@lru_cache(maxsize=None)
 def cos_minimal_poly(m: int) -> IntPoly:
     """Minimal polynomial over Q of 2*cos(2*pi/m): monic, degree phi(m)/2
     for m >= 3 and degree 1 for m in {1, 2}.
 
-    Extracted from the cyclotomic polynomial by the substitution
-    x = z + 1/z, solved exactly coefficient by coefficient.
+    The cyclotomic polynomial c is palindromic of degree 2h, so with
+    x = z + 1/z, z^(-h)*c(z) = c_h + sum_{j>=1} c_{h+j}*C_j(x) for the
+    Chebyshev-like C_j; that sum is evaluated by the Clenshaw recurrence
+    b_j = c_{h+j} + x*b_{j+1} - b_{j+2}, as x*b_1 - 2*b_2.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -474,27 +446,36 @@ def cos_minimal_poly(m: int) -> IntPoly:
     if m == 2:
         return IntPoly((2, 1))
     h = euler_phi(m) // 2
-    work = list(cyclotomic(m).coeffs)
-    out = [0] * (h + 1)
-    for j in range(h, -1, -1):
-        c = work[h + j]
-        out[j] = c
-        if c:
-            for i in range(j + 1):
-                work[h - j + 2 * i] -= c * comb(j, i)
-    if any(work):
-        raise AssertionError(f"symmetric extraction failed for m={m}")
+    c = cyclotomic(m).coeffs
+    if c[:h] != c[:h:-1]:
+        raise AssertionError(f"cyclotomic({m}) is not palindromic")
+    b1, b2 = [], []  # ascending coefficients of b_{j+1} and b_{j+2}
+    for j in range(h, 0, -1):
+        b = [0] + b1
+        b[: len(b2)] = [u - v for u, v in zip(b, b2)]
+        b[0] += c[h + j]
+        b1, b2 = b, b1
+    out = [0] + b1
+    out[: len(b2)] = [u - 2 * v for u, v in zip(out, b2)]
+    out[0] += c[h]
     return IntPoly(out)
 
 
 def chebyshev_like(n: int) -> IntPoly:
     """C_n with C_0 = 2, C_1 = x, C_{n+1} = x*C_n - C_{n-1}; satisfies
-    C_n(2*cos t) = 2*cos(n*t)."""
+    C_n(2*cos t) = 2*cos(n*t).
+
+    Built from the closed form: for n >= 1 the coefficient of x^(n-2k) is
+    a_k = (-1)^k * n/(n-k) * binom(n-k, k), and
+    a_{k+1} = -a_k * (n-2k)*(n-2k-1) / ((k+1)*(n-k-1)), an exact division.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    prev, cur = IntPoly((2,)), IntPoly((0, 1))
     if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, cur.shift(1) - prev
-    return cur
+        return IntPoly((2,))
+    out = [0] * n + [1]
+    a = 1
+    for k in range(n // 2):
+        a = -a * (n - 2 * k) * (n - 2 * k - 1) // ((k + 1) * (n - k - 1))
+        out[n - 2 * k - 2] = a
+    return IntPoly(out)

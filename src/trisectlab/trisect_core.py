@@ -404,11 +404,12 @@ def eisenstein_cert_3rs(r: int, s: int) -> Certificate:
 
 
 # Largest value of the parameter that a verifier's re-run grows with (the
-# height H, the prime p, the degree m).  Each sits where the slowest
-# accepted verify takes about 1 s (Python 3.11 on a 2-CPU x86 VM); past it,
-# or past CERT_MAX_DIGITS digits in any integer a certificate holds (below
-# Python's 4,300-digit int-to-str limit), verify raises ``CapExceeded``.
-# Never read from the data.
+# height H, the prime p, the degree m).  H and p sit where the slowest
+# accepted verify takes about 1 s (Python 3.11 on a 2-CPU x86 VM); at m = 31
+# it takes about 0.13 s (q = 2^31 - 1), a cap kept so `witness --m` accepts
+# the same range.  Past a cap, or past CERT_MAX_DIGITS digits in any integer
+# a certificate holds (below Python's 4,300-digit int-to-str limit), verify
+# raises ``CapExceeded``.  Never read from the data.
 SQUARE_FAMILY_MAX_H = 500_000
 PSECTION_MAX_P = 601
 WITNESS_MAX_M = 31
@@ -577,10 +578,11 @@ def nonconstructible_witness(m: int, q: int) -> Certificate:
     degree m > 1, hence not constructible (constructible degrees are powers
     of two).
 
-    The minimal polynomial of a is the Sylvester resultant eliminating the
-    radical; the degree is certified exactly m by a squarefreeness check,
-    which in particular rejects the collapse to an m-th power of a linear
-    polynomial.
+    The minimal polynomial of a is the characteristic polynomial of
+    f(beta) over Q(beta), beta^m = q, from its power sums (traces) and
+    Newton's identities; the degree is certified exactly m by a
+    squarefreeness check, which in particular rejects the collapse to an
+    m-th power of a linear polynomial.
     """
     if m < 2 or m % 2 == 0 or m % 3 == 0:
         raise BadParameters("m must be odd, > 1, and prime to 3")

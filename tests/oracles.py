@@ -13,6 +13,7 @@ import numpy as np
 from trisectlab.errors import BadParameters
 from trisectlab.exact_arith import QuadElem
 from trisectlab.height_enum import _row_blocks
+from trisectlab.polyalg import IntPoly, RatPoly, cyclotomic, euler_phi
 
 
 def mobius(j: int) -> int:
@@ -212,3 +213,90 @@ def ball_stream(ball, lo: Fraction | None = None, hi: Fraction | None = None):
         for a in range(a_lo, a_hi + 1):
             if gcd(g, a) == 1:
                 yield QuadElem(a1, a, b, d) if d else Fraction(a, b)
+
+
+def _bareiss_det(mat: list[list[RatPoly]]) -> RatPoly:
+    """Fraction-free determinant of a matrix over Q[x]; all interior
+    divisions are exact."""
+    n = len(mat)
+    sign = 1
+    prev = RatPoly.const(1)
+    for r in range(n - 1):
+        if mat[r][r].is_zero():
+            for i in range(r + 1, n):
+                if not mat[i][r].is_zero():
+                    mat[r], mat[i] = mat[i], mat[r]
+                    sign = -sign
+                    break
+            else:
+                return RatPoly.zero()
+        pivot = mat[r][r]
+        for i in range(r + 1, n):
+            for j in range(r + 1, n):
+                num = pivot * mat[i][j] - mat[i][r] * mat[r][j]
+                mat[i][j] = num.div_exact(prev)
+            mat[i][r] = RatPoly.zero()
+        prev = pivot
+    det = mat[n - 1][n - 1]
+    return det if sign == 1 else -det
+
+
+def sylvester_resultant(a: list[RatPoly], b: list[RatPoly]) -> RatPoly:
+    """Resultant in y of two polynomials whose y-coefficients (ascending)
+    are themselves polynomials in x."""
+    m, n = len(a) - 1, len(b) - 1
+    zero = RatPoly.zero()
+    mat = []
+    arev = list(reversed(a))
+    brev = list(reversed(b))
+    for i in range(n):
+        mat.append([zero] * i + arev + [zero] * (n - 1 - i))
+    for i in range(m):
+        mat.append([zero] * i + brev + [zero] * (m - 1 - i))
+    return _bareiss_det(mat)
+
+
+def sylvester_minpoly(m: int, q, g: RatPoly) -> IntPoly:
+    """Res_y(y^m - q, g(y) - x) by fraction-free elimination of the
+    Sylvester matrix, made primitive: the reference for
+    ``polyalg.resultant_minpoly``."""
+    q = Fraction(q)
+    f1 = [RatPoly.const(-q)] + [RatPoly.zero()] * (m - 1) + [RatPoly.const(1)]
+    f2 = [RatPoly.const(c) for c in g.coeffs]
+    f2[0] = RatPoly((g.coeffs[0], Fraction(-1)))
+    out, _ = sylvester_resultant(f1, f2).clear_denominators()
+    return out.primitive()
+
+
+def cos_minimal_poly_extraction(m: int) -> IntPoly:
+    """The minimal polynomial of 2*cos(2*pi/m), m >= 3, extracted from the
+    cyclotomic polynomial by the substitution x = z + 1/z, solved
+    coefficient by coefficient with binomial back-substitution: the
+    reference for ``polyalg.cos_minimal_poly``."""
+    h = euler_phi(m) // 2
+    work = list(cyclotomic(m).coeffs)
+    out = [0] * (h + 1)
+    for j in range(h, -1, -1):
+        c = work[h + j]
+        out[j] = c
+        if c:
+            for i in range(j + 1):
+                work[h - j + 2 * i] -= c * math.comb(j, i)
+    if any(work):
+        raise AssertionError(f"symmetric extraction failed for m={m}")
+    return IntPoly(out)
+
+
+def zeta_partial_sums(k: int, tol: float) -> float:
+    """zeta(k) within tol from the partial sum to n plus the midpoint of
+    the integral tail bracket [(n+1)^(1-k), n^(1-k)]/(k-1), n doubled until
+    the bracket's half-width is at most tol: the reference for
+    ``coprime_count.zeta``."""
+    n = 2
+    while True:
+        lo = (n + 1) ** (1 - k) / (k - 1)
+        hi = n ** (1 - k) / (k - 1)
+        if (hi - lo) / 2 <= tol:
+            break
+        n *= 2
+    return math.fsum(i ** (-float(k)) for i in range(1, n + 1)) + (lo + hi) / 2

@@ -7,12 +7,20 @@ import random
 import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import coprime_count_table, mobius, mobius_table, sieve_count_loop, sieve_count_table
+from oracles import (
+    coprime_count_table,
+    mobius,
+    mobius_table,
+    sieve_count_loop,
+    sieve_count_table,
+    zeta_partial_sums,
+)
 from trisectlab.cli import main as cli_main
 from trisectlab.coprime_count import (
     Box,
@@ -164,6 +172,24 @@ def test_zeta_values():
     assert zeta(2) == pytest.approx(math.pi ** 2 / 6, abs=1e-10)
     assert zeta(4) == pytest.approx(math.pi ** 4 / 90, abs=1e-10)
     assert zeta(3, tol=1e-9) == pytest.approx(1.2020569031595943, abs=1e-8)
+
+
+def test_zeta_is_correctly_rounded():
+    with mpmath.workdps(40):
+        for k in range(2, 12):
+            assert zeta(k) == float(mpmath.zeta(k)), k
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+def test_zeta_within_tol(tol):
+    """The Euler-Maclaurin midpoint lies within tol of zeta(k), and within
+    2*tol of the partial-sum reference."""
+    with mpmath.workdps(30):
+        for k in range(2, 9):
+            got = zeta(k, tol)
+            assert abs(got - mpmath.zeta(k)) <= tol
+            if tol >= 1e-9:
+                assert abs(got - zeta_partial_sums(k, tol)) <= 2 * tol
 
 
 def test_perturbation_bound():

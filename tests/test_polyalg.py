@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import cos_minimal_poly_extraction, sylvester_minpoly
 from trisectlab.errors import NotPrime
 from trisectlab.polyalg import (
     IntPoly,
@@ -22,6 +23,7 @@ from trisectlab.polyalg import (
 )
 
 int_polys = st.lists(st.integers(-9, 9), max_size=6).map(IntPoly)
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 
 
 def test_normalization_and_degree_sentinel():
@@ -97,6 +99,16 @@ def test_resultant_numeric_property(m, q):
         assert abs(poly.evaluate(beta ** 3 - 3 * beta)) < mpmath.mpf(2) ** -100
 
 
+@given(st.integers(1, 9), rationals,
+       st.lists(rationals, min_size=1, max_size=6).map(RatPoly).filter(lambda g: not g.is_zero()))
+@settings(max_examples=100, deadline=None)
+def test_resultant_matches_sylvester_oracle(m, q, g):
+    """Power sums and Newton's identities give the primitive Sylvester
+    resultant for every m, rational q (0 and negative included) and
+    nonzero g, constant g included."""
+    assert resultant_minpoly(m, q, g) == sylvester_minpoly(m, q, g)
+
+
 def test_cyclotomic_examples():
     assert cyclotomic(1) == IntPoly((-1, 1))
     assert cyclotomic(2) == IntPoly((1, 1))
@@ -137,6 +149,19 @@ def test_cos_minimal_poly_up_to_60():
             assert abs(psi.evaluate(x)) < mpmath.mpf(10) ** -25
 
 
+def test_cos_minimal_poly_matches_extraction():
+    for m in list(range(3, 401)) + [3072]:
+        assert cos_minimal_poly(m) == cos_minimal_poly_extraction(m)
+
+
+def test_cos_minimal_poly_refuses_non_palindromic_cyclotomic(monkeypatch):
+    import trisectlab.polyalg as polyalg
+
+    monkeypatch.setattr(polyalg, "cyclotomic", lambda m: IntPoly((1, 1, 1, 0, 1)))
+    with pytest.raises(AssertionError):
+        polyalg.cos_minimal_poly(5)
+
+
 def test_chebyshev_examples_and_identity():
     assert chebyshev_like(2) == IntPoly((-2, 0, 1))
     assert chebyshev_like(1) == IntPoly((0, 1))
@@ -147,6 +172,13 @@ def test_chebyshev_examples_and_identity():
             for k in range(7):
                 t = mpmath.mpf(1) / 7 + k
                 assert abs(poly.evaluate(2 * mpmath.cos(t)) - 2 * mpmath.cos(n * t)) < mpmath.mpf(10) ** -30
+
+
+def test_chebyshev_closed_form_obeys_recurrence():
+    x = IntPoly((0, 1))
+    assert chebyshev_like(0) == IntPoly((2,))
+    for n in range(1, 200):
+        assert chebyshev_like(n + 1) == x * chebyshev_like(n) - chebyshev_like(n - 1)
 
 
 def test_chebyshev_matches_doubling_tower():

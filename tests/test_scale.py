@@ -1,4 +1,4 @@
-"""Scale runs of the exact counts, timed.
+"""Scale runs of the exact counts and of the largest witness, timed.
 
 Each check runs in a fresh interpreter, so its peak resident memory is its
 own, and prints one JSON line {"check", "elapsed_s", "limit_s", "peak_mb"}
@@ -13,7 +13,6 @@ import sys
 
 import pytest
 
-LIMIT_S = 3.0
 PEAK_MB = 250.0
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -22,6 +21,7 @@ import json, resource, sys, time
 from trisectlab.coprime_count import Box, lehmer_report
 from trisectlab.exact_arith import RATIONAL_FIELD, quadratic_field
 from trisectlab.height_enum import HeightBall, count_ball_interval
+from trisectlab.trisect_core import nonconstructible_witness
 start = time.perf_counter()
 value = {call}
 elapsed = time.perf_counter() - start
@@ -29,34 +29,44 @@ peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({{"value": value, "elapsed_s": elapsed, "peak_mb": peak_mb}}))
 """
 
-# check -> (call, exact value).  The Q count is also checked against the
-# closed-form lattice count in test_height_enum; lehmer is 2*Phi(10^9) - 1.
+# check -> (call, exact value, time limit in seconds).  The Q count is also
+# checked against the closed-form lattice count in test_height_enum; lehmer
+# is 2*Phi(10^9) - 1.  The witness at WITNESS_MAX_M = 31 is produced and
+# verified, which builds it twice, as `trisectlab witness --m 31 --q 2` does.
 SCALE_RUNS = {
     "count-interval-q-1e9": (
         "count_ball_interval(HeightBall(RATIONAL_FIELD, 10 ** 9), -2, 2)",
         911890653519025243,
+        3.0,
     ),
     "count-interval-sqrt2-1e6": (
         "count_ball_interval(HeightBall(quadratic_field(2), 10 ** 6), -2, 2)",
         1962022216192268733,
+        3.0,
     ),
     "lehmer-1e9-1e9": (
         "lehmer_report(Box(('1e9', '1e9'))).count",
         607927102346016827,
+        3.0,
+    ),
+    "witness-31-2": (
+        "nonconstructible_witness(31, 2).verify()",
+        True,
+        1.0,
     ),
 }
 
 
 @pytest.mark.parametrize("check", list(SCALE_RUNS))
 def test_scale_run(check):
-    call, expected = SCALE_RUNS[check]
+    call, expected, limit_s = SCALE_RUNS[check]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", _RUN.format(call=call)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     result = json.loads(proc.stdout.splitlines()[-1])
     print(json.dumps({"check": check, "elapsed_s": round(result["elapsed_s"], 4),
-                      "limit_s": LIMIT_S, "peak_mb": round(result["peak_mb"], 1)}))
+                      "limit_s": limit_s, "peak_mb": round(result["peak_mb"], 1)}))
     assert result["value"] == expected
-    assert result["elapsed_s"] < LIMIT_S
+    assert result["elapsed_s"] < limit_s
     assert result["peak_mb"] < PEAK_MB

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import ball_stream, phi_bound_check, phi_curve
+from oracles import ball_stream, phi_bound_check, phi_curve, sylvester_minpoly
 from trisectlab.cli import main as cli_main
 from trisectlab.errors import BadParameters, CapExceeded, OutOfRange
 from trisectlab.exact_arith import (
@@ -27,6 +27,7 @@ from trisectlab.height_enum import HeightBall, count_ball, enumerate_ball, enume
 from trisectlab.polyalg import IntPoly, rational_roots
 from trisectlab.trisect_core import (
     CERT_MAX_DIGITS,
+    F_CUBIC,
     PSECTION_MAX_P,
     SQUARE_FAMILY_MAX_H,
     WITNESS_MAX_M,
@@ -530,6 +531,12 @@ def test_nonconstructible_witness_examples():
     for bad in ((3, 2), (4, 2), (2, 2), (1, 2), (5, 4), (5, 37)):
         with pytest.raises(BadParameters):
             nonconstructible_witness(*bad)
+
+
+@pytest.mark.parametrize("m,q", [(5, 2), (7, 2), (11, 2), (13, 3), (17, 2), (19, 2), (23, 5)])
+def test_witness_minpoly_matches_sylvester_oracle(m, q):
+    got = nonconstructible_witness(m, q).data["minpoly"]
+    assert got == sylvester_minpoly(m, q, F_CUBIC).coeff_strings()
 
 
 @pytest.mark.parametrize(
