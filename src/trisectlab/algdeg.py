@@ -272,16 +272,24 @@ def identity_suite(N: int) -> dict:
     """Check all eight identities for 1 <= n <= N: exactly over
     Q(sqrt(2), sqrt(3)) while every quantity lives there (n <= 2), by
     certified interval arithmetic beyond; also re-derives the tabulated
-    values for n <= 2 against their defining cosines."""
+    values for n <= 2 against their defining cosines.  The interval values
+    for n <= max(N, 2) are built once per working precision of this call:
+    the value at n depends only on n and the precision."""
     if N < 1:
         raise BadParameters("N must be >= 1")
+    tables = {}
+
+    def values(iv) -> dict:
+        if iv.prec not in tables:
+            tables[iv.prec] = _interval_values(iv, max(N, 2))
+        return tables[iv.prec]
+
     records = []
     table_ok = True
     for name, col in TABLE.items():
         for n, exact in col.items():
             ok, width = _interval_zero(
-                lambda iv, name=name, n=n, exact=exact: exact.interval(iv)
-                - _interval_values(iv, n)[name][n]
+                lambda iv, name=name, n=n, exact=exact: exact.interval(iv) - values(iv)[name][n]
             )
             table_ok = table_ok and ok
             records.append(
@@ -296,9 +304,7 @@ def identity_suite(N: int) -> dict:
         else:
             for name, lhs, rhs in IDENTITIES:
                 ok, width = _interval_zero(
-                    lambda iv, name=name, n=n, lhs=lhs, rhs=rhs: (
-                        lambda vals: lhs(vals, n) - rhs(vals, n)
-                    )(_interval_values(iv, n))
+                    lambda iv, n=n, lhs=lhs, rhs=rhs: lhs(values(iv), n) - rhs(values(iv), n)
                 )
                 records.append(
                     {"check": name, "n": n, "method": "interval", "ok": ok, "width": width}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -339,7 +340,10 @@ def _run_verify(config: RunConfig) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="trisectlab",
         description="exact decision, counting, and certificate workbench for "

@@ -10,6 +10,9 @@ blocks of rows, so memory per block is bounded whatever the height.  Its
 interval clip is exact integer arithmetic (a float square root corrected
 by integer steps), and inputs whose clip terms could pass 2^62 are refused
 with ``CapExceeded`` up front: that is the kernel's int64 domain.
+:func:`_expand_rows` turns rows into elements, for the streams and for
+:func:`qbox`, whose member check runs on int64 blocks of the certified
+sub-box and samples it with the per-member ``random.Random(seed)`` stream.
 
 Counts never walk rows: |B(R) ∩ [lo, hi]| is the Moebius sum
 sum_e mu(e) * L(floor(R/e)) of :func:`coprime_count.mobius_sum`, with L
@@ -24,13 +27,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
 from .coprime_count import mobius_sum, zeta
 from .errors import BadParameters, CapExceeded
-from .exact_arith import FieldDescriptor, QuadElem, in_interval
+from .exact_arith import FieldDescriptor, QuadElem
 
 DEFAULT_ENUM_CAP = 20_000_000
 
@@ -122,10 +125,7 @@ def _row_blocks(ball: HeightBall, lo: Fraction | None, hi: Fraction | None, rows
     if lo is not None:
         for e in (lo, hi):
             check_int64((abs(e.numerator) + e.denominator) ** 2 * F * F * d, "interval clip")
-    for start in range(0, F * width, rows):
-        idx = np.arange(start, min(start + rows, F * width), dtype=np.int64)
-        b = idx // width + 1
-        a1 = idx % width - (F if d > 1 else 0)
+    for b, a1 in _grid(1, F, -F if d > 1 else 0, width, rows):
         a_lo = np.full_like(b, -F)
         a_hi = np.full_like(b, F)
         if lo is not None:
@@ -136,20 +136,40 @@ def _row_blocks(ball: HeightBall, lo: Fraction | None, hi: Fraction | None, rows
         yield b, a1, a_lo, a_hi, np.gcd(a1, b)
 
 
+def _grid(b_first: int, b_count: int, a1_first: int, a1_count: int, rows: int):
+    """The (b, a1) grid b_first <= b < b_first + b_count, a1_first <= a1 <
+    a1_first + a1_count as int64 arrays, in (b, a1) order over consecutive
+    blocks of at most ``rows`` rows."""
+    total = b_count * a1_count
+    for start in range(0, total, rows):
+        idx = np.arange(start, min(start + rows, total), dtype=np.int64)
+        yield idx // a1_count + b_first, idx % a1_count + a1_first
+
+
+def _expand_rows(b, a1, a_lo, a_hi, g):
+    """The elements of rows (b, a1, a_lo, a_hi, g) as int64 arrays
+    (b, a1, a), in row order and ascending a within a row: a ragged arange
+    expands each row, and a is kept when gcd(a, g) = 1, which needs no
+    test on the rows with g = 1."""
+    n = np.maximum(a_hi - a_lo + 1, 0)
+    row = np.repeat(np.arange(len(n)), n)
+    a = np.arange(len(row), dtype=np.int64) - np.repeat(np.cumsum(n) - n, n) + a_lo[row]
+    keep = np.ones(len(a), dtype=bool)
+    test = g > 1
+    tested = np.repeat(test, n)
+    keep[tested] = np.gcd(np.repeat(g[test], n[test]), a[tested]) == 1
+    row = row[keep]
+    return b[row], a1[row], a[keep]
+
+
 def element_blocks(ball: HeightBall, lo: Fraction | None = None, hi: Fraction | None = None):
     """The elements of the rows of :func:`_row_blocks` as int64 arrays
-    (b, a1, a) per block, in row order and ascending a within a row: each
-    row is expanded by a ragged arange and filtered to gcd(a, g) = 1.  A
-    block covers at most ``BLOCK_CELLS`` (row, coordinate) cells, or one
-    row when a row is wider."""
+    (b, a1, a) per block, by :func:`_expand_rows`.  A block covers at most
+    ``BLOCK_CELLS`` (row, coordinate) cells, or one row when a row is
+    wider."""
     rows = max(1, BLOCK_CELLS // (2 * ball.bound + 1))
-    for b, a1, a_lo, a_hi, g in _row_blocks(ball, lo, hi, rows):
-        n = np.maximum(a_hi - a_lo + 1, 0)
-        row = np.repeat(np.arange(len(n)), n)
-        a = np.arange(len(row), dtype=np.int64) - np.repeat(np.cumsum(n) - n, n) + a_lo[row]
-        keep = np.gcd(a, g[row]) == 1
-        row, a = row[keep], a[keep]
-        yield b[row], a1[row], a
+    for block in _row_blocks(ball, lo, hi, rows):
+        yield _expand_rows(*block)
 
 
 def _stream(ball: HeightBall, lo: Fraction | None = None, hi: Fraction | None = None):
@@ -324,52 +344,67 @@ def qbox_main_term(spec: QBoxSpec) -> float:
     return 2 ** k * R ** (k + 1) / ((k + 1) ** (k + 1) * norm * zeta(k + 1))
 
 
-def _qbox_members(spec: QBoxSpec):
-    """Enumerate the (a..., b) tuples of the box difference."""
-    n, m = spec.side_floors()
-    k = spec.field.degree
-    b_lo, b_hi = m[-1] + 1, n[-1]
-    if k == 1:
-        for b in range(b_lo, b_hi + 1):
-            for a in range(1, n[0] + 1):
-                if gcd(a, b) == 1:
-                    yield (a, b)
-        return
-    for b in range(b_lo, b_hi + 1):
-        for a1 in range(1, n[0] + 1):
-            g1 = gcd(a1, b)
-            for a2 in range(1, n[1] + 1):
-                if gcd(g1, a2) == 1:
-                    yield (a1, a2, b)
+def _draws(rng: random.Random, n: int) -> np.ndarray:
+    """The next n values of ``rng.random()`` as one array, leaving ``rng``
+    in the same state.  ``random()`` is ((w0 >> 5)*2^26 + (w1 >> 6))/2^53
+    for the next two 32-bit outputs w0, w1 of the generator, and
+    ``getrandbits(64*n)`` holds the next 2n outputs as little-endian
+    words, the first lowest."""
+    if n == 0:
+        return np.empty(0)
+    w = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4")
+    return ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) / 9007199254740992.0
+
+
+def _sign_lin(x: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:
+    """Elementwise :func:`exact_arith.sign_lin`, squaring once where the
+    signs of x and y are opposite."""
+    sx, sy = np.sign(x), np.sign(y)
+    return np.where(sx * sy < 0, np.where(x * x > d * y * y, sx, sy), np.sign(sx + sy))
+
+
+def _outside(x1: np.ndarray, x2: np.ndarray, b: np.ndarray, d: int, F: int) -> np.ndarray:
+    """Elementwise: (x1 + x2*sqrt(d))/b has a coordinate above F or lies
+    outside [-2, 2], by the two sign tests of :func:`exact_arith.in_interval`
+    (over Q, with x2 = 0, they read -2b <= x1 <= 2b)."""
+    inside = (_sign_lin(x1 + 2 * b, x2, d) >= 0) & (_sign_lin(2 * b - x1, -x2, d) >= 0)
+    return (np.maximum(np.maximum(x1, x2), b) > F) | ~inside
 
 
 def qbox(spec: QBoxSpec, sample_cap: int = 200_000, seed: int = 0) -> dict:
-    """Count the box difference and verify, element by element (or on a
-    random sample above ``sample_cap``), that every member lies in B(R)
-    and in [-2, 2] exactly; over Q that is the integer test
-    -2b <= a <= 2b."""
+    """Count the box difference and check exactly, in int64, that every
+    member lies in B(R) ∩ [-2, 2].
+
+    The members are the rows b in (m_last, n_last] (and a1 in [1, n_0]
+    over Q(sqrt(d))), each with the last coordinate in [1, n_(k-1)] prime
+    to gcd(a1, b); Q runs with a1 = 0.  Above ``sample_cap`` only a sample
+    is checked: one ``random.Random(seed).random()`` per member, in member
+    order and drawn in blocks, keeps the member when it is at most
+    sample_cap/count.  The check is :func:`_outside` with F = floor(R).
+    Squares past 2^62 raise ``CapExceeded`` up front.
+    """
     count = qbox_count(spec)
     main = qbox_main_term(spec)
     F = spec.R.numerator // spec.R.denominator
-    checked = 0
-    violations = 0
+    d = spec.field.d or 1
+    check_int64(9 * d * F * F, "box member check")
     rng = random.Random(seed)
     keep_all = count <= sample_cap
     keep_prob = 1.0 if keep_all else sample_cap / max(count, 1)
-    for tup in _qbox_members(spec):
-        if not keep_all and rng.random() > keep_prob:
-            continue
-        checked += 1
-        *nums, b = tup
-        if max(*nums, b) > F:
-            violations += 1
-            continue
-        if spec.field.degree == 1:
-            inside = -2 * b <= nums[0] <= 2 * b
-        else:
-            inside = in_interval(QuadElem(nums[0], nums[1], b, spec.field.d), -2, 2)
-        if not inside:
-            violations += 1
+    checked = 0
+    violations = 0
+    n, m = spec.side_floors()
+    quad = spec.field.degree == 2
+    rows = max(1, BLOCK_CELLS // max(n[-2], 1))
+    for b, a1 in _grid(m[-1] + 1, n[-1] - m[-1], int(quad), n[0] if quad else 1, rows):
+        ones = np.ones_like(b)
+        b, a1, a = _expand_rows(b, a1, ones, n[-2] * ones, np.gcd(a1, b))
+        if not keep_all:
+            kept = _draws(rng, len(a)) <= keep_prob
+            b, a1, a = b[kept], a1[kept], a[kept]
+        x1, x2 = (a1, a) if quad else (a, a1)
+        checked += len(b)
+        violations += int(np.count_nonzero(_outside(x1, x2, b, d, F)))
     return {
         "field": spec.field.label(),
         "d": spec.field.d,

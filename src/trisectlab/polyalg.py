@@ -71,22 +71,24 @@ def _trim(coeffs):
     return tuple(coeffs[:end])
 
 
-@dataclass(frozen=True)
-class IntPoly:
-    """Dense integer polynomial, coefficients ascending."""
+class _Poly:
+    """Ring operations shared by :class:`IntPoly` and :class:`RatPoly`; a
+    subclass names its coefficient type ``_coeff``, and a product with
+    anything that is not a polynomial scales the coefficients."""
 
-    coeffs: tuple[int, ...]
+    coeffs: tuple
+    _coeff = int
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _trim(tuple(int(c) for c in coeffs)))
+        object.__setattr__(self, "coeffs", _trim(tuple(self._coeff(c) for c in coeffs)))
 
-    @staticmethod
-    def zero() -> "IntPoly":
-        return IntPoly(())
+    @classmethod
+    def zero(cls):
+        return cls(())
 
-    @staticmethod
-    def const(c: int) -> "IntPoly":
-        return IntPoly((c,))
+    @classmethod
+    def const(cls, c):
+        return cls((c,))
 
     @property
     def degree(self) -> int:
@@ -95,41 +97,62 @@ class IntPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __getitem__(self, i: int) -> int:
+    def __getitem__(self, i: int):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     @property
-    def leading(self) -> int:
+    def leading(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def __add__(self, other: "IntPoly") -> "IntPoly":
+    def __add__(self, other):
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPoly(out)
+        return type(self)(out)
 
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self.coeffs))
+    def __neg__(self):
+        return type(self)(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly(tuple(c * other for c in self.coeffs))
+        if not isinstance(other, _Poly):
+            return type(self)(tuple(c * other for c in self.coeffs))
         out = [0] * (len(self.coeffs) + len(other.coeffs))
         for i, c in enumerate(self.coeffs):
             if c:
                 for j, e in enumerate(other.coeffs):
                     out[i + j] += c * e
-        return IntPoly(out)
+        return type(self)(out)
 
     __rmul__ = __mul__
+
+    def evaluate(self, x):
+        """Horner evaluation; works for int, Fraction, or mpmath types."""
+        acc = 0 * x
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def __str__(self) -> str:
+        return poly_text(self.coeffs)
+
+    def coeff_strings(self) -> list[str]:
+        """JSON encoding: ascending coefficients as decimal strings."""
+        return [str(c) for c in self.coeffs]
+
+
+@dataclass(frozen=True, init=False)
+class IntPoly(_Poly):
+    """Dense integer polynomial, coefficients ascending."""
+
+    coeffs: tuple[int, ...]
 
     def div_exact(self, other: "IntPoly") -> "IntPoly":
         """Exact division; raises if the remainder is nonzero."""
@@ -152,13 +175,6 @@ class IntPoly:
         if any(rem):
             raise ValueError(f"{self} not divisible by {other}")
         return IntPoly(quo)
-
-    def evaluate(self, x):
-        """Horner evaluation; works for int, Fraction, or mpmath types."""
-        acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def compose(self, inner: "IntPoly") -> "IntPoly":
         acc = IntPoly.zero()
@@ -184,72 +200,15 @@ class IntPoly:
         return IntPoly(tuple(c // g for c in self.coeffs))
 
     def to_rat(self) -> "RatPoly":
-        return RatPoly(tuple(Fraction(c) for c in self.coeffs))
-
-    def __str__(self) -> str:
-        return poly_text(self.coeffs)
-
-    def coeff_strings(self) -> list[str]:
-        """JSON encoding: ascending coefficients as decimal strings."""
-        return [str(c) for c in self.coeffs]
+        return RatPoly(self.coeffs)
 
 
-@dataclass(frozen=True)
-class RatPoly:
+@dataclass(frozen=True, init=False)
+class RatPoly(_Poly):
     """Dense rational polynomial, coefficients ascending."""
 
     coeffs: tuple[Fraction, ...]
-
-    def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _trim(tuple(Fraction(c) for c in coeffs)))
-
-    @staticmethod
-    def zero() -> "RatPoly":
-        return RatPoly(())
-
-    @staticmethod
-    def const(c) -> "RatPoly":
-        return RatPoly((Fraction(c),))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __add__(self, other: "RatPoly") -> "RatPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
-
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "RatPoly":
-        return RatPoly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatPoly(tuple(c * other for c in self.coeffs))
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j, e in enumerate(other.coeffs):
-                    out[i + j] += c * e
-        return RatPoly(out)
-
-    __rmul__ = __mul__
+    _coeff = Fraction
 
     def divmod(self, other: "RatPoly"):
         if other.is_zero():
@@ -274,12 +233,6 @@ class RatPoly:
             raise ValueError(f"{self} not divisible by {other}")
         return quo
 
-    def evaluate(self, x):
-        acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def monic(self) -> "RatPoly":
         if self.is_zero():
             return self
@@ -299,12 +252,6 @@ class RatPoly:
         while not b.is_zero():
             a, b = b, a.divmod(b)[1]
         return a.monic() if not a.is_zero() else a
-
-    def __str__(self) -> str:
-        return poly_text(self.coeffs)
-
-    def coeff_strings(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
 
 
 def poly_text(coeffs) -> str:

@@ -195,26 +195,30 @@ def apply_f(x):
 
 def _images(x1: np.ndarray, x2: np.ndarray, b: np.ndarray, d: int):
     """:func:`raw_image` over int64 arrays of canonical (x1 + x2*sqrt(d))/b:
-    returns the reduced image coordinates A1/G, A2/G, B/G and G.  Q is the
-    case x2 = 0, d = 1.
+    returns the image coordinates A1, A2, B = b^3 before reduction and
+    G = gcd(A1, A2, B).  Q is the case x2 = 0, d = 1.
 
+    Every prime of G divides b, so G is taken on small numbers first:
+    g0 = gcd(b, A1, A2), then G = gcd(g0^3, A1, A2), since
+    min(v_p(A1), v_p(A2), 3*v_p(b)) = min(v_p(A1), v_p(A2), 3*v_p(g0))
+    at every prime p; where g0 = 1 that is one step.
     Raises ``GcdBoundViolated`` when some G does not divide 8d.  Domain:
     with S the largest coordinate, every intermediate is at most
     (4 + 3d)*S^3 in magnitude; each caller refuses up front, with
     ``CapExceeded``, a height where that could pass 2^62.
     """
-    bb = 3 * b * b
-    A1 = x1 * (x1 * x1 + 3 * d * x2 * x2 - bb)
-    A2 = x2 * (3 * x1 * x1 + d * x2 * x2 - bb)
-    B = b * b * b
-    G = np.gcd(np.gcd(A1, B), A2)
+    bb, s1, s2 = 3 * b * b, x1 * x1, d * x2 * x2
+    A1 = x1 * (s1 + 3 * s2 - bb)
+    A2 = x2 * (3 * s1 + s2 - bb)
+    g0 = np.gcd(np.gcd(b, A1), A2)
+    G = np.gcd(np.gcd(g0 * g0 * g0, A1), A2)
     bad = np.flatnonzero((8 * d) % G)
     if bad.size:
         i = bad[0]
         x1, x2, b = int(x1[i]), int(x2[i]), int(b[i])
         x = QuadElem(x1, x2, b, d) if d > 1 else Fraction(x1, b)
         raise GcdBoundViolated(f"G | 8d fails at {x}")
-    return A1 // G, A2 // G, B // G, G
+    return A1, A2, b * b * b, G
 
 
 def preimage_bound(field: FieldDescriptor, R) -> Fraction:
@@ -550,8 +554,8 @@ def density_experiment(
     for b, a1, a in element_blocks(ball, Fraction(-2), Fraction(2)):
         # over Q the numerator a is the only coordinate
         x1, x2 = (a1, a) if d > 1 else (a, a1)
-        A1, A2, B, _ = _images(x1, x2, b, d)
-        img = np.stack([A1, A2, B], axis=1)
+        A1, A2, B, G = _images(x1, x2, b, d)
+        img = np.stack([A1, A2, B], axis=1) // G[:, None]
         kept.append(img[np.abs(img).max(axis=1) <= top])
     images = np.unique(np.concatenate(kept), axis=0)
     heights = np.sort(np.abs(images).max(axis=1))

@@ -5,14 +5,15 @@ ways to compute what the library computes, kept beside the tests.
 """
 
 import math
+import random
 from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
 
 from trisectlab.errors import BadParameters
-from trisectlab.exact_arith import QuadElem
-from trisectlab.height_enum import _row_blocks
+from trisectlab.exact_arith import QuadElem, in_interval
+from trisectlab.height_enum import _row_blocks, qbox_count, qbox_main_term
 from trisectlab.polyalg import IntPoly, RatPoly, cyclotomic, euler_phi
 
 
@@ -300,3 +301,62 @@ def zeta_partial_sums(k: int, tol: float) -> float:
             break
         n *= 2
     return math.fsum(i ** (-float(k)) for i in range(1, n + 1)) + (lo + hi) / 2
+
+
+def qbox_members(spec):
+    """The (a..., b) tuples of the box difference of a ``QBoxSpec``, one
+    at a time in (b, a1[, a2]) order."""
+    n, m = spec.side_floors()
+    b_lo, b_hi = m[-1] + 1, n[-1]
+    if spec.field.degree == 1:
+        for b in range(b_lo, b_hi + 1):
+            for a in range(1, n[0] + 1):
+                if gcd(a, b) == 1:
+                    yield (a, b)
+        return
+    for b in range(b_lo, b_hi + 1):
+        for a1 in range(1, n[0] + 1):
+            g1 = gcd(a1, b)
+            for a2 in range(1, n[1] + 1):
+                if gcd(g1, a2) == 1:
+                    yield (a1, a2, b)
+
+
+def qbox_reference(spec, sample_cap: int = 200_000, seed: int = 0) -> dict:
+    """``height_enum.qbox`` member by member: one ``rng.random()`` per
+    member once the count passes ``sample_cap``, and the membership test of
+    each kept member in Python integers (``in_interval`` over
+    Q(sqrt(d)))."""
+    count = qbox_count(spec)
+    main = qbox_main_term(spec)
+    F = spec.R.numerator // spec.R.denominator
+    checked = 0
+    violations = 0
+    rng = random.Random(seed)
+    keep_all = count <= sample_cap
+    keep_prob = 1.0 if keep_all else sample_cap / max(count, 1)
+    for tup in qbox_members(spec):
+        if not keep_all and rng.random() > keep_prob:
+            continue
+        checked += 1
+        *nums, b = tup
+        if max(*nums, b) > F:
+            violations += 1
+            continue
+        if spec.field.degree == 1:
+            inside = -2 * b <= nums[0] <= 2 * b
+        else:
+            inside = in_interval(QuadElem(nums[0], nums[1], b, spec.field.d), -2, 2)
+        if not inside:
+            violations += 1
+    return {
+        "field": spec.field.label(),
+        "d": spec.field.d,
+        "R": str(spec.R),
+        "count": count,
+        "main_term": main,
+        "ratio": count / main if main else float("nan"),
+        "members_checked": checked,
+        "membership_violations": violations,
+        "exhaustive": keep_all,
+    }

@@ -1,14 +1,20 @@
 """Doubling tower, exact table, identity residuals, and cosine degrees."""
 
+import functools
 import math
 import random
 
 import mpmath
 import pytest
 
+from trisectlab import algdeg
 from trisectlab.algdeg import (
+    EXACT_TABLE,
+    IDENTITIES,
     Biquad,
     TABLE,
+    _interval_values,
+    _interval_zero,
     angle_degree,
     angle_number,
     cn_degree_check,
@@ -114,6 +120,36 @@ def test_identity_examples():
     # c_1 = a_1/2 - (sqrt(3)/2) b_1 = -sqrt(3)
     lhs = (TABLE["a"][1] - Biquad(0, 0, 1) * TABLE["b"][1]) * Biquad("1/2")
     assert lhs == TABLE["c"][1]
+
+
+@pytest.mark.parametrize("first_prec", (100, 24))
+@pytest.mark.parametrize("N", range(1, 7))
+def test_identity_suite_matches_fresh_evaluation(N, first_prec, monkeypatch):
+    """Each record against its check evaluated alone, with interval values
+    built afresh for its own n.  A first precision of 24 bits is too low
+    for every interval check, so each one retries at 200 bits, which must
+    use values built at 200 bits."""
+    check = functools.partial(_interval_zero, prec=first_prec)
+    monkeypatch.setattr(algdeg, "_interval_zero", check)
+    records = []
+    for name, col in TABLE.items():
+        for n, exact in col.items():
+            ok, width = check(lambda iv: exact.interval(iv) - _interval_values(iv, n)[name][n])
+            records.append({"check": f"table-{name}{n}", "n": n, "method": "interval",
+                            "ok": ok, "width": width})
+    for n in range(1, N + 1):
+        for name, lhs, rhs in IDENTITIES:
+            if n <= 2:
+                ok = lhs(EXACT_TABLE, n) == rhs(EXACT_TABLE, n)
+                records.append({"check": name, "n": n, "method": "exact", "ok": ok})
+                continue
+            ok, width = check(
+                lambda iv: lhs(_interval_values(iv, n), n) - rhs(_interval_values(iv, n), n))
+            records.append({"check": name, "n": n, "method": "interval", "ok": ok,
+                            "width": width})
+    suite = identity_suite(N)
+    assert suite["records"] == records
+    assert suite["ok"] and suite["max_width"] == max(r.get("width", 0.0) for r in records)
 
 
 def test_identity_suite_residuals():

@@ -1,8 +1,15 @@
 """CLI verbs, output formats, exit codes, and rerun determinism."""
 
 import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 from trisectlab.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(args, capsys):
@@ -151,3 +158,30 @@ def test_atomic_write_leaves_no_temp(tmp_path, capsys):
     assert target.exists()
     leftovers = [p for p in tmp_path.iterdir() if p.name != "out.json"]
     assert leftovers == []
+
+
+def _fresh_run(args):
+    """(exit code, stdout, stderr) of the CLI in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from trisectlab.cli import main; sys.exit(main())",
+         *args], env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_process_matches_fresh_runs(capsys):
+    """The parser is built once per process; a run after a refused one
+    still prints what a new interpreter prints."""
+    decide = ["decide", "--field", "quad", "--d", "2", "--a", "(0+1*sqrt(2))/1"]
+    density = ["density", "--field", "q", "--R", "25,50,100"]
+    bad = ["decide", "--field", "q"]  # --a is required
+    fresh = {tuple(args): _fresh_run(args) for args in (decide, density, bad)}
+    assert fresh[tuple(bad)][0] == 2
+    for args in (decide, density, bad, decide):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == fresh[tuple(args)]

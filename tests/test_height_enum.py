@@ -1,6 +1,7 @@
 """Height-ball streams, count formulas, interval restriction, and the
 certified sub-box."""
 
+import random
 import time
 from fractions import Fraction
 from math import gcd, isqrt
@@ -10,12 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import ball_stream, generalized_sieve, row_kernel_count
+from oracles import ball_stream, generalized_sieve, qbox_reference, row_kernel_count
 from trisectlab.coprime_count import mobius_sum, zeta
 from trisectlab.errors import BadParameters, CapExceeded
 from trisectlab.exact_arith import (
     RATIONAL_FIELD,
     QuadElem,
+    canonicalize,
     height,
     in_interval,
     quadratic_field,
@@ -32,7 +34,7 @@ from trisectlab.height_enum import (
     qbox_count,
     qbox_main_term,
 )
-from trisectlab.height_enum import _clipped_floor_sum, _isqrt
+from trisectlab.height_enum import _clipped_floor_sum, _draws, _isqrt, _outside
 
 QUAD_DS = (2, 3, 5, 6, 7)
 
@@ -323,6 +325,47 @@ def test_qbox_quadratic(d):
         QBoxSpec(quadratic_field(d), 300)
     )
     assert abs(ratio - 1) <= 0.03
+
+
+@pytest.mark.parametrize("seed", (0, 1, 97, 2 ** 64 + 5))
+def test_draws_are_the_random_stream(seed):
+    """Two consecutive blocks of each size, against rng.random() one by one."""
+    rng, ref = random.Random(seed), random.Random(seed)
+    for n in (0, 1, 2, 32768):
+        for _ in range(2):
+            assert _draws(rng, n).tolist() == [ref.random() for _ in range(n)]
+            assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("d", (None, 2, 3, 5, 30))
+def test_box_check_matches_exact_membership(d):
+    """Every triple of a small grid, members or not, against the height and
+    in_interval of the canonical element it names."""
+    F = 10
+    grid = np.meshgrid(np.arange(-25, 26), np.arange(-12, 13) if d else [0], np.arange(1, 13))
+    x1, x2, b = (v.ravel() for v in grid)
+    want = [max(u, v, y) > F or not in_interval(
+                canonicalize(u, v, y, d) if d else Fraction(u, y), -2, 2)
+            for u, v, y in zip(x1.tolist(), x2.tolist(), b.tolist())]
+    assert _outside(x1, x2, b, d or 1, F).tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from((None, 2, 3, 5, 6, 7, 30)),
+    R=st.fractions(3, 60, max_denominator=4),
+    seed=st.integers(0, 2 ** 40),
+    cap=st.integers(-2, 400),
+)
+@example(d=None, R=Fraction(60), seed=97, cap=0)
+@example(d=2, R=Fraction(40), seed=0, cap=0)
+@example(d=3, R=Fraction(60), seed=4, cap=300)
+def test_qbox_matches_member_by_member_reference(d, R, seed, cap):
+    """cap <= 0 sets sample_cap to count + cap (at and just below the
+    count); a positive cap is the sample_cap itself, which samples."""
+    spec = QBoxSpec(quadratic_field(d) if d else RATIONAL_FIELD, R)
+    sample_cap = max(qbox_count(spec) + cap, 0) if cap <= 0 else cap
+    assert qbox(spec, sample_cap, seed) == qbox_reference(spec, sample_cap, seed)
 
 
 def test_qbox_precondition():

@@ -20,8 +20,9 @@ _RUN = """
 import json, resource, sys, time
 from trisectlab.coprime_count import Box, lehmer_report
 from trisectlab.exact_arith import RATIONAL_FIELD, quadratic_field
-from trisectlab.height_enum import HeightBall, count_ball_interval
+from trisectlab.height_enum import HeightBall, QBoxSpec, count_ball_interval, qbox
 from trisectlab.trisect_core import nonconstructible_witness
+CHECKED = ("count", "members_checked", "exhaustive", "membership_violations")
 start = time.perf_counter()
 value = {call}
 elapsed = time.perf_counter() - start
@@ -33,6 +34,8 @@ print(json.dumps({{"value": value, "elapsed_s": elapsed, "peak_mb": peak_mb}}))
 # checked against the closed-form lattice count in test_height_enum; lehmer
 # is 2*Phi(10^9) - 1.  The witness at WITNESS_MAX_M = 31 is produced and
 # verified, which builds it twice, as `trisectlab witness --m 31 --q 2` does.
+# The qbox runs check the count and the members of the box difference
+# (sampled at R = 3000 by the seed-0 stream, exhaustively at Q(sqrt 2)).
 SCALE_RUNS = {
     "count-interval-q-1e9": (
         "count_ball_interval(HeightBall(RATIONAL_FIELD, 10 ** 9), -2, 2)",
@@ -53,6 +56,18 @@ SCALE_RUNS = {
         "nonconstructible_witness(31, 2).verify()",
         True,
         1.0,
+    ),
+    "qbox-q-3000": (
+        "{k: v for k, v in qbox(QBoxSpec(RATIONAL_FIELD, 3000)).items() if k in CHECKED}",
+        {"count": 2735918, "members_checked": 200482, "exhaustive": False,
+         "membership_violations": 0},
+        0.8,
+    ),
+    "qbox-sqrt2-120": (
+        "{k: v for k, v in qbox(QBoxSpec(quadratic_field(2), 120)).items() if k in CHECKED}",
+        {"count": 149181, "members_checked": 149181, "exhaustive": True,
+         "membership_violations": 0},
+        0.25,
     ),
 }
 

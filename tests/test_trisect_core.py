@@ -4,6 +4,7 @@ and the density experiment."""
 import json
 import random
 import time
+from dataclasses import astuple
 from fractions import Fraction
 from math import gcd
 
@@ -23,7 +24,13 @@ from trisectlab.exact_arith import (
     in_interval,
     quadratic_field,
 )
-from trisectlab.height_enum import HeightBall, count_ball, enumerate_ball, enumerate_ball_interval
+from trisectlab.height_enum import (
+    HeightBall,
+    count_ball,
+    element_blocks,
+    enumerate_ball,
+    enumerate_ball_interval,
+)
 from trisectlab.polyalg import IntPoly, rational_roots
 from trisectlab.trisect_core import (
     CERT_MAX_DIGITS,
@@ -33,6 +40,7 @@ from trisectlab.trisect_core import (
     WITNESS_MAX_M,
     Certificate,
     TrisectionVerdict,
+    _images,
     _try_eisenstein_cert,
     apply_f,
     ceil_cbrt,
@@ -120,6 +128,17 @@ def test_gcd_bound_sweep_counts_every_canonical_element(d):
     report = gcd_bound_sweep(d, H)
     assert report["elements_checked"] == count_ball(ball)
     assert report["max_gcd"] == max(raw_image(x).G for x in enumerate_ball(ball))
+
+
+@pytest.mark.parametrize("d", (2, 3, 5, 6, 7, 30))
+def test_image_arrays_match_raw_image(d):
+    """Every element of B(16): the array image map (G from the small gcd
+    g0 = gcd(b, A1, A2) and gcd(g0^3, A1, A2)) against the scalar one."""
+    for b, a1, a2 in element_blocks(HeightBall(quadratic_field(d), 16)):
+        got = np.stack(_images(a1, a2, b, d), axis=1).tolist()
+        want = [list(astuple(raw_image(QuadElem(x1, x2, y, d))))
+                for x1, x2, y in zip(a1.tolist(), a2.tolist(), b.tolist())]
+        assert got == want
 
 
 def test_gcd_bound_sweep_refuses_past_int64():
