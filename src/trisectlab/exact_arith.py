@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from .errors import (
     DegenerateBasis,
     NonSquarefreeRadicand,
@@ -287,58 +289,38 @@ def quadratic_field(d: int) -> FieldDescriptor:
 
 
 def _basis_change_ints(w1: QuadElem, w2: QuadElem):
-    """Integer data (n11, n12, n21, n22, delta) of the inverse change of
-    basis, so that x = x1 + x2*sqrt(d) has coordinates
-    c_i = (n_i1*x1 + n_i2*x2) / delta in the basis {w1, w2}.
-    """
+    """Integers (n11, n12, n21, n22, delta), delta > 0, such that
+    x = x1 + x2*sqrt(d) has coordinates c_i = (n_i1*x1 + n_i2*x2) / delta
+    in the basis {w1, w2}: Cramer's rule on w_i = (p_i + q_i*sqrt(d))/b_i."""
     if w1.d != w2.d:
         raise RadicandMismatch("basis vectors from different fields")
-    # columns of the forward matrix as fractions
-    m11, m21 = Fraction(w1.a1, w1.b), Fraction(w1.a2, w1.b)
-    m12, m22 = Fraction(w2.a1, w2.b), Fraction(w2.a2, w2.b)
-    det = m11 * m22 - m12 * m21
+    det = w1.a1 * w2.a2 - w2.a1 * w1.a2
     if det == 0:
         raise DegenerateBasis("basis vectors are Q-linearly dependent")
-    inv = ((m22 / det, -m12 / det), (-m21 / det, m11 / det))
-    denom = 1
-    for row in inv:
-        for entry in row:
-            denom = denom * entry.denominator // gcd(denom, entry.denominator)
-    n = [[int(entry * denom) for entry in row] for row in inv]
-    return n[0][0], n[0][1], n[1][0], n[1][1], denom
-
-
-def _height_from_change(a1, a2, b, n11, n12, n21, n22, delta) -> int:
-    u1 = n11 * a1 + n12 * a2
-    u2 = n21 * a1 + n22 * a2
-    den = delta * b
-    if den < 0:
-        u1, u2, den = -u1, -u2, -den
-    g = gcd(gcd(u1, u2), den)
-    return max(abs(u1) // g, abs(u2) // g, den // g)
+    s = 1 if det > 0 else -1
+    return s * w1.b * w2.a2, -s * w1.b * w2.a1, -s * w2.b * w1.a2, s * w2.b * w1.a1, abs(det)
 
 
 def verify_commensurability(d: int, alt_basis, R: int, ceiling: int = 1000):
     """Exhaustively compare the standard height with the height in
-    ``alt_basis`` over all elements of standard height <= R.
+    ``alt_basis`` over all elements of standard height <= R, on the int64
+    element blocks of ``height_enum`` (``CapExceeded`` past 2^62).
 
-    Returns (factor, ok): the smallest integer D with h2/D <= h1 <= D*h2
-    across the sample, and whether D stays below ``ceiling``.
+    Returns (factor, ok): the smallest integer D with h2/D <= h1 <= D*h2,
+    the largest ceil(max(h1, h2)/min(h1, h2)), and whether D <= ``ceiling``.
     """
-    w1, w2 = alt_basis
-    n11, n12, n21, n22, delta = _basis_change_ints(w1, w2)
-    worst = Fraction(1)
-    for b in range(1, R + 1):
-        for a1 in range(-R, R + 1):
-            for a2 in range(-R, R + 1):
-                if gcd(gcd(a1, a2), b) != 1:
-                    continue
-                h1 = max(abs(a1), abs(a2), b)
-                h2 = _height_from_change(a1, a2, b, n11, n12, n21, n22, delta)
-                ratio = Fraction(max(h1, h2), min(h1, h2))
-                if ratio > worst:
-                    worst = ratio
-    factor = -(-worst.numerator // worst.denominator)  # ceil
+    from .height_enum import HeightBall, check_int64, element_blocks  # imports this module
+
+    n11, n12, n21, n22, delta = _basis_change_ints(*alt_basis)
+    check_int64(max(abs(n11) + abs(n12), abs(n21) + abs(n22), delta) * R, "basis change")
+    factor = 1
+    for b, a1, a2 in element_blocks(HeightBall(quadratic_field(d), R)):
+        # x = (a1 + a2*sqrt(d))/b has coordinates u_i/(delta*b), delta > 0
+        u1, u2, den = n11 * a1 + n12 * a2, n21 * a1 + n22 * a2, delta * b
+        h1 = np.maximum(np.maximum(abs(a1), abs(a2)), b)
+        h2 = np.maximum(np.maximum(abs(u1), abs(u2)), den) // np.gcd(np.gcd(u1, u2), den)
+        ratio = -(-np.maximum(h1, h2) // np.minimum(h1, h2))
+        factor = max(factor, int(ratio.max(initial=1)))
     return factor, factor <= ceiling
 
 

@@ -4,8 +4,8 @@ certifies a lower bound for the in-interval count.
 A height ball B(R) over a field is the finite set of canonical elements of
 height at most R.  Enumeration is lexicographic in (b, a1[, a2]) so streams
 are reproducible.  One numpy row-block kernel, :func:`_row_blocks`, serves
-the full and the interval streams, the density numerator and the image-gcd
-sweep: it yields int64 arrays (b, a1, a_lo, a_hi, g) for consecutive
+the full and the interval streams, the density numerator and the height
+comparison: it yields int64 arrays (b, a1, a_lo, a_hi, g) for consecutive
 blocks of rows, so memory per block is bounded whatever the height.  Its
 interval clip is exact integer arithmetic (a float square root corrected
 by integer steps), and inputs whose clip terms could pass 2^62 are refused
@@ -103,7 +103,7 @@ def _row_blocks(ball: HeightBall, lo: Fraction | None, hi: Fraction | None, rows
     """The rows of B(R), or of B(R) ∩ [lo, hi] when an interval is given,
     as int64 arrays (b, a1, a_lo, a_hi, g) over consecutive blocks of at
     most ``rows`` rows in (b, a1) order: the one kernel behind both streams,
-    the density numerator and the image-gcd sweep.
+    the density numerator and ``verify_commensurability``.
 
     A row (b, a1, a_lo, a_hi, g) stands for the elements whose last
     coordinate (a2 over Q(sqrt(d)), the numerator over Q) is an integer in

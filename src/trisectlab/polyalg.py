@@ -254,6 +254,28 @@ class RatPoly(_Poly):
         return a.monic() if not a.is_zero() else a
 
 
+def squarefree_over_q(f: IntPoly) -> bool:
+    """True iff f (degree m >= 1) has no repeated factor over Q.  When
+    p = 2^61 - 1 does not divide m*lc(f), a trivial gcd(f, f') in F_p[x]
+    proves it: a repeated factor g can be taken primitive in Z[x] (Gauss),
+    so g | f and g | f' in Z[x], and p does not divide lc(g) | lc(f), so
+    g mod p keeps its degree and divides both.  Else the gcd over Q decides."""
+    p = (1 << 61) - 1
+    if f.degree * f.leading % p:
+        a, b = [c % p for c in f.coeffs], [c % p for c in f.derivative().coeffs]
+        while b:  # Euclid in F_p[x], b[-1] != 0
+            inv = pow(b[-1], -1, p)
+            while len(a) >= len(b):
+                c, k = a[-1] * inv % p, len(a) - len(b)
+                a[k:] = [(x - c * y) % p for x, y in zip(a[k:], b)]
+                while a and not a[-1]:
+                    a.pop()
+            a, b = b, a
+        if len(a) == 1:
+            return True
+    return f.to_rat().gcd(f.derivative().to_rat()).degree == 0
+
+
 def poly_text(coeffs) -> str:
     """Human-readable "c0 + c1*x + ... + ck*x^k" form, zero terms dropped."""
     if not coeffs:

@@ -9,8 +9,8 @@ of the real roots of two integer cubics, so the cost grows with the number
 of digits of a, not with its height.  The density experiment measures how
 quickly the accepted fraction of a height ball decays as the height bound
 grows; it runs on int64 arrays, block by block through the row-block
-kernel of ``height_enum`` and the array image map :func:`_images`, which
-the image-gcd sweep shares.
+kernel of ``height_enum`` and the array image map :func:`_images`.  The
+image-gcd sweep tabulates residues mod b instead (:func:`gcd_bound_sweep`).
 
 This module also owns every certificate kind: Eisenstein refusals of
 a = 3r/s, Yates Bezout pairs, the square-family check, odd-degree
@@ -41,9 +41,10 @@ from .exact_arith import (
     quadratic_field,
     sign_lin,
 )
-from .height_enum import HeightBall, check_int64, count_ball_interval, element_blocks
+from .height_enum import BLOCK_CELLS, HeightBall, check_int64, count_ball_interval, element_blocks
 from .nsect import psection_poly
-from .polyalg import IntPoly, RatPoly, divisors, eisenstein_check, is_prime, resultant_minpoly
+from .polyalg import (IntPoly, RatPoly, divisors, eisenstein_check, is_prime,
+                      resultant_minpoly, squarefree_over_q)
 
 F_CUBIC = RatPoly((0, -3, 0, 1))  # y^3 - 3y
 
@@ -193,6 +194,13 @@ def apply_f(x):
     return x * x * x - 3 * x
 
 
+def _image_coords(x1, x2, b, d: int):
+    """A1, A2 of f((x1 + x2*sqrt(d))/b) = (A1 + A2*sqrt(d))/b^3, the
+    expansion of :func:`raw_image` over arrays that broadcast."""
+    bb, s1, s2 = 3 * b * b, x1 * x1, d * x2 * x2
+    return x1 * (s1 + 3 * s2 - bb), x2 * (3 * s1 + s2 - bb)
+
+
 def _images(x1: np.ndarray, x2: np.ndarray, b: np.ndarray, d: int):
     """:func:`raw_image` over int64 arrays of canonical (x1 + x2*sqrt(d))/b:
     returns the image coordinates A1, A2, B = b^3 before reduction and
@@ -207,9 +215,7 @@ def _images(x1: np.ndarray, x2: np.ndarray, b: np.ndarray, d: int):
     (4 + 3d)*S^3 in magnitude; each caller refuses up front, with
     ``CapExceeded``, a height where that could pass 2^62.
     """
-    bb, s1, s2 = 3 * b * b, x1 * x1, d * x2 * x2
-    A1 = x1 * (s1 + 3 * s2 - bb)
-    A2 = x2 * (3 * s1 + s2 - bb)
+    A1, A2 = _image_coords(x1, x2, b, d)
     g0 = np.gcd(np.gcd(b, A1), A2)
     G = np.gcd(np.gcd(g0 * g0 * g0, A1), A2)
     bad = np.flatnonzero((8 * d) % G)
@@ -597,8 +603,7 @@ def nonconstructible_witness(m: int, q: int) -> Certificate:
     poly = resultant_minpoly(m, Fraction(q), F_CUBIC)
     if poly.degree != m:
         raise AssertionError(f"resultant degree {poly.degree} != {m}")
-    deriv_gcd = poly.to_rat().gcd(poly.derivative().to_rat())
-    if deriv_gcd.degree != 0:
+    if not squarefree_over_q(poly):
         raise AssertionError("resultant is not squarefree; degree collapse")
     residual_bound = _witness_residual(poly, m, q)
     if residual_bound >= WITNESS_RESIDUAL_TOL:
@@ -672,18 +677,47 @@ def _verify_psection(data: dict) -> bool:
 
 
 def gcd_bound_sweep(d: int, height_bound: int) -> dict:
-    """Vectorized check of G | 8d over every canonical element of
-    Q(sqrt(d)) of height <= the bound, block by block through the row-block
-    kernel and :func:`_images`; returns counts and raises
-    ``GcdBoundViolated`` on any violation (``CapExceeded`` past the int64
-    domain of :func:`_images`)."""
+    """Check G | 8d on every canonical element of Q(sqrt(d)) of height <= F,
+    the bound: return counts, or raise ``GcdBoundViolated`` at the first
+    violator in (b, a1, a2) order (``CapExceeded`` past the int64 domain).
+    A1, A2 are integer polynomials in (x1, x2, b), so for fixed b
+    canonicity and g0 = gcd(b, A1, A2) depend only on (x1, x2) mod b: a
+    table over residue pairs, in chunks of at most ``BLOCK_CELLS`` cells,
+    counts canonical classes weighted by #{x in [-F, F] : x = r mod b}.
+    Every prime of G = gcd(A1, A2, b^3) divides g0, so G = 1 where g0 = 1;
+    where g0 > 1 (14% of the ball) G = gcd(g0^3, A1, A2) from each element,
+    in slices of at most ``BLOCK_CELLS // (2F + 1)`` x1.  Chunks are not in
+    x1 order, so each b reports its least violator."""
     check_int64((4 + 3 * d) * height_bound ** 3, f"image of B({height_bound})")
-    checked = 0
-    worst = 1
-    for b, a1, a2 in element_blocks(HeightBall(quadratic_field(d), height_bound)):
-        G = _images(a1, a2, b, d)[3]
-        checked += len(G)
-        worst = max(worst, int(G.max(initial=1)))
+    F = HeightBall(quadratic_field(d), height_bound).bound
+    xs = np.arange(-F, F + 1, dtype=np.int64)
+    per_slice = max(1, BLOCK_CELLS // len(xs))
+    checked, worst = 0, 1
+    for b in range(1, F + 1):
+        cols, res = xs % b, np.arange(b, dtype=np.int64)
+        mult, divs = np.bincount(cols, minlength=b), np.gcd(res, b)  # divs[r] = gcd(r, b)
+        rows, found = max(1, BLOCK_CELLS // b), []
+        for s in range(0, b, rows):
+            canon = divs[np.gcd(res[s : s + rows, None], res)] == 1
+            checked += int(mult[s : s + rows] @ (canon @ mult))
+            A1, A2 = _image_coords(res[s : s + rows, None], res, b, d)
+            g0 = np.where(canon, divs[np.gcd(A1 % b, A2 % b)], 1)
+            # indices into xs, ascending, of the x1 whose residue row has a class with g0 > 1
+            at = np.flatnonzero((cols >= s) & (cols < s + rows))
+            at = at[(g0 > 1).any(axis=1)[cols[at] - s]]
+            for i in range(0, len(at), per_slice):
+                g = np.take(g0[cols[at[i : i + per_slice]] - s], cols, axis=1).ravel()
+                cell = np.flatnonzero(g > 1)
+                x1, x2 = xs[at[i + cell // len(xs)]], xs[cell % len(xs)]
+                A1, A2 = _image_coords(x1, x2, b, d)
+                G = np.gcd(np.gcd(g[cell] ** 3, A1), A2)
+                worst = max(worst, int(G.max(initial=1)))
+                bad = np.flatnonzero((8 * d) % G)
+                if bad.size:  # later slices of this chunk hold larger x1
+                    found.append((int(x1[bad[0]]), int(x2[bad[0]])))
+                    break
+        if found:
+            raise GcdBoundViolated(f"G | 8d fails at {QuadElem(*min(found), b, d)}")
     return {"d": d, "height_bound": height_bound, "elements_checked": checked, "max_gcd": worst}
 
 

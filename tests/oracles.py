@@ -11,10 +11,18 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from trisectlab.errors import BadParameters
-from trisectlab.exact_arith import QuadElem, in_interval
-from trisectlab.height_enum import _row_blocks, qbox_count, qbox_main_term
+from trisectlab.errors import BadParameters, DegenerateBasis, RadicandMismatch
+from trisectlab.exact_arith import QuadElem, in_interval, quadratic_field
+from trisectlab.height_enum import (
+    HeightBall,
+    _row_blocks,
+    check_int64,
+    element_blocks,
+    qbox_count,
+    qbox_main_term,
+)
 from trisectlab.polyalg import IntPoly, RatPoly, cyclotomic, euler_phi
+from trisectlab.trisect_core import _images
 
 
 def mobius(j: int) -> int:
@@ -360,3 +368,59 @@ def qbox_reference(spec, sample_cap: int = 200_000, seed: int = 0) -> dict:
         "membership_violations": violations,
         "exhaustive": keep_all,
     }
+
+
+def gcd_bound_sweep_blocks(d: int, height_bound: int) -> dict:
+    """``trisect_core.gcd_bound_sweep`` element by element: every canonical
+    element of B(height_bound) through the row-block kernel and
+    ``trisect_core._images``, which raises ``GcdBoundViolated`` at the
+    first violator of a block, so at the first in (b, a1, a2) order."""
+    check_int64((4 + 3 * d) * height_bound ** 3, f"image of B({height_bound})")
+    checked = 0
+    worst = 1
+    for b, a1, a2 in element_blocks(HeightBall(quadratic_field(d), height_bound)):
+        G = _images(a1, a2, b, d)[3]
+        checked += len(G)
+        worst = max(worst, int(G.max(initial=1)))
+    return {"d": d, "height_bound": height_bound, "elements_checked": checked, "max_gcd": worst}
+
+
+def basis_change_fractions(w1, w2):
+    """The integer inverse change of basis (n11, n12, n21, n22, delta) of
+    ``exact_arith._basis_change_ints``, from the inverse matrix over
+    ``Fraction`` cleared by the lcm of its denominators."""
+    if w1.d != w2.d:
+        raise RadicandMismatch("basis vectors from different fields")
+    m11, m21 = Fraction(w1.a1, w1.b), Fraction(w1.a2, w1.b)
+    m12, m22 = Fraction(w2.a1, w2.b), Fraction(w2.a2, w2.b)
+    det = m11 * m22 - m12 * m21
+    if det == 0:
+        raise DegenerateBasis("basis vectors are Q-linearly dependent")
+    inv = ((m22 / det, -m12 / det), (-m21 / det, m11 / det))
+    denom = 1
+    for row in inv:
+        for entry in row:
+            denom = denom * entry.denominator // gcd(denom, entry.denominator)
+    n = [[int(entry * denom) for entry in row] for row in inv]
+    return n[0][0], n[0][1], n[1][0], n[1][1], denom
+
+
+def commensurability_loop(d: int, alt_basis, R: int, ceiling: int = 1000):
+    """``exact_arith.verify_commensurability`` by a triple loop over every
+    (b, a1, a2) of B(R), one ``Fraction`` ratio per element."""
+    n11, n12, n21, n22, delta = basis_change_fractions(*alt_basis)
+    worst = Fraction(1)
+    for b in range(1, R + 1):
+        for a1 in range(-R, R + 1):
+            for a2 in range(-R, R + 1):
+                if gcd(gcd(a1, a2), b) != 1:
+                    continue
+                u1 = n11 * a1 + n12 * a2
+                u2 = n21 * a1 + n22 * a2
+                den = delta * b
+                g = gcd(gcd(u1, u2), den)
+                h1 = max(abs(a1), abs(a2), b)
+                h2 = max(abs(u1) // g, abs(u2) // g, den // g)
+                worst = max(worst, Fraction(max(h1, h2), min(h1, h2)))
+    factor = -(-worst.numerator // worst.denominator)  # ceil
+    return factor, factor <= ceiling

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import commensurability_loop
 from trisectlab.errors import (
     DegenerateBasis,
     NonSquarefreeRadicand,
@@ -195,6 +196,18 @@ def test_commensurability_examples():
     v2 = canonicalize(0, 2, 1, 3)  # 2*sqrt(3)
     factor, ok = verify_commensurability(3, (v1, v2), 50)
     assert ok and factor <= 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from((2, 3, 5)), R=st.integers(1, 15),
+       w=st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+       b=st.tuples(st.integers(1, 5), st.integers(1, 5)))
+def test_commensurability_matches_loop_reference(d, R, w, b):
+    """The block version against the Fraction triple loop (whose basis
+    change is the inverse matrix over Q), exactly."""
+    assume(w[0] * w[3] != w[1] * w[2])  # else the basis is degenerate
+    basis = (canonicalize(w[0], w[1], b[0], d), canonicalize(w[2], w[3], b[1], d))
+    assert verify_commensurability(d, basis, R) == commensurability_loop(d, basis, R)
 
 
 def test_text_roundtrip():

@@ -20,6 +20,7 @@ from trisectlab.polyalg import (
     poly_text,
     rational_roots,
     resultant_minpoly,
+    squarefree_over_q,
 )
 
 int_polys = st.lists(st.integers(-9, 9), max_size=6).map(IntPoly)
@@ -186,3 +187,24 @@ def test_chebyshev_matches_doubling_tower():
 
     for n in range(1, 11):
         assert chebyshev_like(2 ** n) == p_tower(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=int_polys, g=int_polys, square=st.booleans())
+def test_squarefree_over_q_matches_exact_gcd(f, g, square):
+    """The modular test (or its fallback) against the gcd over Q, on
+    random f and on f*g^2."""
+    if square:
+        f = f * g * g
+    if f.degree >= 1:
+        exact = f.to_rat().gcd(f.derivative().to_rat()).degree == 0
+        assert squarefree_over_q(f) == exact
+
+
+def test_squarefree_over_q_falls_back_when_p_divides_lc():
+    """(p*x + 1)^2*(x + 2) with p = 2^61 - 1 is x + 2 mod p, squarefree
+    there; p | lc forces the exact gcd, which finds the square."""
+    p = (1 << 61) - 1
+    f = IntPoly((1, p)) * IntPoly((1, p)) * IntPoly((2, 1))
+    assert not squarefree_over_q(f)
+    assert squarefree_over_q(IntPoly((1, p)) * IntPoly((2, 1)))

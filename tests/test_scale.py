@@ -1,9 +1,10 @@
 """Scale runs of the exact counts and of the largest witness, timed.
 
-Each check runs in a fresh interpreter, so its peak resident memory is its
-own, and prints one JSON line {"check", "elapsed_s", "limit_s", "peak_mb"}
-(elapsed time of the call alone, interpreter start-up and imports left
-out), in the style of the acceptance ``criterion()`` lines.
+Each check runs in a fresh interpreter, reads its own peak resident memory
+(VmHWM in /proc/self/status; ``ru_maxrss`` would carry over the RSS of the
+process that started it) and prints one JSON line {"check", "elapsed_s",
+"limit_s", "peak_mb"} (elapsed time of the call alone, interpreter start-up
+and imports left out), in the style of the acceptance ``criterion()`` lines.
 """
 
 import json
@@ -17,7 +18,7 @@ PEAK_MB = 250.0
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 _RUN = """
-import json, resource, sys, time
+import json, sys, time
 from trisectlab.coprime_count import Box, lehmer_report
 from trisectlab.exact_arith import RATIONAL_FIELD, quadratic_field
 from trisectlab.height_enum import HeightBall, QBoxSpec, count_ball_interval, qbox
@@ -26,7 +27,8 @@ CHECKED = ("count", "members_checked", "exhaustive", "membership_violations")
 start = time.perf_counter()
 value = {call}
 elapsed = time.perf_counter() - start
-peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+with open("/proc/self/status") as status:  # VmHWM: this process's own peak
+    peak_mb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
 print(json.dumps({{"value": value, "elapsed_s": elapsed, "peak_mb": peak_mb}}))
 """
 

@@ -13,9 +13,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import ball_stream, phi_bound_check, phi_curve, sylvester_minpoly
+from oracles import (
+    ball_stream,
+    gcd_bound_sweep_blocks,
+    phi_bound_check,
+    phi_curve,
+    sylvester_minpoly,
+)
+from trisectlab import trisect_core
 from trisectlab.cli import main as cli_main
-from trisectlab.errors import BadParameters, CapExceeded, OutOfRange
+from trisectlab.errors import BadParameters, CapExceeded, GcdBoundViolated, OutOfRange
 from trisectlab.exact_arith import (
     RATIONAL_FIELD,
     QuadElem,
@@ -128,6 +135,42 @@ def test_gcd_bound_sweep_counts_every_canonical_element(d):
     report = gcd_bound_sweep(d, H)
     assert report["elements_checked"] == count_ball(ball)
     assert report["max_gcd"] == max(raw_image(x).G for x in enumerate_ball(ball))
+
+
+@pytest.mark.parametrize("cells", (trisect_core.BLOCK_CELLS, 5))
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from((2, 3, 5, 6, 7, 30)), H=st.integers(1, 25))
+def test_gcd_bound_sweep_matches_block_reference(cells, d, H):
+    """The residue-table sweep against every element through ``_images``;
+    at 5 cells every b > 5 takes several table chunks and every x1 its
+    own slice."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trisect_core, "BLOCK_CELLS", cells)
+        assert gcd_bound_sweep(d, H) == gcd_bound_sweep_blocks(d, H)
+
+
+@pytest.mark.parametrize("cells", (trisect_core.BLOCK_CELLS, 2))
+@pytest.mark.parametrize("d", (2, 3, 30))
+@pytest.mark.parametrize("c", (None, 1, 4))
+def test_gcd_bound_sweep_reports_first_violator(monkeypatch, cells, d, c):
+    """A1 and A2 times 9 (c = None) give G a factor 9, which 8d lacks, on
+    all of b = 3; times x1 - c they give G a power of 3 only on some
+    classes mod 9, and at height 4 with c = 4 (for 3 | d) only at the last
+    x1, 4.  Sweep and reference name the same first violator; at 2 cells
+    b = 3 takes three chunks, one per residue of x1, and each x1 its own
+    slice, and (-25, -25) at b = 3 lies in the last chunk."""
+    coords = trisect_core._image_coords
+    monkeypatch.setattr(trisect_core, "_image_coords", lambda x1, x2, b, d: tuple(
+        (9 if c is None else x1 - c) * A for A in coords(x1, x2, b, d)))
+    monkeypatch.setattr(trisect_core, "BLOCK_CELLS", cells)
+    H = 4 if c == 4 else 25
+    with pytest.raises(GcdBoundViolated) as want:
+        gcd_bound_sweep_blocks(d, H)
+    with pytest.raises(GcdBoundViolated) as got:
+        gcd_bound_sweep(d, H)
+    assert str(got.value) == str(want.value)
+    if c is None:
+        assert str(got.value) == f"G | 8d fails at {QuadElem(-25, -25, 3, d)}"
 
 
 @pytest.mark.parametrize("d", (2, 3, 5, 6, 7, 30))
