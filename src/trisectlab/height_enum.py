@@ -4,9 +4,9 @@ certifies a lower bound for the in-interval count.
 A height ball B(R) over a field is the finite set of canonical elements of
 height at most R.  Enumeration is lexicographic in (b, a1[, a2]) so streams
 are reproducible.  One numpy row-block kernel, :func:`_row_blocks`, serves
-the full and the interval streams, the density numerator and the height
-comparison: it yields int64 arrays (b, a1, a_lo, a_hi, g) for consecutive
-blocks of rows, so memory per block is bounded whatever the height.  Its
+the streams, the density numerator (on the rows of the denominators b it
+is given) and the height comparison: int64 arrays (b, a1, a_lo, a_hi, g)
+per block of rows, so memory per block is bounded whatever the height.  Its
 interval clip is exact integer arithmetic (a float square root corrected
 by integer steps), and inputs whose clip terms could pass 2^62 are refused
 with ``CapExceeded`` up front: that is the kernel's int64 domain.
@@ -16,9 +16,9 @@ sub-box and samples it with the per-member ``random.Random(seed)`` stream.
 
 Counts never walk rows: |B(R) ∩ [lo, hi]| is the Moebius sum
 sum_e mu(e) * L(floor(R/e)) of :func:`coprime_count.mobius_sum`, with L
-the lattice points of the region at height N in closed form by floor sums.
-The whole ball and the certified sub-box count the same way.
-Everything runs serially in one thread; nothing is sharded.
+the lattice points of the region at height N in closed form by floor sums;
+a list of R shares one L(N) per quotient.  The whole ball and the certified
+sub-box count the same way.  Everything runs serially in one thread.
 """
 
 from __future__ import annotations
@@ -99,11 +99,13 @@ def _floor_sqrt_multiple(v: np.ndarray, d: int) -> np.ndarray:
     return np.where(v >= 0, _isqrt(n), -_isqrt(np.maximum(n - 1, 0)) - 1)
 
 
-def _row_blocks(ball: HeightBall, lo: Fraction | None, hi: Fraction | None, rows: int):
+def _row_blocks(ball: HeightBall, lo: Fraction | None, hi: Fraction | None, rows: int,
+                denominators: np.ndarray | None = None):
     """The rows of B(R), or of B(R) ∩ [lo, hi] when an interval is given,
     as int64 arrays (b, a1, a_lo, a_hi, g) over consecutive blocks of at
     most ``rows`` rows in (b, a1) order: the one kernel behind both streams,
-    the density numerator and ``verify_commensurability``.
+    the density numerator, ``qbox`` and ``verify_commensurability``, over
+    the b of ``denominators`` (ascending int64, by default 1..floor(R)).
 
     A row (b, a1, a_lo, a_hi, g) stands for the elements whose last
     coordinate (a2 over Q(sqrt(d)), the numerator over Q) is an integer in
@@ -125,7 +127,9 @@ def _row_blocks(ball: HeightBall, lo: Fraction | None, hi: Fraction | None, rows
     if lo is not None:
         for e in (lo, hi):
             check_int64((abs(e.numerator) + e.denominator) ** 2 * F * F * d, "interval clip")
-    for b, a1 in _grid(1, F, -F if d > 1 else 0, width, rows):
+    if denominators is None:
+        denominators = np.arange(1, F + 1, dtype=np.int64)
+    for b, a1 in _grid(denominators, -F if d > 1 else 0, width, rows):
         a_lo = np.full_like(b, -F)
         a_hi = np.full_like(b, F)
         if lo is not None:
@@ -136,14 +140,14 @@ def _row_blocks(ball: HeightBall, lo: Fraction | None, hi: Fraction | None, rows
         yield b, a1, a_lo, a_hi, np.gcd(a1, b)
 
 
-def _grid(b_first: int, b_count: int, a1_first: int, a1_count: int, rows: int):
-    """The (b, a1) grid b_first <= b < b_first + b_count, a1_first <= a1 <
-    a1_first + a1_count as int64 arrays, in (b, a1) order over consecutive
-    blocks of at most ``rows`` rows."""
-    total = b_count * a1_count
+def _grid(denominators: np.ndarray, a1_first: int, a1_count: int, rows: int):
+    """The (b, a1) grid of b in ``denominators`` (ascending int64) and
+    a1_first <= a1 < a1_first + a1_count as int64 arrays, in (b, a1) order
+    over consecutive blocks of at most ``rows`` rows."""
+    total = len(denominators) * a1_count
     for start in range(0, total, rows):
         idx = np.arange(start, min(start + rows, total), dtype=np.int64)
-        yield idx // a1_count + b_first, idx % a1_count + a1_first
+        yield denominators[idx // a1_count], idx % a1_count + a1_first
 
 
 def _expand_rows(b, a1, a_lo, a_hi, g):
@@ -162,13 +166,14 @@ def _expand_rows(b, a1, a_lo, a_hi, g):
     return b[row], a1[row], a[keep]
 
 
-def element_blocks(ball: HeightBall, lo: Fraction | None = None, hi: Fraction | None = None):
+def element_blocks(ball: HeightBall, lo: Fraction | None = None, hi: Fraction | None = None,
+                   denominators: np.ndarray | None = None):
     """The elements of the rows of :func:`_row_blocks` as int64 arrays
     (b, a1, a) per block, by :func:`_expand_rows`.  A block covers at most
     ``BLOCK_CELLS`` (row, coordinate) cells, or one row when a row is
     wider."""
     rows = max(1, BLOCK_CELLS // (2 * ball.bound + 1))
-    for block in _row_blocks(ball, lo, hi, rows):
+    for block in _row_blocks(ball, lo, hi, rows, denominators):
         yield _expand_rows(*block)
 
 
@@ -253,50 +258,68 @@ def _clipped_floor_sum(p: int, q: int, r, N):
 
 
 def count_ball_interval(ball: HeightBall, lo, hi) -> int:
-    """Exact |B(R) ∩ [lo, hi]| as sum_e mu(e) * L(floor(R/e)) by
-    :func:`coprime_count.mobius_sum`: L(N) counts all integer (a1, a2, b),
-    1 <= b <= N, |a1|, |a2| <= N, lo*b <= a1 + a2*sqrt(d) <= hi*b (over Q,
-    a2 = 0).  With lo = p1/q1, hi = p2/q2 and a2 fixed, a1 runs from
+    """Exact |B(R) ∩ [lo, hi]|: :func:`count_ball_intervals` at one R."""
+    return count_ball_intervals(ball.field, (ball.R,), lo, hi)[0]
+
+
+def count_ball_intervals(field: FieldDescriptor, R_list, lo, hi) -> list[int]:
+    """Exact |B(R) ∩ [lo, hi]| for each R of ``R_list``, each as
+    sum_e mu(e) * L(floor(R/e)) by :func:`coprime_count.mobius_sum`: L(N)
+    counts all integer (a1, a2, b), 1 <= b <= N, |a1|, |a2| <= N,
+    lo*b <= a1 + a2*sqrt(d) <= hi*b (over Q, a2 = 0).  With lo = p1/q1,
+    hi = p2/q2 and a2 fixed, a1 runs from
     -floor((-p1*b + floor(q1*a2*sqrt d))/q1) to
     floor((p2*b - ceil(q2*a2*sqrt d))/q2), as floor((n - t)/q) =
     floor((n - ceil t)/q) for integer n: two :func:`_clipped_floor_sum`.
     Over Q that is exact Python-int work on about 2*sqrt(R) blocks; over
     Q(sqrt d), int64 blocks of ``BLOCK_A2`` values of a2, about R*log(R)
     in all, with ``CapExceeded`` up front for inputs that could pass 2^62.
+    The a2 table is built once, at the largest R, and each L(N) once for
+    the list: floor(floor(R)/e) is a floor quotient of R, as is R/8's.
     """
     lo, hi = _interval(lo, hi)
     (p1, q1), (p2, q2) = (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
-    F = ball.bound
-    d = ball.field.d
+    bounds = [HeightBall(field, R).bound for R in R_list]
+    F = max(bounds, default=0)
+    d = field.d
 
     def rows(N, floor_lo, ceil_hi):  # the points of L(N) for each a2
         return (N + _clipped_floor_sum(p2, q2, -ceil_hi, N)
                 + _clipped_floor_sum(-p1, q1, floor_lo, N))
 
     if not d:
-        return mobius_sum((F,), lambda N: rows(N, 0, 0))
-    p, q = max(abs(p1), abs(p2)), max(q1, q2)
-    check_int64(max(q * q * F * F * d, 2 * (p + q * (isqrt(d) + 2)) * (F + 2),
-                    BLOCK_A2 * 3 * (F + 1) ** 2), "interval count")
-    # floor(q1*a2*sqrt d) and ceil(q2*a2*sqrt d) at a2 = -F..F, one block at a time
-    floor_lo, ceil_hi = np.empty((2, 2 * F + 1), dtype=np.int64)
-    for i in range(0, 2 * F + 1, BLOCK_A2):
-        a2 = np.arange(i, min(i + BLOCK_A2, 2 * F + 1), dtype=np.int64) - F
-        floor_lo[i : i + BLOCK_A2] = _floor_sqrt_multiple(q1 * a2, d)
-        ceil_hi[i : i + BLOCK_A2] = -_floor_sqrt_multiple(-q2 * a2, d)
-    mirror = lo == -hi  # then a2 < 0 mirrors a2 > 0 under (a1, a2) -> (-a1, -a2)
+        def lattice_points(Ns):
+            return rows(Ns, 0, 0)
+    else:
+        p, q = max(abs(p1), abs(p2)), max(q1, q2)
+        check_int64(max(q * q * F * F * d, 2 * (p + q * (isqrt(d) + 2)) * (F + 2),
+                        BLOCK_A2 * 3 * (F + 1) ** 2), "interval count")
+        # floor(q1*a2*sqrt d) and ceil(q2*a2*sqrt d) at a2 = -F..F, one block at a time
+        floor_lo, ceil_hi = np.empty((2, 2 * F + 1), dtype=np.int64)
+        for i in range(0, 2 * F + 1, BLOCK_A2):
+            a2 = np.arange(i, min(i + BLOCK_A2, 2 * F + 1), dtype=np.int64) - F
+            floor_lo[i : i + BLOCK_A2] = _floor_sqrt_multiple(q1 * a2, d)
+            ceil_hi[i : i + BLOCK_A2] = -_floor_sqrt_multiple(-q2 * a2, d)
+        mirror = lo == -hi  # then a2 < 0 mirrors a2 > 0 under (a1, a2) -> (-a1, -a2)
 
-    def lattice_points(Ns):
-        out = []
-        for N in Ns.tolist():
-            total = 0
-            for i in range(F + 1 if mirror else F - N, F + N + 1, BLOCK_A2):
-                j = min(i + BLOCK_A2, F + N + 1)
-                total += int(rows(N, floor_lo[i:j], ceil_hi[i:j]).sum())
-            out.append(2 * total + int(rows(N, 0, 0)) if mirror else total)
-        return out
+        def lattice_points(Ns):
+            out = []
+            for N in Ns.tolist():
+                total = 0
+                for i in range(F + 1 if mirror else F - N, F + N + 1, BLOCK_A2):
+                    j = min(i + BLOCK_A2, F + N + 1)
+                    total += int(rows(N, floor_lo[i:j], ceil_hi[i:j]).sum())
+                out.append(2 * total + int(rows(N, 0, 0)) if mirror else total)
+            return out
 
-    return mobius_sum((F,), lattice_points)
+    known = {}  # N -> L(N), shared by every R of the list
+
+    def shared(Ns):
+        new = np.array(sorted(set(Ns.tolist()) - known.keys()), dtype=object)
+        known.update(zip(new.tolist(), lattice_points(new)))
+        return [known[N] for N in Ns.tolist()]
+
+    return [mobius_sum((n,), shared) for n in bounds]
 
 
 @dataclass(frozen=True)
@@ -396,7 +419,8 @@ def qbox(spec: QBoxSpec, sample_cap: int = 200_000, seed: int = 0) -> dict:
     n, m = spec.side_floors()
     quad = spec.field.degree == 2
     rows = max(1, BLOCK_CELLS // max(n[-2], 1))
-    for b, a1 in _grid(m[-1] + 1, n[-1] - m[-1], int(quad), n[0] if quad else 1, rows):
+    b_range = np.arange(m[-1] + 1, n[-1] + 1, dtype=np.int64)
+    for b, a1 in _grid(b_range, int(quad), n[0] if quad else 1, rows):
         ones = np.ones_like(b)
         b, a1, a = _expand_rows(b, a1, ones, n[-2] * ones, np.gcd(a1, b))
         if not keep_all:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, isqrt
 
 import numpy as np
@@ -41,7 +42,8 @@ from .exact_arith import (
     quadratic_field,
     sign_lin,
 )
-from .height_enum import BLOCK_CELLS, HeightBall, check_int64, count_ball_interval, element_blocks
+from .height_enum import (BLOCK_CELLS, HeightBall, check_int64, count_ball_interval,
+                          count_ball_intervals, element_blocks)
 from .nsect import psection_poly
 from .polyalg import (IntPoly, RatPoly, divisors, eisenstein_check, is_prime,
                       resultant_minpoly, squarefree_over_q)
@@ -534,42 +536,66 @@ def density_experiment(
     cap: int | None = None,
 ) -> DensityReport:
     """Measure delta(R) = |accepted ∩ B(R) ∩ [-2,2]| / |B(R) ∩ [-2,2]| for
-    each R, plus the log-log slope across the points.
+    each R >= 1, plus the log-log slope across the points.
 
-    The numerator runs once over the preimage ball B(S(R_max)) ∩ [-2, 2]
-    in blocks of coordinate arrays from the row-block kernel, maps each
-    block through :func:`_images` (exact int64: a preimage height S with
-    (4 + 3d)*S^3 past 2^62 raises ``CapExceeded`` before any work), keeps
-    the images of height <= R_max, deduplicates them with ``np.unique``
-    and counts heights <= R by ``searchsorted``; every image of height
-    <= R has all its preimages inside B(S(R)), so this equals the per-R
-    definition.  The denominator is the exact interval count.
-    With ``cap`` set, ``CapExceeded`` is raised when the preimage interval
-    count exceeds it; ``cap=None`` sets no cap.
+    An image of height <= R has its preimages in B(S(R)), so one pass
+    over B(S) ∩ [-2, 2], S = S(R_max), serves every R.  The image of
+    (x1 + x2*sqrt(d))/b has a denominator D = b^3/G, at most its height,
+    with G | gmax(b) = gcd(8d, b^3) (1 over Q, where f(r/s) is reduced):
+    only rows with b^3 <= floor(R_max)*gmax(b) can count, and only they
+    are visited, through :func:`_images` (which checks G | 8d; S with
+    (4 + 3d)*S^3 past 2^62 raises ``CapExceeded`` first).  Equal images
+    have equal D, and after a block ending at denominator b no row gives
+    a D below the least b'^3/gmax(b') over the visited b' >= b: pending
+    images of height <= R_max below that are final, so they are
+    deduplicated (lexsort, adjacent compare), counted into every
+    numerator and dropped; over Q only the rows of b stay pending.  One
+    :func:`height_enum.count_ball_intervals` gives every denominator.
+    ``cap`` (None: no cap) bounds |B(S) ∩ [-2, 2]| with ``CapExceeded``.
     """
     R_list = [Fraction(R) for R in R_list]
     if not R_list or any(b <= a for a, b in zip(R_list, R_list[1:])):
         raise BadParameters("R list must be strictly increasing and nonempty")
+    if R_list[0] < 1:
+        raise BadParameters("R must be >= 1: B(R) ∩ [-2, 2] is empty below height 1")
     ball = HeightBall(field, preimage_bound(field, R_list[-1]))
     d = field.d or 1
     check_int64((4 + 3 * d) * ball.bound ** 3, f"image of B({ball.R})")
     if cap is not None and count_ball_interval(ball, -2, 2) > cap:
         raise CapExceeded(f"|B({ball.R}) in [-2, 2]| exceeds cap {cap}")
-    top = R_list[-1].numerator // R_list[-1].denominator
-    kept = []
-    for b, a1, a in element_blocks(ball, Fraction(-2), Fraction(2)):
+    tops = np.array([R.numerator // R.denominator for R in R_list], dtype=np.int64)
+    top = int(tops[-1])
+
+    least_D = {b: b ** 3 // (gcd(8 * d, b ** 3) if field.d else 1)  # b^3 / gmax(b)
+               for b in range(1, icbrt(8 * d * top) + 1)}
+    visited = [b for b, D in least_D.items() if D <= top]
+    # threshold[b]: no visited row at or after b gives a D below it
+    threshold = dict(zip(visited[::-1], accumulate((least_D[b] for b in visited[::-1]), min)))
+    counts = np.zeros(len(tops), dtype=np.int64)
+
+    def count_distinct(A1, A2, D, h):  # images (A1 + A2*sqrt(d))/D of height h
+        order = np.lexsort((A1, A2, D))
+        keys, first = [k[order] for k in (A1, A2, D)], np.ones(len(h), dtype=bool)
+        first[1:] = np.any([k[1:] != k[:-1] for k in keys], axis=0)
+        counts[:] += np.bincount(np.searchsorted(tops, h[order][first]), minlength=len(tops))
+
+    pending = [np.empty(0, dtype=np.int64)] * 4  # A1, A2, D and the height
+    for b, a1, a in element_blocks(ball, Fraction(-2), Fraction(2),
+                                   np.array(visited, dtype=np.int64)):
         # over Q the numerator a is the only coordinate
         x1, x2 = (a1, a) if d > 1 else (a, a1)
         A1, A2, B, G = _images(x1, x2, b, d)
-        img = np.stack([A1, A2, B], axis=1) // G[:, None]
-        kept.append(img[np.abs(img).max(axis=1) <= top])
-    images = np.unique(np.concatenate(kept), axis=0)
-    heights = np.sort(np.abs(images).max(axis=1))
-    points = []
-    for R in R_list:
-        numerator = int(np.searchsorted(heights, R.numerator // R.denominator, "right"))
-        denominator = count_ball_interval(HeightBall(field, R), -2, 2)
-        points.append(DensityPoint(R, numerator, denominator))
+        h = np.maximum(np.maximum(np.abs(A1), np.abs(A2)), B) // G
+        keep = h <= top
+        block = [c[keep] // G[keep] for c in (A1, A2, B)] + [h[keep]]
+        pending = [np.concatenate(c) for c in zip(pending, block)]
+        if len(b):
+            final = pending[2] < threshold[int(b[-1])]
+            count_distinct(*(c[final] for c in pending))
+            pending = [c[~final] for c in pending]
+    count_distinct(*pending)
+    denominators = count_ball_intervals(field, R_list, -2, 2)
+    points = [DensityPoint(*p) for p in zip(R_list, np.cumsum(counts).tolist(), denominators)]
     return DensityReport(
         field=field,
         points=tuple(points),

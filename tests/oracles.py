@@ -17,12 +17,13 @@ from trisectlab.height_enum import (
     HeightBall,
     _row_blocks,
     check_int64,
+    count_ball_interval,
     element_blocks,
     qbox_count,
     qbox_main_term,
 )
 from trisectlab.polyalg import IntPoly, RatPoly, cyclotomic, euler_phi
-from trisectlab.trisect_core import _images
+from trisectlab.trisect_core import _images, preimage_bound
 
 
 def mobius(j: int) -> int:
@@ -383,6 +384,26 @@ def gcd_bound_sweep_blocks(d: int, height_bound: int) -> dict:
         checked += len(G)
         worst = max(worst, int(G.max(initial=1)))
     return {"d": d, "height_bound": height_bound, "elements_checked": checked, "max_gcd": worst}
+
+
+def density_points_full(field, R_list) -> list[tuple[int, int]]:
+    """(numerator, denominator) of ``trisect_core.density_experiment`` at
+    each R by the whole preimage ball: every element of
+    B(S(R_max)) ∩ [-2, 2] through ``_images``, one global ``np.unique`` of
+    the images of height <= R_max, and one ``count_ball_interval`` per R."""
+    R_list = [Fraction(R) for R in R_list]
+    ball = HeightBall(field, preimage_bound(field, R_list[-1]))
+    d = field.d or 1
+    top = R_list[-1].numerator // R_list[-1].denominator
+    kept = []
+    for b, a1, a in element_blocks(ball, Fraction(-2), Fraction(2)):
+        x1, x2 = (a1, a) if d > 1 else (a, a1)
+        A1, A2, B, G = _images(x1, x2, b, d)
+        img = np.stack([A1, A2, B], axis=1) // G[:, None]
+        kept.append(img[np.abs(img).max(axis=1) <= top])
+    heights = np.sort(np.abs(np.unique(np.concatenate(kept), axis=0)).max(axis=1))
+    return [(int(np.searchsorted(heights, R.numerator // R.denominator, "right")),
+             count_ball_interval(HeightBall(field, R), -2, 2)) for R in R_list]
 
 
 def basis_change_fractions(w1, w2):

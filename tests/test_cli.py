@@ -118,6 +118,13 @@ def test_bad_arguments_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_density_below_height_one_is_bad_arguments(capsys):
+    """B(R) ∩ [-2, 2] is empty below height 1: exit 2, not 1 (falsified)."""
+    for field in (["--field", "q", "--R", "0.5"], ["--field", "quad", "--d", "2", "--R", "0.5,1"]):
+        assert main(["density", *field]) == 2
+        assert "R must be >= 1" in capsys.readouterr().err
+
+
 def test_overflow_is_bad_arguments_not_falsified(capsys):
     assert main(["lehmer", "--sides", "1e400,2"]) == 2
     assert capsys.readouterr().err.startswith("error:")

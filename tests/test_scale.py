@@ -22,7 +22,7 @@ import json, sys, time
 from trisectlab.coprime_count import Box, lehmer_report
 from trisectlab.exact_arith import RATIONAL_FIELD, quadratic_field
 from trisectlab.height_enum import HeightBall, QBoxSpec, count_ball_interval, qbox
-from trisectlab.trisect_core import nonconstructible_witness
+from trisectlab.trisect_core import density_experiment, nonconstructible_witness
 CHECKED = ("count", "members_checked", "exhaustive", "membership_violations")
 start = time.perf_counter()
 value = {call}
@@ -34,7 +34,8 @@ print(json.dumps({{"value": value, "elapsed_s": elapsed, "peak_mb": peak_mb}}))
 
 # check -> (call, exact value, time limit in seconds).  The Q count is also
 # checked against the closed-form lattice count in test_height_enum; lehmer
-# is 2*Phi(10^9) - 1.  The witness at WITNESS_MAX_M = 31 is produced and
+# is 2*Phi(10^9) - 1.  The Q density at 10^9 has that count as its
+# denominator and visits the preimage rows b <= 1000 of B(2000).  The witness at WITNESS_MAX_M = 31 is produced and
 # verified, which builds it twice, as `trisectlab witness --m 31 --q 2` does.
 # The qbox runs check the count and the members of the box difference
 # (sampled at R = 3000 by the seed-0 stream, exhaustively at Q(sqrt 2)).
@@ -53,6 +54,11 @@ SCALE_RUNS = {
         "lehmer_report(Box(('1e9', '1e9'))).count",
         607927102346016827,
         3.0,
+    ),
+    "density-q-1e9": (
+        "[[p.numerator, p.denominator] for p in density_experiment(RATIONAL_FIELD, [10 ** 9]).points]",
+        [[1004395, 911890653519025243]],
+        2.0,
     ),
     "witness-31-2": (
         "nonconstructible_witness(31, 2).verify()",

@@ -2,7 +2,11 @@
 and the density experiment."""
 
 import json
+import math
+import os
 import random
+import subprocess
+import sys
 import time
 from dataclasses import astuple
 from fractions import Fraction
@@ -15,12 +19,13 @@ from hypothesis import strategies as st
 
 from oracles import (
     ball_stream,
+    density_points_full,
     gcd_bound_sweep_blocks,
     phi_bound_check,
     phi_curve,
     sylvester_minpoly,
 )
-from trisectlab import trisect_core
+from trisectlab import height_enum, trisect_core
 from trisectlab.cli import main as cli_main
 from trisectlab.errors import BadParameters, CapExceeded, GcdBoundViolated, OutOfRange
 from trisectlab.exact_arith import (
@@ -34,6 +39,8 @@ from trisectlab.exact_arith import (
 from trisectlab.height_enum import (
     HeightBall,
     count_ball,
+    count_ball_interval,
+    count_ball_intervals,
     element_blocks,
     enumerate_ball,
     enumerate_ball_interval,
@@ -576,6 +583,105 @@ def test_density_validation():
         density_experiment(RATIONAL_FIELD, [10, 10])
     with pytest.raises(BadParameters):
         density_experiment(RATIONAL_FIELD, [])
+
+
+@pytest.mark.parametrize("field, size", [(RATIONAL_FIELD, 3), (quadratic_field(2), 7)],
+                         ids=["Q", "d2"])
+def test_density_refuses_R_below_one(field, size):
+    """B(R) ∩ [-2, 2] is empty below height 1, so delta(R) has no value;
+    at R = 1 it is 0, +-1 (and +-sqrt(2), +-(1 - sqrt(2)) over Q(sqrt 2))."""
+    for R_list in ([Fraction(1, 2)], [Fraction(1, 2), 1], [0, 5]):
+        with pytest.raises(BadParameters, match="R must be >= 1"):
+            density_experiment(field, R_list)
+    assert density_experiment(field, [1]).points[0].denominator == size
+
+
+_DENSITY_FIELDS = [RATIONAL_FIELD] + [quadratic_field(d) for d in (2, 3, 5, 6, 7, 30)]
+_R_LISTS = st.lists(st.fractions(1, 300, max_denominator=7), min_size=1, max_size=4,
+                    unique=True).map(sorted)
+
+
+@pytest.mark.parametrize("block_cells", [height_enum.BLOCK_CELLS, 64], ids=["default", "tiny"])
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from(_DENSITY_FIELDS), R_list=_R_LISTS)
+def test_density_matches_whole_ball_reference(block_cells, field, R_list):
+    """The reachable-row, streamed numerator and the shared denominator
+    count against the whole preimage ball with one global dedup and one
+    count per R.  With 64 cells a block holds a row or a few, so one
+    denominator spans many blocks and flushes fall mid-denominator."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(height_enum, "BLOCK_CELLS", block_cells)
+        report = density_experiment(field, R_list)
+    assert [(p.numerator, p.denominator) for p in report.points] == density_points_full(
+        field, R_list)
+
+
+@pytest.mark.parametrize("d, R", [(None, 1000), (None, Fraction(2001, 2)), (2, 200),
+                                  (3, 150), (6, 100), (30, 60)])
+def test_unvisited_rows_cannot_count(d, R):
+    """Soundness of the row cut: every element of B(S) ∩ [-2, 2] whose
+    denominator b has b^3 > floor(R) * gcd(8d, b^3) (floor(R) over Q) has
+    an image of height above R."""
+    field = quadratic_field(d) if d else RATIONAL_FIELD
+    top = math.floor(R)
+    ball = HeightBall(field, preimage_bound(field, R))
+    skipped = 0
+    for b, a1, a in element_blocks(ball, Fraction(-2), Fraction(2)):
+        g = np.array([gcd(8 * d, v ** 3) if d else 1 for v in b.tolist()], dtype=np.int64)
+        cut = b ** 3 > top * g
+        x1, x2 = (a1, a) if d else (a, a1)
+        A1, A2, B, G = _images(x1[cut], x2[cut], b[cut], d or 1)
+        assert (np.maximum(np.maximum(np.abs(A1), np.abs(A2)), B) // G > top).all()
+        skipped += int(cut.sum())
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("field, R_list, lo, hi", [
+    (RATIONAL_FIELD, [25, 50, 100, 200], -2, 2),
+    (RATIONAL_FIELD, [1, Fraction(7, 2), 999, 1000, 10 ** 6], -2, 2),
+    (RATIONAL_FIELD, [3, 40, 41], Fraction(-1, 3), Fraction(5, 2)),
+    (quadratic_field(2), [25, 50, 100, 200], -2, 2),
+    (quadratic_field(3), [Fraction(1, 2), 7, Fraction(77, 3), 60], -2, 2),
+    (quadratic_field(5), [9, 30, 31], Fraction(-3, 7), 1),
+], ids=["Q-nested", "Q-mixed", "Q-skew", "d2-nested", "d3-mixed", "d5-skew"])
+def test_shared_interval_counts_match_per_R(field, R_list, lo, hi):
+    assert count_ball_intervals(field, R_list, lo, hi) == [
+        count_ball_interval(HeightBall(field, R), lo, hi) for R in R_list]
+
+
+def test_density_leaves_numpy_ma_unimported():
+    """numpy.ma costs milliseconds and megabytes to import; the numerator
+    dedups by lexsort, so a fresh interpreter never loads it."""
+    src = os.path.dirname(os.path.dirname(trisect_core.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys\n"
+            "from trisectlab.exact_arith import RATIONAL_FIELD, quadratic_field\n"
+            "from trisectlab.trisect_core import density_experiment\n"
+            "density_experiment(RATIONAL_FIELD, [25, 50, 100])\n"
+            "density_experiment(quadratic_field(2), [25, 50])\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_rational_density_constant():
+    """delta(R) * R^(4/3) tends to I/3 over Q, I the integral over [-2, 2]
+    of max(|t^3 - 3t|, 1)^(-2/3): coprime points under s^3 * max(|f(r/s)|, 1)
+    <= R against (3/2) R^2/zeta(2) in the denominator.  At R = 10^8 the
+    library is within 0.1%.  The integrand has kinks where f(t) = +-1, at
+    t = +-2cos(2*pi*k/9), k = 1, 2, 4, and zeros of f at 0 and +-sqrt(3)."""
+    import mpmath as mp
+
+    kinks = [s * 2 * mp.cos(2 * mp.pi * k / 9) for k in (1, 2, 4) for s in (1, -1)]
+    breaks = sorted([mp.mpf(-2), mp.mpf(0), mp.mpf(2), mp.sqrt(3), -mp.sqrt(3)] + kinks)
+    with mp.workdps(30):
+        integral = mp.quad(lambda t: mp.power(max(abs(t ** 3 - 3 * t), 1), mp.mpf(-2) / 3),
+                           breaks)
+    target = float(integral / 3)
+    assert target == pytest.approx(1.1017, abs=1e-4)
+    point = density_experiment(RATIONAL_FIELD, [10 ** 8]).points[0]
+    assert abs(point.delta * 10 ** (32 / 3) - target) < 1e-3 * target
 
 
 def test_wantzel_instance():
