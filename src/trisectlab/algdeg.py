@@ -42,26 +42,29 @@ class AngleNumber:
             return 2 * mpmath.cos(2 * mpmath.pi * self.j / self.m)
 
 
-def angle_number(j: int, m: int, verify: bool = True) -> AngleNumber:
+def angle_number(j: int, m: int) -> AngleNumber:
     if m < 1 or j < 1:
         raise BadParameters("need positive j, m")
     if gcd(j, m) != 1:
         raise NotCoprime(f"gcd({j}, {m}) != 1")
     poly = cos_minimal_poly(m)
     num = AngleNumber(j=j, m=m, minimal_poly=poly)
-    if verify:
-        _verify_numeric_root(num)
+    _verify_numeric_root(num)
     return num
 
 
-def _verify_numeric_root(num: AngleNumber, tol_exp: int = -25) -> None:
+# The minimal polynomial must vanish at 2cos(2*pi*j/m) to below 10^ROOT_TOL_EXP.
+ROOT_TOL_EXP = -25
+
+
+def _verify_numeric_root(num: AngleNumber) -> None:
     poly = num.minimal_poly
     bits = max(abs(c).bit_length() for c in poly.coeffs)
     prec = bits + 2 * poly.degree + 200
     with mpmath.workprec(prec):
         x = 2 * mpmath.cos(2 * mpmath.pi * num.j / num.m)
         residual = abs(poly.evaluate(x))
-        if residual >= mpmath.mpf(10) ** tol_exp:
+        if residual >= mpmath.mpf(10) ** ROOT_TOL_EXP:
             raise AssertionError(
                 f"2cos(2*pi*{num.j}/{num.m}) misses its minimal polynomial "
                 f"by {mpmath.nstr(residual, 5)}"

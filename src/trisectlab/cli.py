@@ -18,7 +18,6 @@ import os
 import random
 import sys
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -51,42 +50,12 @@ from .trisect_core import (
 CAP_ENV_VAR = "TRISECTLAB_CAP"
 
 
-@dataclass
-class RunConfig:
-    verb: str
-    field: FieldDescriptor | None = None
-    a: str | None = None
-    R_list: tuple[Fraction, ...] = ()
-    sides: tuple[str, ...] = ()
-    p: int | None = None
-    c: int | None = None
-    den: int | None = None
-    m: int | None = None
-    q: int | None = None
-    n: int | None = None
-    cap: int | None = None
-    degree_cap: int = algdeg.DEGREE_CAP
-    out: str | None = None
-    fmt: str = "json"
-    shards: int = 1  # validated, then unused: output never depended on it
-    seed: int = 0
-    quick: bool = False
-
-    def validate(self):
-        if self.shards < 1:
-            raise BadParameters("shard count must be >= 1")
-        if self.cap is not None and self.cap <= 0:
-            raise BadParameters("cap must be positive")
-        if list(self.R_list) != sorted(set(self.R_list)):
-            raise BadParameters("R list must be strictly increasing")
-
-
 def _field_from_args(args) -> FieldDescriptor:
     if args.field in ("q", "rational"):
-        if getattr(args, "d", None):
+        if args.d:
             raise BadParameters("--d only applies to quadratic fields")
         return RATIONAL_FIELD
-    if getattr(args, "d", None) is None:
+    if args.d is None:
         raise BadParameters("quadratic field needs --d")
     return quadratic_field(args.d)
 
@@ -104,8 +73,8 @@ def _atomic_write(path: str, payload: str) -> None:
         raise
 
 
-def _emit(config: RunConfig, payload_json: dict, csv_rows=None, csv_header=None) -> None:
-    if config.fmt == "json":
+def _emit(args, payload_json: dict, csv_rows=None, csv_header=None) -> None:
+    if args.fmt == "json":
         text = json.dumps(payload_json, sort_keys=True, indent=2) + "\n"
     else:
         buf = io.StringIO()
@@ -115,56 +84,67 @@ def _emit(config: RunConfig, payload_json: dict, csv_rows=None, csv_header=None)
         for row in csv_rows or []:
             writer.writerow(row)
         text = buf.getvalue()
-    if config.out:
-        _atomic_write(config.out, text)
+    if args.out:
+        _atomic_write(args.out, text)
     else:
         sys.stdout.write(text)
 
 
-def _run_decide(config: RunConfig) -> int:
-    field = config.field
-    element = parse_element(config.a, d=field.d if field.degree == 2 else None)
+def _run_decide(args) -> int:
+    field = _field_from_args(args)
+    element = parse_element(args.a, d=field.d if field.degree == 2 else None)
     verdict = decide_trisection(element, field)
-    payload = {"field": field.label(), "d": field.d, "a": config.a.strip()}
+    payload = {"field": field.label(), "d": field.d, "a": args.a.strip()}
     payload.update(verdict.to_dict())
-    row = [field.label(), field.d, config.a.strip(), verdict.member, verdict.method,
+    row = [field.label(), field.d, args.a.strip(), verdict.member, verdict.method,
            format_element(verdict.witness) if verdict.witness is not None else None]
-    _emit(config, payload, [row], ["field", "d", "a", "member", "method", "witness"])
+    _emit(args, payload, [row], ["field", "d", "a", "member", "method", "witness"])
     return 0
 
 
-def _run_density(config: RunConfig) -> int:
-    report = density_experiment(config.field, config.R_list, cap=config.cap)
+def _run_density(args) -> int:
+    field = _field_from_args(args)
+    R_list = [Fraction(part) for part in args.R.split(",")]
+    if args.shards < 1:
+        raise BadParameters("shard count must be >= 1")
+    cap = args.cap
+    if cap is None and os.environ.get(CAP_ENV_VAR):
+        cap = int(os.environ[CAP_ENV_VAR])
+    if cap is not None and cap <= 0:
+        raise BadParameters("cap must be positive")
+    report = density_experiment(field, R_list, cap=cap)
     payload = report.to_dict()
     rows = [
         [payload["field"], payload["d"], point["R"], point["num"], point["den"],
          point["delta"], payload["slope"], payload["target_exponent"]]
         for point in payload["points"]
     ]
-    _emit(config, payload, rows,
+    _emit(args, payload, rows,
           ["field", "d", "R", "numerator", "denominator", "delta", "slope", "target_exponent"])
     return 0
 
 
-def _run_lehmer(config: RunConfig) -> int:
-    box = Box(tuple(Fraction(s) for s in config.sides))
+def _run_lehmer(args) -> int:
+    box = Box(tuple(Fraction(s) for s in args.sides.split(",")))
+    if args.shards < 1:
+        raise BadParameters("shard count must be >= 1")
     report = lehmer_report(box)
     payload = report.to_dict()
     header = (["k"] + [f"side{i+1}" for i in range(box.k)]
               + ["count", "main_term", "error", "f_k", "eccentricity"])
-    _emit(config, payload, [report.csv_row()], header)
+    _emit(args, payload, [report.csv_row()], header)
     return 0
 
 
-def _run_boxcount(config: RunConfig) -> int:
-    field = config.field
-    R = config.R_list[0]
+def _run_boxcount(args) -> int:
+    field = _field_from_args(args)
+    R = Fraction(args.R)
     ball = HeightBall(field, R)
     total = count_ball(ball)
     interval = count_ball_interval(ball, -2, 2)
     k = field.degree
     main = 2.0 ** k * float(R) ** (k + 1) / coprime_count.zeta(k + 1)
-    qreport = height_enum.qbox(QBoxSpec(field, R), seed=config.seed)
+    qreport = height_enum.qbox(QBoxSpec(field, R), seed=args.seed)
     payload = {
         "field": field.label(),
         "d": field.d,
@@ -181,52 +161,51 @@ def _run_boxcount(config: RunConfig) -> int:
         [field.label(), field.d, str(R), "qbox", qreport["count"], qreport["main_term"],
          qreport["ratio"]],
     ]
-    _emit(config, payload, rows, ["field", "d", "R", "kind", "count", "mainterm", "ratio"])
+    _emit(args, payload, rows, ["field", "d", "R", "kind", "count", "mainterm", "ratio"])
     return 0
 
 
-def _run_nsect(config: RunConfig) -> int:
-    cert = trisect_core.nonsectability_cert(config.p, config.c, config.den)
+def _run_nsect(args) -> int:
+    cert = trisect_core.nonsectability_cert(args.p, args.c, args.den)
     payload = cert.to_dict()
     payload["verified"] = cert.verify()
-    _emit(config, payload,
-          [[config.p, config.c, config.den, payload["verified"]]],
+    _emit(args, payload,
+          [[args.p, args.c, args.den, payload["verified"]]],
           ["p", "c", "d", "verified"])
     return 0
 
 
-def _run_witness(config: RunConfig) -> int:
-    cert = trisect_core.nonconstructible_witness(config.m, config.q)
+def _run_witness(args) -> int:
+    cert = trisect_core.nonconstructible_witness(args.m, args.q)
     payload = cert.to_dict()
     payload["verified"] = cert.verify()
-    _emit(config, payload,
-          [[config.m, config.q, payload["data"]["degree"], payload["verified"]]],
+    _emit(args, payload,
+          [[args.m, args.q, payload["data"]["degree"], payload["verified"]]],
           ["m", "q", "degree", "verified"])
     return 0
 
 
-def _run_algdeg(config: RunConfig) -> int:
-    n = config.n
+def _run_algdeg(args) -> int:
+    n = args.n
     payload = {
         "n": n,
-        "tower": algdeg.tower_checks(n, cap=config.degree_cap),
-        "shift_degree": algdeg.cn_degree_check(n, cap=config.degree_cap),
+        "tower": algdeg.tower_checks(n, cap=args.degree_cap),
+        "shift_degree": algdeg.cn_degree_check(n, cap=args.degree_cap),
         "identities": algdeg.identity_suite(n),
     }
     ok = (payload["tower"]["ok"] and payload["shift_degree"]["ok"]
           and payload["identities"]["ok"])
     payload["ok"] = ok
-    _emit(config, payload,
+    _emit(args, payload,
           [[n, payload["tower"]["ok"], payload["shift_degree"]["ok"],
             payload["identities"]["ok"]]],
           ["n", "tower_ok", "shift_degree_ok", "identities_ok"])
     return 0 if ok else 1
 
 
-def _verify_checks(config: RunConfig):
+def _verify_checks(seed: int, quick: bool):
     """Cross-module invariant sweeps; yields (name, ok, detail)."""
-    rng = random.Random(config.seed)
-    quick = config.quick
+    rng = random.Random(seed)
 
     # canonical uniqueness and field laws on random elements
     def random_elem(d):
@@ -326,17 +305,17 @@ def _verify_checks(config: RunConfig):
     yield "height-commensurability", fits and factor <= 2, factor
 
 
-def _run_verify(config: RunConfig) -> int:
+def _run_verify(args) -> int:
     failures = 0
     results = []
-    for name, ok, detail in _verify_checks(config):
+    for name, ok, detail in _verify_checks(args.seed, args.quick):
         results.append({"check": name, "ok": bool(ok), "detail": detail})
         line = f"{'ok' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail is not None else "")
         print(line)
         if not ok:
             failures += 1
-    if config.out:
-        _atomic_write(config.out, json.dumps({"results": results}, sort_keys=True, indent=2) + "\n")
+    if args.out:
+        _atomic_write(args.out, json.dumps({"results": results}, sort_keys=True, indent=2) + "\n")
     return 1 if failures else 0
 
 
@@ -351,116 +330,64 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p, shards=False):
+    def add_verb(name, run, summary, field=False, csv=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        if field:
+            p.add_argument("--field", choices=("q", "rational", "quad", "quadratic"),
+                           default="q")
+            p.add_argument("--d", type=int, default=None, help="squarefree radicand")
         p.add_argument("--out", "-o", help="write the artifact to this path (atomic)")
-        p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
-        p.add_argument("--cap", type=int, default=None,
-                       help=f"enumeration cap (default from ${CAP_ENV_VAR})")
-        p.add_argument("--seed", type=int, default=0)
-        if shards:
-            p.add_argument("--shards", type=int, default=1,
-                           help="accepted (must be >= 1); output and work do not depend on it")
+        if csv:
+            p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
+        return p
 
-    def add_field(p):
-        p.add_argument("--field", choices=("q", "rational", "quad", "quadratic"),
-                       default="q")
-        p.add_argument("--d", type=int, default=None, help="squarefree radicand")
+    def add_shards(p):
+        p.add_argument("--shards", type=int, default=1,
+                       help="accepted (must be >= 1); output and work do not depend on it")
 
-    p = sub.add_parser("decide", help="decide membership of a cosine value")
-    add_field(p)
+    p = add_verb("decide", _run_decide, "decide membership of a cosine value", field=True)
     p.add_argument("--a", required=True, help='element, e.g. "3/2" or "(1+1*sqrt(5))/2"')
-    add_common(p)
 
-    p = sub.add_parser("density", help="decay of the accepted fraction of height balls")
-    add_field(p)
+    p = add_verb("density", _run_density, "decay of the accepted fraction of height balls",
+                 field=True)
     p.add_argument("--R", required=True, help="comma-separated increasing height bounds")
-    add_common(p, shards=True)
+    p.add_argument("--cap", type=int, default=None,
+                   help=f"most preimages the numerator may visit (default from ${CAP_ENV_VAR})")
+    add_shards(p)
 
-    p = sub.add_parser("lehmer", help="coprime tuple count in a box")
+    p = add_verb("lehmer", _run_lehmer, "coprime tuple count in a box")
     p.add_argument("--sides", required=True, help='comma-separated sides, e.g. "4,4" or "5.9,3.2"')
-    add_common(p, shards=True)
+    add_shards(p)
 
-    p = sub.add_parser("boxcount", help="height-ball counts and the certified sub-box")
-    add_field(p)
-    p.add_argument("--R", required=True)
-    add_common(p)
+    p = add_verb("boxcount", _run_boxcount, "height-ball counts and the certified sub-box",
+                 field=True)
+    p.add_argument("--R", required=True, help="one height bound")
+    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("nsect", help="cannot-split-into-p certificate for cos = c/d")
+    p = add_verb("nsect", _run_nsect, "cannot-split-into-p certificate for cos = c/d")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--d", type=int, required=True, dest="den")
-    add_common(p)
 
-    p = sub.add_parser("algdeg", help="tower, identity, and degree reports")
+    p = add_verb("algdeg", _run_algdeg, "tower, identity, and degree reports")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--degree-cap", type=int, default=algdeg.DEGREE_CAP)
-    add_common(p)
 
-    p = sub.add_parser("witness", help="accepted-but-not-constructible certificate")
+    p = add_verb("witness", _run_witness, "accepted-but-not-constructible certificate")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    add_common(p)
 
-    p = sub.add_parser("verify", help="run the cross-module invariant suites")
+    p = add_verb("verify", _run_verify, "run the cross-module invariant suites", csv=False)
     p.add_argument("--quick", action="store_true")
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     return parser
 
 
-def config_from_args(args) -> RunConfig:
-    cap = getattr(args, "cap", None)
-    if cap is None and os.environ.get(CAP_ENV_VAR):
-        cap = int(os.environ[CAP_ENV_VAR])
-    config = RunConfig(
-        verb=args.verb,
-        cap=cap,
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "fmt", "json"),
-        shards=getattr(args, "shards", 1),
-        seed=getattr(args, "seed", 0),
-        quick=getattr(args, "quick", False),
-        degree_cap=getattr(args, "degree_cap", algdeg.DEGREE_CAP),
-    )
-    if args.verb in ("decide", "density", "boxcount"):
-        config.field = _field_from_args(args)
-    if args.verb == "decide":
-        config.a = args.a
-    if args.verb in ("density", "boxcount"):
-        config.R_list = tuple(Fraction(part) for part in args.R.split(","))
-    if args.verb == "lehmer":
-        config.sides = tuple(args.sides.split(","))
-    if args.verb == "nsect":
-        config.p, config.c, config.den = args.p, args.c, args.den
-    if args.verb == "witness":
-        config.m, config.q = args.m, args.q
-    if args.verb == "algdeg":
-        config.n = args.n
-    config.validate()
-    return config
-
-
-_RUNNERS = {
-    "decide": _run_decide,
-    "density": _run_density,
-    "lehmer": _run_lehmer,
-    "boxcount": _run_boxcount,
-    "nsect": _run_nsect,
-    "witness": _run_witness,
-    "algdeg": _run_algdeg,
-    "verify": _run_verify,
-}
-
-
-def run(config: RunConfig) -> int:
-    return _RUNNERS[config.verb](config)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        return run(config)
+        return args.run(args)
     except (GcdBoundViolated, AssertionError) as exc:
         print(f"falsified: {exc}", file=sys.stderr)
         return 1

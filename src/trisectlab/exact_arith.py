@@ -209,8 +209,6 @@ def canonicalize(a1: int, a2: int, b: int, d: int) -> QuadElem:
     """
     if b == 0:
         raise ZeroDenominator("denominator is zero")
-    if not is_squarefree(d):
-        raise NonSquarefreeRadicand(f"radicand {d} not squarefree >= 2")
     if b < 0:
         a1, a2, b = -a1, -a2, -b
     g = gcd(gcd(a1, a2), b)
@@ -301,13 +299,18 @@ def _basis_change_ints(w1: QuadElem, w2: QuadElem):
     return s * w1.b * w2.a2, -s * w1.b * w2.a1, -s * w2.b * w1.a2, s * w2.b * w1.a1, abs(det)
 
 
-def verify_commensurability(d: int, alt_basis, R: int, ceiling: int = 1000):
+# Largest height factor ``verify_commensurability`` reports as commensurate.
+COMMENSURABILITY_CEILING = 1000
+
+
+def verify_commensurability(d: int, alt_basis, R: int):
     """Exhaustively compare the standard height with the height in
     ``alt_basis`` over all elements of standard height <= R, on the int64
     element blocks of ``height_enum`` (``CapExceeded`` past 2^62).
 
     Returns (factor, ok): the smallest integer D with h2/D <= h1 <= D*h2,
-    the largest ceil(max(h1, h2)/min(h1, h2)), and whether D <= ``ceiling``.
+    the largest ceil(max(h1, h2)/min(h1, h2)), and whether D <=
+    ``COMMENSURABILITY_CEILING``.
     """
     from .height_enum import HeightBall, check_int64, element_blocks  # imports this module
 
@@ -321,7 +324,7 @@ def verify_commensurability(d: int, alt_basis, R: int, ceiling: int = 1000):
         h2 = np.maximum(np.maximum(abs(u1), abs(u2)), den) // np.gcd(np.gcd(u1, u2), den)
         ratio = -(-np.maximum(h1, h2) // np.minimum(h1, h2))
         factor = max(factor, int(ratio.max(initial=1)))
-    return factor, factor <= ceiling
+    return factor, factor <= COMMENSURABILITY_CEILING
 
 
 _QUAD_RE = re.compile(

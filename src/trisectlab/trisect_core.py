@@ -42,8 +42,8 @@ from .exact_arith import (
     quadratic_field,
     sign_lin,
 )
-from .height_enum import (BLOCK_CELLS, HeightBall, check_int64, count_ball_interval,
-                          count_ball_intervals, element_blocks)
+from .height_enum import (BLOCK_CELLS, HeightBall, check_int64, count_ball_intervals,
+                          element_blocks)
 from .nsect import psection_poly
 from .polyalg import (IntPoly, RatPoly, divisors, eisenstein_check, is_prime,
                       resultant_minpoly, squarefree_over_q)
@@ -177,9 +177,8 @@ def raw_image(x: QuadElem) -> ImageTriple:
     The gcd G of the three coordinates always divides 8d; anything else
     would be a defect, not an input error.
     """
-    a1, a2, b, d = x.a1, x.a2, x.b, x.d
-    A1 = a1 * a1 * a1 + 3 * d * a1 * a2 * a2 - 3 * a1 * b * b
-    A2 = 3 * a1 * a1 * a2 + d * a2 * a2 * a2 - 3 * a2 * b * b
+    b, d = x.b, x.d
+    A1, A2 = _image_coords(x.a1, x.a2, b, d)
     B = b * b * b
     G = gcd(gcd(A1, A2), B)
     if (8 * d) % G != 0:
@@ -198,7 +197,7 @@ def apply_f(x):
 
 def _image_coords(x1, x2, b, d: int):
     """A1, A2 of f((x1 + x2*sqrt(d))/b) = (A1 + A2*sqrt(d))/b^3, the
-    expansion of :func:`raw_image` over arrays that broadcast."""
+    expansion behind :func:`raw_image`, over ints or arrays that broadcast."""
     bb, s1, s2 = 3 * b * b, x1 * x1, d * x2 * x2
     return x1 * (s1 + 3 * s2 - bb), x2 * (3 * s1 + s2 - bb)
 
@@ -299,7 +298,7 @@ def _decide_rational(a: Fraction) -> TrisectionVerdict:
     s = icbrt(q)
     if s * s * s == q:
         for r in _root_floors(s, p, 0, None):
-            if r * r * r - 3 * s * s * r == p:
+            if _image_coords(r, 0, s, 1)[0] == p:
                 return TrisectionVerdict(True, Fraction(r, s), "rational-fast-path")
     return TrisectionVerdict(
         False, None, "rational-fast-path", certificate=_try_eisenstein_cert(a)
@@ -338,6 +337,8 @@ def _quadratic_preimage(a: QuadElem) -> QuadElem | None:
                 m = k - kc
                 j = isqrt(m * m // (4 * d))
                 for b2 in (j, j + 1) if m >= 0 else (-j, -j - 1):
+                    # :func:`_image_coords` written out, so that the many
+                    # candidates failing A1 = P1 skip computing A2
                     if (
                         b1 * (b1 * b1 + 3 * d * b2 * b2 - 3 * c2) == P1
                         and b2 * (3 * b1 * b1 + d * b2 * b2 - 3 * c2) == P2
@@ -551,7 +552,9 @@ def density_experiment(
     deduplicated (lexsort, adjacent compare), counted into every
     numerator and dropped; over Q only the rows of b stay pending.  One
     :func:`height_enum.count_ball_intervals` gives every denominator.
-    ``cap`` (None: no cap) bounds |B(S) ∩ [-2, 2]| with ``CapExceeded``.
+    ``cap`` (None: no cap) bounds the preimages visited, those of the
+    visited rows in B(S) ∩ [-2, 2]: ``CapExceeded`` as soon as the blocks
+    streamed so far hold more than ``cap`` of them.
     """
     R_list = [Fraction(R) for R in R_list]
     if not R_list or any(b <= a for a, b in zip(R_list, R_list[1:])):
@@ -561,8 +564,6 @@ def density_experiment(
     ball = HeightBall(field, preimage_bound(field, R_list[-1]))
     d = field.d or 1
     check_int64((4 + 3 * d) * ball.bound ** 3, f"image of B({ball.R})")
-    if cap is not None and count_ball_interval(ball, -2, 2) > cap:
-        raise CapExceeded(f"|B({ball.R}) in [-2, 2]| exceeds cap {cap}")
     tops = np.array([R.numerator // R.denominator for R in R_list], dtype=np.int64)
     top = int(tops[-1])
 
@@ -580,8 +581,13 @@ def density_experiment(
         counts[:] += np.bincount(np.searchsorted(tops, h[order][first]), minlength=len(tops))
 
     pending = [np.empty(0, dtype=np.int64)] * 4  # A1, A2, D and the height
+    preimages = 0
     for b, a1, a in element_blocks(ball, Fraction(-2), Fraction(2),
                                    np.array(visited, dtype=np.int64)):
+        if cap is not None:
+            preimages += len(b)
+            if preimages > cap:
+                raise CapExceeded(f"more than {cap} preimages visited in B({ball.R}) in [-2, 2]")
         # over Q the numerator a is the only coordinate
         x1, x2 = (a1, a) if d > 1 else (a, a1)
         A1, A2, B, G = _images(x1, x2, b, d)

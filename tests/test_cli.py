@@ -116,6 +116,8 @@ def test_bad_arguments_exit_2(capsys):
     capsys.readouterr()
     assert main(["density", "--field", "q", "--R", "100,50"]) == 2
     capsys.readouterr()
+    assert main(["boxcount", "--field", "q", "--R", "9,10,11"]) == 2  # one height only
+    capsys.readouterr()
 
 
 def test_density_below_height_one_is_bad_arguments(capsys):
@@ -145,6 +147,51 @@ def test_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv("TRISECTLAB_CAP", "10")
     assert main(["density", "--field", "q", "--R", "100,1000"]) == 3
     capsys.readouterr()
+
+
+def test_cap_bounds_the_preimages_visited(capsys, monkeypatch):
+    """Over Q at R = 1000 the numerator visits 129 preimages (the whole
+    ball B(20) ∩ [-2, 2] holds 385): 129 passes, 128 is refused."""
+    density = ["density", "--field", "q", "--R", "100,1000"]
+    assert main([*density, "--cap", "129"]) == 0
+    assert main([*density, "--cap", "128"]) == 3
+    monkeypatch.setenv("TRISECTLAB_CAP", "129")
+    assert main(density) == 0
+    monkeypatch.setenv("TRISECTLAB_CAP", "128")
+    assert main(density) == 3
+    assert "more than 128 preimages visited" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env, code", [("", 0), ("12x", 2), ("0", 2)])
+def test_cap_env_values(env, code, capsys, monkeypatch):
+    """An empty TRISECTLAB_CAP is ignored; a non-integer or 0 is bad arguments."""
+    monkeypatch.setenv("TRISECTLAB_CAP", env)
+    assert main(["density", "--field", "q", "--R", "100,1000"]) == code
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("args", [
+    ["decide", "--a", "1/2", "--cap", "5"],
+    ["decide", "--a", "1/2", "--seed", "1"],
+    ["density", "--R", "10", "--seed", "1"],
+    ["lehmer", "--sides", "4,4", "--cap", "5"],
+    ["lehmer", "--sides", "4,4", "--seed", "1"],
+    ["boxcount", "--R", "9", "--cap", "5"],
+    ["nsect", "--p", "3", "--c", "3", "--d", "4", "--cap", "5"],
+    ["nsect", "--p", "3", "--c", "3", "--d", "4", "--seed", "1"],
+    ["algdeg", "--n", "3", "--cap", "5"],
+    ["algdeg", "--n", "3", "--seed", "1"],
+    ["witness", "--m", "5", "--q", "2", "--cap", "5"],
+    ["witness", "--m", "5", "--q", "2", "--seed", "1"],
+    ["verify", "--quick", "--cap", "5"],
+    ["verify", "--quick", "--format", "csv"],
+], ids=lambda args: f"{args[0]}{args[-2]}")
+def test_unread_flags_are_refused(args, capsys):
+    """Each verb takes only the flags it reads; argparse exits 2 on the rest."""
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_rerun_byte_identical(tmp_path, capsys):

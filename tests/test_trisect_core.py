@@ -585,6 +585,21 @@ def test_density_validation():
         density_experiment(RATIONAL_FIELD, [])
 
 
+@pytest.mark.parametrize("field, R, visited", [(RATIONAL_FIELD, 1000, 129),
+                                               (quadratic_field(2), 200, 6443)], ids=["Q", "d2"])
+def test_density_cap_bounds_the_preimages_visited(field, R, visited):
+    """``cap`` counts the preimages in the rows the numerator visits, those
+    with b^3 <= R*gcd(8d, b^3), not the whole ball B(S) ∩ [-2, 2]."""
+    ball = HeightBall(field, preimage_bound(field, R))
+    dens = (x.b if isinstance(x, QuadElem) else x.denominator
+            for x in enumerate_ball_interval(ball, -2, 2))
+    reachable = sum(1 for b in dens if b ** 3 <= R * (gcd(8 * field.d, b ** 3) if field.d else 1))
+    assert reachable == visited < count_ball_interval(ball, -2, 2)
+    assert density_experiment(field, [R], cap=visited) == density_experiment(field, [R])
+    with pytest.raises(CapExceeded, match=f"more than {visited - 1} preimages visited"):
+        density_experiment(field, [R], cap=visited - 1)
+
+
 @pytest.mark.parametrize("field, size", [(RATIONAL_FIELD, 3), (quadratic_field(2), 7)],
                          ids=["Q", "d2"])
 def test_density_refuses_R_below_one(field, size):
