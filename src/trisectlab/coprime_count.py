@@ -126,19 +126,19 @@ def _mertens(xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def mobius_sum(ns, L) -> int:
-    """sum_{e=1}^{min ns} mu(e) * L(floor(n_1/e), ..., floor(n_k/e)), exact.
+def mobius_blocks(*ns) -> tuple[np.ndarray, np.ndarray]:
+    """The live blocks of sum_{e=1}^{min ns} mu(e) * L(floor(n_1/e), ...):
+    arrays of the first e of each block (int64) and of its weight
+    M(end) - M(start - 1), M the Mertens function of :func:`_mertens`
+    (Deleglise and Rivat), blocks of weight 0 left out.
 
     The quotients are constant on blocks of e ending at the floor
-    quotients of the n_i, so a block adds (M(end) - M(start - 1)) * L, M
-    the Mertens function of :func:`_mertens` (Deleglise and Rivat).  L gets
-    one object array of Python ints per n_i, its quotient at each block of
-    nonzero weight, and returns their values.  About 2*sqrt(n) blocks per
-    distinct n; past ``MAX_BLOCKS``, ``CapExceeded`` up front.
+    quotients of the n_i.  About 2*sqrt(n) blocks per distinct n; past
+    ``MAX_BLOCKS``, ``CapExceeded`` up front.
     """
     m = min(ns)
     if m < 1:
-        return 0
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     # the floor quotients of n are every v <= isqrt(n) and n // k for
     # k <= isqrt(n); those <= m start at k = n // (m + 1) + 1
     spans = [(n, isqrt(n), n // (m + 1) + 1) for n in set(ns)]
@@ -150,9 +150,20 @@ def mobius_sum(ns, L) -> int:
     ends = np.sort(np.concatenate(ends))  # a repeated end gets weight 0
     weights = np.diff(_mertens(ends), prepend=0)
     live = weights != 0
-    starts = np.concatenate(([1], ends[:-1] + 1))[live].astype(object)
+    return np.concatenate(([1], ends[:-1] + 1))[live], weights[live]
+
+
+def mobius_sum(ns, L) -> int:
+    """sum_{e=1}^{min ns} mu(e) * L(floor(n_1/e), ..., floor(n_k/e)), exact,
+    over the blocks of :func:`mobius_blocks`.  L gets one object array of
+    Python ints per n_i, its quotient at each block of nonzero weight, and
+    returns their values; it is not called when min ns < 1."""
+    starts, weights = mobius_blocks(*ns)
+    if not len(starts):
+        return 0
+    starts = starts.astype(object)
     values = L(*(n // starts for n in ns))
-    return int(np.dot(weights[live].astype(object), np.asarray(values, dtype=object)))
+    return int(np.dot(weights.astype(object), np.asarray(values, dtype=object)))
 
 
 def sieve_count(box: Box) -> int:

@@ -17,7 +17,7 @@ sub-box and samples it with the per-member ``random.Random(seed)`` stream.
 Counts never walk rows: |B(R) ∩ [lo, hi]| is the Moebius sum
 sum_e mu(e) * L(floor(R/e)) of :func:`coprime_count.mobius_sum`, with L
 the lattice points of the region at height N in closed form by floor sums;
-a list of R shares one L(N) per quotient.  The whole ball and the certified
+a list of R evaluates L once, on the union of its live quotients.  The whole ball and the certified
 sub-box count the same way.  Everything runs serially in one thread.
 """
 
@@ -31,7 +31,7 @@ from math import isqrt
 
 import numpy as np
 
-from .coprime_count import mobius_sum, zeta
+from .coprime_count import mobius_blocks, mobius_sum, zeta
 from .errors import BadParameters, CapExceeded
 from .exact_arith import FieldDescriptor, QuadElem
 
@@ -264,62 +264,80 @@ def count_ball_interval(ball: HeightBall, lo, hi) -> int:
 
 def count_ball_intervals(field: FieldDescriptor, R_list, lo, hi) -> list[int]:
     """Exact |B(R) ∩ [lo, hi]| for each R of ``R_list``, each as
-    sum_e mu(e) * L(floor(R/e)) by :func:`coprime_count.mobius_sum`: L(N)
-    counts all integer (a1, a2, b), 1 <= b <= N, |a1|, |a2| <= N,
+    sum_e mu(e) * L(floor(R/e)) over the live blocks of
+    :func:`coprime_count.mobius_blocks`: L(N) counts all integer
+    (a1, a2, b), 1 <= b <= N, |a1|, |a2| <= N,
     lo*b <= a1 + a2*sqrt(d) <= hi*b (over Q, a2 = 0).  With lo = p1/q1,
     hi = p2/q2 and a2 fixed, a1 runs from
     -floor((-p1*b + floor(q1*a2*sqrt d))/q1) to
     floor((p2*b - ceil(q2*a2*sqrt d))/q2), as floor((n - t)/q) =
     floor((n - ceil t)/q) for integer n: two :func:`_clipped_floor_sum`.
-    Over Q that is exact Python-int work on about 2*sqrt(R) blocks; over
-    Q(sqrt d), int64 blocks of ``BLOCK_A2`` values of a2, about R*log(R)
-    in all, with ``CapExceeded`` up front for inputs that could pass 2^62.
-    The a2 table is built once, at the largest R, and each L(N) once for
-    the list: floor(floor(R)/e) is a floor quotient of R, as is R/8's.
+
+    L is evaluated once, on the union of the live quotients of every R of
+    the list, and each R's count is the dot product of its weights with
+    its quotients' values.  Over Q that is one call on Python ints.  Over
+    Q(sqrt d) every (N, a2) pair is a cell, with the floor and ceiling
+    terms read from a table of a2 built once at the largest R (a2 >= 0
+    only when lo = -hi, whose a2 < 0 mirror a2 > 0).  Consecutive
+    quotients pack into groups of at most ``BLOCK_A2`` cells, one ragged
+    int64 evaluation and one ``np.add.reduceat`` per group; a quotient of
+    ``BLOCK_A2`` cells or more runs alone over slices of that size.
+    Memory is the table plus one group, and inputs that could pass 2^62
+    raise ``CapExceeded`` up front.
     """
     lo, hi = _interval(lo, hi)
     (p1, q1), (p2, q2) = (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
     bounds = [HeightBall(field, R).bound for R in R_list]
     F = max(bounds, default=0)
     d = field.d
+    if d:
+        p, q = max(abs(p1), abs(p2)), max(q1, q2)
+        check_int64(max(q * q * F * F * d, 2 * (p + q * (isqrt(d) + 2)) * (F + 2),
+                        BLOCK_A2 * 3 * (F + 1) ** 2), "interval count")
+    blocks = [mobius_blocks(n) for n in bounds]
+    quotients = [n // starts for n, (starts, _) in zip(bounds, blocks)]
+    # every live quotient (all >= 1) of the list once, ascending; np.unique
+    # would import numpy.ma
+    Ns = np.sort(np.concatenate([np.empty(0, dtype=np.int64), *quotients]))
+    Ns = Ns[np.diff(Ns, prepend=0) != 0]
 
     def rows(N, floor_lo, ceil_hi):  # the points of L(N) for each a2
         return (N + _clipped_floor_sum(p2, q2, -ceil_hi, N)
                 + _clipped_floor_sum(-p1, q1, floor_lo, N))
 
     if not d:
-        def lattice_points(Ns):
-            return rows(Ns, 0, 0)
+        values = rows(Ns.astype(object), 0, 0)
     else:
-        p, q = max(abs(p1), abs(p2)), max(q1, q2)
-        check_int64(max(q * q * F * F * d, 2 * (p + q * (isqrt(d) + 2)) * (F + 2),
-                        BLOCK_A2 * 3 * (F + 1) ** 2), "interval count")
-        # floor(q1*a2*sqrt d) and ceil(q2*a2*sqrt d) at a2 = -F..F, one block at a time
-        floor_lo, ceil_hi = np.empty((2, 2 * F + 1), dtype=np.int64)
-        for i in range(0, 2 * F + 1, BLOCK_A2):
-            a2 = np.arange(i, min(i + BLOCK_A2, 2 * F + 1), dtype=np.int64) - F
+        mirror = lo == -hi  # then a2 < 0 mirrors a2 > 0 under (a1, a2) -> (-a1, -a2)
+        first = 0 if mirror else -F
+        # floor(q1*a2*sqrt d) and ceil(q2*a2*sqrt d) at a2 = first..F, one block at a time
+        floor_lo, ceil_hi = np.empty((2, F + 1 - first), dtype=np.int64)
+        for i in range(0, F + 1 - first, BLOCK_A2):
+            a2 = np.arange(i, min(i + BLOCK_A2, F + 1 - first), dtype=np.int64) + first
             floor_lo[i : i + BLOCK_A2] = _floor_sqrt_multiple(q1 * a2, d)
             ceil_hi[i : i + BLOCK_A2] = -_floor_sqrt_multiple(-q2 * a2, d)
-        mirror = lo == -hi  # then a2 < 0 mirrors a2 > 0 under (a1, a2) -> (-a1, -a2)
-
-        def lattice_points(Ns):
-            out = []
-            for N in Ns.tolist():
-                total = 0
-                for i in range(F + 1 if mirror else F - N, F + N + 1, BLOCK_A2):
-                    j = min(i + BLOCK_A2, F + N + 1)
-                    total += int(rows(N, floor_lo[i:j], ceil_hi[i:j]).sum())
-                out.append(2 * total + int(rows(N, 0, 0)) if mirror else total)
-            return out
-
-    known = {}  # N -> L(N), shared by every R of the list
-
-    def shared(Ns):
-        new = np.array(sorted(set(Ns.tolist()) - known.keys()), dtype=object)
-        known.update(zip(new.tolist(), lattice_points(new)))
-        return [known[N] for N in Ns.tolist()]
-
-    return [mobius_sum((n,), shared) for n in bounds]
+        # the cells of L(N): a2 = 1..N when mirrored, else -N..N, from table index begin
+        cells = Ns if mirror else 2 * Ns + 1
+        begin = np.ones_like(Ns) if mirror else F - Ns
+        ends = np.cumsum(cells)
+        sums = np.empty(len(Ns), dtype=object)
+        i, alone = 0, int(np.searchsorted(cells, BLOCK_A2))  # cells ascend with N
+        while i < alone:  # the group [i, j) of at most BLOCK_A2 cells
+            j = int(np.searchsorted(ends, ends[i] - cells[i] + BLOCK_A2, side="right"))
+            n = cells[i:j]
+            offsets = np.cumsum(n) - n
+            N = np.repeat(Ns[i:j], n)
+            at = np.arange(len(N)) + np.repeat(begin[i:j] - offsets, n)
+            sums[i:j] = np.add.reduceat(rows(N, floor_lo[at], ceil_hi[at]), offsets)
+            i = j
+        for i in range(alone, len(Ns)):  # alone, over slices of BLOCK_A2 cells
+            span = slice(begin[i], begin[i] + cells[i])
+            lo_i, hi_i = floor_lo[span], ceil_hi[span]
+            sums[i] = sum(int(rows(Ns[i], lo_i[k : k + BLOCK_A2], hi_i[k : k + BLOCK_A2]).sum())
+                          for k in range(0, cells[i], BLOCK_A2))
+        values = 2 * sums + rows(Ns, 0, 0).astype(object) if mirror else sums
+    return [int(np.dot(weights.astype(object), values[np.searchsorted(Ns, quotient)]))
+            for quotient, (_, weights) in zip(quotients, blocks)]
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,12 @@ from math import gcd, isqrt
 
 import numpy as np
 
+from trisectlab.coprime_count import mobius_sum
 from trisectlab.errors import BadParameters, DegenerateBasis, RadicandMismatch
 from trisectlab.exact_arith import QuadElem, in_interval, quadratic_field
 from trisectlab.height_enum import (
     HeightBall,
+    _clipped_floor_sum,
     _row_blocks,
     check_int64,
     count_ball_interval,
@@ -117,6 +119,35 @@ def row_kernel_count(ball, lo: Fraction, hi: Fraction) -> int:
         total += sum(mu * int((a_hi[rows] // e - below[rows] // e).sum())
                      for rows, e, mu in terms)
     return total
+
+
+def interval_counts_per_quotient(field, R_list, lo, hi) -> list[int]:
+    """|B(R) ∩ [lo, hi]| for each R of ``R_list`` by its own ``mobius_sum``,
+    L(N) one floor quotient at a time over every a2 in -N..N (no mirror, no
+    packing), with floor(q1*a2*sqrt d) and ceil(q2*a2*sqrt d) from Python
+    ints: the reference for ``height_enum.count_ball_intervals``."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    (p1, q1), (p2, q2) = (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
+    bounds = [HeightBall(field, R).bound for R in R_list]
+    F = max(bounds, default=0)
+    d = field.d
+
+    def rows(N, floor_lo, ceil_hi):
+        return (N + _clipped_floor_sum(p2, q2, -ceil_hi, N)
+                + _clipped_floor_sum(-p1, q1, floor_lo, N))
+
+    if not d:
+        def lattice_points(Ns):
+            return rows(Ns, 0, 0)
+    else:
+        floor_lo = np.array([floor_sqrt_multiple(q1 * a2, d) for a2 in range(-F, F + 1)])
+        ceil_hi = np.array([-floor_sqrt_multiple(-q2 * a2, d) for a2 in range(-F, F + 1)])
+
+        def lattice_points(Ns):
+            return [int(rows(N, floor_lo[F - N : F + N + 1], ceil_hi[F - N : F + N + 1]).sum())
+                    for N in Ns.tolist()]
+
+    return [mobius_sum((n,), lattice_points) for n in bounds]
 
 
 def coprime_count_table(floors: tuple[int, ...]) -> np.ndarray:

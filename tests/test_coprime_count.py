@@ -29,6 +29,7 @@ from trisectlab.coprime_count import (
     eccentricity,
     error_term_budget,
     lehmer_report,
+    mobius_blocks,
     mobius_sum,
     sieve_count,
     zeta,
@@ -47,10 +48,24 @@ def test_mobius_examples_and_sieve_agreement():
     assert _mobius_sieve(10 ** 5).tolist() == mobius_table(10 ** 5)
 
 
-@pytest.mark.parametrize("k, value", enumerate((-1, 1, 2, -23, -48, 212, 1037, 1928, -222), 1))
+# M(10^k) for k = 1..9
+KNOWN_MERTENS = tuple(enumerate((-1, 1, 2, -23, -48, 212, 1037, 1928, -222), 1))
+
+
+@pytest.mark.parametrize("k, value", KNOWN_MERTENS)
 def test_mertens_known_values(k, value):
     """M(10^k) = sum_{e <= 10^k} mu(e), which is mobius_sum with L = 1."""
     assert mobius_sum((10 ** k,), lambda q: [1] * len(q)) == value
+
+
+@pytest.mark.parametrize("k, value", KNOWN_MERTENS)
+def test_mobius_blocks_are_live_and_sum_to_mertens(k, value):
+    """The blocks of n = 10^k start at 1, ascend, carry no zero weight,
+    and their weights telescope to M(n)."""
+    starts, weights = mobius_blocks(10 ** k)
+    assert starts[0] == 1 and (np.diff(starts) > 0).all()
+    assert (weights != 0).all()
+    assert int(weights.sum()) == value
 
 
 def test_mobius_sum_sees_each_quotient_block_once():

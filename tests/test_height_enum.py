@@ -8,10 +8,17 @@ from math import gcd, isqrt
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import ball_stream, generalized_sieve, qbox_reference, row_kernel_count
+from oracles import (
+    ball_stream,
+    generalized_sieve,
+    interval_counts_per_quotient,
+    qbox_reference,
+    row_kernel_count,
+)
+from trisectlab import height_enum
 from trisectlab.coprime_count import mobius_sum, zeta
 from trisectlab.errors import BadParameters, CapExceeded
 from trisectlab.exact_arith import (
@@ -28,6 +35,7 @@ from trisectlab.height_enum import (
     QBoxSpec,
     count_ball,
     count_ball_interval,
+    count_ball_intervals,
     enumerate_ball,
     enumerate_ball_interval,
     qbox,
@@ -223,6 +231,47 @@ def test_interval_count_matches_row_oracle(d, R, ends, point):
         hi = lo
     ball = HeightBall(RATIONAL_FIELD if d is None else quadratic_field(d), R)
     assert count_ball_interval(ball, lo, hi) == row_kernel_count(ball, lo, hi)
+
+
+_list_R = st.builds(Fraction, st.integers(0, 900), st.integers(1, 3)).filter(lambda R: R <= 300)
+
+
+@pytest.mark.parametrize("block", [height_enum.BLOCK_A2, 7], ids=["default-block", "block-7"])
+@settings(max_examples=20, deadline=None)
+@example(d=2, R_list=[Fraction(25), Fraction(50), Fraction(100), Fraction(200)],
+         ends=(Fraction(-2), Fraction(2)), mirror=True)
+@example(d=30, R_list=[Fraction(300), Fraction(1, 2), Fraction(299, 3)],
+         ends=(Fraction(-90), Fraction(1, 90)), mirror=False)
+@given(
+    d=st.sampled_from((2, 3, 5, 6, 7, 30)),
+    R_list=st.lists(_list_R, min_size=1, max_size=4),
+    ends=st.tuples(_count_ends, _count_ends),
+    mirror=st.booleans(),
+)
+def test_packed_interval_counts_match_references(block, d, R_list, ends, mirror):
+    """The packed count of a list of R against the per-quotient reference
+    of ``oracles`` and the row-kernel count at each R, on symmetric
+    (lo = -hi) and skew intervals.  Blocks of 7 cells split the groups and
+    send every quotient of 7 cells or more down the slice path; no
+    evaluation spans more than a block of (N, a2) cells."""
+    lo, hi = sorted(ends)
+    if mirror:
+        lo, hi = -abs(hi), abs(hi)
+    assume(mirror == (lo == -hi))
+    field = quadratic_field(d)
+    cells = []
+
+    def recorded(p, q, r, N):  # r is an array of cells, or 0 for the a2 = 0 rows
+        cells.append(np.size(r))
+        return _clipped_floor_sum(p, q, r, N)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(height_enum, "BLOCK_A2", block)
+        patch.setattr(height_enum, "_clipped_floor_sum", recorded)
+        got = count_ball_intervals(field, R_list, lo, hi)
+    assert max(cells, default=0) <= block
+    assert got == interval_counts_per_quotient(field, R_list, lo, hi)
+    assert got == [row_kernel_count(HeightBall(field, R), lo, hi) for R in R_list]
 
 
 def _lattice_points_q(N: int) -> int:

@@ -21,7 +21,8 @@ _RUN = """
 import json, sys, time
 from trisectlab.coprime_count import Box, lehmer_report
 from trisectlab.exact_arith import RATIONAL_FIELD, quadratic_field
-from trisectlab.height_enum import HeightBall, QBoxSpec, count_ball_interval, qbox
+from trisectlab.height_enum import (HeightBall, QBoxSpec, count_ball_interval,
+                                    count_ball_intervals, qbox)
 from trisectlab.trisect_core import density_experiment, nonconstructible_witness
 CHECKED = ("count", "members_checked", "exhaustive", "membership_violations")
 start = time.perf_counter()
@@ -33,7 +34,8 @@ print(json.dumps({{"value": value, "elapsed_s": elapsed, "peak_mb": peak_mb}}))
 """
 
 # check -> (call, exact value, time limit in seconds).  The Q count is also
-# checked against the closed-form lattice count in test_height_enum; lehmer
+# checked against the closed-form lattice count in test_height_enum; the
+# Q(sqrt 3) list shares one lattice evaluation across its four R; lehmer
 # is 2*Phi(10^9) - 1.  The Q density at 10^9 has that count as its
 # denominator and visits the preimage rows b <= 1000 of B(2000).  The witness at WITNESS_MAX_M = 31 is produced and
 # verified, which builds it twice, as `trisectlab witness --m 31 --q 2` does.
@@ -48,6 +50,11 @@ SCALE_RUNS = {
     "count-interval-sqrt2-1e6": (
         "count_ball_interval(HeightBall(quadratic_field(2), 10 ** 6), -2, 2)",
         1962022216192268733,
+        3.0,
+    ),
+    "count-intervals-sqrt3-list": (
+        "count_ball_intervals(quadratic_field(3), [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6], -2, 2)",
+        [1760248379, 1758239246027, 1758048740142693, 1758029185248755429],
         3.0,
     ),
     "lehmer-1e9-1e9": (
