@@ -37,7 +37,6 @@ from .polyalg import (
     cos_minimal_poly,
     cyclotomic,
     eisenstein_check,
-    rational_roots,
     resultant_minpoly,
 )
 from .trisect_core import (

@@ -52,7 +52,7 @@ CAP_ENV_VAR = "TRISECTLAB_CAP"
 
 def _field_from_args(args) -> FieldDescriptor:
     if args.field in ("q", "rational"):
-        if args.d:
+        if args.d is not None:
             raise BadParameters("--d only applies to quadratic fields")
         return RATIONAL_FIELD
     if args.d is None:

@@ -14,11 +14,15 @@ with ``CapExceeded`` up front: that is the kernel's int64 domain.
 :func:`qbox`, whose member check runs on int64 blocks of the certified
 sub-box and samples it with the per-member ``random.Random(seed)`` stream.
 
-Counts never walk rows: |B(R) ∩ [lo, hi]| is the Moebius sum
+Counts never walk rows.  As x -> -x preserves B(R), every interval count
+comes from the symmetric count S(t) = |B(R) ∩ [-t, t]|: (S(hi) + S(-lo))/2
+when lo <= 0 <= hi, else (S(v) - S(u))/2 for the endpoints' absolute
+values u <= v, plus 1 when u lies in B(R).  S(t) is the Moebius sum
 sum_e mu(e) * L(floor(R/e)) of :func:`coprime_count.mobius_sum`, with L
 the lattice points of the region at height N in closed form by floor sums;
-a list of R evaluates L once, on the union of its live quotients.  The whole ball and the certified
-sub-box count the same way.  Everything runs serially in one thread.
+a list of R evaluates L once per t, on the union of its live quotients.
+The whole ball and the certified sub-box count the same way.  Everything
+runs serially in one thread.
 """
 
 from __future__ import annotations
@@ -263,81 +267,91 @@ def count_ball_interval(ball: HeightBall, lo, hi) -> int:
 
 
 def count_ball_intervals(field: FieldDescriptor, R_list, lo, hi) -> list[int]:
-    """Exact |B(R) ∩ [lo, hi]| for each R of ``R_list``, each as
-    sum_e mu(e) * L(floor(R/e)) over the live blocks of
-    :func:`coprime_count.mobius_blocks`: L(N) counts all integer
-    (a1, a2, b), 1 <= b <= N, |a1|, |a2| <= N,
-    lo*b <= a1 + a2*sqrt(d) <= hi*b (over Q, a2 = 0).  With lo = p1/q1,
-    hi = p2/q2 and a2 fixed, a1 runs from
-    -floor((-p1*b + floor(q1*a2*sqrt d))/q1) to
-    floor((p2*b - ceil(q2*a2*sqrt d))/q2), as floor((n - t)/q) =
-    floor((n - ceil t)/q) for integer n: two :func:`_clipped_floor_sum`.
+    """Exact |B(R) ∩ [lo, hi]| for each R of ``R_list``, from the symmetric
+    count S(t) = |B(R) ∩ [-t, t]|, t >= 0.  As x -> -x preserves B(R), with
+    0 <= u <= v the endpoints' absolute values the count is
+    (S(v) + S(u))/2 when lo <= 0 <= hi, else (S(v) - S(u))/2 plus 1 when
+    u = p/q in lowest terms lies in B(R), that is max(p, q) <= floor(R).
+    S is evaluated once per distinct |endpoint|.
 
-    L is evaluated once, on the union of the live quotients of every R of
-    the list, and each R's count is the dot product of its weights with
-    its quotients' values.  Over Q that is one call on Python ints.  Over
-    Q(sqrt d) every (N, a2) pair is a cell, with the floor and ceiling
-    terms read from a table of a2 built once at the largest R (a2 >= 0
-    only when lo = -hi, whose a2 < 0 mirror a2 > 0).  Consecutive
-    quotients pack into groups of at most ``BLOCK_A2`` cells, one ragged
-    int64 evaluation and one ``np.add.reduceat`` per group; a quotient of
-    ``BLOCK_A2`` cells or more runs alone over slices of that size.
-    Memory is the table plus one group, and inputs that could pass 2^62
-    raise ``CapExceeded`` up front.
+    Each S(t) is sum_e mu(e) * L(floor(R/e)) over the live blocks of
+    :func:`coprime_count.mobius_blocks`: L(N) counts all integer
+    (a1, a2, b), 1 <= b <= N, |a1|, |a2| <= N, |a1 + a2*sqrt(d)| <= t*b
+    (over Q, a2 = 0).  With t = p/q and a2 fixed, a1 runs from
+    -floor((p*b + floor(q*a2*sqrt d))/q) to floor((p*b - ceil(q*a2*sqrt d))/q),
+    as floor((n - s)/q) = floor((n - ceil s)/q) for integer n: two
+    :func:`_clipped_floor_sum`.  For a2 != 0, q*a2*sqrt d is irrational,
+    so its ceiling is its floor plus 1, and (a1, a2) -> (-a1, -a2) maps
+    row a2 onto row -a2; so one table fl(a2) = floor(q*a2*sqrt d),
+    a2 = 0..floor(R), serves L(N) = row(N, a2 = 0) + 2 * sum_{a2=1..N}
+    row(N, a2), whose sum is empty over Q.
+
+    L is evaluated once per t, on the union of the live quotients of every
+    R of the list, and each R's S(t) is the dot product of its weights with
+    its quotients' values.  The a2 = 0 row runs on Python ints over Q,
+    which has no int64 guard, and in int64 over Q(sqrt d).  Every other
+    (N, a2) pair is a cell: consecutive quotients pack into groups
+    of at most ``BLOCK_A2`` cells, one ragged int64 evaluation and one
+    ``np.add.reduceat`` per group; a quotient of ``BLOCK_A2`` cells or more
+    runs alone over slices of that size.  Memory is the table plus one
+    group, and inputs that could pass 2^62 raise ``CapExceeded`` up front.
     """
     lo, hi = _interval(lo, hi)
-    (p1, q1), (p2, q2) = (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
+    u, v = sorted((abs(lo), abs(hi)))
     bounds = [HeightBall(field, R).bound for R in R_list]
     F = max(bounds, default=0)
     d = field.d
     if d:
-        p, q = max(abs(p1), abs(p2)), max(q1, q2)
-        check_int64(max(q * q * F * F * d, 2 * (p + q * (isqrt(d) + 2)) * (F + 2),
-                        BLOCK_A2 * 3 * (F + 1) ** 2), "interval count")
+        for t in (u, v):
+            p, q = t.numerator, t.denominator
+            check_int64(max(q * q * F * F * d, 2 * (p + q * (isqrt(d) + 2)) * (F + 2),
+                            BLOCK_A2 * 3 * (F + 1) ** 2), "interval count")
     blocks = [mobius_blocks(n) for n in bounds]
     quotients = [n // starts for n, (starts, _) in zip(bounds, blocks)]
     # every live quotient (all >= 1) of the list once, ascending; np.unique
     # would import numpy.ma
     Ns = np.sort(np.concatenate([np.empty(0, dtype=np.int64), *quotients]))
     Ns = Ns[np.diff(Ns, prepend=0) != 0]
+    cells = Ns if d else np.zeros_like(Ns)  # the (N, a2) cells a2 = 1..N of L(N)
+    ends = np.cumsum(cells)
 
-    def rows(N, floor_lo, ceil_hi):  # the points of L(N) for each a2
-        return (N + _clipped_floor_sum(p2, q2, -ceil_hi, N)
-                + _clipped_floor_sum(-p1, q1, floor_lo, N))
+    def lattice_points(t: Fraction) -> np.ndarray:  # L(N) at t for every N of Ns
+        p, q = t.numerator, t.denominator
 
-    if not d:
-        values = rows(Ns.astype(object), 0, 0)
-    else:
-        mirror = lo == -hi  # then a2 < 0 mirrors a2 > 0 under (a1, a2) -> (-a1, -a2)
-        first = 0 if mirror else -F
-        # floor(q1*a2*sqrt d) and ceil(q2*a2*sqrt d) at a2 = first..F, one block at a time
-        floor_lo, ceil_hi = np.empty((2, F + 1 - first), dtype=np.int64)
-        for i in range(0, F + 1 - first, BLOCK_A2):
-            a2 = np.arange(i, min(i + BLOCK_A2, F + 1 - first), dtype=np.int64) + first
-            floor_lo[i : i + BLOCK_A2] = _floor_sqrt_multiple(q1 * a2, d)
-            ceil_hi[i : i + BLOCK_A2] = -_floor_sqrt_multiple(-q2 * a2, d)
-        # the cells of L(N): a2 = 1..N when mirrored, else -N..N, from table index begin
-        cells = Ns if mirror else 2 * Ns + 1
-        begin = np.ones_like(Ns) if mirror else F - Ns
-        ends = np.cumsum(cells)
-        sums = np.empty(len(Ns), dtype=object)
-        i, alone = 0, int(np.searchsorted(cells, BLOCK_A2))  # cells ascend with N
+        def row(N, down, up):  # the points of L(N) at one a2: floor and -ceil of q*a2*sqrt d
+            return N + _clipped_floor_sum(p, q, down, N) + _clipped_floor_sum(p, q, up, N)
+
+        fl = np.empty(F + 1 if d else 0, dtype=np.int64)
+        for i in range(0, len(fl), BLOCK_A2):
+            a2 = np.arange(i, min(i + BLOCK_A2, len(fl)), dtype=np.int64)
+            fl[i : i + BLOCK_A2] = _floor_sqrt_multiple(q * a2, d)
+        sums = np.zeros(len(Ns), dtype=object)
+        # cells ascend with N; over Q there are none, and neither loop runs
+        i, alone = int(np.searchsorted(cells, 1)), int(np.searchsorted(cells, BLOCK_A2))
         while i < alone:  # the group [i, j) of at most BLOCK_A2 cells
             j = int(np.searchsorted(ends, ends[i] - cells[i] + BLOCK_A2, side="right"))
             n = cells[i:j]
             offsets = np.cumsum(n) - n
             N = np.repeat(Ns[i:j], n)
-            at = np.arange(len(N)) + np.repeat(begin[i:j] - offsets, n)
-            sums[i:j] = np.add.reduceat(rows(N, floor_lo[at], ceil_hi[at]), offsets)
+            f = fl[np.arange(len(N)) - np.repeat(offsets - 1, n)]  # a2 = 1..N per quotient
+            sums[i:j] = np.add.reduceat(row(N, f, -f - 1), offsets)
             i = j
         for i in range(alone, len(Ns)):  # alone, over slices of BLOCK_A2 cells
-            span = slice(begin[i], begin[i] + cells[i])
-            lo_i, hi_i = floor_lo[span], ceil_hi[span]
-            sums[i] = sum(int(rows(Ns[i], lo_i[k : k + BLOCK_A2], hi_i[k : k + BLOCK_A2]).sum())
-                          for k in range(0, cells[i], BLOCK_A2))
-        values = 2 * sums + rows(Ns, 0, 0).astype(object) if mirror else sums
-    return [int(np.dot(weights.astype(object), values[np.searchsorted(Ns, quotient)]))
-            for quotient, (_, weights) in zip(quotients, blocks)]
+            slices = (fl[k : min(k + BLOCK_A2, Ns[i] + 1)] for k in range(1, Ns[i] + 1, BLOCK_A2))
+            sums[i] = sum(int(row(Ns[i], f, -f - 1).sum()) for f in slices)
+        # the a2 = 0 row; over Q on Python ints, where L(N) passes 2^63 at R = 10^10
+        return row(Ns if d else Ns.astype(object), 0, 0).astype(object) + 2 * sums
+
+    S = {t: lattice_points(t) for t in {u, v}}
+    counts = []
+    for n, quotient, (_, weights) in zip(bounds, quotients, blocks):
+        at, weights = np.searchsorted(Ns, quotient), weights.astype(object)
+        s = {t: int(np.dot(weights, values[at])) for t, values in S.items()}
+        if lo <= 0 <= hi:
+            counts.append((s[v] + s[u]) // 2)
+        else:
+            counts.append((s[v] - s[u]) // 2 + (max(u.numerator, u.denominator) <= n))
+    return counts
 
 
 @dataclass(frozen=True)

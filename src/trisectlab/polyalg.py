@@ -3,9 +3,9 @@
 Dense polynomials with arbitrary-precision integer (:class:`IntPoly`) or
 rational (:class:`RatPoly`) coefficients, stored ascending with no trailing
 zero; the zero polynomial has degree -1.  On top of the ring arithmetic sit
-the Eisenstein test, rational root finding, characteristic polynomials in
-Q[y]/(y^m - q) from power sums, cyclotomic polynomials, the minimal
-polynomials of 2*cos(2*pi/m), and the Chebyshev-like doubling family.
+the Eisenstein test, characteristic polynomials in Q[y]/(y^m - q) from
+power sums, cyclotomic polynomials, the minimal polynomials of
+2*cos(2*pi/m), and the Chebyshev-like doubling family.
 """
 
 from __future__ import annotations
@@ -311,34 +311,6 @@ def eisenstein_check(p: IntPoly, prime: int) -> bool:
     if any(c % prime for c in p.coeffs[:-1]):
         return False
     return p.coeffs[0] % (prime * prime) != 0
-
-
-def rational_roots(p) -> set[Fraction]:
-    """All rational zeros of a nonzero polynomial, each verified by exact
-    evaluation of divisor-pair candidates."""
-    if isinstance(p, IntPoly):
-        p = p.to_rat()
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    ip, _ = p.clear_denominators()
-    ip = ip.primitive()
-    roots: set[Fraction] = set()
-    low = 0
-    while ip.coeffs[low] == 0:
-        low += 1
-    if low:
-        roots.add(Fraction(0))
-        ip = IntPoly(ip.coeffs[low:])
-    if ip.degree < 1:
-        return roots
-    for r in divisors(abs(ip.coeffs[0])):
-        for s in divisors(abs(ip.leading)):
-            if gcd(r, s) != 1:
-                continue
-            for cand in (Fraction(r, s), Fraction(-r, s)):
-                if ip.evaluate(cand) == 0:
-                    roots.add(cand)
-    return roots
 
 
 def resultant_minpoly(m: int, q, g: RatPoly) -> IntPoly:

@@ -24,7 +24,7 @@ from trisectlab.height_enum import (
     qbox_count,
     qbox_main_term,
 )
-from trisectlab.polyalg import IntPoly, RatPoly, cyclotomic, euler_phi
+from trisectlab.polyalg import IntPoly, RatPoly, cyclotomic, divisors, euler_phi
 from trisectlab.trisect_core import _images, preimage_bound
 
 
@@ -254,6 +254,34 @@ def ball_stream(ball, lo: Fraction | None = None, hi: Fraction | None = None):
         for a in range(a_lo, a_hi + 1):
             if gcd(g, a) == 1:
                 yield QuadElem(a1, a, b, d) if d else Fraction(a, b)
+
+
+def rational_roots(p) -> set[Fraction]:
+    """All rational zeros of a nonzero polynomial, each verified by exact
+    evaluation of divisor-pair candidates."""
+    if isinstance(p, IntPoly):
+        p = p.to_rat()
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    ip, _ = p.clear_denominators()
+    ip = ip.primitive()
+    roots: set[Fraction] = set()
+    low = 0
+    while ip.coeffs[low] == 0:
+        low += 1
+    if low:
+        roots.add(Fraction(0))
+        ip = IntPoly(ip.coeffs[low:])
+    if ip.degree < 1:
+        return roots
+    for r in divisors(abs(ip.coeffs[0])):
+        for s in divisors(abs(ip.leading)):
+            if gcd(r, s) != 1:
+                continue
+            for cand in (Fraction(r, s), Fraction(-r, s)):
+                if ip.evaluate(cand) == 0:
+                    roots.add(cand)
+    return roots
 
 
 def _bareiss_det(mat: list[list[RatPoly]]) -> RatPoly:

@@ -13,7 +13,7 @@ from math import gcd, log
 import mpmath
 import numpy as np
 
-from oracles import coprime_count_table, sieve_count_table
+from oracles import coprime_count_table, rational_roots, sieve_count_table
 from trisectlab.cli import main as cli_main
 from trisectlab.coprime_count import Box, brute_count, sieve_count, zeta
 from trisectlab.exact_arith import RATIONAL_FIELD, height, quadratic_field
@@ -27,7 +27,7 @@ from trisectlab.height_enum import (
     qbox_main_term,
 )
 from trisectlab.nsect import psection_poly, verify_structure
-from trisectlab.polyalg import IntPoly, is_prime, rational_roots, resultant_minpoly
+from trisectlab.polyalg import IntPoly, is_prime, resultant_minpoly
 from trisectlab.trisect_core import (
     F_CUBIC,
     decide_trisection,

@@ -110,6 +110,8 @@ def test_bad_arguments_exit_2(capsys):
     capsys.readouterr()
     assert main(["decide", "--field", "quad", "--a", "1/2"]) == 2  # missing --d
     capsys.readouterr()
+    assert main(["decide", "--field", "q", "--d", "0", "--a", "1/2"]) == 2  # --d over Q
+    capsys.readouterr()
     assert main(["nsect", "--p", "3", "--c", "9", "--d", "10"]) == 2
     capsys.readouterr()
     assert main(["nsect", "--p", "0", "--c", "3", "--d", "4"]) == 2  # not an odd prime

@@ -42,7 +42,8 @@ from trisectlab.height_enum import (
     qbox_count,
     qbox_main_term,
 )
-from trisectlab.height_enum import _clipped_floor_sum, _draws, _isqrt, _outside
+from trisectlab.height_enum import (_clipped_floor_sum, _draws, _floor_sqrt_multiple, _isqrt,
+                                    _outside)
 
 QUAD_DS = (2, 3, 5, 6, 7)
 
@@ -217,6 +218,12 @@ _count_ends = st.builds(Fraction, st.integers(-90, 90), st.integers(1, 90))
 @example(d=30, R=60, ends=(Fraction(-90), Fraction(90)), point=False)
 @example(d=7, R=41, ends=(Fraction(-1, 89), Fraction(-1, 89)), point=True)
 @example(d=2, R=60, ends=(Fraction(89, 90), Fraction(89, 90)), point=True)
+@example(d=2, R=10, ends=(Fraction(1, 3), Fraction(5, 2)), point=False)  # 0 < lo in B(R)
+@example(d=7, R=10, ends=(Fraction(13, 7), Fraction(2)), point=False)  # 0 < lo outside B(R)
+@example(d=None, R=30, ends=(Fraction(-3, 2), Fraction(-1, 2)), point=False)  # hi < 0
+@example(d=5, R=20, ends=(Fraction(-7, 3), Fraction(-1, 7)), point=False)
+@example(d=3, R=25, ends=(Fraction(0), Fraction(3, 2)), point=False)  # lo = 0
+@example(d=6, R=20, ends=(Fraction(5, 4), Fraction(5, 4)), point=True)  # lo = hi in B(R)
 @given(
     d=st.sampled_from((None, 2, 3, 5, 6, 7, 30)),
     R=st.integers(0, 60),
@@ -242,6 +249,16 @@ _list_R = st.builds(Fraction, st.integers(0, 900), st.integers(1, 3)).filter(lam
          ends=(Fraction(-2), Fraction(2)), mirror=True)
 @example(d=30, R_list=[Fraction(300), Fraction(1, 2), Fraction(299, 3)],
          ends=(Fraction(-90), Fraction(1, 90)), mirror=False)
+@example(d=3, R_list=[Fraction(40), Fraction(100)], ends=(Fraction(1, 3), Fraction(5, 2)),
+         mirror=False)  # 0 < lo in B(R)
+@example(d=5, R_list=[Fraction(50)], ends=(Fraction(61, 60), Fraction(2)), mirror=False)
+@example(d=7, R_list=[Fraction(30), Fraction(80, 3)], ends=(Fraction(-5, 2), Fraction(-1, 3)),
+         mirror=False)  # hi < 0
+@example(d=6, R_list=[Fraction(45)], ends=(Fraction(0), Fraction(7, 3)), mirror=False)
+@example(d=2, R_list=[Fraction(20)], ends=(Fraction(3, 2), Fraction(3, 2)), mirror=False)
+@example(d=2, R_list=[Fraction(20)], ends=(Fraction(31, 2), Fraction(31, 2)), mirror=False)
+@example(d=2, R_list=[Fraction(4), Fraction(7), Fraction(10), Fraction(13, 2)],
+         ends=(Fraction(5, 7), Fraction(9, 4)), mirror=False)  # 5/7 in B(7), B(10) only
 @given(
     d=st.sampled_from((2, 3, 5, 6, 7, 30)),
     R_list=st.lists(_list_R, min_size=1, max_size=4),
@@ -272,6 +289,37 @@ def test_packed_interval_counts_match_references(block, d, R_list, ends, mirror)
     assert max(cells, default=0) <= block
     assert got == interval_counts_per_quotient(field, R_list, lo, hi)
     assert got == [row_kernel_count(HeightBall(field, R), lo, hi) for R in R_list]
+
+
+@pytest.mark.parametrize("block", [height_enum.BLOCK_A2, 7], ids=["default-block", "block-7"])
+@pytest.mark.parametrize(
+    "d, R_list, lo, hi",
+    [
+        (2, [1000], Fraction(-2), Fraction(2)),
+        (3, [100, 400, 250], Fraction(-1, 3), Fraction(5, 2)),
+        (7, [300], Fraction(1, 3), Fraction(5, 2)),
+        (5, [300, 7], Fraction(-5, 2), Fraction(-5, 2)),
+        (30, [200], Fraction(0), Fraction(3, 2)),
+    ],
+)
+def test_one_floor_table_per_distinct_endpoint(block, d, R_list, lo, hi):
+    """Every interval comes from the symmetric count at its endpoints'
+    absolute values, each with one table of floor(q*a2*sqrt d) over
+    a2 = 0..F: at most F + 1 values per distinct |endpoint|, however the
+    table is split into blocks."""
+    values = []
+
+    def recorded(v, d):
+        values.append(np.size(v))
+        return _floor_sqrt_multiple(v, d)
+
+    field = quadratic_field(d)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(height_enum, "BLOCK_A2", block)
+        patch.setattr(height_enum, "_floor_sqrt_multiple", recorded)
+        got = count_ball_intervals(field, R_list, lo, hi)
+    assert sum(values) <= (max(R_list) + 1) * len({abs(lo), abs(hi)})
+    assert got == interval_counts_per_quotient(field, R_list, lo, hi)
 
 
 def _lattice_points_q(N: int) -> int:

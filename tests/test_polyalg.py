@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cos_minimal_poly_extraction, sylvester_minpoly
+from oracles import cos_minimal_poly_extraction, rational_roots, sylvester_minpoly
 from trisectlab.errors import NotPrime
 from trisectlab.polyalg import (
     IntPoly,
@@ -18,7 +18,6 @@ from trisectlab.polyalg import (
     eisenstein_check,
     euler_phi,
     poly_text,
-    rational_roots,
     resultant_minpoly,
     squarefree_over_q,
 )

@@ -19,6 +19,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 _RUN = """
 import json, sys, time
+from fractions import Fraction
 from trisectlab.coprime_count import Box, lehmer_report
 from trisectlab.exact_arith import RATIONAL_FIELD, quadratic_field
 from trisectlab.height_enum import (HeightBall, QBoxSpec, count_ball_interval,
@@ -35,8 +36,10 @@ print(json.dumps({{"value": value, "elapsed_s": elapsed, "peak_mb": peak_mb}}))
 
 # check -> (call, exact value, time limit in seconds).  The Q count is also
 # checked against the closed-form lattice count in test_height_enum; the
-# Q(sqrt 3) list shares one lattice evaluation across its four R; lehmer
-# is 2*Phi(10^9) - 1.  The Q density at 10^9 has that count as its
+# Q(sqrt 3) list shares one lattice evaluation across its four R; the
+# intervals [-1/3, 5/2] and [1/3, 5/2] each take the symmetric counts at
+# 1/3 and 5/2 (their values are those of the skew count they replace);
+# lehmer is 2*Phi(10^9) - 1.  The Q density at 10^9 has that count as its
 # denominator and visits the preimage rows b <= 1000 of B(2000).  The witness at WITNESS_MAX_M = 31 is produced and
 # verified, which builds it twice, as `trisectlab witness --m 31 --q 2` does.
 # The qbox runs check the count and the members of the box difference
@@ -55,6 +58,18 @@ SCALE_RUNS = {
     "count-intervals-sqrt3-list": (
         "count_ball_intervals(quadratic_field(3), [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6], -2, 2)",
         [1760248379, 1758239246027, 1758048740142693, 1758029185248755429],
+        3.0,
+    ),
+    "count-interval-sqrt7-skew-1e5": (
+        "count_ball_interval(HeightBall(quadratic_field(7), 10 ** 5),"
+        " Fraction(-1, 3), Fraction(5, 2))",
+        877832490078360,
+        3.0,
+    ),
+    "count-intervals-sqrt2-positive-list": (
+        "count_ball_intervals(quadratic_field(2), [10 ** 3, 10 ** 4, 10 ** 5],"
+        " Fraction(1, 3), Fraction(5, 2))",
+        [919862352, 918812293663, 918712732286746],
         3.0,
     ),
     "lehmer-1e9-1e9": (

@@ -23,6 +23,7 @@ from oracles import (
     gcd_bound_sweep_blocks,
     phi_bound_check,
     phi_curve,
+    rational_roots,
     sylvester_minpoly,
 )
 from trisectlab import height_enum, trisect_core
@@ -45,7 +46,7 @@ from trisectlab.height_enum import (
     enumerate_ball,
     enumerate_ball_interval,
 )
-from trisectlab.polyalg import IntPoly, rational_roots
+from trisectlab.polyalg import IntPoly
 from trisectlab.trisect_core import (
     CERT_MAX_DIGITS,
     F_CUBIC,
