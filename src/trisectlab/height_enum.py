@@ -13,6 +13,8 @@ with ``CapExceeded`` up front: that is the kernel's int64 domain.
 :func:`_expand_rows` turns rows into elements, for the streams and for
 :func:`qbox`, whose member check runs on int64 blocks of the certified
 sub-box and samples it with the per-member ``random.Random(seed)`` stream.
+:func:`is_square` decides exactly, on int64 arrays, whether U + V*sqrt(d)
+is a square in the field: the fibre weight of the density numerator.
 
 Counts never walk rows.  As x -> -x preserves B(R), every interval count
 comes from the symmetric count S(t) = |B(R) ∩ [-t, t]|: (S(hi) + S(-lo))/2
@@ -93,6 +95,34 @@ def _isqrt(n: np.ndarray) -> np.ndarray:
     while (under := (r + 1) * (r + 1) <= n).any():
         r += under
     return r
+
+
+def _is_square_int(n: np.ndarray) -> np.ndarray:
+    """Elementwise: n is the square of an integer, for |n| <= 2^62."""
+    r = _isqrt(np.maximum(n, 0))
+    return (n >= 0) & (r * r == n)
+
+
+def is_square(U: np.ndarray, V: np.ndarray, d: int) -> np.ndarray:
+    """Elementwise: U + V*sqrt(d) = (p + q*sqrt(d))^2 for some rationals
+    p, q, exactly, over int64 arrays U, V and a squarefree d >= 1 (over Q,
+    d = 1 and V = 0).
+
+    With V = 0 one of p, q is 0, so U = p^2 or U = d*q^2, and p, q are
+    integers (d is squarefree).  With V != 0 the norm gives n^2 = U^2 -
+    d*V^2 for n = |p^2 - d*q^2|, and {4p^2, 4d*q^2} = {2(U + n), 2(U - n)},
+    so 2p is an integer; conversely, an integer n with n^2 = U^2 - d*V^2
+    and 2(U + n) = (2p)^2 (or 2(U - n) = (2p)^2) gives q = V/(2p) with
+    p^2 + d*q^2 = U and 2pq = V.  U^2 is formed only where V != 0.
+    Domain: U^2 + d*V^2 <= 2^62 where V != 0, |U| <= 2^62 elsewhere.
+    """
+    flat = V == 0
+    square = flat & (_is_square_int(U) | ((U % d == 0) & _is_square_int(U // d)))
+    U, V = U[~flat], V[~flat]
+    norm = U * U - d * V * V
+    n = _isqrt(np.maximum(norm, 0))
+    square[~flat] = (n * n == norm) & (_is_square_int(2 * (U + n)) | _is_square_int(2 * (U - n)))
+    return square
 
 
 def _floor_sqrt_multiple(v: np.ndarray, d: int) -> np.ndarray:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, isqrt
 
 import numpy as np
@@ -43,7 +42,7 @@ from .exact_arith import (
     sign_lin,
 )
 from .height_enum import (BLOCK_CELLS, HeightBall, check_int64, count_ball_intervals,
-                          element_blocks)
+                          element_blocks, is_square)
 from .nsect import psection_poly
 from .polyalg import (IntPoly, RatPoly, divisors, eisenstein_check, is_prime,
                       resultant_minpoly, squarefree_over_q)
@@ -541,16 +540,31 @@ def density_experiment(
 
     An image of height <= R has its preimages in B(S(R)), so one pass
     over B(S) ∩ [-2, 2], S = S(R_max), serves every R.  The image of
-    (x1 + x2*sqrt(d))/b has a denominator D = b^3/G, at most its height,
+    x = (x1 + x2*sqrt(d))/b has a denominator D = b^3/G, at most its height,
     with G | gmax(b) = gcd(8d, b^3) (1 over Q, where f(r/s) is reduced):
     only rows with b^3 <= floor(R_max)*gmax(b) can count, and only they
-    are visited, through :func:`_images` (which checks G | 8d; S with
-    (4 + 3d)*S^3 past 2^62 raises ``CapExceeded`` first).  Equal images
-    have equal D, and after a block ending at denominator b no row gives
-    a D below the least b'^3/gmax(b') over the visited b' >= b: pending
-    images of height <= R_max below that are final, so they are
-    deduplicated (lexsort, adjacent compare), counted into every
-    numerator and dropped; over Q only the rows of b stay pending.  One
+    are visited, through :func:`_images` (which checks G | 8d).
+
+    The numerator counts images by their fibres, with no comparison
+    between images.  As t^3 - 3t - f(x) = (t - x)(t^2 + x*t + x^2 - 3),
+    the other preimages of f(x) lie in K exactly when 3(4 - x^2) is a
+    square in K, that is when U + V*sqrt(d) is, with U = 3(4b^2 - x1^2 -
+    d*x2^2) and V = -6*x1*x2 (:func:`height_enum.is_square`).  So a fibre
+    has 1 or 3 elements, except {1, -2} of -2 and {-1, 2} of 2.  Each
+    visited x with an image of height <= R_max weighs 1 when the square
+    test holds and 3 otherwise; adding 2 for every R >= 2 (the two
+    2-element fibres) makes the weight below R exactly 3*N(R).  That needs
+    every member of a counted fibre visited: a 1-element fibre is covered
+    by :func:`preimage_bound`; in a 3-element fibre the conjugate cubic
+    t^3 - 3t - a' has three real roots, so |a'| <= 2 and every conjugate
+    root lies in [-2, 2], which gives |x1| <= 2b and |x2| <= 2b/sqrt(d)
+    with 2b <= 2(8dR)^(1/3) <= S, and each member passes the row cut
+    b^3 = G*D <= R*gmax(b); +-1 and +-2 are in every ball.  A total not
+    divisible by 3 raises ``AssertionError``.  The result does not depend
+    on the order or the size of the blocks.
+
+    Domain: S with (4 + 3d)*S^3 (the image map) or, over Q(sqrt(d)),
+    U^2 + d*V^2 past 2^62 raises ``CapExceeded`` before any work.  One
     :func:`height_enum.count_ball_intervals` gives every denominator.
     ``cap`` (None: no cap) bounds the preimages visited, those of the
     visited rows in B(S) ∩ [-2, 2]: ``CapExceeded`` as soon as the blocks
@@ -562,25 +576,15 @@ def density_experiment(
     if R_list[0] < 1:
         raise BadParameters("R must be >= 1: B(R) ∩ [-2, 2] is empty below height 1")
     ball = HeightBall(field, preimage_bound(field, R_list[-1]))
-    d = field.d or 1
-    check_int64((4 + 3 * d) * ball.bound ** 3, f"image of B({ball.R})")
+    d, S = field.d or 1, ball.bound
+    check_int64((4 + 3 * d) * S ** 3, f"image of B({ball.R})")
+    if field.d:  # |U| <= 3(4 + d)*S^2 and |V| <= 6*S^2
+        check_int64(9 * ((4 + d) ** 2 + 4 * d) * S ** 4, f"square test on B({ball.R})")
     tops = np.array([R.numerator // R.denominator for R in R_list], dtype=np.int64)
     top = int(tops[-1])
-
-    least_D = {b: b ** 3 // (gcd(8 * d, b ** 3) if field.d else 1)  # b^3 / gmax(b)
-               for b in range(1, icbrt(8 * d * top) + 1)}
-    visited = [b for b, D in least_D.items() if D <= top]
-    # threshold[b]: no visited row at or after b gives a D below it
-    threshold = dict(zip(visited[::-1], accumulate((least_D[b] for b in visited[::-1]), min)))
-    counts = np.zeros(len(tops), dtype=np.int64)
-
-    def count_distinct(A1, A2, D, h):  # images (A1 + A2*sqrt(d))/D of height h
-        order = np.lexsort((A1, A2, D))
-        keys, first = [k[order] for k in (A1, A2, D)], np.ones(len(h), dtype=bool)
-        first[1:] = np.any([k[1:] != k[:-1] for k in keys], axis=0)
-        counts[:] += np.bincount(np.searchsorted(tops, h[order][first]), minlength=len(tops))
-
-    pending = [np.empty(0, dtype=np.int64)] * 4  # A1, A2, D and the height
+    visited = [b for b in range(1, icbrt(8 * d * top) + 1)
+               if b ** 3 <= top * (gcd(8 * d, b ** 3) if field.d else 1)]
+    sums = np.zeros(len(tops), dtype=np.int64)  # the weights per bin of tops
     preimages = 0
     for b, a1, a in element_blocks(ball, Fraction(-2), Fraction(2),
                                    np.array(visited, dtype=np.int64)):
@@ -593,15 +597,16 @@ def density_experiment(
         A1, A2, B, G = _images(x1, x2, b, d)
         h = np.maximum(np.maximum(np.abs(A1), np.abs(A2)), B) // G
         keep = h <= top
-        block = [c[keep] // G[keep] for c in (A1, A2, B)] + [h[keep]]
-        pending = [np.concatenate(c) for c in zip(pending, block)]
-        if len(b):
-            final = pending[2] < threshold[int(b[-1])]
-            count_distinct(*(c[final] for c in pending))
-            pending = [c[~final] for c in pending]
-    count_distinct(*pending)
+        x1, x2, b = x1[keep], x2[keep], b[keep]
+        square = is_square(3 * (4 * b * b - x1 * x1 - d * x2 * x2), -6 * x1 * x2, d)
+        # float sums of one block are exact: far below 2^53
+        sums += np.bincount(np.searchsorted(tops, h[keep]), weights=3 - 2 * square,
+                               minlength=len(tops)).astype(np.int64)
+    thrice = np.cumsum(sums) + 2 * (tops >= 2)
+    if (thrice % 3).any():
+        raise AssertionError(f"fibre weights {thrice.tolist()} not divisible by 3")
     denominators = count_ball_intervals(field, R_list, -2, 2)
-    points = [DensityPoint(*p) for p in zip(R_list, np.cumsum(counts).tolist(), denominators)]
+    points = [DensityPoint(*p) for p in zip(R_list, (thrice // 3).tolist(), denominators)]
     return DensityReport(
         field=field,
         points=tuple(points),

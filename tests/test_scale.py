@@ -40,8 +40,11 @@ print(json.dumps({{"value": value, "elapsed_s": elapsed, "peak_mb": peak_mb}}))
 # intervals [-1/3, 5/2] and [1/3, 5/2] each take the symmetric counts at
 # 1/3 and 5/2 (their values are those of the skew count they replace);
 # lehmer is 2*Phi(10^9) - 1.  The Q density at 10^9 has that count as its
-# denominator and visits the preimage rows b <= 1000 of B(2000).  The witness at WITNESS_MAX_M = 31 is produced and
-# verified, which builds it twice, as `trisectlab witness --m 31 --q 2` does.
+# denominator and visits the preimage rows b <= 1000 of B(2000); the
+# Q(sqrt 2) density weighs the fibres in the preimage rows of B(234) (its
+# values are those of the image dedup the weights replaced).  The witness
+# at WITNESS_MAX_M = 31 is produced and verified, which builds it twice,
+# as `trisectlab witness --m 31 --q 2` does.
 # The qbox runs check the count and the members of the box difference
 # (sampled at R = 3000 by the seed-0 stream, exhaustively at Q(sqrt 2)).
 SCALE_RUNS = {
@@ -81,6 +84,12 @@ SCALE_RUNS = {
         "[[p.numerator, p.denominator] for p in density_experiment(RATIONAL_FIELD, [10 ** 9]).points]",
         [[1004395, 911890653519025243]],
         2.0,
+    ),
+    "density-sqrt2-1e4-1e5": (
+        "[[p.numerator, p.denominator] for p in density_experiment(quadratic_field(2),"
+        " [10 ** 4, 10 ** 5]).points]",
+        [[19485, 1962256656609], [194489, 1962044040226121]],
+        1.8,
     ),
     "witness-31-2": (
         "nonconstructible_witness(31, 2).verify()",

@@ -45,6 +45,7 @@ from trisectlab.height_enum import (
     element_blocks,
     enumerate_ball,
     enumerate_ball_interval,
+    is_square,
 )
 from trisectlab.polyalg import IntPoly
 from trisectlab.trisect_core import (
@@ -586,6 +587,58 @@ def test_density_validation():
         density_experiment(RATIONAL_FIELD, [])
 
 
+def test_density_refuses_past_the_square_test_domain():
+    """Over Q(sqrt 2) at R = 10^12 the image map fits int64 but U^2 + d*V^2
+    of the square test could not: refused before any work."""
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="int64"):
+        density_experiment(quadratic_field(2), [10 ** 12])
+    assert time.perf_counter() - start < 5
+    assert cli_main(["density", "--field", "quad", "--d", "2", "--R", "1000000000000"]) == 3
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 5, 6, 7, 30))
+def test_is_square_matches_table_of_squares(d):
+    """Every integer (U, V) in a box, U < 0 and V = 0 included, against
+    the table of (p + q*sqrt(d))^2 = (p^2 + d*q^2) + 2pq*sqrt(d) over
+    half-integers p = P/2, q = Q/2 (a rational square with integer
+    coordinates has p and q in Z/2), the box's squares all in range."""
+    B = 120
+    M = 2 * math.isqrt(B) + 2
+    table = {((P * P + d * Q * Q) // 4, P * Q // 2)
+             for P in range(-M, M + 1) for Q in range(-M, M + 1)
+             if (P * P + d * Q * Q) % 4 == 0 and P * Q % 2 == 0}
+    U, V = (c.ravel() for c in np.mgrid[-B:B + 1, -B:B + 1])
+    got = is_square(U.astype(np.int64), V.astype(np.int64), d)
+    assert got.tolist() == [(u, v) in table for u, v in zip(U.tolist(), V.tolist())]
+    assert got.sum() > 2 * math.isqrt(B)
+
+
+@pytest.mark.parametrize("d, R", [(None, 1000), (2, 160), (3, 20), (5, 20), (6, 10), (7, 80),
+                                  (30, 343)])
+def test_fibre_sizes_follow_the_square_test(d, R):
+    """The fibre lemma behind the density numerator: among the elements of
+    B(S) ∩ [-2, 2] with an image of height <= R, that image has 3
+    preimages in the ball where 3(4 - x^2) is a square in K and x is not
+    +-1 or +-2, 2 at those four points and 1 elsewhere.  Rows with
+    b^3 > R*gcd(8d, b^3) are skipped (their images are higher than R, by
+    ``test_unvisited_rows_cannot_count``); each R is large enough for a
+    3-element fibre to appear."""
+    field = quadratic_field(d) if d else RATIONAL_FIELD
+    fibres = {}
+    for x in enumerate_ball_interval(HeightBall(field, preimage_bound(field, R)), -2, 2):
+        b = x.b if d else x.denominator
+        if b ** 3 <= R * (gcd(8 * d, b ** 3) if d else 1) and height(a := apply_f(x)) <= R:
+            fibres.setdefault(a, []).append(x)
+    xs, sizes = zip(*((x, len(fibre)) for fibre in fibres.values() for x in fibre))
+    x1, x2, b = (np.array(c, dtype=np.int64) for c in zip(*(
+        (x.a1, x.a2, x.b) if d else (x.numerator, 0, x.denominator) for x in xs)))
+    square = is_square(3 * (4 * b * b - x1 * x1 - (d or 1) * x2 * x2), -6 * x1 * x2, d or 1)
+    special = (x2 == 0) & (b == 1) & np.isin(np.abs(x1), (1, 2))
+    assert list(sizes) == np.where(special, 2, np.where(square, 3, 1)).tolist()
+    assert sizes.count(2) == 4 and sizes.count(1) > 0 and sizes.count(3) > 0
+
+
 @pytest.mark.parametrize("field, R, visited", [(RATIONAL_FIELD, 1000, 129),
                                                (quadratic_field(2), 200, 6443)], ids=["Q", "d2"])
 def test_density_cap_bounds_the_preimages_visited(field, R, visited):
@@ -621,10 +674,11 @@ _R_LISTS = st.lists(st.fractions(1, 300, max_denominator=7), min_size=1, max_siz
 @settings(max_examples=40, deadline=None)
 @given(field=st.sampled_from(_DENSITY_FIELDS), R_list=_R_LISTS)
 def test_density_matches_whole_ball_reference(block_cells, field, R_list):
-    """The reachable-row, streamed numerator and the shared denominator
-    count against the whole preimage ball with one global dedup and one
-    count per R.  With 64 cells a block holds a row or a few, so one
-    denominator spans many blocks and flushes fall mid-denominator."""
+    """The fibre-weighted numerator over the reachable rows and the shared
+    denominator count against the whole preimage ball with one global
+    dedup and one count per R.  With 64 cells a block holds a row or a
+    few, so one denominator spans many blocks and one fibre often spans
+    several: the sums must not depend on where the blocks split."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(height_enum, "BLOCK_CELLS", block_cells)
         report = density_experiment(field, R_list)
@@ -666,8 +720,9 @@ def test_shared_interval_counts_match_per_R(field, R_list, lo, hi):
 
 
 def test_density_leaves_numpy_ma_unimported():
-    """numpy.ma costs milliseconds and megabytes to import; the numerator
-    dedups by lexsort, so a fresh interpreter never loads it."""
+    """numpy.ma costs milliseconds and megabytes to import; the density
+    numerator and denominator use plain int64 arrays only, so a fresh
+    interpreter never loads it."""
     src = os.path.dirname(os.path.dirname(trisect_core.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import sys\n"
