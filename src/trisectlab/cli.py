@@ -319,73 +319,116 @@ def _run_verify(args) -> int:
     return 1 if failures else 0
 
 
+def _decide_flags(p):
+    p.add_argument("--a", required=True, help='element, e.g. "3/2" or "(1+1*sqrt(5))/2"')
+
+
+def _shards_flag(p):
+    p.add_argument("--shards", type=int, default=1,
+                   help="accepted (must be >= 1); output and work do not depend on it")
+
+
+def _density_flags(p):
+    p.add_argument("--R", required=True, help="comma-separated increasing height bounds")
+    p.add_argument("--cap", type=int, default=None,
+                   help=f"most preimages the numerator may visit (default from ${CAP_ENV_VAR})")
+    _shards_flag(p)
+
+
+def _lehmer_flags(p):
+    p.add_argument("--sides", required=True, help='comma-separated sides, e.g. "4,4" or "5.9,3.2"')
+    _shards_flag(p)
+
+
+def _boxcount_flags(p):
+    p.add_argument("--R", required=True, help="one height bound")
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _nsect_flags(p):
+    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--c", type=int, required=True)
+    p.add_argument("--d", type=int, required=True, dest="den")
+
+
+def _algdeg_flags(p):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--degree-cap", type=int, default=algdeg.DEGREE_CAP)
+
+
+def _witness_flags(p):
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--q", type=int, required=True)
+
+
+def _verify_flags(p):
+    p.add_argument("--quick", action="store_true")
+    p.add_argument("--seed", type=int, default=0)
+
+
+# verb: (runner, summary, takes --field and --d, takes --format, its own flags)
+VERBS = {
+    "decide": (_run_decide, "decide membership of a cosine value", True, True, _decide_flags),
+    "density": (_run_density, "decay of the accepted fraction of height balls", True, True,
+                _density_flags),
+    "lehmer": (_run_lehmer, "coprime tuple count in a box", False, True, _lehmer_flags),
+    "boxcount": (_run_boxcount, "height-ball counts and the certified sub-box", True, True,
+                 _boxcount_flags),
+    "nsect": (_run_nsect, "cannot-split-into-p certificate for cos = c/d", False, True,
+              _nsect_flags),
+    "algdeg": (_run_algdeg, "tower, identity, and degree reports", False, True, _algdeg_flags),
+    "witness": (_run_witness, "accepted-but-not-constructible certificate", False, True,
+                _witness_flags),
+    "verify": (_run_verify, "run the cross-module invariant suites", False, False,
+               _verify_flags),
+}
+
+
+def _add_verb_flags(p: argparse.ArgumentParser, verb: str) -> None:
+    """Every flag of ``verb``, the one definition both parsers use."""
+    run, _, field, csv, own_flags = VERBS[verb]
+    p.set_defaults(run=run)
+    if field:
+        p.add_argument("--field", choices=("q", "rational", "quad", "quadratic"), default="q")
+        p.add_argument("--d", type=int, default=None, help="squarefree radicand")
+    p.add_argument("--out", "-o", help="write the artifact to this path (atomic)")
+    if csv:
+        p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
+    own_flags(p)
+
+
+@functools.cache
+def verb_parser(verb: str) -> argparse.ArgumentParser:
+    """The parser of one verb, built on its first use and kept: it prints
+    the same help and errors as the verb's subcommand of
+    :func:`build_parser`, whose prog it shares."""
+    p = argparse.ArgumentParser(prog=f"trisectlab {verb}")
+    _add_verb_flags(p, verb)
+    return p
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it
-    unchanged, and building it costs about a millisecond."""
+    """The full parser, one subcommand per verb, built once per process.
+    ``main`` reaches it only for an argv that names no verb (none, ``-h``
+    or an unknown one), since building it builds every verb's parser."""
     parser = argparse.ArgumentParser(
         prog="trisectlab",
         description="exact decision, counting, and certificate workbench for "
                     "trisectability of angles by cosine",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_verb(name, run, summary, field=False, csv=True):
-        p = sub.add_parser(name, help=summary)
-        p.set_defaults(run=run)
-        if field:
-            p.add_argument("--field", choices=("q", "rational", "quad", "quadratic"),
-                           default="q")
-            p.add_argument("--d", type=int, default=None, help="squarefree radicand")
-        p.add_argument("--out", "-o", help="write the artifact to this path (atomic)")
-        if csv:
-            p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
-        return p
-
-    def add_shards(p):
-        p.add_argument("--shards", type=int, default=1,
-                       help="accepted (must be >= 1); output and work do not depend on it")
-
-    p = add_verb("decide", _run_decide, "decide membership of a cosine value", field=True)
-    p.add_argument("--a", required=True, help='element, e.g. "3/2" or "(1+1*sqrt(5))/2"')
-
-    p = add_verb("density", _run_density, "decay of the accepted fraction of height balls",
-                 field=True)
-    p.add_argument("--R", required=True, help="comma-separated increasing height bounds")
-    p.add_argument("--cap", type=int, default=None,
-                   help=f"most preimages the numerator may visit (default from ${CAP_ENV_VAR})")
-    add_shards(p)
-
-    p = add_verb("lehmer", _run_lehmer, "coprime tuple count in a box")
-    p.add_argument("--sides", required=True, help='comma-separated sides, e.g. "4,4" or "5.9,3.2"')
-    add_shards(p)
-
-    p = add_verb("boxcount", _run_boxcount, "height-ball counts and the certified sub-box",
-                 field=True)
-    p.add_argument("--R", required=True, help="one height bound")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add_verb("nsect", _run_nsect, "cannot-split-into-p certificate for cos = c/d")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--d", type=int, required=True, dest="den")
-
-    p = add_verb("algdeg", _run_algdeg, "tower, identity, and degree reports")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--degree-cap", type=int, default=algdeg.DEGREE_CAP)
-
-    p = add_verb("witness", _run_witness, "accepted-but-not-constructible certificate")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-
-    p = add_verb("verify", _run_verify, "run the cross-module invariant suites", csv=False)
-    p.add_argument("--quick", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    for verb, (_, summary, *_) in VERBS.items():
+        _add_verb_flags(sub.add_parser(verb, help=summary), verb)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in VERBS:
+        args = verb_parser(argv[0]).parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     try:
         return args.run(args)
     except (GcdBoundViolated, AssertionError) as exc:

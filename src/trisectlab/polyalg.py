@@ -6,6 +6,12 @@ zero; the zero polynomial has degree -1.  On top of the ring arithmetic sit
 the Eisenstein test, characteristic polynomials in Q[y]/(y^m - q) from
 power sums, cyclotomic polynomials, the minimal polynomials of
 2*cos(2*pi/m), and the Chebyshev-like doubling family.
+
+The characteristic polynomials never leave the integers: with q = u/v,
+gamma = v*beta is a root of y^m - u*v^(m-1), and clearing the
+denominators of g(y/v) makes s*g(beta) a polynomial in gamma with integer
+coefficients, an algebraic integer whose traces and Newton coefficients
+are all integers.
 """
 
 from __future__ import annotations
@@ -313,44 +319,68 @@ def eisenstein_check(p: IntPoly, prime: int) -> bool:
     return p.coeffs[0] % (prime * prime) != 0
 
 
+def newton_elementary(p: list[int]) -> list[int]:
+    """The elementary symmetric functions e_0..e_m from the integer power
+    sums p = [p_1, ..., p_m] by Newton's identities
+    k*e_k = sum_{i=1..k} (-1)^(i-1) * e_{k-i} * p_i.  Raises
+    ``AssertionError`` when a division by k leaves a remainder, which the
+    power sums of an algebraic integer never do."""
+    signed = [pk if k % 2 else -pk for k, pk in enumerate(p, 1)]
+    e = [1]
+    for k in range(1, len(p) + 1):
+        ek, rem = divmod(sum(e[k - i] * signed[i - 1] for i in range(1, k + 1)), k)
+        if rem:
+            raise AssertionError(f"Newton's identity at k = {k} leaves remainder {rem}")
+        e.append(ek)
+    return e
+
+
 def resultant_minpoly(m: int, q, g: RatPoly) -> IntPoly:
     """Characteristic polynomial of g(beta) for beta a root of y^m - q,
-    as a primitive integer polynomial of degree m in x.
+    as a primitive integer polynomial of degree m in x, computed on
+    Python ints alone.
 
-    The charpoly of multiplication by g on Q[y]/(y^m - q) is the product
-    of x - g(beta_i) over the m roots beta_i.  Its power sums are the
-    traces p_k = m * [y^0](g^k mod y^m - q), and Newton's identities
-    k*e_k = sum_{i=1..k} (-1)^(i-1) * e_{k-i} * p_i turn them into the
-    elementary symmetric functions e_k, the coefficients up to sign:
-    O(m^2) exact operations.
+    Write q = u/v, n = deg g and L for the lcm of the denominators of g.
+    Then gamma = v*beta satisfies gamma^m = w with w = u*v^(m-1), so
+    h(y) = L*v^n*g(y/v) has integer coefficients and h(gamma) = s*g(beta)
+    with s = L*v^n.  Multiplication by h(gamma) on Z[y]/(y^m - w) is an
+    integer matrix, so h(gamma) is an algebraic integer: its traces
+    p_k = m * [y^0](h^k mod y^m - w) are integers, and so are the
+    elementary symmetric functions e_k from Newton's identities, each
+    division by k exact (:func:`newton_elementary`).  As
+    prod(s*x - s*g(beta_i)) = s^m * charpoly, the charpoly is
+    sum_k (-1)^k * e_k * s^(m-k) * x^(m-k) up to the factor s^m, made
+    primitive: O(m^2) integer operations.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if g.is_zero():
         raise ValueError("g must be nonzero")
     q = Fraction(q)
-    red = [Fraction(0)] * m
-    for i, c in enumerate(g.coeffs):
-        red[i % m] += c * q ** (i // m)
-    terms = [(i, c) for i, c in enumerate(red) if c]
-    power = [Fraction(1)] + [Fraction(0)] * (m - 1)  # g^k mod y^m - q
-    p = [Fraction(0)]
+    u, v = q.numerator, q.denominator
+    w = u * v ** (m - 1)
+    h, L = g.clear_denominators()
+    n = g.degree
+    s = L * v ** n
+    red = [0] * m  # h mod y^m - w
+    for i, c in enumerate(h.coeffs):
+        red[i % m] += c * v ** (n - i) * w ** (i // m)
+    terms = [(i, c, c * w) for i, c in enumerate(red) if c]
+    power = [1] + [0] * (m - 1)  # h^k mod y^m - w
+    traces = []
     for _ in range(m):
-        nxt = [Fraction(0)] * m
-        for i, c in terms:
+        nxt = [0] * m
+        for i, c, cw in terms:
             for j, a in enumerate(power):
                 if a:
                     if i + j < m:
                         nxt[i + j] += c * a
                     else:
-                        nxt[i + j - m] += c * a * q
+                        nxt[i + j - m] += cw * a
         power = nxt
-        p.append(m * power[0])
-    e = [Fraction(1)]
-    for k in range(1, m + 1):
-        e.append(sum((-1) ** (i - 1) * e[k - i] * p[i] for i in range(1, k + 1)) / k)
-    charpoly = RatPoly(tuple((-1) ** k * e[k] for k in range(m, -1, -1)))
-    return charpoly.clear_denominators()[0].primitive()
+        traces.append(m * power[0])
+    e = newton_elementary(traces)
+    return IntPoly(tuple((-1) ** k * e[k] * s ** (m - k) for k in range(m, -1, -1))).primitive()
 
 
 def cyclotomic(m: int) -> IntPoly:

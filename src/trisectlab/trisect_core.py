@@ -418,10 +418,12 @@ def eisenstein_cert_3rs(r: int, s: int) -> Certificate:
 # Largest value of the parameter that a verifier's re-run grows with (the
 # height H, the prime p, the degree m).  H and p sit where the slowest
 # accepted verify takes about 1 s (Python 3.11 on a 2-CPU x86 VM); at m = 31
-# it takes about 0.13 s (q = 2^31 - 1), a cap kept so `witness --m` accepts
-# the same range.  Past a cap, or past CERT_MAX_DIGITS digits in any integer
-# a certificate holds (below Python's 4,300-digit int-to-str limit), verify
-# raises ``CapExceeded``.  Never read from the data.
+# it takes about 4 ms (q = 2^31 - 1, most of it the trial division of q), a
+# cap kept so `witness --m` accepts the same range.  Past a cap, or past
+# CERT_MAX_DIGITS digits in any integer a certificate holds (below Python's
+# 4,300-digit int-to-str limit), verify raises ``CapExceeded``; the p and m
+# producers refuse past their caps before they build anything.  Never read
+# from the data.
 SQUARE_FAMILY_MAX_H = 500_000
 PSECTION_MAX_P = 601
 WITNESS_MAX_M = 31
@@ -431,6 +433,11 @@ CERT_MAX_DIGITS = 4000
 def _check_digits(v: int, what: str) -> None:
     if abs(v) >= 10 ** CERT_MAX_DIGITS:
         raise CapExceeded(f"{what} has more than {CERT_MAX_DIGITS} digits")
+
+
+def _check_cap(param: int, cap: int) -> None:
+    if param > cap:
+        raise CapExceeded(f"certificate parameter {param} exceeds the verify cap {cap}")
 
 
 def _rebuilds(data: dict, build, *params, cap: int | None = None) -> bool:
@@ -443,8 +450,8 @@ def _rebuilds(data: dict, build, *params, cap: int | None = None) -> bool:
     if any(type(v) is not int for v in params):
         return False
     _check_digits(max(params, key=abs), "a certificate parameter")
-    if cap is not None and params[0] > cap:
-        raise CapExceeded(f"certificate parameter {params[0]} exceeds the verify cap {cap}")
+    if cap is not None:
+        _check_cap(params[0], cap)
     try:
         expected = build(*params).data
     except (BadParameters, AssertionError):
@@ -633,8 +640,9 @@ def nonconstructible_witness(m: int, q: int) -> Certificate:
     """
     if m < 2 or m % 2 == 0 or m % 3 == 0:
         raise BadParameters("m must be odd, > 1, and prime to 3")
-    if q > 2 ** m:  # before the trial division, which is slow for large q
+    if q > 1 and (q - 1).bit_length() > m:  # q > 2^m, without forming 2^m
         raise BadParameters("q^(1/m) must lie in (0, 2]")
+    _check_cap(m, WITNESS_MAX_M)  # before the trial division, slow for large q
     if not is_prime(q):
         raise BadParameters("q must be prime")
     poly = resultant_minpoly(m, Fraction(q), F_CUBIC)
@@ -680,6 +688,7 @@ def nonsectability_cert(p: int, c: int, dd: int) -> Certificate:
     with cos = c/dd cannot be p-sected (P is the multiple-angle polynomial
     of :func:`nsect.psection_poly`, which refuses a p that is not an odd
     prime)."""
+    _check_cap(p, PSECTION_MAX_P)  # before the O(p^2) expansion
     pp = psection_poly(p)
     if dd < 1:
         raise BadParameters("denominator must be positive")

@@ -337,6 +337,47 @@ def sylvester_minpoly(m: int, q, g: RatPoly) -> IntPoly:
     return out.primitive()
 
 
+def fraction_resultant_minpoly(m: int, q, g: RatPoly) -> IntPoly:
+    """Characteristic polynomial of g(beta) for beta a root of y^m - q,
+    as a primitive integer polynomial of degree m in x.
+
+    The charpoly of multiplication by g on Q[y]/(y^m - q) is the product
+    of x - g(beta_i) over the m roots beta_i.  Its power sums are the
+    traces p_k = m * [y^0](g^k mod y^m - q), and Newton's identities
+    k*e_k = sum_{i=1..k} (-1)^(i-1) * e_{k-i} * p_i turn them into the
+    elementary symmetric functions e_k, the coefficients up to sign:
+    O(m^2) exact operations.  Every step runs over Fraction: the reference
+    for ``polyalg.resultant_minpoly``, which runs the same sums on ints.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if g.is_zero():
+        raise ValueError("g must be nonzero")
+    q = Fraction(q)
+    red = [Fraction(0)] * m
+    for i, c in enumerate(g.coeffs):
+        red[i % m] += c * q ** (i // m)
+    terms = [(i, c) for i, c in enumerate(red) if c]
+    power = [Fraction(1)] + [Fraction(0)] * (m - 1)  # g^k mod y^m - q
+    p = [Fraction(0)]
+    for _ in range(m):
+        nxt = [Fraction(0)] * m
+        for i, c in terms:
+            for j, a in enumerate(power):
+                if a:
+                    if i + j < m:
+                        nxt[i + j] += c * a
+                    else:
+                        nxt[i + j - m] += c * a * q
+        power = nxt
+        p.append(m * power[0])
+    e = [Fraction(1)]
+    for k in range(1, m + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * p[i] for i in range(1, k + 1)) / k)
+    charpoly = RatPoly(tuple((-1) ** k * e[k] for k in range(m, -1, -1)))
+    return charpoly.clear_denominators()[0].primitive()
+
+
 def cos_minimal_poly_extraction(m: int) -> IntPoly:
     """The minimal polynomial of 2*cos(2*pi/m), m >= 3, extracted from the
     cyclotomic polynomial by the substitution x = z + 1/z, solved

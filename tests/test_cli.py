@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -216,13 +217,13 @@ def test_atomic_write_leaves_no_temp(tmp_path, capsys):
     assert leftovers == []
 
 
-def _fresh_run(args):
+def _fresh_run(args, timeout=120):
     """(exit code, stdout, stderr) of the CLI in a new interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from trisectlab.cli import main; sys.exit(main())",
-         *args], env=env, capture_output=True, text=True, timeout=120)
+         *args], env=env, capture_output=True, text=True, timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -241,3 +242,19 @@ def test_one_process_matches_fresh_runs(capsys):
             code = exc.code
         out, err = capsys.readouterr()
         assert (code, out, err) == fresh[tuple(args)]
+
+
+@pytest.mark.parametrize("args", [
+    ["witness", "--m", "10007", "--q", "2"],
+    ["witness", "--m", "401", "--q", "2"],
+    ["nsect", "--p", "10007", "--c", "10007", "--d", "20000"],
+    ["nsect", "--p", "1009", "--c", "1009", "--d", "2000"],
+], ids=lambda args: f"{args[0]}{args[2]}")
+def test_oversized_certificates_refused_before_building(args):
+    """witness and nsect check the verify caps on m and p before they build
+    anything; these four used to run for 1.6 s to over 20 s first."""
+    start = time.perf_counter()
+    code, out, err = _fresh_run(args, timeout=5)
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (3, "")
+    assert f"certificate parameter {args[2]} exceeds the verify cap" in err

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cos_minimal_poly_extraction, rational_roots, sylvester_minpoly
+from oracles import (
+    cos_minimal_poly_extraction,
+    fraction_resultant_minpoly,
+    rational_roots,
+    sylvester_minpoly,
+)
 from trisectlab.errors import NotPrime
 from trisectlab.polyalg import (
     IntPoly,
@@ -17,6 +22,7 @@ from trisectlab.polyalg import (
     cyclotomic,
     eisenstein_check,
     euler_phi,
+    newton_elementary,
     poly_text,
     resultant_minpoly,
     squarefree_over_q,
@@ -107,6 +113,31 @@ def test_resultant_matches_sylvester_oracle(m, q, g):
     resultant for every m, rational q (0 and negative included) and
     nonzero g, constant g included."""
     assert resultant_minpoly(m, q, g) == sylvester_minpoly(m, q, g)
+
+
+@given(st.integers(1, 12), rationals,
+       st.lists(rationals, min_size=1, max_size=6).map(RatPoly).filter(lambda g: not g.is_zero()))
+@settings(max_examples=150, deadline=None)
+def test_integer_resultant_matches_fraction_reference(m, q, g):
+    """The integer traces of s*g(beta), s = L*v^n, give the charpoly that
+    power sums over Fraction give, for m <= 12, rational q (0 and negative
+    included) and nonzero g, constant g included."""
+    assert resultant_minpoly(m, q, g) == fraction_resultant_minpoly(m, q, g)
+
+
+def test_integer_resultant_at_the_slowest_witness():
+    g = RatPoly((0, -3, 0, 1))
+    q = 2 ** 31 - 1
+    assert resultant_minpoly(31, q, g) == fraction_resultant_minpoly(31, Fraction(q), g)
+
+
+def test_newton_elementary_divisions_are_exact():
+    """Power sums of the roots 1, 2, 3 give e = 1, 6, 11, 6; power sums
+    that no algebraic integer has leave a remainder and raise."""
+    assert newton_elementary([6, 14, 36]) == [1, 6, 11, 6]
+    assert newton_elementary([]) == [1]
+    with pytest.raises(AssertionError, match="k = 2"):
+        newton_elementary([1, 0])  # 2*e_2 = 1
 
 
 def test_cyclotomic_examples():
