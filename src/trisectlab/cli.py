@@ -139,12 +139,13 @@ def _run_lehmer(args) -> int:
 def _run_boxcount(args) -> int:
     field = _field_from_args(args)
     R = Fraction(args.R)
+    # first, so that its cell cap refuses before the ball counts run
+    qreport = height_enum.qbox(QBoxSpec(field, R), seed=args.seed)
     ball = HeightBall(field, R)
     total = count_ball(ball)
     interval = count_ball_interval(ball, -2, 2)
     k = field.degree
     main = 2.0 ** k * float(R) ** (k + 1) / coprime_count.zeta(k + 1)
-    qreport = height_enum.qbox(QBoxSpec(field, R), seed=args.seed)
     payload = {
         "field": field.label(),
         "d": field.d,

@@ -18,30 +18,48 @@ from math import gcd
 import numpy as np
 
 from .errors import (
+    CapExceeded,
     DegenerateBasis,
     NonSquarefreeRadicand,
     RadicandMismatch,
     ZeroDenominator,
 )
+from .polyalg import SMALL_PRIMES, factorize
+
+# Radicands d < 2^62, so that 8d lies in the domain of ``polyalg.factorize``;
+# a larger one is refused with ``CapExceeded``.
+MAX_RADICAND = 1 << 62
+
+
+def _squarefree_below(n: int) -> frozenset[int]:
+    """The squarefree m with 2 <= m < n <= 2^20, sieved by prime squares."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for p in SMALL_PRIMES:
+        sieve[p * p :: p * p] = bytes(len(range(p * p, n, p * p)))
+    return frozenset(m for m, squarefree in enumerate(sieve) if squarefree)
+
+
+_SMALL_SQUAREFREE = _squarefree_below(1 << 10)
+
 
 def is_squarefree(d: int) -> bool:
-    """True iff d >= 2 and no prime square divides d (trial division)."""
-    if d < 2:
-        return False
-    if d % 4 == 0:
-        return False
-    n = d
-    while n % 2 == 0:
-        n //= 2
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
+    """True iff d >= 2 and no prime square divides d, for d < ``MAX_RADICAND``
+    (``CapExceeded`` past it): a table below 2^10, trial division by the
+    primes below 2^10, then :func:`polyalg.factorize` (Miller-Rabin and
+    Pollard-Brent rho) on a cofactor left with no prime factor below 2^10."""
+    if d < 1 << 10:
+        return d in _SMALL_SQUAREFREE
+    if d >= MAX_RADICAND:
+        raise CapExceeded(f"radicand {d} is past the domain d < 2^62")
+    for p in SMALL_PRIMES:
+        if p * p > d:
+            return True
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
                 return False
-        else:
-            p += 2
-    return True
+    # d has no prime factor below 2^10 left, so below 2^20 it is a prime
+    return d < 1 << 20 or max(factorize(d).values()) == 1
 
 
 def _sign(n: int) -> int:
@@ -69,7 +87,11 @@ class QuadElem:
 
     Invariants: d >= 2 squarefree, b > 0, gcd(a1, a2, b) = 1 (with
     gcd(0, n) = n).  Construct via :func:`canonicalize` or the arithmetic
-    operators; direct construction validates but does not reduce.
+    operators; direct construction validates but does not reduce.  The
+    radicand is checked where it enters (a direct construction,
+    :func:`canonicalize`, :meth:`from_rational`, :func:`parse_element`,
+    :class:`FieldDescriptor`); sums, products, inverses, negations and
+    conjugates only reduce, through :func:`quad_from_canonical`.
     """
 
     a1: int
@@ -80,8 +102,7 @@ class QuadElem:
     def __post_init__(self):
         if self.b <= 0:
             raise ZeroDenominator(f"denominator must be positive, got {self.b}")
-        if not is_squarefree(self.d):
-            raise NonSquarefreeRadicand(f"radicand {self.d} not squarefree >= 2")
+        _check_radicand(self.d)
         if gcd(gcd(self.a1, self.a2), self.b) != 1:
             raise ValueError(f"non-canonical triple ({self.a1}, {self.a2}, {self.b})")
 
@@ -105,14 +126,15 @@ class QuadElem:
                 raise RadicandMismatch(f"radicands {self.d} and {other.d} differ")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadElem.from_rational(other, self.d)
+            x = Fraction(other)
+            return quad_from_canonical(x.numerator, 0, x.denominator, self.d)
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return canonicalize(
+        return _reduce(
             self.a1 * o.b + o.a1 * self.b,
             self.a2 * o.b + o.a2 * self.b,
             self.b * o.b,
@@ -128,13 +150,13 @@ class QuadElem:
         return (-self) + other
 
     def __neg__(self) -> "QuadElem":
-        return QuadElem(-self.a1, -self.a2, self.b, self.d)
+        return quad_from_canonical(-self.a1, -self.a2, self.b, self.d)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return canonicalize(
+        return _reduce(
             self.a1 * o.a1 + self.d * self.a2 * o.a2,
             self.a1 * o.a2 + self.a2 * o.a1,
             self.b * o.b,
@@ -144,14 +166,14 @@ class QuadElem:
     __rmul__ = __mul__
 
     def conjugate(self) -> "QuadElem":
-        return QuadElem(self.a1, -self.a2, self.b, self.d)
+        return quad_from_canonical(self.a1, -self.a2, self.b, self.d)
 
     def invert(self) -> "QuadElem":
         if self.a1 == 0 and self.a2 == 0:
             raise ZeroDivisionError("cannot invert zero")
         # 1/x = b*(a1 - a2*sqrt(d)) / (a1^2 - a2^2*d)
         norm = self.a1 * self.a1 - self.a2 * self.a2 * self.d
-        return canonicalize(self.b * self.a1, -self.b * self.a2, norm, self.d)
+        return _reduce(self.b * self.a1, -self.b * self.a2, norm, self.d)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -162,7 +184,7 @@ class QuadElem:
     def __pow__(self, n: int) -> "QuadElem":
         if n < 0:
             return self.invert() ** (-n)
-        out = QuadElem.from_rational(1, self.d)
+        out = quad_from_canonical(1, 0, 1, self.d)
         base = self
         while n:
             if n & 1:
@@ -201,18 +223,45 @@ class QuadElem:
         return f"QuadElem({self.a1}, {self.a2}, {self.b}, d={self.d})"
 
 
-def canonicalize(a1: int, a2: int, b: int, d: int) -> QuadElem:
-    """Reduce the triple (a1, a2, b) over radicand d to canonical form.
+def _check_radicand(d: int) -> None:
+    if not is_squarefree(d):
+        raise NonSquarefreeRadicand(f"radicand {d} not squarefree >= 2")
 
-    Sign is normalized into the numerators and the common factor removed;
-    gcd(0, n) = n, so (0, 0, b) canonicalizes to zero.
-    """
+
+_new = object.__new__
+
+
+def quad_from_canonical(a1: int, a2: int, b: int, d: int) -> QuadElem:
+    """The QuadElem (a1, a2, b, d) of a triple already canonical over a
+    radicand already checked, built without ``__init__`` and
+    ``__post_init__``: the same fields, so the same equality, hash and
+    repr."""
+    x = _new(QuadElem)
+    fields = x.__dict__
+    fields["a1"], fields["a2"], fields["b"], fields["d"] = a1, a2, b, d
+    return x
+
+
+def _reduce(a1: int, a2: int, b: int, d: int) -> QuadElem:
+    """:func:`canonicalize` over a radicand already checked."""
     if b == 0:
         raise ZeroDenominator("denominator is zero")
     if b < 0:
         a1, a2, b = -a1, -a2, -b
     g = gcd(gcd(a1, a2), b)
-    return QuadElem(a1 // g, a2 // g, b // g, d)
+    return quad_from_canonical(a1 // g, a2 // g, b // g, d)
+
+
+def canonicalize(a1: int, a2: int, b: int, d: int) -> QuadElem:
+    """Reduce the triple (a1, a2, b) over radicand d to canonical form,
+    checking the radicand as a direct :class:`QuadElem` does.
+
+    Sign is normalized into the numerators and the common factor removed;
+    gcd(0, n) = n, so (0, 0, b) canonicalizes to zero.
+    """
+    x = _reduce(a1, a2, b, d)
+    _check_radicand(d)
+    return x
 
 
 def height(x) -> int:

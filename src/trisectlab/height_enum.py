@@ -39,7 +39,7 @@ import numpy as np
 
 from .coprime_count import mobius_blocks, mobius_sum, zeta
 from .errors import BadParameters, CapExceeded
-from .exact_arith import FieldDescriptor, QuadElem
+from .exact_arith import FieldDescriptor, QuadElem, quad_from_canonical
 
 DEFAULT_ENUM_CAP = 20_000_000
 
@@ -212,12 +212,20 @@ def element_blocks(ball: HeightBall, lo: Fraction | None = None, hi: Fraction | 
 
 
 def _stream(ball: HeightBall, lo: Fraction | None = None, hi: Fraction | None = None):
-    """The elements of :func:`element_blocks` as Python values."""
+    """The elements of :func:`element_blocks` as Python values.  Over
+    Q(sqrt(d)), whose radicand the field checked, each block is checked
+    canonical at once (b > 0, gcd(a1, a2, b) = 1) and its elements built by
+    :func:`exact_arith.quad_from_canonical`; the first element failing the
+    check is rebuilt by ``QuadElem``, which raises as it would have."""
     d = ball.field.d
     for b, a1, a in element_blocks(ball, lo, hi):
         if d:
+            bad = np.flatnonzero((b <= 0) | (np.gcd(np.gcd(a1, a), b) != 1))
+            if bad.size:
+                i = bad[0]
+                QuadElem(int(a1[i]), int(a[i]), int(b[i]), d)
             for x1, x2, y in zip(a1.tolist(), a.tolist(), b.tolist()):
-                yield QuadElem(x1, x2, y, d)
+                yield quad_from_canonical(x1, x2, y, d)
         else:
             for x, y in zip(a.tolist(), b.tolist()):
                 yield Fraction(x, y)
@@ -429,6 +437,11 @@ def qbox_main_term(spec: QBoxSpec) -> float:
     return 2 ** k * R ** (k + 1) / ((k + 1) ** (k + 1) * norm * zeta(k + 1))
 
 
+# Most cells of a box difference :func:`qbox` expands; past it, ``CapExceeded``
+# before any expansion or draw.  It admits Q(sqrt 2) at R = 1000 (1.05*10^8).
+QBOX_MAX_CELLS = 1 << 27
+
+
 def _draws(rng: random.Random, n: int) -> np.ndarray:
     """The next n values of ``rng.random()`` as one array, leaving ``rng``
     in the same state.  ``random()`` is ((w0 >> 5)*2^26 + (w1 >> 6))/2^53
@@ -466,8 +479,13 @@ def qbox(spec: QBoxSpec, sample_cap: int = 200_000, seed: int = 0) -> dict:
     is checked: one ``random.Random(seed).random()`` per member, in member
     order and drawn in blocks, keeps the member when it is at most
     sample_cap/count.  The check is :func:`_outside` with F = floor(R).
-    Squares past 2^62 raise ``CapExceeded`` up front.
+    Squares past 2^62, and box differences of more than ``QBOX_MAX_CELLS``
+    cells (row, coordinate) to expand, raise ``CapExceeded`` up front.
     """
+    n, m = spec.side_floors()
+    cells = (n[-1] - m[-1]) * math.prod(n[:-1])
+    if cells > QBOX_MAX_CELLS:
+        raise CapExceeded(f"box difference of {cells} cells exceeds the cap {QBOX_MAX_CELLS}")
     count = qbox_count(spec)
     main = qbox_main_term(spec)
     F = spec.R.numerator // spec.R.denominator
@@ -478,7 +496,6 @@ def qbox(spec: QBoxSpec, sample_cap: int = 200_000, seed: int = 0) -> dict:
     keep_prob = 1.0 if keep_all else sample_cap / max(count, 1)
     checked = 0
     violations = 0
-    n, m = spec.side_floors()
     quad = spec.field.degree == 2
     rows = max(1, BLOCK_CELLS // max(n[-2], 1))
     b_range = np.arange(m[-1] + 1, n[-1] + 1, dtype=np.int64)

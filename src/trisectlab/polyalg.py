@@ -12,46 +12,146 @@ gamma = v*beta is a root of y^m - u*v^(m-1), and clearing the
 denominators of g(y/v) makes s*g(beta) a polynomial in gamma with integer
 coefficients, an algebraic integer whose traces and Newton coefficients
 are all integers.
+
+Primality and factoring, which the radicands and certificates need, run
+trial division by the primes below 2^10, then deterministic Miller-Rabin
+(:func:`is_prime`) and Pollard-Brent rho (:func:`factorize`): polynomial
+in the digits for primality, O(n^(1/4)) steps for a factor, on a stated
+domain refused with ``CapExceeded`` past it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
-from .errors import NotPrime
+from .errors import BadParameters, CapExceeded, NotPrime
+
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for p in range(2, isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(p for p, prime in enumerate(sieve) if prime)
+
+
+# The primes below 2^10: trial division by them decides every n < 2^20.
+SMALL_PRIMES = _primes_below(1 << 10)
+_SMALL_PRIME_SET = frozenset(SMALL_PRIMES)
+# (psi, k): Miller-Rabin to the first k primes as bases is exact below psi
+# (Jaeschke 1993; Sorenson and Webster 2015 for k = 12).
+_MR_BASES_BELOW = ((1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+                   (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9),
+                   (318665857834031151167461, 12))
+MR_EXACT_BELOW = _MR_BASES_BELOW[-1][0]
+# Domain of :func:`factorize`: 8d for every radicand d < 2^62.  Its worst
+# case, two primes near 2^32.5, takes Pollard-Brent about 2^16 steps.
+FACTOR_BELOW = 1 << 65
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Primality of n < ``MR_EXACT_BELOW`` (about 3.2*10^23), exactly.
+
+    n below 2^10 is looked up.  Trial division by ``SMALL_PRIMES`` decides
+    n < 2^20, as a composite has a prime factor at most its square root.
+    A larger n with no small factor is prime iff it is a strong probable
+    prime to the first k primes, k from ``_MR_BASES_BELOW``.
+    ``CapExceeded`` past the domain.
+    """
+    if n < 1 << 10:
+        return n in _SMALL_PRIME_SET
+    for p in SMALL_PRIMES:
+        if n % p == 0:
             return False
-        f += 2
+        if p * p > n:
+            return True
+    if n < 1 << 20:
+        return True
+    if n >= MR_EXACT_BELOW:
+        raise CapExceeded(f"{n} is past the exact Miller-Rabin domain")
+    k = next(k for psi, k in _MR_BASES_BELOW if n < psi)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in SMALL_PRIMES[:k]:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
     return True
 
 
+def _brent_factor(n: int) -> int:
+    """A proper factor of a composite n with no prime factor below 2^10:
+    Brent's variant of Pollard's rho on y -> y^2 + c, products of 128
+    differences per gcd, with c = 1, 2, ... until one splits n (Brent 1980).
+    Deterministic, so every run returns the same factor."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: redo its last stretch one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _large_primes(n: int) -> list[int]:
+    """The prime factors, with multiplicity, of n > 1 with no prime factor
+    below 2^10."""
+    if is_prime(n):
+        return [n]
+    f = _brent_factor(n)
+    return _large_primes(f) + _large_primes(n // f)
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; n >= 1."""
+    """Prime factorization of 1 <= n < ``FACTOR_BELOW``, primes ascending:
+    trial division by the primes below 2^10, then :func:`is_prime` and
+    :func:`_brent_factor` on what is left, O(n^(1/4)) steps.  ``CapExceeded``
+    past the domain."""
+    if n < 1:
+        raise BadParameters(f"cannot factorize {n}")
+    if n >= FACTOR_BELOW:
+        raise CapExceeded(f"{n} is past the factoring domain 2^65")
     out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
+    for p in SMALL_PRIMES:
+        if p * p > n:
+            rest = [n] if n > 1 else []  # n is 1 or a prime
+            break
+        if n % p == 0:
+            e = 0
             while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        f += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+                n, e = n // p, e + 1
+            out[p] = e
+    else:  # n >= 1021^2 is left with no prime factor below 2^10
+        rest = sorted(_large_primes(n))
+    for p in rest:
+        out[p] = out.get(p, 0) + 1
     return out
 
 

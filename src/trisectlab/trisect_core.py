@@ -38,6 +38,7 @@ from .exact_arith import (
     canonicalize,
     height,
     in_interval,
+    quad_from_canonical,
     quadratic_field,
     sign_lin,
 )
@@ -330,8 +331,11 @@ def _quadratic_preimage(a: QuadElem) -> QuadElem | None:
         if c * c * c != G * beta:
             continue
         P1, P2, c2 = G * alpha1, G * alpha2, c * c
-        for k in _root_floors(c, P1, P2, d):
-            for kc in _root_floors(c, P1, -P2, d):
+        floors = _root_floors(c, P1, P2, d)
+        # the conjugate cubic's floors, the same cubic for rational a
+        conjugate_floors = floors if P2 == 0 else _root_floors(c, P1, -P2, d)
+        for k in floors:
+            for kc in conjugate_floors:
                 b1 = -((-k - kc) // 2)
                 m = k - kc
                 j = isqrt(m * m // (4 * d))
@@ -347,7 +351,7 @@ def _quadratic_preimage(a: QuadElem) -> QuadElem | None:
     if not found:
         return None
     c, b2, b1 = min(found)
-    return QuadElem(b1, b2, c, d)
+    return quad_from_canonical(b1, b2, c, d)  # c >= 1 and the gcd were tested
 
 
 def decide_trisection(a, field: FieldDescriptor | None = None) -> TrisectionVerdict:
@@ -368,7 +372,7 @@ def decide_trisection(a, field: FieldDescriptor | None = None) -> TrisectionVerd
     if isinstance(a, QuadElem):
         if field is not None and (field.degree != 2 or field.d != a.d):
             raise BadParameters("element and field disagree")
-        field = quadratic_field(a.d)
+        field = field or quadratic_field(a.d)
     else:
         a = Fraction(a)
         if field is None:
@@ -377,12 +381,13 @@ def decide_trisection(a, field: FieldDescriptor | None = None) -> TrisectionVerd
         raise OutOfRange(f"{a} lies outside [-2, 2]")
     if field.degree == 1:
         return _decide_rational(a)
-    aq = a if isinstance(a, QuadElem) else QuadElem.from_rational(a, field.d)
-    S = preimage_bound(field, height(aq))
-    beta = _quadratic_preimage(aq)
+    if not isinstance(a, QuadElem):  # the field checked its radicand
+        a = quad_from_canonical(a.numerator, 0, a.denominator, field.d)
+    S = preimage_bound(field, height(a))
+    beta = _quadratic_preimage(a)
     if beta is not None:
         return TrisectionVerdict(True, beta, "cube-denominator", search_bound=S)
-    cert = _try_eisenstein_cert(aq.as_fraction()) if aq.is_rational else None
+    cert = _try_eisenstein_cert(a.as_fraction()) if a.is_rational else None
     return TrisectionVerdict(False, None, "cube-denominator", certificate=cert, search_bound=S)
 
 
@@ -572,7 +577,8 @@ def density_experiment(
 
     Domain: S with (4 + 3d)*S^3 (the image map) or, over Q(sqrt(d)),
     U^2 + d*V^2 past 2^62 raises ``CapExceeded`` before any work.  One
-    :func:`height_enum.count_ball_intervals` gives every denominator.
+    :func:`height_enum.count_ball_intervals` gives every denominator; it
+    runs before the numerator, so its guards refuse before any block.
     ``cap`` (None: no cap) bounds the preimages visited, those of the
     visited rows in B(S) ∩ [-2, 2]: ``CapExceeded`` as soon as the blocks
     streamed so far hold more than ``cap`` of them.
@@ -591,6 +597,7 @@ def density_experiment(
     top = int(tops[-1])
     visited = [b for b in range(1, icbrt(8 * d * top) + 1)
                if b ** 3 <= top * (gcd(8 * d, b ** 3) if field.d else 1)]
+    denominators = count_ball_intervals(field, R_list, -2, 2)
     sums = np.zeros(len(tops), dtype=np.int64)  # the weights per bin of tops
     preimages = 0
     for b, a1, a in element_blocks(ball, Fraction(-2), Fraction(2),
@@ -612,7 +619,6 @@ def density_experiment(
     thrice = np.cumsum(sums) + 2 * (tops >= 2)
     if (thrice % 3).any():
         raise AssertionError(f"fibre weights {thrice.tolist()} not divisible by 3")
-    denominators = count_ball_intervals(field, R_list, -2, 2)
     points = [DensityPoint(*p) for p in zip(R_list, (thrice // 3).tolist(), denominators)]
     return DensityReport(
         field=field,
@@ -642,7 +648,7 @@ def nonconstructible_witness(m: int, q: int) -> Certificate:
         raise BadParameters("m must be odd, > 1, and prime to 3")
     if q > 1 and (q - 1).bit_length() > m:  # q > 2^m, without forming 2^m
         raise BadParameters("q^(1/m) must lie in (0, 2]")
-    _check_cap(m, WITNESS_MAX_M)  # before the trial division, slow for large q
+    _check_cap(m, WITNESS_MAX_M)  # before anything is built
     if not is_prime(q):
         raise BadParameters("q must be prime")
     poly = resultant_minpoly(m, Fraction(q), F_CUBIC)

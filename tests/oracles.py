@@ -28,6 +28,60 @@ from trisectlab.polyalg import IntPoly, RatPoly, cyclotomic, divisors, euler_phi
 from trisectlab.trisect_core import _images, preimage_bound
 
 
+def is_prime_trial(n: int) -> bool:
+    """Primality by trial division by every odd f <= sqrt(n)."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def factorize_trial(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 by trial division by 2, 3 and the
+    f = 6j +- 1 up to the square root of what is left."""
+    out: dict[int, int] = {}
+    for p in (2, 3):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    f = 5
+    while f * f <= n:
+        for p in (f, f + 2):
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+        f += 6
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def is_squarefree_trial(d: int) -> bool:
+    """True iff d >= 2 and no prime square divides d, by trial division."""
+    if d < 2:
+        return False
+    if d % 4 == 0:
+        return False
+    n = d
+    while n % 2 == 0:
+        n //= 2
+    p = 3
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return False
+        else:
+            p += 2
+    return True
+
+
 def mobius(j: int) -> int:
     """mu(j) by trial-division factorization."""
     if j < 1:

@@ -258,3 +258,26 @@ def test_oversized_certificates_refused_before_building(args):
     assert time.perf_counter() - start < 5.0
     assert (code, out) == (3, "")
     assert f"certificate parameter {args[2]} exceeds the verify cap" in err
+
+
+@pytest.mark.parametrize("args, want", [
+    (["decide", "--field", "quad", "--d", "1000000000000000003", "--a", "1"], 0),
+    (["decide", "--field", "quad", "--d", str(2 ** 62 + 1), "--a", "1"], 3),
+    (["boxcount", "--field", "quad", "--d", "2", "--R", "3000"], 3),
+    (["boxcount", "--field", "q", "--R", "1e8"], 3),
+    (["boxcount", "--field", "q", "--R", "1e12"], 3),
+    (["density", "--field", "quad", "--d", "2", "--R", "1e7"], 3),
+    (["density", "--field", "q", "--R", "1e13"], 3),
+], ids=["decide-d-1e18+3", "decide-d-2^62+1", "boxcount-quad-3000", "boxcount-q-1e8",
+        "boxcount-q-1e12", "density-quad-1e7", "density-q-1e13"])
+def test_probes_answer_promptly(args, want):
+    """Each probe gets a verdict or a refusal within 5 s in a new
+    interpreter: a radicand by Miller-Rabin and Pollard-Brent, or past
+    2^62 refused; qbox's cell cap and density's denominator guards before
+    any work.  These used to run from 17 s to past 30 s (boxcount over Q
+    at 10^12: 41 s of ball counts before qbox refused)."""
+    start = time.perf_counter()
+    code, out, err = _fresh_run(args, timeout=5)
+    assert time.perf_counter() - start < 5.0
+    assert code == want and "Traceback" not in err
+    assert (code == 0) == bool(out)

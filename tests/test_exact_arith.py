@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import commensurability_loop
 from trisectlab.errors import (
+    CapExceeded,
     DegenerateBasis,
     NonSquarefreeRadicand,
     RadicandMismatch,
@@ -22,6 +23,7 @@ from trisectlab.exact_arith import (
     in_interval,
     is_squarefree,
     parse_element,
+    quadratic_field,
     verify_commensurability,
 )
 
@@ -113,6 +115,39 @@ def test_field_laws(qa, qb):
     # conjugation fixes rationals
     r = QuadElem.from_rational(Fraction(c1, e), d)
     assert r.conjugate() == r
+
+
+@pytest.mark.parametrize("d, error", [(12, NonSquarefreeRadicand), (1, NonSquarefreeRadicand),
+                                      (2 ** 62 + 1, CapExceeded), (2 ** 62, CapExceeded)])
+def test_radicand_checked_where_it_enters(d, error):
+    """A direct QuadElem, canonicalize, from_rational, parse_element and
+    the field each check the radicand: not squarefree >= 2 is bad
+    parameters, past 2^62 a cap."""
+    entries = (lambda: QuadElem(1, 1, 1, d), lambda: canonicalize(1, 1, 1, d),
+               lambda: QuadElem.from_rational(Fraction(1, 2), d),
+               lambda: parse_element(f"(1+1*sqrt({d}))/1"), lambda: parse_element("1/2", d),
+               lambda: quadratic_field(d))
+    for entry in entries:
+        with pytest.raises(error):
+            entry()
+
+
+@given(coords, coords)
+@settings(max_examples=100, deadline=None)
+def test_arithmetic_results_match_checked_construction(qa, qb):
+    """Sums, products, inverses, negations and conjugates skip the checks
+    of a direct construction; each result is canonical and equals, hashes
+    and reprs like the checked QuadElem of its fields."""
+    d = qa[3]
+    x = canonicalize(*qa)
+    y = canonicalize(qb[0], qb[1], qb[2], d)
+    results = [x + y, x - y, x * y, -x, x.conjugate(), x + 3, Fraction(1, 3) * x, x ** 3]
+    if x.a1 or x.a2:
+        results += [x.invert(), y / x]
+    for z in results:
+        checked = QuadElem(z.a1, z.a2, z.b, z.d)
+        assert type(z) is QuadElem and z.d == d
+        assert (z, hash(z), repr(z)) == (checked, hash(checked), repr(checked))
 
 
 @given(coords, coords, coords)

@@ -20,7 +20,7 @@ from oracles import (
 )
 from trisectlab import height_enum
 from trisectlab.coprime_count import mobius_sum, zeta
-from trisectlab.errors import BadParameters, CapExceeded
+from trisectlab.errors import BadParameters, CapExceeded, ZeroDenominator
 from trisectlab.exact_arith import (
     RATIONAL_FIELD,
     QuadElem,
@@ -109,6 +109,42 @@ def test_interval_enumeration_examples():
     kept = list(enumerate_ball_interval(ball, -2, 2))
     assert len(kept) == 7
     assert QuadElem(1, 1, 1, 2) not in kept and QuadElem(-1, -1, 1, 2) not in kept
+
+
+@pytest.mark.parametrize("d", (2, 3, 5, 6, 7, 30))
+def test_streamed_elements_match_checked_construction(d):
+    """The streams build each QuadElem without its checks; every element
+    equals, hashes and reprs like the checked QuadElem(a1, a2, b, d), in
+    the order of the reference stream."""
+    ball = HeightBall(quadratic_field(d), 9)
+    lo, hi = Fraction(-3, 2), Fraction(2)
+    for got, want in ((enumerate_ball(ball), ball_stream(ball)),
+                      (enumerate_ball_interval(ball, lo, hi), ball_stream(ball, lo, hi))):
+        got = list(got)
+        assert got == list(want)
+        for x in got:
+            checked = QuadElem(x.a1, x.a2, x.b, d)
+            assert type(x) is QuadElem
+            assert (x, hash(x), repr(x)) == (checked, hash(checked), repr(checked))
+
+
+@pytest.mark.parametrize("scale, error", [(2, ValueError), (-1, ZeroDenominator)])
+def test_stream_refuses_non_canonical_block(monkeypatch, scale, error):
+    """The per-block check raises what the per-element check raised: a
+    common factor is a ValueError, a denominator below 1 ZeroDenominator."""
+    expand = height_enum._expand_rows
+
+    def spoiled(*rows):
+        b, a1, a = (v.copy() for v in expand(*rows))
+        b[-1], a1[-1], a[-1] = scale * b[-1], scale * a1[-1], scale * a[-1]
+        return b, a1, a
+
+    monkeypatch.setattr(height_enum, "_expand_rows", spoiled)
+    ball = HeightBall(quadratic_field(2), 4)
+    with pytest.raises(error):
+        list(enumerate_ball(ball))
+    with pytest.raises(error):
+        list(enumerate_ball_interval(ball, -2, 2))
 
 
 @pytest.mark.parametrize("field", [RATIONAL_FIELD, quadratic_field(2), quadratic_field(7)])
@@ -463,6 +499,33 @@ def test_qbox_matches_member_by_member_reference(d, R, seed, cap):
     spec = QBoxSpec(quadratic_field(d) if d else RATIONAL_FIELD, R)
     sample_cap = max(qbox_count(spec) + cap, 0) if cap <= 0 else cap
     assert qbox(spec, sample_cap, seed) == qbox_reference(spec, sample_cap, seed)
+
+
+def test_qbox_refuses_oversized_box_before_expanding(monkeypatch):
+    """The cell count (row, coordinate) of the box difference is bounded
+    before any expansion or draw: quad R = 3000 (2.8*10^9 cells) and Q at
+    10^8 are refused at once; Q(sqrt 2) at 1000 (1.05*10^8) and Q at 3000
+    are admitted; the bound is exact (Q at R = 9 expands 5 * 9 cells)."""
+    for spec in (QBoxSpec(quadratic_field(2), 3000), QBoxSpec(RATIONAL_FIELD, 10 ** 8)):
+        with pytest.raises(CapExceeded, match="cells"):
+            qbox(spec)
+    monkeypatch.setattr(height_enum, "QBOX_MAX_CELLS", 45)
+    assert qbox(QBoxSpec(RATIONAL_FIELD, 9))["members_checked"] == 30
+    monkeypatch.setattr(height_enum, "QBOX_MAX_CELLS", 44)
+    with pytest.raises(CapExceeded):
+        qbox(QBoxSpec(RATIONAL_FIELD, 9))
+    monkeypatch.undo()
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(spec):
+        raise Admitted
+
+    monkeypatch.setattr(height_enum, "qbox_count", admitted)
+    for spec in (QBoxSpec(quadratic_field(2), 1000), QBoxSpec(RATIONAL_FIELD, 3000)):
+        with pytest.raises(Admitted):
+            qbox(spec)
 
 
 def test_qbox_precondition():

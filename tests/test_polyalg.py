@@ -1,6 +1,8 @@
-"""Polynomial ring laws, irreducibility checks, resultants, cyclotomics."""
+"""Polynomial ring laws, irreducibility checks, resultants, cyclotomics,
+primality and factoring."""
 
 from fractions import Fraction
+from math import prod
 
 import mpmath
 import pytest
@@ -9,12 +11,18 @@ from hypothesis import strategies as st
 
 from oracles import (
     cos_minimal_poly_extraction,
+    factorize_trial,
     fraction_resultant_minpoly,
+    is_prime_trial,
+    is_squarefree_trial,
     rational_roots,
     sylvester_minpoly,
 )
-from trisectlab.errors import NotPrime
+from trisectlab.errors import BadParameters, CapExceeded, NotPrime
+from trisectlab.exact_arith import MAX_RADICAND, is_squarefree
 from trisectlab.polyalg import (
+    FACTOR_BELOW,
+    MR_EXACT_BELOW,
     IntPoly,
     RatPoly,
     chebyshev_like,
@@ -22,6 +30,8 @@ from trisectlab.polyalg import (
     cyclotomic,
     eisenstein_check,
     euler_phi,
+    factorize,
+    is_prime,
     newton_elementary,
     poly_text,
     resultant_minpoly,
@@ -238,3 +248,98 @@ def test_squarefree_over_q_falls_back_when_p_divides_lc():
     f = IntPoly((1, p)) * IntPoly((1, p)) * IntPoly((2, 1))
     assert not squarefree_over_q(f)
     assert squarefree_over_q(IntPoly((1, p)) * IntPoly((2, 1)))
+
+
+def _next_prime(n: int) -> int:
+    while not is_prime_trial(n):
+        n += 1
+    return n
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2 ** r, n) == n - 1 for r in range(1, s))
+
+
+# Carmichael numbers: the first twenty, and Chernick's (6k+1)(12k+1)(18k+1)
+# with all three factors prime, to about 1.4*10^14.
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041,
+              46657, 52633, 62745, 63973, 75361, 101101, 115921, 126217, 162401) + tuple(
+    (6 * k + 1) * (12 * k + 1) * (18 * k + 1) for k in range(1, 3000)
+    if all(is_prime_trial(m * k + 1) for m in (6, 12, 18)))
+# Strong pseudoprimes: the least one to the first k prime bases, for every k
+# that Miller-Rabin uses, and a few more to base 2.
+STRONG_PSEUDOPRIMES = {
+    2047: 1, 3277: 1, 4033: 1, 4681: 1, 8321: 1, 1373653: 2, 25326001: 3, 3215031751: 4,
+    2152302898747: 5, 3474749660383: 6, 341550071728321: 8, 3825123056546413051: 11,
+}
+
+
+def _check_against_oracles(n: int) -> None:
+    assert is_prime(n) == is_prime_trial(n)
+    assert is_squarefree(n) == is_squarefree_trial(n)
+    if n >= 1:
+        assert factorize(n) == factorize_trial(n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.integers(-3, 10 ** 7 - 1),
+    st.integers(2, 1 << 17).map(lambda p: _next_prime(p) ** 2),
+    st.sampled_from(CARMICHAEL),
+    st.sampled_from([n for n in STRONG_PSEUDOPRIMES if n < 1 << 32]),
+))
+def test_number_theory_matches_trial_division(n):
+    """is_prime, factorize and is_squarefree against the trial-division
+    oracles: random n < 10^7, squares of primes, Carmichael numbers and
+    strong pseudoprimes."""
+    _check_against_oracles(n)
+
+
+def test_carmichael_and_strong_pseudoprimes_are_composite():
+    """Every listed number is what it is listed as, and none fools
+    is_prime; each factor found is prime by the oracle (at most 46,341
+    divisions for a factor below 2^31)."""
+    assert len(CARMICHAEL) > 40 and max(CARMICHAEL) > 10 ** 13
+    for n in CARMICHAEL:
+        assert all((n - 1) % (p - 1) == 0 for p in factorize(n))  # Korselt
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+    for n, k in [(n, 0) for n in CARMICHAEL] + list(STRONG_PSEUDOPRIMES.items()):
+        assert all(_strong_probable_prime(n, a) for a in bases[:k])
+        assert not is_prime(n)
+        factors = factorize(n)
+        assert len(factors) >= 2 and prod(p ** e for p, e in factors.items()) == n
+        assert all(p < 1 << 31 and is_prime_trial(p) for p in factors)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1 << 30, (1 << 31) - 1), st.integers(1 << 30, (1 << 31) - 1))
+def test_factorize_products_of_two_31_bit_primes(u, v):
+    """Pollard-Brent splits p*q and p^2 for 31-bit primes, where trial
+    division would take 2^31 steps; each prime is accepted by the oracle."""
+    p, q = sorted((_next_prime(u), _next_prime(v)))
+    assert is_prime(p) and is_prime(q)
+    assert factorize(p * q) == ({p: 2} if p == q else {p: 1, q: 1})
+    assert not is_prime(p * q)
+    assert is_squarefree(p * q) == (p != q)
+    assert factorize(8 * p * p) == {2: 3, p: 2}
+    assert not is_squarefree(p * p)
+
+
+def test_number_theory_domains():
+    assert MAX_RADICAND == 1 << 62 and 8 * MAX_RADICAND == FACTOR_BELOW
+    assert is_squarefree(MAX_RADICAND - 1)  # 3 * 715827883 * 2147483647
+    with pytest.raises(CapExceeded):
+        is_squarefree(MAX_RADICAND)
+    assert factorize(FACTOR_BELOW - 1) == {31: 1, 8191: 1, 145295143558111: 1}
+    with pytest.raises(CapExceeded):
+        factorize(FACTOR_BELOW)
+    with pytest.raises(BadParameters):
+        factorize(0)
+    assert is_prime(MR_EXACT_BELOW - 2) in (True, False)  # decided, not refused
+    with pytest.raises(CapExceeded):
+        is_prime(MR_EXACT_BELOW)  # 399165290221 * 798330580441, a liar to all 12 bases
+    assert is_prime((1 << 61) - 1) and is_prime(10 ** 18 + 3)
