@@ -144,7 +144,10 @@ class QuadElem:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, QuadElem) else -Fraction(other))
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self + -o
 
     def __rsub__(self, other):
         return (-self) + other

@@ -10,9 +10,12 @@ per block of rows, so memory per block is bounded whatever the height.  Its
 interval clip is exact integer arithmetic (a float square root corrected
 by integer steps), and inputs whose clip terms could pass 2^62 are refused
 with ``CapExceeded`` up front: that is the kernel's int64 domain.
-:func:`_expand_rows` turns rows into elements, for the streams and for
-:func:`qbox`, whose member check runs on int64 blocks of the certified
-sub-box and samples it with the per-member ``random.Random(seed)`` stream.
+:func:`_expand_rows` turns rows into elements for the streams.
+:func:`qbox` proves the certified sub-box row by row: it counts each row's
+members by Moebius over the divisors of its gcd and checks its two ends,
+since every constraint is monotone or linear along a row; only rows whose
+ends fail are expanded and checked member by member, on the members kept
+by the per-member ``random.Random(seed)`` sample.
 :func:`is_square` decides exactly, on int64 arrays, whether U + V*sqrt(d)
 is a square in the field: the fibre weight of the density numerator.
 
@@ -40,6 +43,7 @@ import numpy as np
 from .coprime_count import mobius_blocks, mobius_sum, zeta
 from .errors import BadParameters, CapExceeded
 from .exact_arith import FieldDescriptor, QuadElem, quad_from_canonical
+from .polyalg import SMALL_PRIMES
 
 DEFAULT_ENUM_CAP = 20_000_000
 
@@ -138,8 +142,8 @@ def _row_blocks(ball: HeightBall, lo: Fraction | None, hi: Fraction | None, rows
     """The rows of B(R), or of B(R) ∩ [lo, hi] when an interval is given,
     as int64 arrays (b, a1, a_lo, a_hi, g) over consecutive blocks of at
     most ``rows`` rows in (b, a1) order: the one kernel behind both streams,
-    the density numerator, ``qbox`` and ``verify_commensurability``, over
-    the b of ``denominators`` (ascending int64, by default 1..floor(R)).
+    the density numerator and ``verify_commensurability``, over the b of
+    ``denominators`` (ascending int64, by default 1..floor(R)).
 
     A row (b, a1, a_lo, a_hi, g) stands for the elements whose last
     coordinate (a2 over Q(sqrt(d)), the numerator over Q) is an integer in
@@ -437,8 +441,10 @@ def qbox_main_term(spec: QBoxSpec) -> float:
     return 2 ** k * R ** (k + 1) / ((k + 1) ** (k + 1) * norm * zeta(k + 1))
 
 
-# Most cells of a box difference :func:`qbox` expands; past it, ``CapExceeded``
-# before any expansion or draw.  It admits Q(sqrt 2) at R = 1000 (1.05*10^8).
+# Most cells (row, coordinate) of a box difference :func:`qbox` admits; past
+# it, ``CapExceeded`` before any draw.  The cells bound the members qbox
+# draws for, not the cells it expands, as it expands only rows whose ends
+# fail.  It admits Q(sqrt 2) at R = 1000 (1.05*10^8).
 QBOX_MAX_CELLS = 1 << 27
 
 
@@ -469,18 +475,45 @@ def _outside(x1: np.ndarray, x2: np.ndarray, b: np.ndarray, d: int, F: int) -> n
     return (np.maximum(np.maximum(x1, x2), b) > F) | ~inside
 
 
+def _coprime_upto(N: int, g: int) -> int:
+    """#{1 <= a <= N : gcd(a, g) = 1} for N >= 0 and 1 <= g < 2^20: the
+    Moebius sum of mu(e)*floor(N/e) over the squarefree divisors e of g.
+    Trial division by ``polyalg.SMALL_PRIMES`` finds the primes of g, as
+    what it leaves of g below 2^20 is 1 or a prime."""
+    terms = [(1, 1)]
+    for p in SMALL_PRIMES:
+        if p * p > g:
+            break
+        if g % p == 0:
+            terms += [(e * p, -s) for e, s in terms]
+            while g % p == 0:
+                g //= p
+    if g > 1:
+        terms += [(e * g, -s) for e, s in terms]
+    return sum(s * (N // e) for e, s in terms)
+
+
 def qbox(spec: QBoxSpec, sample_cap: int = 200_000, seed: int = 0) -> dict:
     """Count the box difference and check exactly, in int64, that every
     member lies in B(R) ∩ [-2, 2].
 
     The members are the rows b in (m_last, n_last] (and a1 in [1, n_0]
-    over Q(sqrt(d))), each with the last coordinate in [1, n_(k-1)] prime
-    to gcd(a1, b); Q runs with a1 = 0.  Above ``sample_cap`` only a sample
-    is checked: one ``random.Random(seed).random()`` per member, in member
-    order and drawn in blocks, keeps the member when it is at most
-    sample_cap/count.  The check is :func:`_outside` with F = floor(R).
-    Squares past 2^62, and box differences of more than ``QBOX_MAX_CELLS``
-    cells (row, coordinate) to expand, raise ``CapExceeded`` up front.
+    over Q(sqrt(d))), each with the last coordinate a in [1, N], N =
+    n_(k-1), prime to g = gcd(a1, b); Q runs with a1 = 0.  A row has
+    :func:`_coprime_upto` members, and the row counts must add up to
+    :func:`qbox_count`, else ``AssertionError``.  On a row max(x1, x2, b)
+    grows with a and x1 + x2*sqrt(d) is linear in a, so :func:`_outside`
+    (with F = floor(R)) false at a = 1 and at a = N proves every cell of
+    the row, members or not, inside B(R) ∩ [-2, 2]; only the rows whose
+    ends fail are expanded by :func:`_expand_rows` and checked member by
+    member.  So with no violations every member is proven, sampled or not.
+
+    Above ``sample_cap`` the report's ``members_checked`` is a sample: one
+    ``random.Random(seed).random()`` per member, in member order and drawn
+    in blocks, keeps the member when it is at most sample_cap/count, and
+    only kept members of failing rows count as violations.  Squares past
+    2^62, and box differences of more than ``QBOX_MAX_CELLS`` cells (row,
+    coordinate), raise ``CapExceeded`` up front.
     """
     n, m = spec.side_floors()
     cells = (n[-1] - m[-1]) * math.prod(n[:-1])
@@ -494,20 +527,43 @@ def qbox(spec: QBoxSpec, sample_cap: int = 200_000, seed: int = 0) -> dict:
     rng = random.Random(seed)
     keep_all = count <= sample_cap
     keep_prob = 1.0 if keep_all else sample_cap / max(count, 1)
+    members = 0
     checked = 0
     violations = 0
     quad = spec.field.degree == 2
-    rows = max(1, BLOCK_CELLS // max(n[-2], 1))
+    N = n[-2]
+    row_count = np.full(F + 1, -1, dtype=np.int64)  # members of a row, by its g
+
+    def outside(b, a1, a):
+        return _outside(a1, a, b, d, F) if quad else _outside(a, a1, b, d, F)
+
+    rows = max(1, BLOCK_CELLS // max(N, 1))
     b_range = np.arange(m[-1] + 1, n[-1] + 1, dtype=np.int64)
     for b, a1 in _grid(b_range, int(quad), n[0] if quad else 1, rows):
+        g = np.gcd(a1, b)
+        for v in set(g[row_count[g] < 0].tolist()):
+            row_count[v] = _coprime_upto(N, v)
+        c = row_count[g]
+        ends = np.cumsum(c)
+        members += int(ends[-1])
+        if keep_all:
+            checked += int(ends[-1])
+        else:
+            kept = _draws(rng, int(ends[-1])) <= keep_prob
+            checked += int(np.count_nonzero(kept))
         ones = np.ones_like(b)
-        b, a1, a = _expand_rows(b, a1, ones, n[-2] * ones, np.gcd(a1, b))
+        fail = np.flatnonzero((c > 0) & (outside(b, a1, ones) | outside(b, a1, N * ones)))
+        if fail.size == 0:
+            continue
+        b, a1, a = _expand_rows(b[fail], a1[fail], ones[fail], N * ones[fail], g[fail])
         if not keep_all:
-            kept = _draws(rng, len(a)) <= keep_prob
+            c = c[fail]
+            # the draws of the failing rows, sliced at their offsets in the block
+            kept = kept[np.arange(len(a)) + np.repeat(ends[fail] - np.cumsum(c), c)]
             b, a1, a = b[kept], a1[kept], a[kept]
-        x1, x2 = (a1, a) if quad else (a, a1)
-        checked += len(b)
-        violations += int(np.count_nonzero(_outside(x1, x2, b, d, F)))
+        violations += int(np.count_nonzero(outside(b, a1, a)))
+    if members != count:
+        raise AssertionError(f"box rows hold {members} members, qbox_count gives {count}")
     return {
         "field": spec.field.label(),
         "d": spec.field.d,

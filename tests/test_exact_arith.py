@@ -99,6 +99,23 @@ def test_invert_zero_and_radicand_mismatch():
         canonicalize(1, 1, 1, 2) + canonicalize(1, 1, 1, 3)
 
 
+def test_subtraction_coerces_like_addition():
+    """str and float operands raise TypeError on either side, as they do in
+    addition; int, Fraction and same-field elements subtract."""
+    x = canonicalize(1, 1, 1, 2)
+    for other in ("1/2", 0.5):
+        for op in (lambda: x - other, lambda: other - x, lambda: x + other):
+            with pytest.raises(TypeError):
+                op()
+    assert x - 1 == canonicalize(0, 1, 1, 2)
+    assert x - Fraction(1, 2) == canonicalize(1, 2, 2, 2)
+    assert 1 - x == canonicalize(0, -1, 1, 2)
+    assert Fraction(1, 2) - x == canonicalize(-1, -2, 2, 2)
+    assert x - canonicalize(1, 1, 2, 2) == canonicalize(1, 1, 2, 2)
+    with pytest.raises(RadicandMismatch):
+        x - canonicalize(1, 1, 1, 3)
+
+
 @given(coords, coords)
 @settings(max_examples=200, deadline=None)
 def test_field_laws(qa, qb):

@@ -19,6 +19,7 @@ from oracles import (
     row_kernel_count,
 )
 from trisectlab import height_enum
+from trisectlab.cli import main
 from trisectlab.coprime_count import mobius_sum, zeta
 from trisectlab.errors import BadParameters, CapExceeded, ZeroDenominator
 from trisectlab.exact_arith import (
@@ -42,8 +43,8 @@ from trisectlab.height_enum import (
     qbox_count,
     qbox_main_term,
 )
-from trisectlab.height_enum import (_clipped_floor_sum, _draws, _floor_sqrt_multiple, _isqrt,
-                                    _outside)
+from trisectlab.height_enum import (_clipped_floor_sum, _coprime_upto, _draws,
+                                    _floor_sqrt_multiple, _isqrt, _outside)
 
 QUAD_DS = (2, 3, 5, 6, 7)
 
@@ -499,6 +500,63 @@ def test_qbox_matches_member_by_member_reference(d, R, seed, cap):
     spec = QBoxSpec(quadratic_field(d) if d else RATIONAL_FIELD, R)
     sample_cap = max(qbox_count(spec) + cap, 0) if cap <= 0 else cap
     assert qbox(spec, sample_cap, seed) == qbox_reference(spec, sample_cap, seed)
+
+
+@pytest.mark.parametrize("d", (None, 2, 3, 5, 30))
+def test_qbox_failing_rows_match_reference(monkeypatch, d):
+    """Sides n[:-1] and m[:-1] widened threefold keep the box a difference
+    but put many rows partly or wholly outside B(R) ∩ [-2, 2], so qbox
+    expands them; blocks of a few rows make the failing rows' draws come
+    from many blocks.  Exhaustive and sampled, against the reference."""
+    side_floors = QBoxSpec.side_floors
+
+    def widened(spec):
+        n, m = side_floors(spec)
+        wide = tuple(3 * v for v in n[:-1])
+        return wide + n[-1:], wide + m[-1:]
+
+    monkeypatch.setattr(QBoxSpec, "side_floors", widened)
+    monkeypatch.setattr(height_enum, "BLOCK_CELLS", 97)
+    for R in (20, Fraction(37, 2)):
+        spec = QBoxSpec(quadratic_field(d) if d else RATIONAL_FIELD, R)
+        count = qbox_count(spec)
+        for sample_cap, seed in ((count, 0), (count // 3, 11)):
+            report = qbox(spec, sample_cap, seed)
+            assert report == qbox_reference(spec, sample_cap, seed)
+            assert 0 < report["membership_violations"] < report["members_checked"]
+        assert not report["exhaustive"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    N=st.integers(0, 700) | st.integers(0, 2 * 10 ** 4),
+    g=st.one_of(st.integers(1, 2 * 10 ** 4),
+                st.builds(pow, st.sampled_from((2, 3, 5, 7, 139, 9973, 19997)),
+                          st.integers(0, 14)).filter(lambda g: g <= 2 * 10 ** 4)),
+)
+@example(N=700, g=1)
+@example(N=700, g=2 ** 14)
+@example(N=700, g=15015)
+@example(N=2 * 10 ** 4, g=2 * 9973)
+@example(N=2 * 10 ** 4, g=19997)
+@example(N=0, g=6)
+def test_coprime_upto_matches_brute_force(N, g):
+    """N reaches past the primes of g, which matter only below N; qbox
+    runs at N up to floor(R) <= 16,384 over Q."""
+    assert _coprime_upto(N, g) == sum(gcd(a, g) == 1 for a in range(1, N + 1))
+
+
+@pytest.mark.parametrize("off", (1, -1))
+def test_qbox_row_counts_must_add_up_to_qbox_count(monkeypatch, capsys, off):
+    """A qbox_count off by one is caught by the row counts, on qbox and on
+    boxcount, which exits 1 as falsified."""
+    qbox_count_ = height_enum.qbox_count
+    monkeypatch.setattr(height_enum, "qbox_count", lambda spec: qbox_count_(spec) + off)
+    for spec in (QBoxSpec(RATIONAL_FIELD, 9), QBoxSpec(quadratic_field(2), 40)):
+        with pytest.raises(AssertionError, match="qbox_count"):
+            qbox(spec)
+    assert main(["boxcount", "--field", "q", "--R", "9"]) == 1
+    assert "falsified" in capsys.readouterr().err
 
 
 def test_qbox_refuses_oversized_box_before_expanding(monkeypatch):
