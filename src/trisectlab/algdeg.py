@@ -19,7 +19,6 @@ from math import gcd
 import mpmath
 
 from .errors import BadParameters, CapExceeded, NotCoprime
-from .exact_arith import QuadElem
 from .polyalg import IntPoly, chebyshev_like, cos_minimal_poly, eisenstein_check, euler_phi
 
 DEGREE_CAP = 4096
@@ -36,10 +35,6 @@ class AngleNumber:
     @property
     def degree(self) -> int:
         return self.minimal_poly.degree
-
-    def value(self, prec: int = 100):
-        with mpmath.workprec(prec):
-            return 2 * mpmath.cos(2 * mpmath.pi * self.j / self.m)
 
 
 def angle_number(j: int, m: int) -> AngleNumber:
@@ -77,23 +72,17 @@ def angle_degree(j: int, m: int) -> int:
     return angle_number(j, m).degree
 
 
-def p_tower(n: int, cap: int = DEGREE_CAP) -> IntPoly:
+def p_tower(n: int) -> IntPoly:
     """p_n = p_1 composed with itself n-1 times, p_1 = x^2 - 2; exact."""
     if n < 1:
         raise BadParameters("n must be >= 1")
-    if 2 ** n > cap:
-        raise CapExceeded(f"degree 2^{n} exceeds cap {cap}")
+    if 2 ** n > DEGREE_CAP:
+        raise CapExceeded(f"degree 2^{n} exceeds cap {DEGREE_CAP}")
     p1 = IntPoly((-2, 0, 1))
     poly = p1
     for _ in range(n - 1):
         poly = p1.compose(poly)
     return poly
-
-
-def _a_quad(n: int) -> QuadElem:
-    """a_n as an exact element of Q(sqrt(2)) for n <= 2."""
-    table = {0: QuadElem(-2, 0, 1, 2), 1: QuadElem(0, 0, 1, 2), 2: QuadElem(0, 1, 1, 2)}
-    return table[n]
 
 
 def _compose_square_minus_2(x, k: int):
@@ -102,12 +91,12 @@ def _compose_square_minus_2(x, k: int):
     return x
 
 
-def tower_checks(n: int, cap: int = DEGREE_CAP) -> dict:
+def tower_checks(n: int) -> dict:
     """Verify the tower polynomial p_n: the x^(2^n) + 2x*q(x) +- 2 shape,
     Eisenstein at 2, the descent p_k(a_n) = a_{n-k} (exactly where a_n has
     degree <= 2, by interval arithmetic elsewhere), and agreement with the
     Chebyshev-like family at index 2^n."""
-    poly = p_tower(n, cap=cap)
+    poly = p_tower(n)
     shape_ok = (
         poly.leading == 1
         and abs(poly.coeffs[0]) == 2
@@ -117,9 +106,7 @@ def tower_checks(n: int, cap: int = DEGREE_CAP) -> dict:
     descent = []
     for k in range(1, n + 1):
         if n <= 2:
-            got = p_tower(k, cap=cap).evaluate(_a_quad(n))
-            want = _a_quad(n - k)
-            ok = got == want
+            ok = p_tower(k).evaluate(TABLE["a"][n]) == TABLE["a"][n - k]
             descent.append({"k": k, "method": "exact", "ok": bool(ok)})
         else:
             # evaluate p_k through its defining composition; the expanded
@@ -143,7 +130,7 @@ def tower_checks(n: int, cap: int = DEGREE_CAP) -> dict:
     }
 
 
-def cn_degree_check(n: int, cap: int = DEGREE_CAP) -> dict:
+def cn_degree_check(n: int) -> dict:
     """2cos(pi/3 + pi/2^n) equals 2cos(2*pi*(2^n+3)/(3*2^(n+1))); its
     degree must be exactly 2^n."""
     if n < 1:
@@ -151,8 +138,8 @@ def cn_degree_check(n: int, cap: int = DEGREE_CAP) -> dict:
     j, m = 2 ** n + 3, 3 * 2 ** (n + 1)
     g = gcd(j, m)
     j, m = j // g, m // g
-    if euler_phi(m) // 2 > cap:
-        raise CapExceeded(f"phi({m})/2 exceeds cap {cap}")
+    if euler_phi(m) // 2 > DEGREE_CAP:
+        raise CapExceeded(f"phi({m})/2 exceeds cap {DEGREE_CAP}")
     degree = angle_degree(j, m)
     return {"n": n, "j": j, "m": m, "degree": degree, "expected": 2 ** n, "ok": degree == 2 ** n}
 

@@ -19,7 +19,6 @@ import random
 import sys
 import tempfile
 from fractions import Fraction
-from math import gcd
 
 from . import algdeg, coprime_count, height_enum, nsect, trisect_core
 from .coprime_count import Box, lehmer_report
@@ -46,8 +45,6 @@ from .trisect_core import (
     square_family_check,
     yates_certificate,
 )
-
-CAP_ENV_VAR = "TRISECTLAB_CAP"
 
 
 def _field_from_args(args) -> FieldDescriptor:
@@ -107,12 +104,9 @@ def _run_density(args) -> int:
     R_list = [Fraction(part) for part in args.R.split(",")]
     if args.shards < 1:
         raise BadParameters("shard count must be >= 1")
-    cap = args.cap
-    if cap is None and os.environ.get(CAP_ENV_VAR):
-        cap = int(os.environ[CAP_ENV_VAR])
-    if cap is not None and cap <= 0:
+    if args.cap is not None and args.cap <= 0:
         raise BadParameters("cap must be positive")
-    report = density_experiment(field, R_list, cap=cap)
+    report = density_experiment(field, R_list, cap=args.cap)
     payload = report.to_dict()
     rows = [
         [payload["field"], payload["d"], point["R"], point["num"], point["den"],
@@ -190,8 +184,8 @@ def _run_algdeg(args) -> int:
     n = args.n
     payload = {
         "n": n,
-        "tower": algdeg.tower_checks(n, cap=args.degree_cap),
-        "shift_degree": algdeg.cn_degree_check(n, cap=args.degree_cap),
+        "tower": algdeg.tower_checks(n),
+        "shift_degree": algdeg.cn_degree_check(n),
         "identities": algdeg.identity_suite(n),
     }
     ok = (payload["tower"]["ok"] and payload["shift_degree"]["ok"]
@@ -269,12 +263,8 @@ def _verify_checks(seed: int, quick: bool):
         if height(img) <= H:
             images.add(img)
     ok = True
-    for b in range(1, H + 1):
-        for a in range(-2 * b, 2 * b + 1):
-            if abs(a) > H or gcd(a, b) != 1:
-                continue
-            x = Fraction(a, b)
-            ok = ok and decide_trisection(x).member == (x in images)
+    for x in height_enum.enumerate_ball_interval(HeightBall(RATIONAL_FIELD, H), -2, 2):
+        ok = ok and decide_trisection(x).member == (x in images)
     yield "fast-path-vs-search", ok, len(images)
 
     # certificates re-verify
@@ -332,7 +322,7 @@ def _shards_flag(p):
 def _density_flags(p):
     p.add_argument("--R", required=True, help="comma-separated increasing height bounds")
     p.add_argument("--cap", type=int, default=None,
-                   help=f"most preimages the numerator may visit (default from ${CAP_ENV_VAR})")
+                   help="most preimages the numerator may visit (default: no cap)")
     _shards_flag(p)
 
 
@@ -354,7 +344,6 @@ def _nsect_flags(p):
 
 def _algdeg_flags(p):
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--degree-cap", type=int, default=algdeg.DEGREE_CAP)
 
 
 def _witness_flags(p):

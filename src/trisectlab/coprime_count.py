@@ -171,15 +171,19 @@ def sieve_count(box: Box) -> int:
     return mobius_sum(box.floors(), lambda *quotients: math.prod(quotients))
 
 
-def brute_count(box: Box, cap: int = 10 ** 8) -> int:
+# Largest floored box volume :func:`brute_count` enumerates.
+BRUTE_MAX_VOLUME = 10 ** 8
+
+
+def brute_count(box: Box) -> int:
     """Oracle: direct enumeration with a k-ary gcd test.  Refuses boxes
-    whose floored volume exceeds ``cap``."""
+    whose floored volume exceeds ``BRUTE_MAX_VOLUME``."""
     floors = box.floors()
     volume = 1
     for f in floors:
         volume *= f
-    if volume > cap:
-        raise CapExceeded(f"brute-force volume {volume} exceeds cap {cap}")
+    if volume > BRUTE_MAX_VOLUME:
+        raise CapExceeded(f"brute-force volume {volume} exceeds cap {BRUTE_MAX_VOLUME}")
     if min(floors) < 1:
         return 0
 
@@ -222,25 +226,23 @@ _BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30
 _FLOAT_HALF_WIDTH = Fraction(1, 2 ** 60)
 
 
-def zeta(k: int, tol: float = 1e-12) -> float:
-    """zeta(k) within tol by Euler-Maclaurin in exact rationals: the partial
+def zeta(k: int) -> float:
+    """zeta(k) by Euler-Maclaurin in exact rationals: the partial
     sum to N - 1, the tail integral N^(1-k)/(k-1), N^(-k)/2 and the
     Bernoulli terms T_j = B_2j/(2j)! * k(k+1)...(k+2j-2) * N^(1-k-2j) for
     j = 1..5.  As x^(-k) is completely monotone, the remainder lies between
     0 and T_6; the returned value is the midpoint of that rigorous bracket,
     rounded once to a float, and N doubles until its half-width |T_6|/2 is
-    at most both tol and ``_FLOAT_HALF_WIDTH``."""
+    at most ``_FLOAT_HALF_WIDTH``."""
     if k < 2:
         raise BadParameters("zeta requires k >= 2")
-    if tol <= 0:
-        raise BadParameters("tol must be positive")
 
     def bernoulli_term(j: int, n: int) -> Fraction:
         rising = math.prod(range(k, k + 2 * j - 1))
         return _BERNOULLI[j - 1] * rising / (math.factorial(2 * j) * n ** (k + 2 * j - 1))
 
     n = 8
-    while abs(bernoulli_term(6, n)) / 2 > min(tol, _FLOAT_HALF_WIDTH):
+    while abs(bernoulli_term(6, n)) / 2 > _FLOAT_HALF_WIDTH:
         n *= 2
     total = sum(Fraction(1, i ** k) for i in range(1, n))
     total += Fraction(1, (k - 1) * n ** (k - 1)) + Fraction(1, 2 * n ** k)

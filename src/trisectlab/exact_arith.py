@@ -316,13 +316,6 @@ class FieldDescriptor:
     def degree(self) -> int:
         return 1 if self.kind == "rational" else 2
 
-    @property
-    def basis(self) -> tuple:
-        """The fixed basis: {1} or {1, sqrt(d)}; every element is >= 1."""
-        if self.kind == "rational":
-            return (Fraction(1),)
-        return (QuadElem(1, 0, 1, self.d), QuadElem(0, 1, 1, self.d))
-
     def basis_norm(self) -> float:
         """Product of the basis elements as a real number (1 or sqrt(d))."""
         return 1.0 if self.kind == "rational" else self.d ** 0.5

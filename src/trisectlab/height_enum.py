@@ -133,8 +133,8 @@ def _floor_sqrt_multiple(v: np.ndarray, d: int) -> np.ndarray:
     """Elementwise floor(v*sqrt(d)) for v*v*d <= 2^62, exact whether or not
     d is a perfect square: isqrt(v^2*d) for v >= 0, else
     -ceil(sqrt(v^2*d)) = -(isqrt(v^2*d - 1) + 1)."""
-    n = v * v * d
-    return np.where(v >= 0, _isqrt(n), -_isqrt(np.maximum(n - 1, 0)) - 1)
+    r = _isqrt(v * v * d - (v < 0))
+    return np.where(v >= 0, r, -r - 1)
 
 
 def _row_blocks(ball: HeightBall, lo: Fraction | None, hi: Fraction | None, rows: int,
@@ -242,27 +242,25 @@ def _interval(lo, hi) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def enumerate_ball(ball: HeightBall, cap: int | None = None):
+def enumerate_ball(ball: HeightBall):
     """Yield every element of B(R) exactly once, lexicographic in
-    (b, a1[, a2])."""
-    cap = DEFAULT_ENUM_CAP if cap is None else cap
-    if count_ball(ball) > cap:
-        raise CapExceeded(f"|B({ball.R})| exceeds cap {cap}")
+    (b, a1[, a2]); past ``DEFAULT_ENUM_CAP`` elements, ``CapExceeded``."""
+    if count_ball(ball) > DEFAULT_ENUM_CAP:
+        raise CapExceeded(f"|B({ball.R})| exceeds cap {DEFAULT_ENUM_CAP}")
     yield from _stream(ball)
 
 
-def enumerate_ball_interval(ball: HeightBall, lo, hi, cap: int | float | None = None):
+def enumerate_ball_interval(ball: HeightBall, lo, hi):
     """Yield the elements of B(R) lying in [lo, hi], in the same order as
     :func:`enumerate_ball`.
 
     Each row is clipped to the interval exactly before the gcd test, so
-    membership needs no further check.  The cap (default
-    ``DEFAULT_ENUM_CAP``) bounds the exact interval count.
+    membership needs no further check.  ``DEFAULT_ENUM_CAP`` bounds the
+    exact interval count.
     """
     lo, hi = _interval(lo, hi)
-    cap = DEFAULT_ENUM_CAP if cap is None else cap
-    if count_ball_interval(ball, lo, hi) > cap:
-        raise CapExceeded(f"|B({ball.R}) in [{lo}, {hi}]| exceeds cap {cap}")
+    if count_ball_interval(ball, lo, hi) > DEFAULT_ENUM_CAP:
+        raise CapExceeded(f"|B({ball.R}) in [{lo}, {hi}]| exceeds cap {DEFAULT_ENUM_CAP}")
     yield from _stream(ball, lo, hi)
 
 
@@ -444,8 +442,10 @@ def qbox_main_term(spec: QBoxSpec) -> float:
 # Most cells (row, coordinate) of a box difference :func:`qbox` admits; past
 # it, ``CapExceeded`` before any draw.  The cells bound the members qbox
 # draws for, not the cells it expands, as it expands only rows whose ends
-# fail.  It admits Q(sqrt 2) at R = 1000 (1.05*10^8).
+# fail.  It admits Q(sqrt 2) at R = 1000 (1.05*10^8).  Past
+# ``QBOX_SAMPLE_CAP`` members, qbox checks a sample of them.
 QBOX_MAX_CELLS = 1 << 27
+QBOX_SAMPLE_CAP = 200_000
 
 
 def _draws(rng: random.Random, n: int) -> np.ndarray:
@@ -493,7 +493,7 @@ def _coprime_upto(N: int, g: int) -> int:
     return sum(s * (N // e) for e, s in terms)
 
 
-def qbox(spec: QBoxSpec, sample_cap: int = 200_000, seed: int = 0) -> dict:
+def qbox(spec: QBoxSpec, *, seed: int = 0) -> dict:
     """Count the box difference and check exactly, in int64, that every
     member lies in B(R) ∩ [-2, 2].
 
@@ -508,9 +508,10 @@ def qbox(spec: QBoxSpec, sample_cap: int = 200_000, seed: int = 0) -> dict:
     ends fail are expanded by :func:`_expand_rows` and checked member by
     member.  So with no violations every member is proven, sampled or not.
 
-    Above ``sample_cap`` the report's ``members_checked`` is a sample: one
-    ``random.Random(seed).random()`` per member, in member order and drawn
-    in blocks, keeps the member when it is at most sample_cap/count, and
+    Above ``QBOX_SAMPLE_CAP`` the report's ``members_checked`` is a sample:
+    one ``random.Random(seed).random()`` per member, in member order and
+    drawn in blocks, keeps the member when it is at most
+    QBOX_SAMPLE_CAP/count, and
     only kept members of failing rows count as violations.  Squares past
     2^62, and box differences of more than ``QBOX_MAX_CELLS`` cells (row,
     coordinate), raise ``CapExceeded`` up front.
@@ -525,8 +526,8 @@ def qbox(spec: QBoxSpec, sample_cap: int = 200_000, seed: int = 0) -> dict:
     d = spec.field.d or 1
     check_int64(9 * d * F * F, "box member check")
     rng = random.Random(seed)
-    keep_all = count <= sample_cap
-    keep_prob = 1.0 if keep_all else sample_cap / max(count, 1)
+    keep_all = count <= QBOX_SAMPLE_CAP
+    keep_prob = 1.0 if keep_all else QBOX_SAMPLE_CAP / max(count, 1)
     members = 0
     checked = 0
     violations = 0

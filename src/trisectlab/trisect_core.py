@@ -36,6 +36,7 @@ from .exact_arith import (
     FieldDescriptor,
     QuadElem,
     canonicalize,
+    format_element,
     height,
     in_interval,
     quad_from_canonical,
@@ -124,8 +125,6 @@ class TrisectionVerdict:
     search_bound: Fraction | None = None
 
     def to_dict(self) -> dict:
-        from .exact_arith import format_element
-
         return {
             "member": self.member,
             "witness": format_element(self.witness) if self.witness is not None else None,

@@ -2,13 +2,14 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 
 import pytest
 
-from trisectlab.cli import main
+from trisectlab.cli import VERBS, main, verb_parser
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -146,31 +147,33 @@ def test_cap_exceeded_exit_3(capsys):
     capsys.readouterr()
 
 
-def test_cap_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("TRISECTLAB_CAP", "10")
-    assert main(["density", "--field", "q", "--R", "100,1000"]) == 3
-    capsys.readouterr()
-
-
-def test_cap_bounds_the_preimages_visited(capsys, monkeypatch):
+def test_cap_bounds_the_preimages_visited(capsys):
     """Over Q at R = 1000 the numerator visits 129 preimages (the whole
     ball B(20) ∩ [-2, 2] holds 385): 129 passes, 128 is refused."""
     density = ["density", "--field", "q", "--R", "100,1000"]
     assert main([*density, "--cap", "129"]) == 0
     assert main([*density, "--cap", "128"]) == 3
-    monkeypatch.setenv("TRISECTLAB_CAP", "129")
-    assert main(density) == 0
-    monkeypatch.setenv("TRISECTLAB_CAP", "128")
-    assert main(density) == 3
     assert "more than 128 preimages visited" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("env, code", [("", 0), ("12x", 2), ("0", 2)])
-def test_cap_env_values(env, code, capsys, monkeypatch):
-    """An empty TRISECTLAB_CAP is ignored; a non-integer or 0 is bad arguments."""
-    monkeypatch.setenv("TRISECTLAB_CAP", env)
-    assert main(["density", "--field", "q", "--R", "100,1000"]) == code
-    capsys.readouterr()
+def test_cap_environment_variable_is_ignored(capsys, monkeypatch):
+    """``--cap`` is the one way to cap density: TRISECTLAB_CAP=1 changes
+    neither the exit code nor a byte of the output."""
+    density = ["density", "--field", "q", "--R", "100,1000"]
+    monkeypatch.delenv("TRISECTLAB_CAP", raising=False)
+    plain = run_cli(density, capsys)
+    monkeypatch.setenv("TRISECTLAB_CAP", "1")
+    assert run_cli(density, capsys) == plain
+    assert plain[0] == 0
+
+
+def test_algdeg_degree_cap(capsys):
+    """The tower stops at degree ``algdeg.DEGREE_CAP`` = 2^12, a constant:
+    n = 13 exits 3 at once."""
+    start = time.perf_counter()
+    assert main(["algdeg", "--n", "13"]) == 3
+    assert time.perf_counter() - start < 5.0
+    assert "exceeds cap 4096" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [
@@ -184,6 +187,7 @@ def test_cap_env_values(env, code, capsys, monkeypatch):
     ["nsect", "--p", "3", "--c", "3", "--d", "4", "--seed", "1"],
     ["algdeg", "--n", "3", "--cap", "5"],
     ["algdeg", "--n", "3", "--seed", "1"],
+    ["algdeg", "--n", "3", "--degree-cap", "8"],
     ["witness", "--m", "5", "--q", "2", "--cap", "5"],
     ["witness", "--m", "5", "--q", "2", "--seed", "1"],
     ["verify", "--quick", "--cap", "5"],
@@ -281,3 +285,25 @@ def test_probes_answer_promptly(args, want):
     assert time.perf_counter() - start < 5.0
     assert code == want and "Traceback" not in err
     assert (code == 0) == bool(out)
+
+
+def _readme_verb_flags() -> dict:
+    """The flags each verb's bullet of the README's flag list names, by
+    verb: the bullets follow the line ending "any other flag exits 2:"."""
+    with open(os.path.join(os.path.dirname(SRC), "README.md")) as handle:
+        text = handle.read()
+    section = text.split("any other flag exits 2:\n", 1)[1].split("\n\n", 1)[0]
+    bullets = re.findall(r"^- `(\w+)`:(.*?)(?=^- |\Z)", section, flags=re.M | re.S)
+    return {verb: set(re.findall(r"`(--[A-Za-z-]+)", body)) for verb, body in bullets}
+
+
+def test_readme_flag_list_matches_the_parsers():
+    """Each verb's README bullet names exactly its parser's flags, apart
+    from --out/-o on every verb and --format on every verb but verify."""
+    documented = _readme_verb_flags()
+    assert set(documented) == set(VERBS)
+    for verb, flags in documented.items():
+        options = {opt for action in verb_parser(verb)._actions
+                   for opt in action.option_strings} - {"-h", "--help"}
+        common = {"--out", "-o"} | ({"--format"} if verb != "verify" else set())
+        assert options == flags | common, verb

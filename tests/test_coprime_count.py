@@ -21,6 +21,7 @@ from oracles import (
     sieve_count_table,
     zeta_partial_sums,
 )
+from trisectlab import coprime_count
 from trisectlab.cli import main as cli_main
 from trisectlab.coprime_count import (
     Box,
@@ -186,7 +187,7 @@ def test_error_budget_examples():
 def test_zeta_values():
     assert zeta(2) == pytest.approx(math.pi ** 2 / 6, abs=1e-10)
     assert zeta(4) == pytest.approx(math.pi ** 4 / 90, abs=1e-10)
-    assert zeta(3, tol=1e-9) == pytest.approx(1.2020569031595943, abs=1e-8)
+    assert zeta(3) == pytest.approx(1.2020569031595943, abs=1e-8)
 
 
 def test_zeta_is_correctly_rounded():
@@ -196,12 +197,14 @@ def test_zeta_is_correctly_rounded():
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
-def test_zeta_within_tol(tol):
-    """The Euler-Maclaurin midpoint lies within tol of zeta(k), and within
-    2*tol of the partial-sum reference."""
+def test_zeta_within_tol(tol, monkeypatch):
+    """With the bracket's half-width bound widened to tol, the
+    Euler-Maclaurin midpoint lies within tol of zeta(k), and within 2*tol
+    of the partial-sum reference."""
+    monkeypatch.setattr(coprime_count, "_FLOAT_HALF_WIDTH", Fraction(tol))
     with mpmath.workdps(30):
         for k in range(2, 9):
-            got = zeta(k, tol)
+            got = zeta(k)
             assert abs(got - mpmath.zeta(k)) <= tol
             if tol >= 1e-9:
                 assert abs(got - zeta_partial_sums(k, tol)) <= 2 * tol

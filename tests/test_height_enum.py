@@ -231,7 +231,7 @@ def test_vectorized_isqrt_is_exact_at_the_edges():
         (HeightBall(quadratic_field(30), 10), -2, 10 ** 18),
     ],
 )
-def test_int64_domain_is_refused_up_front(ball, lo, hi):
+def test_int64_domain_is_refused_up_front(ball, lo, hi, monkeypatch):
     """The streams refuse past the int64 domain of the row kernel.  The
     count over Q runs on Python ints and has no such domain: it returns
     the exact count instead."""
@@ -242,8 +242,9 @@ def test_int64_domain_is_refused_up_front(ball, lo, hi):
     else:
         expected = sum(1 for x in enumerate_ball(ball) if in_interval(x, lo, hi))
         assert count_ball_interval(ball, lo, hi) == expected
+    monkeypatch.setattr(height_enum, "DEFAULT_ENUM_CAP", float("inf"))
     with pytest.raises(CapExceeded, match="int64"):
-        next(enumerate_ball_interval(ball, lo, hi, cap=float("inf")))
+        next(enumerate_ball_interval(ball, lo, hi))
     assert time.perf_counter() - start < 5
 
 
@@ -406,13 +407,14 @@ def test_qbox_count_matches_generalized_sieve():
             assert qbox_count(spec) == expected
 
 
-def test_interval_validation_and_caps():
+def test_interval_validation_and_caps(monkeypatch):
     with pytest.raises(BadParameters):
         list(enumerate_ball_interval(HeightBall(RATIONAL_FIELD, 5), 2, -2))
+    monkeypatch.setattr(height_enum, "DEFAULT_ENUM_CAP", 10)
     with pytest.raises(CapExceeded):
-        list(enumerate_ball(HeightBall(RATIONAL_FIELD, 100), cap=10))
+        list(enumerate_ball(HeightBall(RATIONAL_FIELD, 100)))
     with pytest.raises(CapExceeded):
-        list(enumerate_ball_interval(HeightBall(RATIONAL_FIELD, 100), -2, 2, cap=10))
+        list(enumerate_ball_interval(HeightBall(RATIONAL_FIELD, 100), -2, 2))
 
 
 def test_asymptotic_count_ratio():
@@ -495,11 +497,13 @@ def test_box_check_matches_exact_membership(d):
 @example(d=2, R=Fraction(40), seed=0, cap=0)
 @example(d=3, R=Fraction(60), seed=4, cap=300)
 def test_qbox_matches_member_by_member_reference(d, R, seed, cap):
-    """cap <= 0 sets sample_cap to count + cap (at and just below the
-    count); a positive cap is the sample_cap itself, which samples."""
+    """cap <= 0 sets QBOX_SAMPLE_CAP to count + cap (at and just below
+    the count); a positive cap is QBOX_SAMPLE_CAP itself, which samples."""
     spec = QBoxSpec(quadratic_field(d) if d else RATIONAL_FIELD, R)
     sample_cap = max(qbox_count(spec) + cap, 0) if cap <= 0 else cap
-    assert qbox(spec, sample_cap, seed) == qbox_reference(spec, sample_cap, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(height_enum, "QBOX_SAMPLE_CAP", sample_cap)
+        assert qbox(spec, seed=seed) == qbox_reference(spec, sample_cap, seed)
 
 
 @pytest.mark.parametrize("d", (None, 2, 3, 5, 30))
@@ -521,7 +525,8 @@ def test_qbox_failing_rows_match_reference(monkeypatch, d):
         spec = QBoxSpec(quadratic_field(d) if d else RATIONAL_FIELD, R)
         count = qbox_count(spec)
         for sample_cap, seed in ((count, 0), (count // 3, 11)):
-            report = qbox(spec, sample_cap, seed)
+            monkeypatch.setattr(height_enum, "QBOX_SAMPLE_CAP", sample_cap)
+            report = qbox(spec, seed=seed)
             assert report == qbox_reference(spec, sample_cap, seed)
             assert 0 < report["membership_violations"] < report["members_checked"]
         assert not report["exhaustive"]
