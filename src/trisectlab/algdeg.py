@@ -73,16 +73,29 @@ def angle_degree(j: int, m: int) -> int:
 
 
 def p_tower(n: int) -> IntPoly:
-    """p_n = p_1 composed with itself n-1 times, p_1 = x^2 - 2; exact."""
+    """p_n = p_1 composed with itself n-1 times, p_1 = x^2 - 2; exact.
+
+    Each p_n is even, p_n(x) = q_n(x^2), so p_n = p_(n-1)^2 - 2 is one
+    squaring of q_(n-1): a_i^2 on the diagonal and each cross term
+    a_i*a_j (i < j) once, doubled.
+    """
     if n < 1:
         raise BadParameters("n must be >= 1")
     if 2 ** n > DEGREE_CAP:
         raise CapExceeded(f"degree 2^{n} exceeds cap {DEGREE_CAP}")
-    p1 = IntPoly((-2, 0, 1))
-    poly = p1
+    q = [-2, 1]
     for _ in range(n - 1):
-        poly = p1.compose(poly)
-    return poly
+        square = [0] * (2 * len(q) - 1)
+        for i, a in enumerate(q):
+            square[2 * i] += a * a
+            twice = 2 * a
+            for k, b in enumerate(q[i + 1 :], 2 * i + 1):
+                square[k] += twice * b
+        square[0] -= 2
+        q = square
+    coeffs = [0] * (2 * len(q) - 1)
+    coeffs[::2] = q
+    return IntPoly(coeffs)
 
 
 def _compose_square_minus_2(x, k: int):

@@ -5,12 +5,14 @@ the ambient field, witnessed by an explicit beta with f(beta) = a where
 f(x) = x^3 - 3x.  The decision is the cube-denominator argument: the
 denominator of a fixes at most tau(8d) candidate denominators of a root,
 and for each one the numerator coordinates follow from the integer floors
-of the real roots of two integer cubics, so the cost grows with the number
-of digits of a, not with its height.  The density experiment measures how
-quickly the accepted fraction of a height ball decays as the height bound
-grows; it runs on int64 arrays, block by block through the row-block
-kernel of ``height_enum`` and the array image map :func:`_images`.  The
-image-gcd sweep tabulates residues mod b instead (:func:`gcd_bound_sweep`).
+of the real roots of two integer cubics.  Those floors take O(log digits)
+safeguarded integer Newton steps, never more than bisection, so the cost
+grows with the number of digits of a, not with its height.  The density
+experiment measures how quickly the accepted fraction of a height ball
+decays as the height bound grows; it runs on int64 arrays, block by block
+through the row-block kernel of ``height_enum`` and the array image map
+:func:`_images`.  The image-gcd sweep tabulates residues mod b instead
+(:func:`gcd_bound_sweep`).
 
 This module also owns every certificate kind: Eisenstein refusals of
 a = 3r/s, Yates Bezout pairs, the square-family check, odd-degree
@@ -239,42 +241,98 @@ def preimage_bound(field: FieldDescriptor, R) -> Fraction:
     return Fraction(ceil_cbrt(64 * field.d * R))
 
 
+def _newton_floor(x: int, c3: int, P: int, floor_q: int) -> int:
+    """floor of the Newton point x - g(x)/g'(x) of g(t) = t^3 - c3*t - (P +
+    Q*sqrt(d)) from an integer x with x^2 > c3/3, where floor_q =
+    floor(Q*sqrt(d)).  The point is (2x^3 + P + Q*sqrt(d))/(3x^2 - c3), with
+    a positive denominator, and floor((n + r)/D) = floor((n + floor(r))/D)
+    for integers n, D > 0 and real r, so the floor is exact."""
+    xx = x * x
+    return (2 * xx * x + P + floor_q) // (3 * xx - c3)
+
+
+def _upper_floor(c: int, P: int, Q: int, d, M: int, sign_c: int) -> tuple[int, bool]:
+    """floor(t) for the root t in [c, M] of g(t) = t^3 - 3c^2*t - (P +
+    Q*sqrt(d)), given sign_c = sign g(c) <= 0 and g(M) >= 0, and whether t
+    is that integer exactly.
+
+    Keeps a bracket lo <= floor(t) <= hi with g(lo) <= 0.  On [c, oo) g is
+    increasing and convex (g'' = 6t > 0), so a Newton step from hi with
+    g(hi) > 0 lands at or above t: its floor y is still >= floor(t), and
+    y < hi.  When y fails to halve hi - lo, one bisection step on [lo, y]
+    follows, so every iteration at least halves the bracket and no input
+    takes more iterations than bisection over [c, M].  Near a simple root
+    the Newton steps alone converge quadratically, in O(log digits) steps.
+    A root close to the turning point c (a near-double root, as at
+    a = 2 - 1/c^3) slows them to halving the distance to c; there about
+    3/4 of an iteration per bit of M is spent, each with two sign tests.
+    """
+    c3 = 3 * c * c
+    floor_q = 0 if not Q else isqrt(Q * Q * d) if Q > 0 else -isqrt(Q * Q * d) - 1
+    # g(c) = 0 makes c a double root, the branch's only root
+    lo, hi, sign_lo = c, M if sign_c else c, sign_c
+    while lo < hi:
+        sign_hi = sign_lin(hi * (hi * hi - c3) - P, -Q, d)
+        if sign_hi <= 0:  # g(hi) <= 0 <= g(t) with floor(t) <= hi
+            return hi, sign_hi == 0
+        y = _newton_floor(hi, c3, P, floor_q)
+        if 2 * (y - lo) > hi - lo:
+            mid = (lo + y + 1) // 2
+            sign_mid = sign_lin(mid * (mid * mid - c3) - P, -Q, d)
+            if sign_mid <= 0:
+                lo, sign_lo = mid, sign_mid
+            else:
+                y = mid - 1
+        hi = y
+    return lo, sign_lo == 0
+
+
 def _root_floors(c: int, P: int, Q: int, d) -> list[int]:
     """Sorted floors of the real roots of g(t) = t^3 - 3c^2*t - (P + Q*sqrt(d))
-    for c >= 1 (d is unused when Q = 0).
+    for c >= 1 (d is unused when Q = 0), found in O(log digits) Newton
+    steps, never more than bisection.
 
     g has its turning points at -c and c, so each of its three monotone
     branches holds at most one root, and every root lies in [-M, M] with
     M = max(2c, (4|P + Q*sqrt(d)|)^(1/3)) (beyond 2c, |t^3 - 3c^2*t| >=
-    |t|^3/4).  On each branch the floor is found by integer bisection, with
-    the sign of g(k) = (k^3 - 3c^2*k - P) - Q*sqrt(d) decided exactly by
-    :func:`sign_lin`.  A double root at a turning point is reported once.
+    |t|^3/4).  Every sign of g(k) = (k^3 - 3c^2*k - P) - Q*sqrt(d) is decided
+    exactly by :func:`sign_lin`.
+
+    - Right root t3 (when g(c) <= 0): :func:`_upper_floor`, safeguarded
+      integer Newton from M down the convex increasing branch.
+    - Left root t1 (when g(-c) >= 0): -t1 is the root in [c, M] of the
+      mirrored cubic -g(-u) = u^3 - 3c^2*u + P + Q*sqrt(d), found the same
+      way; its floor r maps back to floor(t1) = -r when -t1 = r exactly and
+      -r - 1 otherwise.
+    - Middle root t2 (when both exist): the cubic has no t^2 term, so
+      t2 = -(t1 + t3), and f1 + f3 <= t1 + t3 < f1 + f3 + 2 for the floors
+      f1, f3 leaves floor(t2) among the three integers at or below
+      -f1 - f3, clipped to c.  g decreases on [-c, c], so the floor is the
+      first of them from the top with g >= 0: at most two sign tests.
+
+    A double root at a turning point is reported once.
     """
     c3 = 3 * c * c
     N = abs(P) + (abs(Q) * (isqrt(d) + 1) if Q else 0)  # >= |P + Q*sqrt(d)|
     M = max(2 * c, icbrt(4 * N) + 1)
-
-    def sign_g(k: int) -> int:
-        return sign_lin(k * k * k - c3 * k - P, -Q, d)
-
-    def last(lo: int, hi: int, keep) -> int:
-        # largest k in [lo, hi] with keep(k), given keep(lo) and monotonicity
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if keep(mid):
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-
-    at_left, at_right = sign_g(-c), sign_g(c)
+    twice_cube = 2 * c * c * c
+    at_left = sign_lin(twice_cube - P, -Q, d)  # sign g(-c)
+    at_right = sign_lin(-twice_cube - P, -Q, d)  # sign g(c)
     floors = set()
-    if at_left >= 0:
-        floors.add(last(-M, -c, lambda k: sign_g(k) <= 0))
-        if at_right <= 0:
-            floors.add(last(-c, c, lambda k: sign_g(k) >= 0))
     if at_right <= 0:
-        floors.add(last(c, M, lambda k: sign_g(k) <= 0))
+        f3 = _upper_floor(c, P, Q, d, M, at_right)[0]
+        floors.add(f3)
+    if at_left >= 0:
+        r, exact = _upper_floor(c, -P, -Q, d, M, -at_left)
+        f1 = -r if exact else -r - 1
+        floors.add(f1)
+        if at_right <= 0:
+            k = min(-f1 - f3, c)
+            for _ in range(2):
+                if sign_lin(k * (k * k - c3) - P, -Q, d) >= 0:
+                    break
+                k -= 1
+            floors.add(k)
     return sorted(floors)
 
 
@@ -362,8 +420,10 @@ def decide_trisection(a, field: FieldDescriptor | None = None) -> TrisectionVerd
     witness comes from :func:`_quadratic_preimage`, the same argument with
     the tau(8d) candidate denominators allowed by the image gcd bound;
     rational a goes through it too (its witness may be irrational, as
-    -sqrt(3) for a = 0 over Q(sqrt(3))).  Both paths cost a polynomial in
-    the number of digits of a.  ``search_bound`` is the proven preimage
+    -sqrt(3) for a = 0 over Q(sqrt(3))).  Both paths find their root
+    floors in O(log digits) Newton steps, never more than bisection, each
+    step a few products of numbers of that many digits.  ``search_bound``
+    is the proven preimage
     height bound S(height(a)) that every witness satisfies; a non-member
     with rational a = 3r/s carries an Eisenstein certificate when one
     applies.

@@ -13,7 +13,7 @@ import numpy as np
 
 from trisectlab.coprime_count import mobius_sum
 from trisectlab.errors import BadParameters, DegenerateBasis, RadicandMismatch
-from trisectlab.exact_arith import QuadElem, in_interval, quadratic_field
+from trisectlab.exact_arith import QuadElem, in_interval, quadratic_field, sign_lin
 from trisectlab.height_enum import (
     HeightBall,
     _clipped_floor_sum,
@@ -25,7 +25,7 @@ from trisectlab.height_enum import (
     qbox_main_term,
 )
 from trisectlab.polyalg import IntPoly, RatPoly, cyclotomic, divisors, euler_phi
-from trisectlab.trisect_core import _images, preimage_bound
+from trisectlab.trisect_core import _images, icbrt, preimage_bound
 
 
 def is_prime_trial(n: int) -> bool:
@@ -308,6 +308,40 @@ def ball_stream(ball, lo: Fraction | None = None, hi: Fraction | None = None):
         for a in range(a_lo, a_hi + 1):
             if gcd(g, a) == 1:
                 yield QuadElem(a1, a, b, d) if d else Fraction(a, b)
+
+
+def root_floors_bisect(c: int, P: int, Q: int, d) -> list[int]:
+    """Sorted floors of the real roots of g(t) = t^3 - 3c^2*t - (P + Q*sqrt(d))
+    for c >= 1, by integer bisection on each monotone branch over [-M, M]
+    (one exact sign test per bit of M); the reference for
+    ``trisect_core._root_floors``.  A double root at a turning point is
+    reported once."""
+    c3 = 3 * c * c
+    N = abs(P) + (abs(Q) * (isqrt(d) + 1) if Q else 0)  # >= |P + Q*sqrt(d)|
+    M = max(2 * c, icbrt(4 * N) + 1)
+
+    def sign_g(k: int) -> int:
+        return sign_lin(k * k * k - c3 * k - P, -Q, d)
+
+    def last(lo: int, hi: int, keep) -> int:
+        # largest k in [lo, hi] with keep(k), given keep(lo) and monotonicity
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if keep(mid):
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
+
+    at_left, at_right = sign_g(-c), sign_g(c)
+    floors = set()
+    if at_left >= 0:
+        floors.add(last(-M, -c, lambda k: sign_g(k) <= 0))
+        if at_right <= 0:
+            floors.add(last(-c, c, lambda k: sign_g(k) >= 0))
+    if at_right <= 0:
+        floors.add(last(c, M, lambda k: sign_g(k) <= 0))
+    return sorted(floors)
 
 
 def rational_roots(p) -> set[Fraction]:

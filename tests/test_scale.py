@@ -21,10 +21,11 @@ _RUN = """
 import json, sys, time
 from fractions import Fraction
 from trisectlab.coprime_count import Box, lehmer_report
-from trisectlab.exact_arith import RATIONAL_FIELD, quadratic_field
+from trisectlab.exact_arith import RATIONAL_FIELD, QuadElem, quadratic_field
 from trisectlab.height_enum import (HeightBall, QBoxSpec, count_ball_interval,
                                     count_ball_intervals, qbox)
-from trisectlab.trisect_core import density_experiment, nonconstructible_witness
+from trisectlab.trisect_core import (apply_f, decide_trisection, density_experiment,
+                                     nonconstructible_witness)
 CHECKED = ("count", "members_checked", "exhaustive", "membership_violations")
 start = time.perf_counter()
 value = {call}
@@ -47,6 +48,11 @@ print(json.dumps({{"value": value, "elapsed_s": elapsed, "peak_mb": peak_mb}}))
 # as `trisectlab witness --m 31 --q 2` does.
 # The qbox runs check the count and the members of the box difference
 # (sampled at R = 3000 by the seed-0 stream, exhaustively at Q(sqrt 2)).
+# The decide runs recover a witness with a 1000-digit denominator from its
+# image, whose coordinates have about 3000 digits (below the 4300-digit
+# int-to-str limit).  Their limits hold only for root floors found in
+# O(log digits) Newton steps: bisection, one sign test per bit, takes about
+# 0.65 s and 7.2 s on these inputs (2-CPU VM).
 SCALE_RUNS = {
     "count-interval-q-1e9": (
         "count_ball_interval(HeightBall(RATIONAL_FIELD, 10 ** 9), -2, 2)",
@@ -107,6 +113,18 @@ SCALE_RUNS = {
         {"count": 149181, "members_checked": 149181, "exhaustive": True,
          "membership_violations": 0},
         0.25,
+    ),
+    "decide-q-1000-digits": (
+        "decide_trisection(apply_f(x := Fraction(37 * (10 ** 999 + 7) // 100,"
+        " 10 ** 999 + 7))).witness == x",
+        True,
+        0.25,
+    ),
+    "decide-sqrt2-1000-digits": (
+        "decide_trisection(apply_f(x := QuadElem(37 * (10 ** 999 + 9) // 100,"
+        " (10 ** 999 + 9) // 3, 10 ** 999 + 9, 2))).witness == x",
+        True,
+        1.0,
     ),
 }
 

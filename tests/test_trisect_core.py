@@ -24,6 +24,7 @@ from oracles import (
     phi_bound_check,
     phi_curve,
     rational_roots,
+    root_floors_bisect,
     sylvester_minpoly,
 )
 from trisectlab import height_enum, trisect_core
@@ -56,6 +57,7 @@ from trisectlab.trisect_core import (
     WITNESS_MAX_M,
     Certificate,
     TrisectionVerdict,
+    _image_coords,
     _images,
     _try_eisenstein_cert,
     apply_f,
@@ -318,6 +320,120 @@ def test_decide_finds_high_members(beta):
     assert v.member and apply_f(v.witness) == a
     bound = v.search_bound if v.search_bound is not None else preimage_bound(field, height(a))
     assert height(v.witness) <= bound
+
+
+_RADICANDS = (2, 3, 5, 6, 7, 30)
+_C_NEAR_DOUBLE = 2 ** 256 + 1
+_Q_CANCEL = 70 ** 40
+
+
+@st.composite
+def _cubics(draw):
+    """(c, P, Q, d) for g(t) = t^3 - 3c^2*t - (P + Q*sqrt(d)): members with
+    an exact integer root r (a = f(r/c)) or an irrational quadratic root,
+    a = +-2 and its neighbours (a double or near-double root at -+c), P = 0
+    with Q != 0, a constant past 2c^3 (one real root, as in a conjugate
+    cubic), P + Q*sqrt(d) near 0 from huge P and Q (a start M far above
+    the roots), and plain random constants."""
+    c = draw(st.integers(1, 2 ** 256))
+    d = draw(st.sampled_from(_RADICANDS))
+    c3 = c ** 3
+    kind = draw(st.sampled_from(("member", "quad-member", "turning", "P=0", "one-root",
+                                 "cancel", "any")))
+    if kind == "member":
+        P, Q = _image_coords(draw(st.integers(-2 * c, 2 * c)), 0, c, 1)
+    elif kind == "quad-member":
+        b1, b2 = draw(st.integers(-2 * c, 2 * c)), draw(st.integers(-c, c))
+        P, Q = _image_coords(b1, b2, c, d)
+    elif kind == "turning":
+        P, Q = draw(st.sampled_from((2, -2))) * c3 + draw(st.integers(-2, 2)), draw(
+            st.integers(-1, 1))
+    elif kind == "P=0":
+        P, Q = 0, draw(st.integers(-2 * c3, 2 * c3).filter(bool))
+    elif kind == "one-root":
+        Q = draw(st.integers(-c3, c3))
+        P = draw(st.sampled_from((1, -1))) * (2 * c3 + math.isqrt(Q * Q * d) + 1
+                                              + draw(st.integers(0, 8 * c3)))
+    elif kind == "cancel":
+        Q = draw(st.integers(1, 2 ** 300)) * draw(st.sampled_from((1, -1)))
+        P = -math.isqrt(Q * Q * d) * (1 if Q > 0 else -1) + draw(st.integers(-3, 3))
+    else:
+        P, Q = draw(st.integers(-4 * c3, 4 * c3)), draw(st.integers(-2 * c3, 2 * c3))
+    return c, P, Q, d
+
+
+def _root_floors_within_bisection(c, P, Q, d) -> list[int]:
+    """``_root_floors`` with each branch search held to M.bit_length() + 2
+    loop iterations (one Newton step each, and a last one that returns):
+    an iteration past that raises instead of running on."""
+    budget = []
+    newton_floor, upper_floor = trisect_core._newton_floor, trisect_core._upper_floor
+
+    def counted_newton_floor(*args):
+        budget[-1] -= 1
+        assert budget[-1] >= 0, "a branch search outran bisection"
+        return newton_floor(*args)
+
+    def budgeted_upper_floor(c, P, Q, d, M, sign_c):
+        budget.append(M.bit_length() + 1)
+        return upper_floor(c, P, Q, d, M, sign_c)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trisect_core, "_newton_floor", counted_newton_floor)
+        mp.setattr(trisect_core, "_upper_floor", budgeted_upper_floor)
+        return trisect_core._root_floors(c, P, Q, d)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cubics())
+def test_root_floors_match_bisection_oracle(cubic):
+    assert _root_floors_within_bisection(*cubic) == root_floors_bisect(*cubic)
+
+
+@pytest.mark.parametrize(
+    "c, P, Q, d, floors",
+    [
+        (5, -198, 0, None, [-10, 3, 6]),  # member r = 3: (t - 3)(t^2 + 3t - 66)
+        (5, -124, -60, 3, [-10, 3, 6]),  # quadratic member 2 + sqrt(3)
+        (7, 2 * 7 ** 3, 0, None, [-7, 14]),  # a = 2: (t + 7)^2 (t - 14)
+        (7, -2 * 7 ** 3, 0, None, [-14, 7]),  # a = -2: (t - 7)^2 (t + 14)
+        (1, 0, 1, 2, [-2, -1, 1]),  # P = 0: roots -sqrt(2), -0.52, 1.93
+        (4, 0, -9, 30, [-8, 1, 6]),  # P = 0: roots -7.39, 1.05, 6.34
+        (1, 5, 0, None, [2]),  # one real root, 2.28
+        (2, 40, -3, 2, [4]),  # one real root, 4.47
+        (2, -40, 3, 2, [-5]),  # its mirror, -4.47
+        # a = 2 - 1/c^3: roots -c - e, -c + e with 0 < e < 1, and just below 2c
+        (_C_NEAR_DOUBLE, 2 * _C_NEAR_DOUBLE ** 3 - 1, 0, None,
+         [-_C_NEAR_DOUBLE - 1, -_C_NEAR_DOUBLE, 2 * _C_NEAR_DOUBLE - 1]),
+        # P + Q*sqrt(2) in (0, 1) from 245-bit P and Q: roots near 0, +-3*sqrt(3)
+        (3, -math.isqrt(2 * _Q_CANCEL ** 2), _Q_CANCEL, 2, [-6, -1, 5]),
+    ],
+    ids=["member", "quad-member", "a=2", "a=-2", "P=0", "P=0-d30", "one-root",
+         "one-root-quad", "one-root-mirror", "near-double-256", "cancel"],
+)
+def test_root_floors_examples(c, P, Q, d, floors):
+    assert _root_floors_within_bisection(c, P, Q, d) == floors == root_floors_bisect(c, P, Q, d)
+
+
+@pytest.mark.parametrize(
+    "c, P, Q, d",
+    [
+        (2 ** 64 + 1, 2 * (2 ** 64 + 1) ** 3 - 1, 0, None),  # a = 2 - 1/c^3
+        (2 ** 64 + 1, -2 * (2 ** 64 + 1) ** 3 + 1, 0, None),  # a = -2 + 1/c^3
+        (_C_NEAR_DOUBLE, 2 * _C_NEAR_DOUBLE ** 3 - 1, 0, None),
+        (_C_NEAR_DOUBLE, -2 * _C_NEAR_DOUBLE ** 3 + 1, 0, None),
+        (_C_NEAR_DOUBLE, 2 * _C_NEAR_DOUBLE ** 3 - 2, 1, 2),  # constant 2c^3 - 0.59
+        (_C_NEAR_DOUBLE, -2 * _C_NEAR_DOUBLE ** 3 + 1, -1, 2),  # -2c^3 - 0.41
+        (3, -math.isqrt(2 * _Q_CANCEL ** 2), _Q_CANCEL, 2),  # M ~ 2^83 over roots ~ 5
+    ],
+    ids=["2-1/c^3@64", "-2+1/c^3@64", "2-1/c^3@256", "-2+1/c^3@256", "quad-near-2",
+         "quad-near-minus-2", "cancel"],
+)
+def test_newton_iterations_stay_within_bisection(c, P, Q, d):
+    """Near-double roots make the Newton steps merely halve the distance; a
+    start far above the roots makes them shrink it by only 1/3.  Either way
+    the safeguard keeps each branch search within bisection's budget."""
+    assert _root_floors_within_bisection(c, P, Q, d) == root_floors_bisect(c, P, Q, d)
 
 
 @pytest.mark.parametrize(
