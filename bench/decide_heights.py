@@ -3,13 +3,13 @@
 For Q and Q(sqrt 2) and element heights of about 10^3, 10^60, 10^600 and
 10^3000, it decides one member a = f(x) (x with a denominator of about a
 third as many digits) and one non-member with the same cube denominator,
-a + 1/denominator, and records the median of ``--repeats`` perf_counter
+a + 1/denominator, and records the median of REPEATS = 5 perf_counter
 timings of each call, with the verdict.  The row also records the Python
 and numpy versions, the git revision of the checkout (marked -dirty when
 it has uncommitted changes) and the CPUs available, as ``nproc`` counts
 them.  The numbers are reports, not gates.
 
-    python bench/decide_heights.py --label after [--repeats 5] [--out BENCH_1.json]
+    python bench/decide_heights.py --label after [--out BENCH_1.json]
 
 A row with the same label in the output file is replaced; other rows are
 kept, so running this script from two checkouts into one file records a
@@ -38,6 +38,7 @@ from trisectlab.exact_arith import QuadElem, canonicalize  # noqa: E402
 from trisectlab.trisect_core import apply_f, decide_trisection  # noqa: E402
 
 HEIGHT_DIGITS = (3, 60, 600, 3000)
+REPEATS = 5
 
 
 def _preimage(digits: int, d: int | None):
@@ -76,11 +77,11 @@ def _git_revision() -> str:
     return out.stdout.strip()
 
 
-def run(repeats: int) -> list[dict]:
+def run() -> list[dict]:
     results = []
     for field, digits, kind, a in _cases():
         times = []
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             start = time.perf_counter()
             verdict = decide_trisection(a)
             times.append(time.perf_counter() - start)
@@ -94,19 +95,16 @@ def run(repeats: int) -> list[dict]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="row name, e.g. before or after")
-    parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_1.json"))
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
     row = {
         "label": args.label,
         "git_revision": _git_revision(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "nproc": len(os.sched_getaffinity(0)),
-        "repeats": args.repeats,
-        "results": run(args.repeats),
+        "repeats": REPEATS,
+        "results": run(),
     }
     report = {"benchmark": "decide_trisection across element heights", "rows": []}
     if os.path.exists(args.out):

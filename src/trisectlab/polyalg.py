@@ -282,12 +282,6 @@ class IntPoly(_Poly):
             raise ValueError(f"{self} not divisible by {other}")
         return IntPoly(quo)
 
-    def compose(self, inner: "IntPoly") -> "IntPoly":
-        acc = IntPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + IntPoly.const(c)
-        return acc
-
     def derivative(self) -> "IntPoly":
         return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 

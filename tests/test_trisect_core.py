@@ -324,6 +324,7 @@ def test_decide_finds_high_members(beta):
 
 _RADICANDS = (2, 3, 5, 6, 7, 30)
 _C_NEAR_DOUBLE = 2 ** 256 + 1
+_C64 = 2 ** 64 + 1
 _Q_CANCEL = 70 ** 40
 
 
@@ -402,38 +403,33 @@ def test_root_floors_match_bisection_oracle(cubic):
         (1, 5, 0, None, [2]),  # one real root, 2.28
         (2, 40, -3, 2, [4]),  # one real root, 4.47
         (2, -40, 3, 2, [-5]),  # its mirror, -4.47
+        # Near-double roots (the next six rows) make the Newton steps merely
+        # halve the distance to the root, and a start far above the roots (the
+        # last row) shrinks it by only 1/3; the iteration budget checks that the
+        # safeguard keeps both within bisection's.
         # a = 2 - 1/c^3: roots -c - e, -c + e with 0 < e < 1, and just below 2c
         (_C_NEAR_DOUBLE, 2 * _C_NEAR_DOUBLE ** 3 - 1, 0, None,
          [-_C_NEAR_DOUBLE - 1, -_C_NEAR_DOUBLE, 2 * _C_NEAR_DOUBLE - 1]),
+        (_C64, 2 * _C64 ** 3 - 1, 0, None, [-_C64 - 1, -_C64, 2 * _C64 - 1]),
+        # a = -2 + 1/c^3: its mirror, just above -2c, then c - e, c + e
+        (_C64, -2 * _C64 ** 3 + 1, 0, None, [-2 * _C64, _C64 - 1, _C64]),
+        (_C_NEAR_DOUBLE, -2 * _C_NEAR_DOUBLE ** 3 + 1, 0, None,
+         [-2 * _C_NEAR_DOUBLE, _C_NEAR_DOUBLE - 1, _C_NEAR_DOUBLE]),
+        # constant 2c^3 - 0.59: like a = 2 - 1/c^3
+        (_C_NEAR_DOUBLE, 2 * _C_NEAR_DOUBLE ** 3 - 2, 1, 2,
+         [-_C_NEAR_DOUBLE - 1, -_C_NEAR_DOUBLE, 2 * _C_NEAR_DOUBLE - 1]),
+        # constant -2c^3 - 0.41: one real root, just below -2c
+        (_C_NEAR_DOUBLE, -2 * _C_NEAR_DOUBLE ** 3 + 1, -1, 2, [-2 * _C_NEAR_DOUBLE - 1]),
         # P + Q*sqrt(2) in (0, 1) from 245-bit P and Q: roots near 0, +-3*sqrt(3)
         (3, -math.isqrt(2 * _Q_CANCEL ** 2), _Q_CANCEL, 2, [-6, -1, 5]),
     ],
     ids=["member", "quad-member", "a=2", "a=-2", "P=0", "P=0-d30", "one-root",
-         "one-root-quad", "one-root-mirror", "near-double-256", "cancel"],
+         "one-root-quad", "one-root-mirror", "near-double-256", "near-double-64",
+         "near-minus-double-64", "near-minus-double-256", "quad-near-2", "quad-near-minus-2",
+         "cancel"],
 )
 def test_root_floors_examples(c, P, Q, d, floors):
     assert _root_floors_within_bisection(c, P, Q, d) == floors == root_floors_bisect(c, P, Q, d)
-
-
-@pytest.mark.parametrize(
-    "c, P, Q, d",
-    [
-        (2 ** 64 + 1, 2 * (2 ** 64 + 1) ** 3 - 1, 0, None),  # a = 2 - 1/c^3
-        (2 ** 64 + 1, -2 * (2 ** 64 + 1) ** 3 + 1, 0, None),  # a = -2 + 1/c^3
-        (_C_NEAR_DOUBLE, 2 * _C_NEAR_DOUBLE ** 3 - 1, 0, None),
-        (_C_NEAR_DOUBLE, -2 * _C_NEAR_DOUBLE ** 3 + 1, 0, None),
-        (_C_NEAR_DOUBLE, 2 * _C_NEAR_DOUBLE ** 3 - 2, 1, 2),  # constant 2c^3 - 0.59
-        (_C_NEAR_DOUBLE, -2 * _C_NEAR_DOUBLE ** 3 + 1, -1, 2),  # -2c^3 - 0.41
-        (3, -math.isqrt(2 * _Q_CANCEL ** 2), _Q_CANCEL, 2),  # M ~ 2^83 over roots ~ 5
-    ],
-    ids=["2-1/c^3@64", "-2+1/c^3@64", "2-1/c^3@256", "-2+1/c^3@256", "quad-near-2",
-         "quad-near-minus-2", "cancel"],
-)
-def test_newton_iterations_stay_within_bisection(c, P, Q, d):
-    """Near-double roots make the Newton steps merely halve the distance; a
-    start far above the roots makes them shrink it by only 1/3.  Either way
-    the safeguard keeps each branch search within bisection's budget."""
-    assert _root_floors_within_bisection(c, P, Q, d) == root_floors_bisect(c, P, Q, d)
 
 
 @pytest.mark.parametrize(
