@@ -19,7 +19,7 @@ from math import gcd
 import mpmath
 
 from .errors import BadParameters, CapExceeded, NotCoprime
-from .polyalg import IntPoly, chebyshev_like, cos_minimal_poly, eisenstein_check, euler_phi
+from .polyalg import IntPoly, chebyshev_like, cos_minimal_poly, eisenstein_check
 
 DEGREE_CAP = 4096
 
@@ -81,7 +81,7 @@ def p_tower(n: int) -> IntPoly:
     """
     if n < 1:
         raise BadParameters("n must be >= 1")
-    if 2 ** n > DEGREE_CAP:
+    if n >= DEGREE_CAP.bit_length():  # 2^n > DEGREE_CAP, without forming 2^n
         raise CapExceeded(f"degree 2^{n} exceeds cap {DEGREE_CAP}")
     q = [-2, 1]
     for _ in range(n - 1):
@@ -145,14 +145,14 @@ def tower_checks(n: int) -> dict:
 
 def cn_degree_check(n: int) -> dict:
     """2cos(pi/3 + pi/2^n) equals 2cos(2*pi*(2^n+3)/(3*2^(n+1))); its
-    degree must be exactly 2^n."""
+    degree must be exactly 2^n = phi(m)/2, so n is capped first."""
     if n < 1:
         raise BadParameters("n must be >= 1")
+    if n >= DEGREE_CAP.bit_length():
+        raise CapExceeded(f"degree 2^{n} exceeds cap {DEGREE_CAP}")
     j, m = 2 ** n + 3, 3 * 2 ** (n + 1)
     g = gcd(j, m)
     j, m = j // g, m // g
-    if euler_phi(m) // 2 > DEGREE_CAP:
-        raise CapExceeded(f"phi({m})/2 exceeds cap {DEGREE_CAP}")
     degree = angle_degree(j, m)
     return {"n": n, "j": j, "m": m, "degree": degree, "expected": 2 ** n, "ok": degree == 2 ** n}
 

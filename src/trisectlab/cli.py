@@ -3,8 +3,14 @@
 Verbs: decide, density, lehmer, boxcount, nsect, algdeg, witness, verify.
 JSON is the canonical output format and CSV a per-verb projection; files
 are written atomically (temp + rename) and contain no timestamps, so a
-rerun with the same configuration is byte-identical.  Exit codes: 0 ok,
-1 invariant falsification, 2 bad arguments, 3 cap exceeded.
+rerun with the same configuration is byte-identical.
+
+argparse converts every flag value, once (``int``, :func:`fraction`,
+:func:`fraction_list`, :func:`positive`); only ``--a``, whose field
+depends on ``--d``, is parsed by its verb.  Exit codes: 0 ok; 1 an
+invariant falsified; 2 bad arguments: a value argparse refuses (with the
+verb's usage line), ``BadParameters``, ``ValueError``, ``OverflowError``
+or an ``--out`` that cannot be written (``OSError``); 3 ``CapExceeded``.
 """
 
 from __future__ import annotations
@@ -45,6 +51,29 @@ from .trisect_core import (
     square_family_check,
     yates_certificate,
 )
+
+
+def fraction(text: str) -> Fraction:
+    """A rational flag value: "7", "5.9", "1e3" or "7/2".  An exponent past
+    4300, Python's int-to-str digit limit, is refused before 10^e is built."""
+    if abs(int(text.lower().partition("e")[2] or 0)) > 4300:
+        raise ValueError(f"exponent too large in {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def fraction_list(text: str) -> list[Fraction]:
+    """A comma list of rational flag values."""
+    return [fraction(part) for part in text.split(",")]
+
+
+def positive(text: str) -> int:
+    """An integer flag value >= 1."""
+    if (n := int(text)) < 1:
+        raise ValueError(f"{n} < 1")
+    return n
 
 
 def _field_from_args(args) -> FieldDescriptor:
@@ -101,12 +130,7 @@ def _run_decide(args) -> int:
 
 def _run_density(args) -> int:
     field = _field_from_args(args)
-    R_list = [Fraction(part) for part in args.R.split(",")]
-    if args.shards < 1:
-        raise BadParameters("shard count must be >= 1")
-    if args.cap is not None and args.cap <= 0:
-        raise BadParameters("cap must be positive")
-    report = density_experiment(field, R_list, cap=args.cap)
+    report = density_experiment(field, args.R, cap=args.cap)
     payload = report.to_dict()
     rows = [
         [payload["field"], payload["d"], point["R"], point["num"], point["den"],
@@ -119,9 +143,7 @@ def _run_density(args) -> int:
 
 
 def _run_lehmer(args) -> int:
-    box = Box(tuple(Fraction(s) for s in args.sides.split(",")))
-    if args.shards < 1:
-        raise BadParameters("shard count must be >= 1")
+    box = Box(args.sides)
     report = lehmer_report(box)
     payload = report.to_dict()
     header = (["k"] + [f"side{i+1}" for i in range(box.k)]
@@ -132,7 +154,7 @@ def _run_lehmer(args) -> int:
 
 def _run_boxcount(args) -> int:
     field = _field_from_args(args)
-    R = Fraction(args.R)
+    R = args.R
     # first, so that its cell cap refuses before the ball counts run
     qreport = height_enum.qbox(QBoxSpec(field, R), seed=args.seed)
     ball = HeightBall(field, R)
@@ -315,24 +337,26 @@ def _decide_flags(p):
 
 
 def _shards_flag(p):
-    p.add_argument("--shards", type=int, default=1,
+    p.add_argument("--shards", type=positive, default=1,
                    help="accepted (must be >= 1); output and work do not depend on it")
 
 
 def _density_flags(p):
-    p.add_argument("--R", required=True, help="comma-separated increasing height bounds")
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--R", type=fraction_list, required=True,
+                   help="comma-separated increasing height bounds")
+    p.add_argument("--cap", type=positive, default=None,
                    help="most preimages the numerator may visit (default: no cap)")
     _shards_flag(p)
 
 
 def _lehmer_flags(p):
-    p.add_argument("--sides", required=True, help='comma-separated sides, e.g. "4,4" or "5.9,3.2"')
+    p.add_argument("--sides", type=fraction_list, required=True,
+                   help='comma-separated sides, e.g. "4,4" or "5.9,3.2"')
     _shards_flag(p)
 
 
 def _boxcount_flags(p):
-    p.add_argument("--R", required=True, help="one height bound")
+    p.add_argument("--R", type=fraction, required=True, help="one height bound")
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -415,10 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in VERBS:
-        args = verb_parser(argv[0]).parse_args(argv[1:])
-    else:
-        args = build_parser().parse_args(argv)
+    parser = verb_parser(argv.pop(0)) if argv and argv[0] in VERBS else build_parser()
+    args = parser.parse_args(argv)
+    if [] in vars(args).values():  # argparse before 3.13 reads --flag=-- as []
+        parser.error("'--' is not a flag value")
     try:
         return args.run(args)
     except (GcdBoundViolated, AssertionError) as exc:
@@ -427,7 +451,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except (BadParameters, WorkbenchError, ValueError, OverflowError) as exc:
+    except (WorkbenchError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -405,7 +405,10 @@ def parse_element(text: str, d: int | None = None):
     m = _RAT_RE.match(text)
     if m:
         num, den = m.groups()
-        value = Fraction(int(num), int(den) if den else 1)
+        den = int(den) if den else 1
+        if den == 0:
+            raise ZeroDenominator("denominator is zero")
+        value = Fraction(int(num), den)
         if d is not None:
             return QuadElem.from_rational(value, d)
         return value

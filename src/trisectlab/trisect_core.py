@@ -108,8 +108,8 @@ class Certificate:
 
     def verify(self) -> bool:
         """True iff the data has exactly its kind's keys and re-checks; an
-        unknown kind raises ``BadParameters``."""
-        entry = _CERT_KINDS.get(self.kind)
+        unknown kind, or one that is not a str, raises ``BadParameters``."""
+        entry = _CERT_KINDS.get(self.kind) if isinstance(self.kind, str) else None
         if entry is None:
             raise BadParameters(f"unknown certificate kind {self.kind!r}")
         keys, verifier = entry

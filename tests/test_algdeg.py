@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+import time
 
 import mpmath
 import pytest
@@ -32,6 +33,19 @@ def test_p_tower_examples():
     assert p_tower(3) == IntPoly((2, 0, -16, 0, 20, 0, -8, 0, 1))
     with pytest.raises(CapExceeded):
         p_tower(50)
+
+
+@pytest.mark.parametrize("check", [p_tower, cn_degree_check])
+def test_degree_cap_refuses_before_forming_the_power(check):
+    """n is compared with the cap's exponent before 2^n is formed: 2^n
+    took 8 s at n = 10^9 and never finished at 10^26, and
+    cn_degree_check(10^5) raised a bare ValueError formatting phi(m)'s
+    30,104-digit m into the cap message."""
+    for n in (13, 10 ** 5, 10 ** 30):
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="exceeds cap 4096"):
+            check(n)
+        assert time.perf_counter() - start < 0.1, n
 
 
 def test_tower_checks():

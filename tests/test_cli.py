@@ -1,13 +1,19 @@
 """CLI verbs, output formats, exit codes, and rerun determinism."""
 
+import contextlib
+import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trisectlab.cli import VERBS, main, verb_parser
 
@@ -107,20 +113,28 @@ def test_verify_quick(capsys):
     assert "FAIL" not in out
 
 
+def exit_code(args) -> int:
+    """``main``'s exit code, returned by a runner or raised by argparse."""
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_bad_arguments_exit_2(capsys):
-    assert main(["decide", "--field", "q", "--a", "bogus"]) == 2
+    assert exit_code(["decide", "--field", "q", "--a", "bogus"]) == 2
     capsys.readouterr()
-    assert main(["decide", "--field", "quad", "--a", "1/2"]) == 2  # missing --d
+    assert exit_code(["decide", "--field", "quad", "--a", "1/2"]) == 2  # missing --d
     capsys.readouterr()
-    assert main(["decide", "--field", "q", "--d", "0", "--a", "1/2"]) == 2  # --d over Q
+    assert exit_code(["decide", "--field", "q", "--d", "0", "--a", "1/2"]) == 2  # --d over Q
     capsys.readouterr()
-    assert main(["nsect", "--p", "3", "--c", "9", "--d", "10"]) == 2
+    assert exit_code(["nsect", "--p", "3", "--c", "9", "--d", "10"]) == 2
     capsys.readouterr()
-    assert main(["nsect", "--p", "0", "--c", "3", "--d", "4"]) == 2  # not an odd prime
+    assert exit_code(["nsect", "--p", "0", "--c", "3", "--d", "4"]) == 2  # not an odd prime
     capsys.readouterr()
-    assert main(["density", "--field", "q", "--R", "100,50"]) == 2
+    assert exit_code(["density", "--field", "q", "--R", "100,50"]) == 2
     capsys.readouterr()
-    assert main(["boxcount", "--field", "q", "--R", "9,10,11"]) == 2  # one height only
+    assert exit_code(["boxcount", "--field", "q", "--R", "9,10,11"]) == 2  # one height only
     capsys.readouterr()
 
 
@@ -240,10 +254,7 @@ def test_one_process_matches_fresh_runs(capsys):
     fresh = {tuple(args): _fresh_run(args) for args in (decide, density, bad)}
     assert fresh[tuple(bad)][0] == 2
     for args in (decide, density, bad, decide):
-        try:
-            code = main(args)
-        except SystemExit as exc:
-            code = exc.code
+        code = exit_code(args)
         out, err = capsys.readouterr()
         assert (code, out, err) == fresh[tuple(args)]
 
@@ -285,6 +296,137 @@ def test_probes_answer_promptly(args, want):
     assert time.perf_counter() - start < 5.0
     assert code == want and "Traceback" not in err
     assert (code == 0) == bool(out)
+
+
+@pytest.mark.parametrize("args, want", [
+    (["decide", "--field", "q", "--a", "1/0"], 2),
+    (["lehmer", "--sides", "1/0"], 2),
+    (["lehmer", "--sides", "0/0"], 2),
+    (["boxcount", "--field", "q", "--R", "1/0"], 2),
+    (["density", "--field", "q", "--R", "0/0"], 2),
+    (["decide", "--a=--"], 2),
+    (["density", "--R=--"], 2),
+    (["density", "--field", "quad", "--d=--", "--R", "1,2"], 2),
+    (["lehmer", "--sides=--"], 2),
+    (["witness", "--m=--", "--q", "7"], 2),
+    (["nsect", "--p=--", "--c", "3", "--d", "4"], 2),
+    (["algdeg", "--n=--"], 2),
+    (["algdeg", "--n", "1000000000"], 3),
+    (["algdeg", "--n", "99999999999999999999999999"], 3),
+    (["density", "--R", "1e999999999"], 2),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_argument_escapes_exit_2_or_3(args, want):
+    """Argument sets that used to exit 1 with a traceback (a zero
+    denominator in a verb's own parsing, argparse before 3.13 reading
+    ``--flag=--`` as []), to form 2^n before the degree cap (8 s at
+    n = 10^9, no answer at 10^26) or to build 10^999999999 from a height's
+    exponent, in a new interpreter.  (The last is pinned here only: a
+    regression would hang the in-process fuzz test rather than fail it.)"""
+    start = time.perf_counter()
+    code, out, err = _fresh_run(args, timeout=5)
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (want, "") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_exits_2(where, tmp_path):
+    """An --out path that cannot be written is bad arguments, and the
+    atomic write leaves no temp file behind."""
+    target = tmp_path / "dir"  # the temp file goes next to the target
+    target.mkdir()
+    out = target / "missing" / "x.json" if where == "missing-dir" else target
+    code, stdout, err = _fresh_run(["lehmer", "--sides", "4,4", "--out", str(out)], timeout=5)
+    assert (code, stdout) == (2, "") and err.startswith("error:")
+    assert list(tmp_path.rglob("*")) == [target]
+
+
+# Every value that escaped as exit 1 or ran for seconds, and more that
+# no flag accepts or that sit at a cap: zero denominators, argparse's
+# "--", non-finite and out-of-range numbers, and an integer past
+# Python's 4,300-digit int-to-str limit.  Valid mid-size heights are left
+# out: density over Q at R = 10^12 legitimately takes about a minute.
+HOSTILE = ["1/0", "0/0", "--", "", "nan", "inf", "1e400", "0", "-1",
+           str(2 ** 62 + 1), str(10 ** 30), "9" * 5000]
+
+# valid values of the flags, by verb, so that a hostile value of one flag
+# reaches the runner past the others; a flag without one (--out) is left
+# out unless it is the hostile one
+VALID = {
+    "decide": {"--field": ["q", "quad"], "--d": ["5"], "--a": ["1/2", "(1+1*sqrt(5))/2"]},
+    "density": {"--field": ["q", "quad"], "--d": ["5"], "--R": ["25,50", "1"],
+                "--cap": ["500"], "--shards": ["2"]},
+    "lehmer": {"--sides": ["4,4", "5.9,3.2,2"], "--shards": ["2"]},
+    "boxcount": {"--field": ["q", "quad"], "--d": ["5"], "--R": ["9"], "--seed": ["1"]},
+    "nsect": {"--p": ["3"], "--c": ["3"], "--d": ["4"]},
+    "algdeg": {"--n": ["3"]},
+    "witness": {"--m": ["5"], "--q": ["2"]},
+    "verify": {"--seed": ["1"]},
+}
+CALL_SECONDS = 2
+
+
+def _value_flags(verb):
+    """The flags of ``verb``'s parser that take a value, by first spelling."""
+    return [action.option_strings[0] for action in verb_parser(verb)._actions
+            if action.option_strings and action.nargs != 0]
+
+
+# every (verb, flag) but verify's --out: nearly every value there runs the
+# suite (0.1 s) first, and it writes through the same _atomic_write as the
+# seven other verbs' --out
+FUZZED = [(verb, flag) for verb in VERBS for flag in _value_flags(verb)
+          if (verb, flag) != ("verify", "--out")]
+
+
+class _CallTimeout(BaseException):
+    """Raised by the alarm; not an Exception, so main cannot map it."""
+
+
+def _alarm(signum, frame):
+    raise _CallTimeout
+
+
+def _hostile_run(argv):
+    """main(argv) in a scratch directory, where --out writes its relative
+    paths: (exit code, stderr), failing past CALL_SECONDS."""
+    cwd = os.getcwd()
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        signal.setitimer(signal.ITIMER_REAL, CALL_SECONDS)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = exit_code(argv)
+        except _CallTimeout:
+            pytest.fail(f"no answer within {CALL_SECONDS} s: {argv}")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+            os.chdir(cwd)
+    return code, stderr.getvalue()
+
+
+@pytest.mark.parametrize("verb, flag", FUZZED, ids=lambda value: value)
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_hostile_arguments_exit_0_2_or_3(verb, flag, data):
+    """In-process: every hostile value, in both spellings, in ``flag`` of
+    ``verb``, with each other flag left out or given a valid value drawn
+    by hypothesis.  Each call exits 0, 2 or 3 within CALL_SECONDS, and
+    nothing escapes main as an exception.  verify always gets --quick:
+    its full suite takes 0.45 s a call."""
+    valid = {"--format": ["json", "csv"], **VALID[verb]}
+    context = [verb] + (["--quick"] if verb == "verify" else [])
+    for other in _value_flags(verb):
+        if other != flag:
+            value = data.draw(st.sampled_from([None, *valid.get(other, [])]), label=other)
+            context += [] if value is None else [f"{other}={value}"]
+    for value in HOSTILE:
+        for argv in ([*context, f"{flag}={value}"], [*context, flag, value]):
+            code, err = _hostile_run(argv)
+            assert code in (0, 2, 3), (argv, err[-500:])
+            assert "Traceback" not in err
 
 
 def _readme_verb_flags() -> dict:

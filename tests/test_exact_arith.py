@@ -271,3 +271,11 @@ def test_text_roundtrip():
     assert parse_element("3/2", d=5) == QuadElem(3, 0, 2, 5)
     with pytest.raises(ValueError):
         parse_element("sqrt(2)")
+
+
+def test_parse_element_zero_denominator():
+    """A zero denominator is a typed error (the CLI exits 2), not the bare
+    ZeroDivisionError that Fraction raises."""
+    for text, d in (("1/0", None), ("0/0", None), ("-3/0", 5), ("(1+1*sqrt(5))/0", 5)):
+        with pytest.raises(ZeroDenominator):
+            parse_element(text, d)

@@ -534,8 +534,11 @@ def test_eisenstein_verifier_rejects_missing_fields():
 
 
 def test_unknown_certificate_kind_is_a_typed_error():
-    with pytest.raises(BadParameters):
-        Certificate("nope", {}).verify()
+    """Also a kind that is not a str: a list used to raise a bare
+    TypeError (unhashable) from the registry lookup."""
+    for kind in ("nope", ["x"], None, 3):
+        with pytest.raises(BadParameters):
+            Certificate(kind, {}).verify()
 
 
 def test_yates_verifier_rejects_malformed_data():
