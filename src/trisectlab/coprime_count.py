@@ -16,7 +16,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import BadParameters, CapExceeded
+from .errors import BadParameters, CapExceeded, int_text
 
 
 def _to_fraction(x) -> Fraction:
@@ -144,7 +144,7 @@ def mobius_blocks(*ns) -> tuple[np.ndarray, np.ndarray]:
     spans = [(n, isqrt(n), n // (m + 1) + 1) for n in set(ns)]
     blocks = sum(min(s, m) + max(0, s - k0 + 1) for _, s, k0 in spans)
     if blocks > MAX_BLOCKS:
-        raise CapExceeded(f"{blocks} quotient blocks exceed the cap {MAX_BLOCKS}")
+        raise CapExceeded(f"{int_text(blocks)} quotient blocks exceed the cap {MAX_BLOCKS}")
     ends = [np.arange(1, min(s, m) + 1, dtype=np.int64) for _, s, _ in spans]
     ends += [n // np.arange(k0, s + 1, dtype=np.int64) for n, s, k0 in spans if k0 <= s]
     ends = np.sort(np.concatenate(ends))  # a repeated end gets weight 0
@@ -171,36 +171,36 @@ def sieve_count(box: Box) -> int:
     return mobius_sum(box.floors(), lambda *quotients: math.prod(quotients))
 
 
-# Largest floored box volume :func:`brute_count` enumerates.
+# Largest floored box volume :func:`brute_count` enumerates, and most tuples
+# per block of its gcd grid, which bounds its memory whatever the volume.
 BRUTE_MAX_VOLUME = 10 ** 8
+BRUTE_BLOCK = 1 << 16
 
 
 def brute_count(box: Box) -> int:
-    """Oracle: direct enumeration with a k-ary gcd test.  Refuses boxes
-    whose floored volume exceeds ``BRUTE_MAX_VOLUME``."""
-    floors = box.floors()
-    volume = 1
-    for f in floors:
-        volume *= f
+    """Oracle: direct enumeration with a k-ary gcd test, by
+    :func:`_brute_grid` over the box's floors."""
+    return _brute_grid(box.floors())
+
+
+def _brute_grid(floors: tuple[int, ...]) -> int:
+    """#{a in [1, f_1] x ... x [1, f_k] : gcd(a) = 1}: every tuple, in
+    row-major order over consecutive blocks of at most ``BRUTE_BLOCK``, its
+    coordinates unravelled from the flat index and gcd-reduced on int64
+    arrays.  A floored volume above ``BRUTE_MAX_VOLUME`` raises
+    ``CapExceeded`` before any array is built."""
+    volume = math.prod(floors)
     if volume > BRUTE_MAX_VOLUME:
-        raise CapExceeded(f"brute-force volume {volume} exceeds cap {BRUTE_MAX_VOLUME}")
-    if min(floors) < 1:
-        return 0
-
-    def rec(idx: int, g: int) -> int:
-        if g == 1:
-            prod = 1
-            for f in floors[idx:]:
-                prod *= f
-            return prod
-        if idx == len(floors):
-            return 1 if g == 1 else 0
-        total = 0
-        for a in range(1, floors[idx] + 1):
-            total += rec(idx + 1, math.gcd(g, a))
-        return total
-
-    return rec(0, 0)
+        raise CapExceeded(f"brute-force volume {int_text(volume)} exceeds cap {BRUTE_MAX_VOLUME}")
+    total = 0
+    for start in range(0, volume, BRUTE_BLOCK):
+        rest = np.arange(start, min(start + BRUTE_BLOCK, volume), dtype=np.int64)
+        g = np.zeros_like(rest)
+        for f in reversed(floors):
+            rest, a = np.divmod(rest, f)
+            g = np.gcd(g, a + 1)
+        total += int(np.count_nonzero(g == 1))
+    return total
 
 
 def eccentricity(box: Box) -> Fraction:

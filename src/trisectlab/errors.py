@@ -5,6 +5,13 @@ exit 3, falsified invariants exit 1.
 """
 
 
+def int_text(n: int) -> str:
+    """An integer for an error message: in decimal below 10^100, else as
+    the power of two it reaches, since ``str`` refuses an int of more than
+    4300 digits with a ``ValueError``."""
+    return str(n) if abs(n) < 10 ** 100 else f"at least 2^{n.bit_length() - 1}"
+
+
 class WorkbenchError(Exception):
     """Base class for all workbench errors."""
 

@@ -277,9 +277,14 @@ def height(x) -> int:
 
 
 def in_interval(x, lo, hi) -> bool:
-    """True iff lo <= x <= hi as real numbers, decided exactly."""
-    lo = Fraction(lo)
-    hi = Fraction(hi)
+    """True iff lo <= x <= hi as real numbers, decided exactly.  Ints and
+    Fractions (whose denominators are positive) compare by
+    cross-multiplying numerators and denominators; other values of x, lo
+    or hi are converted by ``Fraction`` first."""
+    if not isinstance(lo, (int, Fraction)):
+        lo = Fraction(lo)
+    if not isinstance(hi, (int, Fraction)):
+        hi = Fraction(hi)
     if isinstance(x, QuadElem):
         # x >= p/q  <=>  (q*a1 - p*b) + q*a2*sqrt(d) >= 0, and symmetrically
         p, q = lo.numerator, lo.denominator
@@ -287,8 +292,11 @@ def in_interval(x, lo, hi) -> bool:
             return False
         p, q = hi.numerator, hi.denominator
         return sign_lin(p * x.b - q * x.a1, -q * x.a2, x.d) >= 0
-    x = Fraction(x)
-    return lo <= x <= hi
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    n, m = x.numerator, x.denominator
+    return (lo.numerator * m <= n * lo.denominator
+            and n * hi.denominator <= hi.numerator * m)
 
 
 @dataclass(frozen=True)

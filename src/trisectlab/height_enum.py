@@ -10,7 +10,8 @@ per block of rows, so memory per block is bounded whatever the height.  Its
 interval clip is exact integer arithmetic (a float square root corrected
 by integer steps), and inputs whose clip terms could pass 2^62 are refused
 with ``CapExceeded`` up front: that is the kernel's int64 domain.
-:func:`_expand_rows` turns rows into elements for the streams.
+:func:`_expand_rows` turns rows into elements for the streams, and
+:func:`count_elements` counts and checks them with no Python value built.
 :func:`qbox` proves the certified sub-box row by row: it counts each row's
 members by Moebius over the divisors of its gcd and checks its two ends,
 since every constraint is monotone or linear along a row; only rows whose
@@ -41,8 +42,8 @@ from math import isqrt
 import numpy as np
 
 from .coprime_count import mobius_blocks, mobius_sum, zeta
-from .errors import BadParameters, CapExceeded
-from .exact_arith import FieldDescriptor, QuadElem, quad_from_canonical
+from .errors import BadParameters, CapExceeded, ZeroDenominator, int_text
+from .exact_arith import FieldDescriptor, quad_from_canonical
 from .polyalg import SMALL_PRIMES
 
 DEFAULT_ENUM_CAP = 20_000_000
@@ -215,24 +216,85 @@ def element_blocks(ball: HeightBall, lo: Fraction | None = None, hi: Fraction | 
         yield _expand_rows(*block)
 
 
+def _check_canonical(b: np.ndarray, a1: np.ndarray, a: np.ndarray) -> None:
+    """Raise at the first element (a1 + a*sqrt(d))/b of a block that is not
+    canonical what a direct ``QuadElem`` raises: ``ZeroDenominator`` when
+    b < 1, ``ValueError`` when gcd(a1, a, b) > 1.  Over Q, where a1 = 0,
+    this is the test that a/b is in lowest terms."""
+    bad = np.flatnonzero((b <= 0) | (np.gcd(np.gcd(a1, a), b) != 1))
+    if bad.size:
+        i = bad[0]
+        if b[i] <= 0:
+            raise ZeroDenominator(f"denominator must be positive, got {b[i]}")
+        raise ValueError(f"non-canonical triple ({a1[i]}, {a[i]}, {b[i]})")
+
+
 def _stream(ball: HeightBall, lo: Fraction | None = None, hi: Fraction | None = None):
-    """The elements of :func:`element_blocks` as Python values.  Over
-    Q(sqrt(d)), whose radicand the field checked, each block is checked
-    canonical at once (b > 0, gcd(a1, a2, b) = 1) and its elements built by
-    :func:`exact_arith.quad_from_canonical`; the first element failing the
-    check is rebuilt by ``QuadElem``, which raises as it would have."""
+    """The elements of :func:`element_blocks` as Python values: each block
+    passes :func:`_check_canonical` at once, and over Q(sqrt(d)), whose
+    radicand the field checked, its elements are built by
+    :func:`exact_arith.quad_from_canonical`."""
     d = ball.field.d
     for b, a1, a in element_blocks(ball, lo, hi):
+        _check_canonical(b, a1, a)
         if d:
-            bad = np.flatnonzero((b <= 0) | (np.gcd(np.gcd(a1, a), b) != 1))
-            if bad.size:
-                i = bad[0]
-                QuadElem(int(a1[i]), int(a[i]), int(b[i]), d)
             for x1, x2, y in zip(a1.tolist(), a.tolist(), b.tolist()):
                 yield quad_from_canonical(x1, x2, y, d)
         else:
             for x, y in zip(a.tolist(), b.tolist()):
                 yield Fraction(x, y)
+
+
+def _nonnegative(x: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:
+    """Elementwise x + y*sqrt(d) >= 0, exactly: t -> t*|t| is increasing,
+    so x >= -y*sqrt(d) exactly when x*|x| + d*y*|y| >= 0."""
+    return x * np.abs(x) + d * y * np.abs(y) >= 0
+
+
+def _in_interval(x1: np.ndarray, x2: np.ndarray, b: np.ndarray, d: int,
+                 lo: Fraction, hi: Fraction) -> np.ndarray:
+    """Elementwise lo <= (x1 + x2*sqrt(d))/b <= hi, exactly, for any d >= 1
+    (Q runs as d = 1): with p/q an endpoint, (x1 + x2*sqrt(d))/b >= p/q
+    when (q*x1 - p*b) + q*x2*sqrt(d) >= 0, as in
+    :func:`exact_arith.in_interval`.  With F the largest |coordinate|, each
+    square is at most (|p| + q)^2 * F^2 * d, within the kernel's clip
+    domain of 2^62, and their sum stays below 2^63."""
+    p, q = lo.numerator, lo.denominator
+    above = _nonnegative(q * x1 - p * b, q * x2, d)
+    p, q = hi.numerator, hi.denominator
+    return above & _nonnegative(p * b - q * x1, -q * x2, d)
+
+
+def count_elements(ball: HeightBall, lo=None, hi=None) -> int:
+    """|B(R)|, or |B(R) ∩ [lo, hi]| with an interval, as the sum of the
+    block lengths of :func:`element_blocks`, building no Python value: the
+    check of :func:`count_ball` and :func:`count_ball_interval` on the
+    kernel.  Each block passes :func:`_check_canonical`, as in
+    :func:`_stream`, and must lie in the ball (|a1|, |a|, b <= floor(R)),
+    ascend strictly in (b, a1, a) across the whole stream, so that no
+    element comes twice, and with an interval lie inside it by
+    :func:`_in_interval`; a block failing one of these three raises
+    ``AssertionError``.  So a count equal to the formula's proves the
+    kernel yields the exact set.
+    """
+    if lo is not None:
+        lo, hi = _interval(lo, hi)
+    F, d = ball.bound, ball.field.d or 1
+    total, last = 0, np.zeros(3, dtype=np.int64)  # b = 0 precedes every element
+    for b, a1, a in element_blocks(ball, lo, hi):
+        _check_canonical(b, a1, a)
+        if not len(b):
+            continue
+        if max(b.max(), np.abs(a1).max(), np.abs(a).max()) > F:
+            raise AssertionError(f"an element of the block is outside B({ball.R})")
+        db, da1, da = np.diff(np.stack((b, a1, a)), prepend=last[:, None])
+        if not ((db > 0) | (db == 0) & ((da1 > 0) | (da1 == 0) & (da > 0))).all():
+            raise AssertionError("elements out of (b, a1, a) order or repeated")
+        if lo is not None and not _in_interval(a1, a, b, d, lo, hi).all():
+            raise AssertionError(f"an element of the block is outside [{lo}, {hi}]")
+        total += len(b)
+        last = np.array((b[-1], a1[-1], a[-1]))
+    return total
 
 
 def _interval(lo, hi) -> tuple[Fraction, Fraction]:
@@ -260,7 +322,7 @@ def enumerate_ball_interval(ball: HeightBall, lo, hi):
     """
     lo, hi = _interval(lo, hi)
     if count_ball_interval(ball, lo, hi) > DEFAULT_ENUM_CAP:
-        raise CapExceeded(f"|B({ball.R}) in [{lo}, {hi}]| exceeds cap {DEFAULT_ENUM_CAP}")
+        raise CapExceeded(f"the interval count of B({ball.R}) exceeds cap {DEFAULT_ENUM_CAP}")
     yield from _stream(ball, lo, hi)
 
 
@@ -460,18 +522,10 @@ def _draws(rng: random.Random, n: int) -> np.ndarray:
     return ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) / 9007199254740992.0
 
 
-def _sign_lin(x: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:
-    """Elementwise :func:`exact_arith.sign_lin`, squaring once where the
-    signs of x and y are opposite."""
-    sx, sy = np.sign(x), np.sign(y)
-    return np.where(sx * sy < 0, np.where(x * x > d * y * y, sx, sy), np.sign(sx + sy))
-
-
 def _outside(x1: np.ndarray, x2: np.ndarray, b: np.ndarray, d: int, F: int) -> np.ndarray:
     """Elementwise: (x1 + x2*sqrt(d))/b has a coordinate above F or lies
-    outside [-2, 2], by the two sign tests of :func:`exact_arith.in_interval`
-    (over Q, with x2 = 0, they read -2b <= x1 <= 2b)."""
-    inside = (_sign_lin(x1 + 2 * b, x2, d) >= 0) & (_sign_lin(2 * b - x1, -x2, d) >= 0)
+    outside [-2, 2]."""
+    inside = _in_interval(x1, x2, b, d, Fraction(-2), Fraction(2))
     return (np.maximum(np.maximum(x1, x2), b) > F) | ~inside
 
 
@@ -519,7 +573,8 @@ def qbox(spec: QBoxSpec, *, seed: int = 0) -> dict:
     n, m = spec.side_floors()
     cells = (n[-1] - m[-1]) * math.prod(n[:-1])
     if cells > QBOX_MAX_CELLS:
-        raise CapExceeded(f"box difference of {cells} cells exceeds the cap {QBOX_MAX_CELLS}")
+        raise CapExceeded(
+            f"box difference of {int_text(cells)} cells exceeds the cap {QBOX_MAX_CELLS}")
     count = qbox_count(spec)
     main = qbox_main_term(spec)
     F = spec.R.numerator // spec.R.denominator

@@ -129,6 +129,23 @@ def sieve_count_loop(box) -> int:
     return total
 
 
+def brute_count_recursive(floors: tuple[int, ...]) -> int:
+    """#{a in [1, f_1] x ... x [1, f_k] : gcd(a) = 1} by recursion over the
+    coordinates with the running gcd, a prefix of gcd 1 counting every
+    completion at once: the reference for ``coprime_count._brute_grid``."""
+    if min(floors) < 1:
+        return 0
+
+    def rec(idx: int, g: int) -> int:
+        if g == 1:
+            return math.prod(floors[idx:])
+        if idx == len(floors):
+            return 0
+        return sum(rec(idx + 1, gcd(g, a)) for a in range(1, floors[idx] + 1))
+
+    return rec(0, 0)
+
+
 def generalized_sieve(spec, inner: bool) -> int:
     """The outer (or inner) box count of a ``QBoxSpec`` by the j-loop, each
     side floored afresh from R at every j."""

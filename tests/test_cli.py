@@ -113,6 +113,20 @@ def test_verify_quick(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_out_records_each_check_time(tmp_path, capsys):
+    """Each result of ``verify --out`` carries its check's elapsed seconds;
+    stdout stays the lines a run without --out prints."""
+    path = tmp_path / "verify.json"
+    code, out = run_cli(["verify", "--quick", "--out", str(path)], capsys)
+    assert code == 0
+    assert out == run_cli(["verify", "--quick"], capsys)[1]
+    results = json.loads(path.read_text())["results"]
+    assert [r["check"] for r in results] == [line.split()[1] for line in out.splitlines()]
+    for r in results:
+        assert set(r) == {"check", "ok", "detail", "elapsed_s"}
+        assert type(r["elapsed_s"]) is float and r["elapsed_s"] >= 0
+
+
 def exit_code(args) -> int:
     """``main``'s exit code, returned by a runner or raised by argparse."""
     try:
@@ -314,18 +328,28 @@ def test_probes_answer_promptly(args, want):
     (["algdeg", "--n", "1000000000"], 3),
     (["algdeg", "--n", "99999999999999999999999999"], 3),
     (["density", "--R", "1e999999999"], 2),
+    (["boxcount", "--field", "quad", "--d", "5", "--R", "1e4300"], 3),
+    (["boxcount", "--field", "q", "--R", "1e4300"], 3),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
 def test_argument_escapes_exit_2_or_3(args, want):
     """Argument sets that used to exit 1 with a traceback (a zero
     denominator in a verb's own parsing, argparse before 3.13 reading
     ``--flag=--`` as []), to form 2^n before the degree cap (8 s at
-    n = 10^9, no answer at 10^26) or to build 10^999999999 from a height's
-    exponent, in a new interpreter.  (The last is pinned here only: a
-    regression would hang the in-process fuzz test rather than fail it.)"""
+    n = 10^9, no answer at 10^26), to build 10^999999999 from a height's
+    exponent, or to exit 2 where qbox's cap refused a box of more cells
+    than ``str`` converts (4300 digits), in a new interpreter.  (The
+    10^999999999 row is pinned here only: a regression would hang the
+    in-process fuzz test rather than fail it.)"""
     start = time.perf_counter()
     code, out, err = _fresh_run(args, timeout=5)
     assert time.perf_counter() - start < 5.0
     assert (code, out) == (want, "") and "Traceback" not in err
+
+
+def test_cap_message_names_a_huge_count_by_its_power_of_two(capsys):
+    assert main(["boxcount", "--field", "q", "--R", "1e4300"]) == 3
+    err = capsys.readouterr().err
+    assert "box difference of at least 2^28567 cells exceeds the cap" in err
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "directory"])

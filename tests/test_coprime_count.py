@@ -6,6 +6,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    brute_count_recursive,
     coprime_count_table,
     mobius,
     mobius_table,
@@ -25,6 +27,7 @@ from trisectlab import coprime_count
 from trisectlab.cli import main as cli_main
 from trisectlab.coprime_count import (
     Box,
+    _brute_grid,
     _mobius_sieve,
     brute_count,
     eccentricity,
@@ -129,6 +132,46 @@ def test_brute_examples_and_cap():
     assert brute_count(Box((4, 4))) == 11
     with pytest.raises(CapExceeded):
         brute_count(Box((10 ** 5, 10 ** 5)))
+
+
+@settings(max_examples=150, deadline=None)
+@example(floors=(0,), blocks=7)
+@example(floors=(1,), blocks=1)
+@example(floors=(12, 0, 5), blocks=3)
+@example(floors=(14, 14, 14, 14), blocks=50)
+@given(floors=st.lists(st.integers(0, 14), min_size=1, max_size=4).map(tuple),
+       blocks=st.integers(1, 50))
+def test_brute_grid_matches_recursive_oracle(floors, blocks):
+    """The gcd grid against the recursion over running gcds, for k = 1..4,
+    zero floors (no tuples) among them, split into up to 50 blocks."""
+    block = max(1, -(-math.prod(floors) // blocks))
+    with mock.patch.object(coprime_count, "BRUTE_BLOCK", block):
+        assert _brute_grid(floors) == brute_count_recursive(floors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sides=st.lists(st.fractions(min_value=1, max_value=18, max_denominator=10),
+                      min_size=2, max_size=4).map(tuple))
+def test_brute_count_floors_fractional_sides(sides):
+    box = Box(sides)
+    assert brute_count(box) == brute_count_recursive(box.floors())
+
+
+def test_brute_cap_refuses_before_building_arrays(monkeypatch):
+    """The volume cap is checked on the floors, before any array: with
+    ``np.arange`` refused, a box past the cap still gets ``CapExceeded``.
+    A volume of more than 4300 digits is named by its power of two."""
+    monkeypatch.setattr(coprime_count, "BRUTE_MAX_VOLUME", 99)
+    assert brute_count(Box((9, 11))) == brute_count_recursive((9, 11))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an array was built")
+
+    monkeypatch.setattr(np, "arange", refuse)
+    with pytest.raises(CapExceeded, match="volume 100 exceeds cap 99"):
+        brute_count(Box((10, 10)))
+    with pytest.raises(CapExceeded, match=r"volume at least 2\^19931 exceeds"):
+        brute_count(Box((10 ** 3000, 10 ** 3000)))
 
 
 def test_real_sided_agreement_random():

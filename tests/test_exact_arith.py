@@ -1,6 +1,7 @@
 """Canonical forms, exact comparisons, and heights."""
 
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import pytest
@@ -182,6 +183,45 @@ def test_in_interval_examples():
     assert in_interval(canonicalize(1, -1, 2, 5), -2, 2)
     assert in_interval(Fraction(3, 2), -2, 2)
     assert not in_interval(canonicalize(2, 1, 1, 5), -2, 2)
+
+
+_rationals = st.one_of(
+    st.integers(-60, 60),
+    st.builds(Fraction, st.integers(-600, 600), st.integers(1, 40)),
+)
+
+
+def _enclosure(x: QuadElem) -> tuple[Fraction, Fraction]:
+    """Fractions strictly around an irrational x, from r/N < sqrt(d) < (r + 1)/N."""
+    N = 10 ** 40
+    r = isqrt(x.d * N * N)
+    return tuple(sorted(Fraction(x.a1 * N + x.a2 * s, x.b * N) for s in (r, r + 1)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=st.one_of(_rationals, coords.map(lambda c: canonicalize(*c))),
+       lo=_rationals, hi=_rationals, pin=st.sampled_from((None, "lo", "hi", "both")))
+def test_in_interval_matches_fraction_comparison(x, lo, hi, pin):
+    """The integer cross-multiplication (and, for QuadElems, the sign test)
+    against plain Fraction comparison, over ints, Fractions and QuadElems
+    with int and Fraction endpoints.  ``pin`` puts a rational x on an
+    endpoint, in x's own type (a rational QuadElem as its Fraction)."""
+    value = x
+    if isinstance(x, QuadElem) and x.a2 == 0:
+        value = Fraction(x.a1, x.b)
+        value = value.numerator if value.denominator == 1 else value
+    if pin and not isinstance(value, QuadElem):
+        lo = value if pin in ("lo", "both") else lo
+        hi = value if pin in ("hi", "both") else hi
+    got = in_interval(x, lo, hi)
+    if isinstance(value, QuadElem):
+        below, above = _enclosure(value)
+        assert not below <= lo <= above and not below <= hi <= above
+        assert got is (lo < below and above < hi)
+    else:
+        assert got is (Fraction(lo) <= Fraction(value) <= Fraction(hi))
+        if pin:
+            assert got is (Fraction(lo) <= Fraction(hi))
 
 
 def test_cmp_against_interval_arithmetic():

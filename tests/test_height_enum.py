@@ -37,6 +37,7 @@ from trisectlab.height_enum import (
     count_ball,
     count_ball_interval,
     count_ball_intervals,
+    count_elements,
     enumerate_ball,
     enumerate_ball_interval,
     qbox,
@@ -146,6 +147,113 @@ def test_stream_refuses_non_canonical_block(monkeypatch, scale, error):
         list(enumerate_ball(ball))
     with pytest.raises(error):
         list(enumerate_ball_interval(ball, -2, 2))
+
+
+def test_rational_stream_refuses_non_canonical_block(monkeypatch):
+    """Over Q the per-block check runs too, where Fraction(2a, 2b) would
+    silently reduce to a repeated element."""
+    expand = height_enum._expand_rows
+
+    def spoiled(*rows):
+        b, a1, a = (v.copy() for v in expand(*rows))
+        b[-1], a[-1] = 2 * b[-1], 2 * a[-1]
+        return b, a1, a
+
+    monkeypatch.setattr(height_enum, "_expand_rows", spoiled)
+    with pytest.raises(ValueError, match="non-canonical"):
+        list(enumerate_ball(HeightBall(RATIONAL_FIELD, 4)))
+
+
+@pytest.mark.parametrize("field", [RATIONAL_FIELD, quadratic_field(2), quadratic_field(7)])
+def test_count_elements_matches_formulas_and_stream(field, monkeypatch):
+    """The kernel's checked block count equals the closed-form counts and
+    the reference stream's length, over blocks of one row each, so the
+    order check runs across every block boundary."""
+    monkeypatch.setattr(height_enum, "BLOCK_CELLS", 23)
+    ball = HeightBall(field, 11)
+    assert count_elements(ball) == count_ball(ball) == sum(1 for _ in ball_stream(ball))
+    for lo, hi in ((-2, 2), (Fraction(-1, 2), Fraction(5, 3)), (0, 1), (1, 1), (3, 40)):
+        want = sum(1 for _ in ball_stream(ball, Fraction(lo), Fraction(hi)))
+        assert count_elements(ball, lo, hi) == count_ball_interval(ball, lo, hi) == want
+
+
+def _spoil_first_block(monkeypatch, fault, intervals_only=False, height_bound=None):
+    """Run ``fault`` on the first block (b, a1, a) of every kernel stream:
+    of the interval streams only, if asked, and of the balls of one height
+    bound only, if one is given."""
+    blocks = height_enum.element_blocks
+
+    def spoiled(ball, lo=None, hi=None, denominators=None):
+        chosen = ((lo is not None or not intervals_only)
+                  and height_bound in (None, ball.R))
+        for i, block in enumerate(blocks(ball, lo, hi, denominators)):
+            yield fault(*(v.copy() for v in block)) if chosen and i == 0 else block
+
+    monkeypatch.setattr(height_enum, "element_blocks", spoiled)
+
+
+def _dropped(b, a1, a):
+    return b[1:], a1[1:], a[1:]
+
+
+def _repeated(b, a1, a):  # the first element twice
+    return tuple(np.concatenate((v[:1], v)) for v in (b, a1, a))
+
+
+def _non_canonical(b, a1, a):  # every triple times 2, in order
+    return 2 * b, 2 * a1, 2 * a
+
+
+def _first_below(b, a1, a):  # the first element, one step down its row
+    a[0] -= 1
+    return b, a1, a
+
+
+# (fault, interval streams only): what the kernel faults spoil.  The first
+# element of an interval stream one step down its row is canonical (b = 1),
+# in order and in the ball, and outside [-2, 2]; of a whole ball, it is
+# below -floor(R), outside the ball.
+KERNEL_FAULTS = {
+    "dropped": (_dropped, False),
+    "added": (_repeated, False),
+    "non-canonical": (_non_canonical, False),
+    "outside-ball": (_first_below, False),
+    "outside-interval": (_first_below, True),
+}
+
+
+@pytest.mark.parametrize("field", [RATIONAL_FIELD, quadratic_field(2), quadratic_field(5)],
+                         ids=["Q", "Q(sqrt2)", "Q(sqrt5)"])
+@pytest.mark.parametrize("fault, error, match", [
+    ("dropped", None, None),
+    ("added", AssertionError, "order or repeated"),
+    ("non-canonical", ValueError, "non-canonical"),
+    ("outside-ball", AssertionError, r"outside B\(12\)"),
+    ("outside-interval", AssertionError, r"outside \[-2, 2\]"),
+], ids=list(KERNEL_FAULTS))
+def test_count_elements_catches_kernel_faults(field, fault, error, match, monkeypatch):
+    """A dropped element changes the count; every other fault raises at
+    its own check."""
+    fault, interval = KERNEL_FAULTS[fault]
+    _spoil_first_block(monkeypatch, fault, intervals_only=interval)
+    ball = HeightBall(field, 12)
+    lo, hi = (-2, 2) if interval else (None, None)
+    if error is None:
+        assert count_elements(ball, lo, hi) == count_ball(ball) - 1
+    else:
+        with pytest.raises(error, match=match):
+            count_elements(ball, lo, hi)
+
+
+@pytest.mark.parametrize("fault", KERNEL_FAULTS)
+def test_verify_fails_ball_counts_under_kernel_faults(fault, capsys, monkeypatch):
+    """verify --quick reports FAIL ball-counts, and exits 1, under each
+    fault of the kernel on the balls only that check counts (height 12).
+    The count-preserving faults are caught by the block checks alone."""
+    _spoil_first_block(monkeypatch, *KERNEL_FAULTS[fault], height_bound=12)
+    assert main(["verify", "--quick"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines if line.startswith("FAIL")] == ["ball-counts"]
 
 
 @pytest.mark.parametrize("field", [RATIONAL_FIELD, quadratic_field(2), quadratic_field(7)])
@@ -415,6 +523,9 @@ def test_interval_validation_and_caps(monkeypatch):
         list(enumerate_ball(HeightBall(RATIONAL_FIELD, 100)))
     with pytest.raises(CapExceeded):
         list(enumerate_ball_interval(HeightBall(RATIONAL_FIELD, 100), -2, 2))
+    # endpoints of more digits than str converts stay out of the message
+    with pytest.raises(CapExceeded, match="interval count of B"):
+        next(enumerate_ball_interval(HeightBall(RATIONAL_FIELD, 100), -10 ** 5000, 10 ** 5000))
 
 
 def test_asymptotic_count_ratio():
