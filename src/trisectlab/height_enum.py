@@ -253,12 +253,13 @@ def _nonnegative(x: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:
 
 def _in_interval(x1: np.ndarray, x2: np.ndarray, b: np.ndarray, d: int,
                  lo: Fraction, hi: Fraction) -> np.ndarray:
-    """Elementwise lo <= (x1 + x2*sqrt(d))/b <= hi, exactly, for any d >= 1
-    (Q runs as d = 1): with p/q an endpoint, (x1 + x2*sqrt(d))/b >= p/q
-    when (q*x1 - p*b) + q*x2*sqrt(d) >= 0, as in
+    """Elementwise lo <= (x1 + x2*sqrt(d))/b <= hi, exactly (Q runs as
+    d = 1 with x1 or x2 zero): with p/q an endpoint, (x1 + x2*sqrt(d))/b
+    >= p/q when (q*x1 - p*b) + q*x2*sqrt(d) >= 0, as in
     :func:`exact_arith.in_interval`.  With F the largest |coordinate|, each
-    square is at most (|p| + q)^2 * F^2 * d, within the kernel's clip
-    domain of 2^62, and their sum stays below 2^63."""
+    term of :func:`_nonnegative` is at most (|p| + q)^2 * F^2 * d, within
+    the kernel's clip domain of 2^62, and the two sum below 2^63 (d >= 2,
+    or one of them is 0)."""
     p, q = lo.numerator, lo.denominator
     above = _nonnegative(q * x1 - p * b, q * x2, d)
     p, q = hi.numerator, hi.denominator
