@@ -35,7 +35,6 @@ from .errors import (
     CapExceeded,
     GcdBoundViolated,
     WorkbenchError,
-    ZeroDenominator,
 )
 from .exact_arith import (
     RATIONAL_FIELD,
@@ -228,11 +227,13 @@ def _run_algdeg(args) -> int:
     return 0 if ok else 1
 
 
-def _verify_checks(seed: int, quick: bool):
-    """Cross-module invariant sweeps; yields (name, ok, detail)."""
-    rng = random.Random(seed)
+# The checks of ``verify``: each takes the run's random source and the
+# --quick flag and returns (ok, detail); detail, when not None, is printed
+# in parentheses.
 
-    # canonical uniqueness and field laws on random elements
+
+def _check_field_laws(rng: random.Random, quick: bool):
+    """Canonical uniqueness and field laws on random elements."""
     def random_elem(d):
         a1, a2 = rng.randint(-30, 30), rng.randint(-30, 30)
         return canonicalize(a1, a2, rng.randint(1, 30), d)
@@ -248,9 +249,11 @@ def _verify_checks(seed: int, quick: bool):
             ok = ok and (x * x.invert() == QuadElem.from_rational(1, d))
         t = rng.randint(2, 9)
         ok = ok and canonicalize(t * x.a1, t * x.a2, t * x.b, d) == x
-    yield "field-laws", ok, None
+    return ok, None
 
-    # sieve vs brute on random boxes
+
+def _check_sieve_vs_brute(rng: random.Random, quick: bool):
+    """Sieve against brute force on random boxes."""
     ok = True
     for _ in range(20 if quick else 60):
         k = rng.choice((2, 3))
@@ -259,32 +262,34 @@ def _verify_checks(seed: int, quick: bool):
         count = coprime_count.sieve_count(box)
         ok = ok and count == coprime_count.brute_count(box)
         ok = ok and count == coprime_count.sieve_count(Box(box.floors()))
-    yield "sieve-vs-brute", ok, None
+    return ok, None
 
-    # ball counting formulas vs the kernel's checked blocks
-    try:
-        ok = True
-        for field in (RATIONAL_FIELD, quadratic_field(2), quadratic_field(5)):
-            ball = HeightBall(field, 12 if quick else 20)
-            ok = ok and count_ball(ball) == height_enum.count_elements(ball)
-            ok = ok and count_ball_interval(ball, -2, 2) == height_enum.count_elements(ball, -2, 2)
-        yield "ball-counts", ok, None
-    except (AssertionError, ValueError, ZeroDenominator) as exc:
-        yield "ball-counts", False, str(exc)
 
-    # box-pair membership
+def _check_ball_counts(rng: random.Random, quick: bool):
+    """Ball counting formulas against the kernel's checked blocks."""
+    ok = True
+    for field in (RATIONAL_FIELD, quadratic_field(2), quadratic_field(5)):
+        ball = HeightBall(field, 12 if quick else 20)
+        ok = ok and count_ball(ball) == height_enum.count_elements(ball)
+        ok = ok and count_ball_interval(ball, -2, 2) == height_enum.count_elements(ball, -2, 2)
+    return ok, None
+
+
+def _check_qbox_membership(rng: random.Random, quick: bool):
+    """Box-pair membership."""
     report = height_enum.qbox(QBoxSpec(RATIONAL_FIELD, 60 if quick else 120))
-    yield "qbox-membership", report["membership_violations"] == 0, report["count"]
+    return report["membership_violations"] == 0, report["count"]
 
-    # gcd bound sweep
-    try:
-        for d in (2, 3, 5, 6, 7):
-            gcd_bound_sweep(d, 40 if quick else 80)
-        yield "gcd-bound", True, None
-    except GcdBoundViolated as exc:
-        yield "gcd-bound", False, str(exc)
 
-    # rational fast path vs the forward-image oracle
+def _check_gcd_bound(rng: random.Random, quick: bool):
+    """The image gcd divides 8d; a violation raises ``GcdBoundViolated``."""
+    for d in (2, 3, 5, 6, 7):
+        gcd_bound_sweep(d, 40 if quick else 80)
+    return True, None
+
+
+def _check_fast_path(rng: random.Random, quick: bool):
+    """The rational fast path against the forward-image oracle."""
     H = 30 if quick else 60
     S = int(preimage_bound(RATIONAL_FIELD, H))
     images = set()
@@ -295,58 +300,77 @@ def _verify_checks(seed: int, quick: bool):
     ok = True
     for x in height_enum.enumerate_ball_interval(HeightBall(RATIONAL_FIELD, H), -2, 2):
         ok = ok and decide_trisection(x).member == (x in images)
-    yield "fast-path-vs-search", ok, len(images)
+    return ok, len(images)
 
-    # certificates re-verify
+
+def _check_certificates(rng: random.Random, quick: bool):
+    """Certificates re-verify."""
     ok = square_family_check(40 if quick else 100)["certificate"].verify()
     a, b = yates_certificate(7)
     ok = ok and Certificate("yates-bezout", {"k": 7, "a": a, "b": b}).verify()
     ok = ok and trisect_core.nonconstructible_witness(5, 2).verify()
     ok = ok and trisect_core.nonsectability_cert(3, 3, 4).verify()
     ok = ok and trisect_core.nonsectability_cert(5, 5, 7).verify()
-    yield "certificates", ok, None
+    return ok, None
 
-    # multiple-angle polynomial structure and the trisection bridge
+
+def _check_psection_structure(rng: random.Random, quick: bool):
+    """Multiple-angle polynomial structure and the trisection bridge."""
     from .polyalg import IntPoly
 
     ok = all(nsect.verify_structure(nsect.psection_poly(p))["ok"]
              for p in (3, 5, 7, 11, 13))
     ok = ok and nsect.psection_poly(3).coeffs * 2 == IntPoly((0, -6, 0, 8))
-    yield "psection-structure", ok, None
+    return ok, None
 
-    # tower and identity suite
+
+def _check_tower_identities(rng: random.Random, quick: bool):
+    """Tower and identity suite."""
     suite = algdeg.identity_suite(4 if quick else 8)
     ok = suite["ok"] and all(algdeg.tower_checks(n)["ok"] for n in range(1, 4 if quick else 6))
-    yield "tower-identities", ok, suite["max_width"]
+    return ok, suite["max_width"]
 
-    # basis-change heights stay commensurate
+
+def _check_commensurability(rng: random.Random, quick: bool):
+    """Basis-change heights stay commensurate."""
     w1 = canonicalize(1, 0, 1, 2)
     w2 = canonicalize(1, 1, 1, 2)
     factor, fits = verify_commensurability(2, (w1, w2), 8 if quick else 15)
-    yield "height-commensurability", fits and factor <= 2, factor
+    return fits and factor <= 2, factor
 
 
-def _timed(checks):
-    """Each (name, ok, detail) of ``checks`` with the seconds spent
-    producing it appended."""
-    start = time.perf_counter()
-    for check in checks:
-        yield *check, time.perf_counter() - start
-        start = time.perf_counter()
+VERIFY_CHECKS = (
+    ("field-laws", _check_field_laws),
+    ("sieve-vs-brute", _check_sieve_vs_brute),
+    ("ball-counts", _check_ball_counts),
+    ("qbox-membership", _check_qbox_membership),
+    ("gcd-bound", _check_gcd_bound),
+    ("fast-path-vs-search", _check_fast_path),
+    ("certificates", _check_certificates),
+    ("psection-structure", _check_psection_structure),
+    ("tower-identities", _check_tower_identities),
+    ("height-commensurability", _check_commensurability),
+)
 
 
 def _run_verify(args) -> int:
-    failures = 0
+    """Run every check of ``VERIFY_CHECKS`` in order with one random source.
+    A check that raises a workbench, value, arithmetic or assertion error
+    fails with the error as its detail, and the run goes on."""
+    rng = random.Random(args.seed)
     results = []
-    for name, ok, detail, elapsed in _timed(_verify_checks(args.seed, args.quick)):
+    for name, check in VERIFY_CHECKS:
+        start = time.perf_counter()
+        try:
+            ok, detail = check(rng, args.quick)
+        except (WorkbenchError, ValueError, ArithmeticError, AssertionError) as exc:
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
+        elapsed = time.perf_counter() - start
         results.append({"check": name, "ok": bool(ok), "detail": detail, "elapsed_s": elapsed})
-        line = f"{'ok' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail is not None else "")
-        print(line)
-        if not ok:
-            failures += 1
+        print(f"{'ok' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail is not None else ""))
     if args.out:
         _atomic_write(args.out, json.dumps({"results": results}, sort_keys=True, indent=2) + "\n")
-    return 1 if failures else 0
+    return 0 if all(r["ok"] for r in results) else 1
 
 
 def _decide_flags(p):

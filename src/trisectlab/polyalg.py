@@ -29,7 +29,7 @@ from math import gcd, isqrt
 from .errors import BadParameters, CapExceeded, NotPrime
 
 
-def _primes_below(n: int) -> tuple[int, ...]:
+def primes_below(n: int) -> tuple[int, ...]:
     """The primes below n, by the sieve of Eratosthenes."""
     sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
     for p in range(2, isqrt(n - 1) + 1):
@@ -39,7 +39,7 @@ def _primes_below(n: int) -> tuple[int, ...]:
 
 
 # The primes below 2^10: trial division by them decides every n < 2^20.
-SMALL_PRIMES = _primes_below(1 << 10)
+SMALL_PRIMES = primes_below(1 << 10)
 _SMALL_PRIME_SET = frozenset(SMALL_PRIMES)
 # (psi, k): Miller-Rabin to the first k primes as bases is exact below psi
 # (Jaeschke 1993; Sorenson and Webster 2015 for k = 12).

@@ -11,8 +11,9 @@ grows with the number of digits of a, not with its height.  The density
 experiment measures how quickly the accepted fraction of a height ball
 decays as the height bound grows; it runs on int64 arrays, block by block
 through the row-block kernel of ``height_enum`` and the array image map
-:func:`_images`.  The image-gcd sweep tabulates residues mod b instead
-(:func:`gcd_bound_sweep`).
+:func:`_images`.  The image-gcd sweep takes no gcd over elements: it
+multiplies capped per-prime residue tables, one gather per residue
+signature of b (:func:`gcd_bound_sweep`).
 
 This module also owns every certificate kind: Eisenstein refusals of
 a = 3r/s, Yates Bezout pairs, the square-family check, odd-degree
@@ -45,10 +46,10 @@ from .exact_arith import (
     quadratic_field,
     sign_lin,
 )
-from .height_enum import (BLOCK_CELLS, HeightBall, check_int64, count_ball_intervals,
+from .height_enum import (BLOCK_CELLS, HeightBall, check_int64, count_ball, count_ball_intervals,
                           element_blocks, is_square)
 from .nsect import psection_poly
-from .polyalg import (IntPoly, RatPoly, divisors, eisenstein_check, is_prime,
+from .polyalg import (IntPoly, RatPoly, divisors, eisenstein_check, is_prime, primes_below,
                       resultant_minpoly, squarefree_over_q)
 
 F_CUBIC = RatPoly((0, -3, 0, 1))  # y^3 - 3y
@@ -787,49 +788,114 @@ def _verify_psection(data: dict) -> bool:
     )
 
 
+def _table_primes(F: int, d: int) -> list[int]:
+    """The primes q <= F whose q x q table at b = 0 mod q marks a class
+    (x1, x2) mod q other than (0, 0) with q | A1 and q | A2: one ragged
+    scan of the tables of every prime at once."""
+    primes = np.array(primes_below(F + 1), dtype=np.int64)
+    sizes = primes * primes
+    q = np.repeat(primes, sizes)
+    cell = np.arange(len(q), dtype=np.int64) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    A1, A2 = _image_coords(cell // q, cell % q, 0, d)
+    return np.unique(q[(cell > 0) & (A1 % q == 0) & (A2 % q == 0)]).tolist()
+
+
+def _capped_table(q: int, d: int, F: int) -> tuple[int, np.ndarray]:
+    """m = q^e with e = v_q(8d) + 1, and the capped table C of q on the grid
+    [-F, F]^2 at b <= F: C[j, s, i] = q^min(v_q(A1), v_q(A2), 3*v_q(b), e)
+    = gcd(A1, A2, b^3, m) at b = q*(j + 1), x1 = s - F and x2 = i - F, or 1
+    where q divides both x1 and x2.  The entry is a function of
+    (b, x1, x2) mod m, since A1 and A2 are integer polynomials and gcd(X, m)
+    is fixed by X mod m; so slice j serves every b = q*(j + 1) mod m, grid
+    row x1 = r - F reads s = r mod m, and the columns are taken on the
+    residues and then spread over the grid.  A slice holds
+    min(m, 2F + 1) * (2F + 1) cells, and there are min(m, F)/q of them:
+    m is at most 32 for q = 2, q^2 for an odd q | d and q otherwise.
+    Every representative lies in the grid, whose int64 domain covers it."""
+    e = 1
+    while 8 * d % q ** e == 0:
+        e += 1
+    m = q ** e
+    b = q * np.arange(1, min(m, F) // q + 1, dtype=np.int64)[:, None, None]
+    x = np.arange(min(m, 2 * F + 1), dtype=np.int64) - F
+    A1, A2 = _image_coords(x[:, None], x, b, d)
+    g = np.gcd(np.arange(m), m)  # g[r] = gcd(r, m): the divisors of m are a chain
+    table = np.minimum(np.minimum(g[A1 % m], g[A2 % m]), g[b ** 3 % m])
+    both = x % q == 0
+    table[:, both[:, None] & both] = 1
+    return m, table[:, :, np.arange(2 * F + 1) % m]
+
+
 def gcd_bound_sweep(d: int, height_bound: int) -> dict:
-    """Check G | 8d on every canonical element of Q(sqrt(d)) of height <= F,
-    the bound: return counts, or raise ``GcdBoundViolated`` at the first
-    violator in (b, a1, a2) order (``CapExceeded`` past the int64 domain).
-    A1, A2 are integer polynomials in (x1, x2, b), so for fixed b
-    canonicity and g0 = gcd(b, A1, A2) depend only on (x1, x2) mod b: a
-    table over residue pairs, in chunks of at most ``BLOCK_CELLS`` cells,
-    counts canonical classes weighted by #{x in [-F, F] : x = r mod b}.
-    Every prime of G = gcd(A1, A2, b^3) divides g0, so G = 1 where g0 = 1;
-    where g0 > 1 (14% of the ball) G = gcd(g0^3, A1, A2) from each element,
-    in slices of at most ``BLOCK_CELLS // (2F + 1)`` x1.  Chunks are not in
-    x1 order, so each b reports its least violator."""
+    """Check G | 8d, G = gcd(A1, A2, b^3), on every canonical element of
+    Q(sqrt(d)) of height <= F, the bound: return counts, or raise
+    ``GcdBoundViolated`` at the first violator in (b, a1, a2) order
+    (``CapExceeded`` past the int64 domain).  It takes no gcd and forms no
+    image of any element.
+
+    Which primes can divide G: every prime q of G divides b, so q <= F,
+    and q | A1, q | A2 on a class (x1, x2) mod q other than (0, 0), since
+    the element is canonical; A1 and A2 mod q depend only on the residues,
+    so q is a table prime of :func:`_table_primes`.  The scan is empirical:
+    a prime outside 2d that divides G is caught as well.
+
+    Capped tables: with C_q of :func:`_capped_table`, let
+    Ĝ = prod C_q over the table primes q | b.  At a canonical element
+    q never divides both x1 and x2 when q | b, so C_q = q^min(g_q, e_q) with
+    q^g_q the q-part of G, and q^g_q divides 8d iff g_q < e_q iff
+    min(g_q, e_q) < e_q.  Hence Ĝ divides 8d exactly when G does, and then
+    Ĝ = G, so the maximum is exact.
+
+    One gather per signature: over the grid [-F, F]^2, Ĝ depends on b only
+    through its signature, the slices (q, b mod m_q) of the table primes
+    q | b, less the slices that are 1 everywhere.  The walk goes up b and
+    gathers the product only at the first b of each signature, in row
+    chunks of at most ``BLOCK_CELLS`` cells (or one row), so the first
+    violating cell at the first such b is the least violator of the grid.
+
+    No canonical filter: A1 and A2 are homogeneous cubics, so at t*v, v
+    canonical and t > 1, C_q is 1 for q | t and C_q(v) for the other q, and
+    Ĝ(t*v) divides Ĝ(v).  Non-canonical points never raise the maximum,
+    and a non-canonical violator has a canonical one, v, at a smaller b;
+    the least violator of the grid is canonical.
+    """
     check_int64((4 + 3 * d) * height_bound ** 3, f"image of B({height_bound})")
-    F = HeightBall(quadratic_field(d), height_bound).bound
-    xs = np.arange(-F, F + 1, dtype=np.int64)
-    per_slice = max(1, BLOCK_CELLS // len(xs))
-    checked, worst = 0, 1
+    ball = HeightBall(quadratic_field(d), height_bound)
+    F = ball.bound
+    width = 2 * F + 1
+    rows = max(1, BLOCK_CELLS // width)
+    moduli, slices, capped = [], {}, set()
+    for q in _table_primes(F, d):
+        m, table = _capped_table(q, d, F)
+        moduli.append((q, m))
+        lookup = np.arange(width, dtype=np.int64) % m
+        for j, C in enumerate(table):
+            top = C.max()
+            if top > 1:
+                slices[q, j] = lookup, C
+            if top == m:
+                capped.add((q, j))
+    seen, worst = set(), 1
     for b in range(1, F + 1):
-        cols, res = xs % b, np.arange(b, dtype=np.int64)
-        mult, divs = np.bincount(cols, minlength=b), np.gcd(res, b)  # divs[r] = gcd(r, b)
-        rows, found = max(1, BLOCK_CELLS // b), []
-        for s in range(0, b, rows):
-            canon = divs[np.gcd(res[s : s + rows, None], res)] == 1
-            checked += int(mult[s : s + rows] @ (canon @ mult))
-            A1, A2 = _image_coords(res[s : s + rows, None], res, b, d)
-            g0 = np.where(canon, divs[np.gcd(A1 % b, A2 % b)], 1)
-            # indices into xs, ascending, of the x1 whose residue row has a class with g0 > 1
-            at = np.flatnonzero((cols >= s) & (cols < s + rows))
-            at = at[(g0 > 1).any(axis=1)[cols[at] - s]]
-            for i in range(0, len(at), per_slice):
-                g = np.take(g0[cols[at[i : i + per_slice]] - s], cols, axis=1).ravel()
-                cell = np.flatnonzero(g > 1)
-                x1, x2 = xs[at[i + cell // len(xs)]], xs[cell % len(xs)]
-                A1, A2 = _image_coords(x1, x2, b, d)
-                G = np.gcd(np.gcd(g[cell] ** 3, A1), A2)
-                worst = max(worst, int(G.max(initial=1)))
-                bad = np.flatnonzero((8 * d) % G)
-                if bad.size:  # later slices of this chunk hold larger x1
-                    found.append((int(x1[bad[0]]), int(x2[bad[0]])))
-                    break
-        if found:
-            raise GcdBoundViolated(f"G | 8d fails at {QuadElem(*min(found), b, d)}")
-    return {"d": d, "height_bound": height_bound, "elements_checked": checked, "max_gcd": worst}
+        key = [(q, (b // q - 1) % (m // q)) for q, m in moduli if b % q == 0]
+        key = tuple(k for k in key if k in slices)
+        if not key or key in seen:
+            continue
+        seen.add(key)
+        for s in range(0, width, rows):
+            G = 1
+            for lookup, C in map(slices.get, key):
+                G = G * C[lookup[s : s + rows]]
+            worst = max(worst, int(G.max()))
+            if capped.isdisjoint(key):  # no factor reaches its cap: G | 8d
+                continue
+            bad = np.flatnonzero(8 * d % G)
+            if bad.size:
+                i = s * width + int(bad[0])
+                raise GcdBoundViolated(
+                    f"G | 8d fails at {QuadElem(i // width - F, i % width - F, b, d)}")
+    return {"d": d, "height_bound": height_bound, "elements_checked": count_ball(ball),
+            "max_gcd": worst}
 
 
 # The one table of certificate kinds: kind -> (exact key set of the data,

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trisectlab import cli
 from trisectlab.cli import VERBS, main, verb_parser
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -125,6 +126,39 @@ def test_verify_out_records_each_check_time(tmp_path, capsys):
     for r in results:
         assert set(r) == {"check", "ok", "detail", "elapsed_s"}
         assert type(r["elapsed_s"]) is float and r["elapsed_s"] >= 0
+
+
+VERIFY_NAMES = ["field-laws", "sieve-vs-brute", "ball-counts", "qbox-membership", "gcd-bound",
+                "fast-path-vs-search", "certificates", "psection-structure",
+                "tower-identities", "height-commensurability"]
+
+
+def test_verify_full(capsys):
+    """``verify`` without --quick: the same ten checks as --quick, all ok."""
+    code, out = run_cli(["verify"], capsys)
+    assert code == 0
+    lines = [line.split() for line in out.splitlines()]
+    assert [line[1] for line in lines] == VERIFY_NAMES
+    assert all(line[0] == "ok" for line in lines)
+
+
+def test_verify_check_that_raises_fails_alone(tmp_path, capsys, monkeypatch):
+    """A check that raises prints FAIL with the error and the run goes on:
+    every other check still runs and passes, --out records ok false, and
+    the exit code is 1."""
+    def boom(d, height_bound):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "gcd_bound_sweep", boom)
+    path = tmp_path / "verify.json"
+    code, out = run_cli(["verify", "--quick", "-o", str(path)], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert [line.split()[1] for line in lines] == VERIFY_NAMES
+    assert [line for line in lines if not line.startswith("ok")] == [
+        "FAIL  gcd-bound  (ValueError: boom)"]
+    results = json.loads(path.read_text())["results"]
+    assert [r["check"] for r in results if not r["ok"]] == ["gcd-bound"]
 
 
 def exit_code(args) -> int:

@@ -150,11 +150,11 @@ def test_gcd_bound_sweep_counts_every_canonical_element(d):
 
 @pytest.mark.parametrize("cells", (trisect_core.BLOCK_CELLS, 5))
 @settings(max_examples=40, deadline=None)
-@given(d=st.sampled_from((2, 3, 5, 6, 7, 30)), H=st.integers(1, 25))
+@given(d=st.sampled_from((2, 3, 5, 6, 7, 30, 10, 15, 21)), H=st.integers(1, 25))
 def test_gcd_bound_sweep_matches_block_reference(cells, d, H):
-    """The residue-table sweep against every element through ``_images``;
-    at 5 cells every b > 5 takes several table chunks and every x1 its
-    own slice."""
+    """The capped-table sweep against every element through ``_images``;
+    d = 10, 15, 21 and 30 give signatures of two and three table primes,
+    and at 5 cells every row x1 of the grid is its own chunk."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trisect_core, "BLOCK_CELLS", cells)
         assert gcd_bound_sweep(d, H) == gcd_bound_sweep_blocks(d, H)
@@ -168,8 +168,8 @@ def test_gcd_bound_sweep_reports_first_violator(monkeypatch, cells, d, c):
     all of b = 3; times x1 - c they give G a power of 3 only on some
     classes mod 9, and at height 4 with c = 4 (for 3 | d) only at the last
     x1, 4.  Sweep and reference name the same first violator; at 2 cells
-    b = 3 takes three chunks, one per residue of x1, and each x1 its own
-    slice, and (-25, -25) at b = 3 lies in the last chunk."""
+    every row x1 of the grid is its own chunk, so (-25, -25) at b = 3 lies
+    in the first chunk and the c = 4 violator in the last."""
     coords = trisect_core._image_coords
     monkeypatch.setattr(trisect_core, "_image_coords", lambda x1, x2, b, d: tuple(
         (9 if c is None else x1 - c) * A for A in coords(x1, x2, b, d)))
@@ -193,6 +193,42 @@ def test_image_arrays_match_raw_image(d):
         want = [list(astuple(raw_image(QuadElem(x1, x2, y, d))))
                 for x1, x2, y in zip(a1.tolist(), a2.tolist(), b.tolist())]
         assert got == want
+
+
+def _capped_valuation(n: int, q: int, e: int) -> int:
+    """min(v_q(n), e) over Python ints; v_q(0) is infinite."""
+    v = 0
+    while v < e and n % q ** (v + 1) == 0:
+        v += 1
+    return v
+
+
+@pytest.mark.parametrize("d", (2, 3, 5, 6, 7, 10, 15, 17, 21, 30))
+@settings(max_examples=12, deadline=None)
+@given(q=st.sampled_from((2, 3, 5, 7)), F=st.integers(1, 9),
+       rng=st.randoms(use_true_random=False))
+def test_capped_table_entries(d, q, F, rng):
+    """Every entry of a capped table, C[j, s, i] at b = q*(j + 1) mod m,
+    x1 = s - F mod m and x2 = i - F, against q^min(v_q(A1), v_q(A2),
+    3*v_q(b), e) from Python ints at a random representative of its class,
+    or 1 where q divides both x1 and x2.  At d = 17 (d = 1 mod 8) the cap
+    3*v_2(b) binds where v_2(b) = 1."""
+    assume(q <= F)
+    e = _capped_valuation(8 * d, q, 8) + 1
+    m, table = trisect_core._capped_table(q, d, F)
+    assert m == q ** e
+    assert table.shape == (min(m, F) // q, min(m, 2 * F + 1), 2 * F + 1)
+    for (j, s, i), entry in np.ndenumerate(table):
+        b = q * (j + 1) + m * rng.randint(0, 3)
+        x1 = s - F + m * rng.randint(-3, 3)
+        x2 = i - F + m * rng.randint(-3, 3)
+        if x1 % q == 0 and x2 % q == 0:
+            assert entry == 1
+            continue
+        A1, A2 = _image_coords(x1, x2, b, d)
+        v = min(_capped_valuation(A1, q, e), _capped_valuation(A2, q, e),
+                3 * _capped_valuation(b, q, e))
+        assert entry == q ** v
 
 
 def test_gcd_bound_sweep_refuses_past_int64():
