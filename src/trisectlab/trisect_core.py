@@ -797,7 +797,7 @@ def _table_primes(F: int, d: int) -> list[int]:
     q = np.repeat(primes, sizes)
     cell = np.arange(len(q), dtype=np.int64) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     A1, A2 = _image_coords(cell // q, cell % q, 0, d)
-    return np.unique(q[(cell > 0) & (A1 % q == 0) & (A2 % q == 0)]).tolist()
+    return sorted(set(q[(cell > 0) & (A1 % q == 0) & (A2 % q == 0)].tolist()))
 
 
 def _capped_table(q: int, d: int, F: int) -> tuple[int, np.ndarray]:
