@@ -810,8 +810,10 @@ def _capped_table(q: int, d: int, F: int) -> tuple[int, np.ndarray]:
     row x1 = r - F reads s = r mod m, and the columns are taken on the
     residues and then spread over the grid.  A slice holds
     min(m, 2F + 1) * (2F + 1) cells, and there are min(m, F)/q of them:
-    m is at most 32 for q = 2, q^2 for an odd q | d and q otherwise.
-    Every representative lies in the grid, whose int64 domain covers it."""
+    m is at most 32 for q = 2, q^2 for an odd q | d and q otherwise, so
+    the tables are small for small d but grow with F like a grid per
+    slice once q^2 > 2F + 1.  Every representative lies in the grid, whose
+    int64 domain covers it."""
     e = 1
     while 8 * d % q ** e == 0:
         e += 1
@@ -830,8 +832,9 @@ def gcd_bound_sweep(d: int, height_bound: int) -> dict:
     """Check G | 8d, G = gcd(A1, A2, b^3), on every canonical element of
     Q(sqrt(d)) of height <= F, the bound: return counts, or raise
     ``GcdBoundViolated`` at the first violator in (b, a1, a2) order
-    (``CapExceeded`` past the int64 domain).  It takes no gcd and forms no
-    image of any element.
+    (``CapExceeded`` past the int64 domain).  It takes no gcd over elements:
+    G is read from tables over residue classes, whose image coordinates
+    are formed once per class.
 
     Which primes can divide G: every prime q of G divides b, so q <= F,
     and q | A1, q | A2 on a class (x1, x2) mod q other than (0, 0), since
