@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import mpmath
 
 from .errors import BadParameters, CapExceeded, NotCoprime
-from .polyalg import IntPoly, chebyshev_like, cos_minimal_poly, eisenstein_check
+from .polyalg import IntPoly, chebyshev_like, cos_minimal_poly, eisenstein_check, kronecker_square
 
 DEGREE_CAP = 4096
 
@@ -76,8 +76,7 @@ def p_tower(n: int) -> IntPoly:
     """p_n = p_1 composed with itself n-1 times, p_1 = x^2 - 2; exact.
 
     Each p_n is even, p_n(x) = q_n(x^2), so p_n = p_(n-1)^2 - 2 is one
-    squaring of q_(n-1): a_i^2 on the diagonal and each cross term
-    a_i*a_j (i < j) once, doubled.
+    squaring of q_(n-1), by :func:`kronecker_square`.
     """
     if n < 1:
         raise BadParameters("n must be >= 1")
@@ -85,14 +84,8 @@ def p_tower(n: int) -> IntPoly:
         raise CapExceeded(f"degree 2^{n} exceeds cap {DEGREE_CAP}")
     q = [-2, 1]
     for _ in range(n - 1):
-        square = [0] * (2 * len(q) - 1)
-        for i, a in enumerate(q):
-            square[2 * i] += a * a
-            twice = 2 * a
-            for k, b in enumerate(q[i + 1 :], 2 * i + 1):
-                square[k] += twice * b
-        square[0] -= 2
-        q = square
+        q = kronecker_square(q)
+        q[0] -= 2
     coeffs = [0] * (2 * len(q) - 1)
     coeffs[::2] = q
     return IntPoly(coeffs)
@@ -108,7 +101,8 @@ def tower_checks(n: int) -> dict:
     """Verify the tower polynomial p_n: the x^(2^n) + 2x*q(x) +- 2 shape,
     Eisenstein at 2, the descent p_k(a_n) = a_{n-k} (exactly where a_n has
     degree <= 2, by interval arithmetic elsewhere), and agreement with the
-    Chebyshev-like family at index 2^n."""
+    Chebyshev-like family at index 2^n.  The interval a_n is formed once
+    per working precision of this call."""
     poly = p_tower(n)
     shape_ok = (
         poly.leading == 1
@@ -116,6 +110,13 @@ def tower_checks(n: int) -> dict:
         and all(c % 2 == 0 for c in poly.coeffs[:-1])
     )
     eis_ok = eisenstein_check(poly, 2)
+    a_n = {}  # working precision -> the interval 2cos(pi/2^n)
+
+    def top(iv):
+        if iv.prec not in a_n:
+            a_n[iv.prec] = 2 * iv.cos(iv.pi / 2 ** n)
+        return a_n[iv.prec]
+
     descent = []
     for k in range(1, n + 1):
         if n <= 2:
@@ -125,9 +126,7 @@ def tower_checks(n: int) -> dict:
             # evaluate p_k through its defining composition; the expanded
             # monomial form cancels catastrophically near x = 2
             ok, width = _interval_zero(
-                lambda iv, k=k: _compose_square_minus_2(
-                    2 * iv.cos(iv.pi / 2 ** n), k
-                )
+                lambda iv, k=k: _compose_square_minus_2(top(iv), k)
                 - 2 * iv.cos(iv.pi / 2 ** (n - k))
             )
             descent.append({"k": k, "method": "interval", "ok": ok, "width": width})
@@ -158,27 +157,52 @@ def cn_degree_check(n: int) -> dict:
 
 
 class Biquad:
-    """Exact arithmetic in Q(sqrt(2), sqrt(3)): w + x*sqrt(2) + y*sqrt(3)
-    + z*sqrt(6) with rational coordinates.  Only the little that the n <= 2
+    """Exact arithmetic in Q(sqrt(2), sqrt(3)): (w + x*sqrt(2) + y*sqrt(3)
+    + z*sqrt(6))/q with integer w, x, y, z and one denominator q > 0,
+    reduced so that gcd(w, x, y, z, q) = 1; equal numbers have equal
+    coordinates.  The constructor takes rational coordinates (ints,
+    Fractions or strings such as "1/2").  Only the little that the n <= 2
     table needs."""
 
-    __slots__ = ("w", "x", "y", "z")
+    __slots__ = ("w", "x", "y", "z", "q")
 
     def __init__(self, w=0, x=0, y=0, z=0):
-        self.w, self.x, self.y, self.z = (Fraction(t) for t in (w, x, y, z))
+        coords = (w, x, y, z)
+        if all(type(t) is int for t in coords):
+            self._set(w, x, y, z, 1)
+            return
+        coords = [Fraction(t) for t in coords]
+        q = lcm(*(t.denominator for t in coords))
+        self._set(*(t.numerator * (q // t.denominator) for t in coords), q)
+
+    def _set(self, w: int, x: int, y: int, z: int, q: int) -> None:
+        g = gcd(w, x, y, z, q)
+        self.w, self.x, self.y, self.z, self.q = w // g, x // g, y // g, z // g, q // g
+
+    @classmethod
+    def _of(cls, w: int, x: int, y: int, z: int, q: int) -> "Biquad":
+        out = cls.__new__(cls)
+        out._set(w, x, y, z, q)
+        return out
+
+    def _coords(self) -> tuple[int, int, int, int, int]:
+        return self.w, self.x, self.y, self.z, self.q
 
     def __eq__(self, other) -> bool:
         other = other if isinstance(other, Biquad) else Biquad(other)
-        return (self.w, self.x, self.y, self.z) == (other.w, other.x, other.y, other.z)
+        return self._coords() == other._coords()
 
     def __add__(self, other):
         other = other if isinstance(other, Biquad) else Biquad(other)
-        return Biquad(self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z)
+        w1, x1, y1, z1, q1 = self._coords()
+        w2, x2, y2, z2, q2 = other._coords()
+        return Biquad._of(w1 * q2 + w2 * q1, x1 * q2 + x2 * q1, y1 * q2 + y2 * q1,
+                          z1 * q2 + z2 * q1, q1 * q2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Biquad(-self.w, -self.x, -self.y, -self.z)
+        return Biquad._of(-self.w, -self.x, -self.y, -self.z, self.q)
 
     def __sub__(self, other):
         other = other if isinstance(other, Biquad) else Biquad(other)
@@ -189,27 +213,35 @@ class Biquad:
 
     def __mul__(self, other):
         other = other if isinstance(other, Biquad) else Biquad(other)
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
-        return Biquad(
+        w1, x1, y1, z1, q1 = self._coords()
+        w2, x2, y2, z2, q2 = other._coords()
+        return Biquad._of(
             w1 * w2 + 2 * x1 * x2 + 3 * y1 * y2 + 6 * z1 * z2,
             w1 * x2 + x1 * w2 + 3 * (y1 * z2 + z1 * y2),
             w1 * y2 + y1 * w2 + 2 * (x1 * z2 + z1 * x2),
             w1 * z2 + z1 * w2 + x1 * y2 + y1 * x2,
+            q1 * q2,
         )
 
     __rmul__ = __mul__
 
+    def _ratio(self, t: int) -> tuple[int, int]:
+        """t/q in lowest terms, denominator positive (0 is 0/1)."""
+        g = gcd(t, self.q)
+        return t // g, self.q // g
+
     def interval(self, iv):
+        (wn, wd), (xn, xd), (yn, yd), (zn, zd) = map(self._ratio, (self.w, self.x, self.y, self.z))
         return (
-            iv.mpf(self.w.numerator) / self.w.denominator
-            + iv.mpf(self.x.numerator) / self.x.denominator * iv.sqrt(2)
-            + iv.mpf(self.y.numerator) / self.y.denominator * iv.sqrt(3)
-            + iv.mpf(self.z.numerator) / self.z.denominator * iv.sqrt(6)
+            iv.mpf(wn) / wd
+            + iv.mpf(xn) / xd * iv.sqrt(2)
+            + iv.mpf(yn) / yd * iv.sqrt(3)
+            + iv.mpf(zn) / zd * iv.sqrt(6)
         )
 
     def __repr__(self):
-        return f"Biquad({self.w}, {self.x}, {self.y}, {self.z})"
+        terms = (Fraction(t, self.q) for t in (self.w, self.x, self.y, self.z))
+        return "Biquad({}, {}, {}, {})".format(*terms)
 
 
 SQRT3 = Biquad(0, 0, 1, 0)

@@ -354,6 +354,34 @@ class RatPoly(_Poly):
         return a.monic() if not a.is_zero() else a
 
 
+def kronecker_square(q: list[int]) -> list[int]:
+    """The coefficients of q(x)^2, q given by its nonempty list of signed
+    integer coefficients, by Kronecker substitution: one big-integer
+    square in place of len(q)^2 coefficient products.
+
+    Every coefficient of the square is a sum of at most len(q) products,
+    so it is below 2^(2*maxbits + bitlen(len)) in magnitude; digits of
+    B > 2*maxbits + bitlen(len) + 1 bits (a whole number of bytes) then
+    hold each one plus the offset 2^(B-1) with no carry.  q(2^B) is packed
+    from the offset digits a_i + 2^(B-1) less the offset, squared, and the
+    square plus the offset is cut back into digits by byte slicing.
+    """
+    maxbits = max(abs(a) for a in q).bit_length()
+    size = (2 * maxbits + len(q).bit_length() + 2 + 7) // 8  # digit bytes
+    half = 1 << (8 * size - 1)
+    offset = half.to_bytes(size, "little")
+
+    def unoffset(digits: int) -> int:
+        return int.from_bytes(offset * digits, "little")
+
+    packed = b"".join((a + half).to_bytes(size, "little") for a in q)
+    value = int.from_bytes(packed, "little") - unoffset(len(q))
+    digits = 2 * len(q) - 1
+    raw = (value * value + unoffset(digits)).to_bytes(digits * size, "little")
+    return [int.from_bytes(raw[k : k + size], "little") - half
+            for k in range(0, digits * size, size)]
+
+
 def squarefree_over_q(f: IntPoly) -> bool:
     """True iff f (degree m >= 1) has no repeated factor over Q.  When
     p = 2^61 - 1 does not divide m*lc(f), a trivial gcd(f, f') in F_p[x]
@@ -501,8 +529,10 @@ def cos_minimal_poly(m: int) -> IntPoly:
 
     The cyclotomic polynomial c is palindromic of degree 2h, so with
     x = z + 1/z, z^(-h)*c(z) = c_h + sum_{j>=1} c_{h+j}*C_j(x) for the
-    Chebyshev-like C_j; that sum is evaluated by the Clenshaw recurrence
-    b_j = c_{h+j} + x*b_{j+1} - b_{j+2}, as x*b_1 - 2*b_2.
+    Chebyshev-like C_j of :func:`chebyshev_like`.  The sum runs over the
+    nonzero c_{h+j} alone, and C_j has its terms at x^j, x^(j-2), ..., so
+    the cost is O(nnz*h) coefficient operations: O(h) for
+    c = x^(2h) - x^h + 1 at m = 3*2^k.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -514,15 +544,13 @@ def cos_minimal_poly(m: int) -> IntPoly:
     c = cyclotomic(m).coeffs
     if c[:h] != c[:h:-1]:
         raise AssertionError(f"cyclotomic({m}) is not palindromic")
-    b1, b2 = [], []  # ascending coefficients of b_{j+1} and b_{j+2}
-    for j in range(h, 0, -1):
-        b = [0] + b1
-        b[: len(b2)] = [u - v for u, v in zip(b, b2)]
-        b[0] += c[h + j]
-        b1, b2 = b, b1
-    out = [0] + b1
-    out[: len(b2)] = [u - 2 * v for u, v in zip(out, b2)]
-    out[0] += c[h]
+    out = [0] * (h + 1)
+    out[0] = c[h]
+    for j in range(1, h + 1):
+        if c[h + j]:
+            cj = chebyshev_like(j).coeffs
+            for i in range(j % 2, j + 1, 2):
+                out[i] += c[h + j] * cj[i]
     return IntPoly(out)
 
 

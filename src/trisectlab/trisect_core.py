@@ -790,14 +790,17 @@ def _verify_psection(data: dict) -> bool:
 
 def _table_primes(F: int, d: int) -> list[int]:
     """The primes q <= F whose q x q table at b = 0 mod q marks a class
-    (x1, x2) mod q other than (0, 0) with q | A1 and q | A2: one ragged
-    scan of the tables of every prime at once."""
+    (x1, x2) mod q other than (0, 0) with q | A1 and q | A2.  At b = 0, A1
+    and A2 are homogeneous cubics in (x1, x2), so a class is marked iff its
+    multiples by the units mod q are: each table is read on the q + 1
+    classes (t, 1), 0 <= t < q, and (1, 0) that represent its lines, in one
+    ragged scan over every prime at once of O(F^2 / log F) cells."""
     primes = np.array(primes_below(F + 1), dtype=np.int64)
-    sizes = primes * primes
-    q = np.repeat(primes, sizes)
-    cell = np.arange(len(q), dtype=np.int64) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    A1, A2 = _image_coords(cell // q, cell % q, 0, d)
-    return sorted(set(q[(cell > 0) & (A1 % q == 0) & (A2 % q == 0)].tolist()))
+    lines = primes + 1
+    q = np.repeat(primes, lines)
+    t = np.arange(len(q), dtype=np.int64) - np.repeat(np.cumsum(lines) - lines, lines)
+    A1, A2 = _image_coords(np.where(t < q, t, 1), (t < q).astype(np.int64), 0, d)
+    return sorted(set(q[(A1 % q == 0) & (A2 % q == 0)].tolist()))
 
 
 def _capped_table(q: int, d: int, F: int) -> tuple[int, np.ndarray]:
@@ -812,20 +815,28 @@ def _capped_table(q: int, d: int, F: int) -> tuple[int, np.ndarray]:
     min(m, 2F + 1) * (2F + 1) cells, and there are min(m, F)/q of them:
     m is at most 32 for q = 2, q^2 for an odd q | d and q otherwise, so
     the tables are small for small d but grow with F like a grid per
-    slice once q^2 > 2F + 1.  Every representative lies in the grid, whose
-    int64 domain covers it."""
+    slice once q^2 > 2F + 1.  So the slices are built one at a time, each
+    with int64 temporaries of one slice only, and stored in the smallest
+    unsigned dtype that holds m.  Every representative lies in the grid,
+    whose int64 domain covers it."""
     e = 1
     while 8 * d % q ** e == 0:
         e += 1
     m = q ** e
-    b = q * np.arange(1, min(m, F) // q + 1, dtype=np.int64)[:, None, None]
     x = np.arange(min(m, 2 * F + 1), dtype=np.int64) - F
-    A1, A2 = _image_coords(x[:, None], x, b, d)
-    g = np.gcd(np.arange(m), m)  # g[r] = gcd(r, m): the divisors of m are a chain
-    table = np.minimum(np.minimum(g[A1 % m], g[A2 % m]), g[b ** 3 % m])
+    # g[r] = gcd(r, m), in the smallest dtype that holds m: the divisors of m are a chain
+    g = np.gcd(np.arange(m), m).astype(np.min_scalar_type(m))
     both = x % q == 0
-    table[:, both[:, None] & both] = 1
-    return m, table[:, :, np.arange(2 * F + 1) % m]
+    both = both[:, None] & both
+    spread = np.arange(2 * F + 1) % m
+    table = np.empty((min(m, F) // q, len(x), 2 * F + 1), dtype=g.dtype)
+    for j, C in enumerate(table):
+        b = q * (j + 1)
+        A1, A2 = _image_coords(x[:, None], x, b, d)
+        capped = np.minimum(np.minimum(g[A1 % m], g[A2 % m]), g[b ** 3 % m])
+        capped[both] = 1
+        C[...] = capped[:, spread]
+    return m, table
 
 
 def gcd_bound_sweep(d: int, height_bound: int) -> dict:
@@ -886,7 +897,7 @@ def gcd_bound_sweep(d: int, height_bound: int) -> dict:
             continue
         seen.add(key)
         for s in range(0, width, rows):
-            G = 1
+            G = np.ones(1, dtype=np.int64)  # the product in int64, whatever C's dtype
             for lookup, C in map(slices.get, key):
                 G = G * C[lookup[s : s + rows]]
             worst = max(worst, int(G.max()))

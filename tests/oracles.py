@@ -502,6 +502,73 @@ def cos_minimal_poly_extraction(m: int) -> IntPoly:
     return IntPoly(out)
 
 
+def square_schoolbook(q: list[int]) -> list[int]:
+    """The coefficients of q(x)^2 by the schoolbook double loop: a_i^2 on
+    the diagonal and each cross term a_i*a_j (i < j) once, doubled.  The
+    reference for ``polyalg.kronecker_square``."""
+    square = [0] * (2 * len(q) - 1)
+    for i, a in enumerate(q):
+        square[2 * i] += a * a
+        twice = 2 * a
+        for k, b in enumerate(q[i + 1 :], 2 * i + 1):
+            square[k] += twice * b
+    return square
+
+
+class FractionBiquad:
+    """w + x*sqrt(2) + y*sqrt(3) + z*sqrt(6) with one Fraction per
+    coordinate: the reference for ``algdeg.Biquad``."""
+
+    __slots__ = ("w", "x", "y", "z")
+
+    def __init__(self, w=0, x=0, y=0, z=0):
+        self.w, self.x, self.y, self.z = (Fraction(t) for t in (w, x, y, z))
+
+    def coords(self) -> tuple[Fraction, ...]:
+        return self.w, self.x, self.y, self.z
+
+    def __eq__(self, other) -> bool:
+        other = other if isinstance(other, FractionBiquad) else FractionBiquad(other)
+        return self.coords() == other.coords()
+
+    def __add__(self, other):
+        other = other if isinstance(other, FractionBiquad) else FractionBiquad(other)
+        return FractionBiquad(*(s + t for s, t in zip(self.coords(), other.coords())))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionBiquad(-self.w, -self.x, -self.y, -self.z)
+
+    def __sub__(self, other):
+        other = other if isinstance(other, FractionBiquad) else FractionBiquad(other)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = other if isinstance(other, FractionBiquad) else FractionBiquad(other)
+        w1, x1, y1, z1 = self.coords()
+        w2, x2, y2, z2 = other.coords()
+        return FractionBiquad(
+            w1 * w2 + 2 * x1 * x2 + 3 * y1 * y2 + 6 * z1 * z2,
+            w1 * x2 + x1 * w2 + 3 * (y1 * z2 + z1 * y2),
+            w1 * y2 + y1 * w2 + 2 * (x1 * z2 + z1 * x2),
+            w1 * z2 + z1 * w2 + x1 * y2 + y1 * x2,
+        )
+
+    __rmul__ = __mul__
+
+    def interval(self, iv):
+        return (
+            iv.mpf(self.w.numerator) / self.w.denominator
+            + iv.mpf(self.x.numerator) / self.x.denominator * iv.sqrt(2)
+            + iv.mpf(self.y.numerator) / self.y.denominator * iv.sqrt(3)
+            + iv.mpf(self.z.numerator) / self.z.denominator * iv.sqrt(6)
+        )
+
+
 def zeta_partial_sums(k: int, tol: float) -> float:
     """zeta(k) within tol from the partial sum to n plus the midpoint of
     the integral tail bracket [(n+1)^(1-k), n^(1-k)]/(k-1), n doubled until

@@ -4,16 +4,21 @@ import functools
 import math
 import random
 import time
+from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import FractionBiquad
 from trisectlab import algdeg
 from trisectlab.algdeg import (
     EXACT_TABLE,
     IDENTITIES,
     Biquad,
     TABLE,
+    _compose_square_minus_2,
     _interval_values,
     _interval_zero,
     angle_degree,
@@ -54,6 +59,36 @@ def test_tower_checks():
     assert all(r["method"] == "exact" for r in report["descent"])
     for n in range(1, 11):
         assert tower_checks(n)["ok"], n
+
+
+@pytest.mark.parametrize("first_prec", (100, 24))
+@pytest.mark.parametrize("n", range(1, 11))
+def test_tower_descent_matches_fresh_evaluation(n, first_prec, monkeypatch):
+    """Each descent record against its check evaluated alone, with the
+    interval a_n = 2cos(pi/2^n) formed afresh for its own k.  A first
+    precision of 24 bits is too low for every interval check, so each one
+    retries at 200 bits, which must use an a_n formed at 200 bits."""
+    check = functools.partial(_interval_zero, prec=first_prec)
+    monkeypatch.setattr(algdeg, "_interval_zero", check)
+    records = []
+    for k in range(1, n + 1):
+        if n <= 2:
+            ok = p_tower(k).evaluate(TABLE["a"][n]) == TABLE["a"][n - k]
+            records.append({"k": k, "method": "exact", "ok": ok})
+            continue
+        ok, width = check(lambda iv: _compose_square_minus_2(2 * iv.cos(iv.pi / 2 ** n), k)
+                          - 2 * iv.cos(iv.pi / 2 ** (n - k)))
+        records.append({"k": k, "method": "interval", "ok": ok, "width": width})
+    report = tower_checks(n)
+    assert report["descent"] == records
+    assert report["ok"]
+
+
+@pytest.mark.parametrize("check, n", [(tower_checks, 12), (cn_degree_check, 11),
+                                      (cn_degree_check, 12)])
+def test_top_of_the_domain(check, n):
+    """The largest n under the degree cap, 2^12 = 4096."""
+    assert check(n)["ok"]
 
 
 def test_tower_descent_value():
@@ -112,6 +147,62 @@ def test_biquad_arithmetic():
     assert r3 * r3 == Biquad(3)
     assert r2 * r3 == Biquad(0, 0, 0, 1)
     assert (r2 + r3) * (r2 - r3) == Biquad(-1)
+
+
+_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_scalars = st.one_of(st.integers(-6, 6), _rationals)
+# a leaf is four rational coordinates, given as Fractions or as strings
+_leaves = st.tuples(st.tuples(_rationals, _rationals, _rationals, _rationals), st.booleans())
+_trees = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from("+-*"), kids, st.one_of(kids, _scalars)),
+        st.tuples(st.sampled_from(("r+", "r-", "r*")), _scalars, kids),
+        st.tuples(st.just("neg"), kids),
+    ),
+    max_leaves=10,
+)
+
+
+def _evaluate(tree, cls):
+    """The value of an expression tree with its leaves built as ``cls``."""
+    if not isinstance(tree[0], str):
+        coords, as_text = tree
+        return cls(*(str(c) if as_text else c for c in coords))
+    if tree[0] == "neg":
+        return -_evaluate(tree[1], cls)
+    op = tree[0][-1]
+    if tree[0].startswith("r"):  # scalar on the left: __radd__, __rsub__, __rmul__
+        left, right = tree[1], _evaluate(tree[2], cls)
+    else:
+        left = _evaluate(tree[1], cls)
+        right = _evaluate(tree[2], cls) if isinstance(tree[2], tuple) else tree[2]
+    return {"+": lambda: left + right, "-": lambda: left - right, "*": lambda: left * right}[op]()
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_trees, other=_trees)
+def test_biquad_matches_fraction_oracle(tree, other):
+    """Integer coordinates over one reduced denominator against one
+    Fraction per coordinate, on random expression trees: the same value,
+    the same verdict of ==, equality across denominators, and the same
+    interval from the same reduced fractions."""
+    got, want = _evaluate(tree, Biquad), _evaluate(tree, FractionBiquad)
+    assert got.q > 0 and math.gcd(got.w, got.x, got.y, got.z, got.q) == 1
+    assert tuple(Fraction(t, got.q) for t in (got.w, got.x, got.y, got.z)) == want.coords()
+    got_other, want_other = _evaluate(other, Biquad), _evaluate(other, FractionBiquad)
+    assert (got == got_other) == (want == want_other)
+    assert got == Biquad(*want.coords())
+    assert (got * 3) * Biquad("1/3") == got
+    assert (got + got_other) - got_other == got
+    iv = mpmath.iv
+    old = iv.prec
+    try:
+        iv.prec = 100
+        mine, ref = got.interval(iv), want.interval(iv)
+        assert (mine.a, mine.b) == (ref.a, ref.b)
+    finally:
+        iv.prec = old
 
 
 def test_exact_table_reproduces():

@@ -1,12 +1,13 @@
 """Polynomial ring laws, irreducibility checks, resultants, cyclotomics,
 primality and factoring."""
 
+import time
 from fractions import Fraction
 from math import prod
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -16,6 +17,7 @@ from oracles import (
     is_prime_trial,
     is_squarefree_trial,
     rational_roots,
+    square_schoolbook,
     sylvester_minpoly,
 )
 from trisectlab.errors import BadParameters, CapExceeded, NotPrime
@@ -32,6 +34,7 @@ from trisectlab.polyalg import (
     euler_phi,
     factorize,
     is_prime,
+    kronecker_square,
     newton_elementary,
     poly_text,
     resultant_minpoly,
@@ -191,8 +194,51 @@ def test_cos_minimal_poly_up_to_60():
 
 
 def test_cos_minimal_poly_matches_extraction():
-    for m in list(range(3, 401)) + [3072]:
-        assert cos_minimal_poly(m) == cos_minimal_poly_extraction(m)
+    """Every m <= 400, and the moduli m = 3*2^(n+1), n <= 10, of
+    ``cn_degree_check``, whose cyclotomic polynomial has 3 terms."""
+    for m in list(range(3, 401)) + [3 * 2 ** (n + 1) for n in range(1, 11)]:
+        assert cos_minimal_poly(m) == cos_minimal_poly_extraction(m), m
+
+
+def test_cos_minimal_poly_costs_its_output():
+    """At m = 3*2^13 the cyclotomic polynomial is x^8192 - x^4096 + 1, so
+    the minimal polynomial is C_4096 - 1 from its nonzero terms alone, in
+    milliseconds; a pass over all 4096 coefficients, as Clenshaw's, takes
+    about 0.5 s.  Best of 3, against a loaded machine."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        poly = cos_minimal_poly(3 * 2 ** 13)
+        times.append(time.perf_counter() - start)
+    assert poly == chebyshev_like(4096) - IntPoly((1,))
+    assert min(times) < 0.1, times
+
+
+# signed coefficients: zeros, any size, and +-(2^k - 1), a full digit of k bits
+_boundary = st.builds(lambda k, sign: sign * ((1 << k) - 1), st.integers(0, 300),
+                      st.sampled_from((1, -1)))
+_coefficient = st.one_of(st.just(0), st.integers(-(2 ** 80), 2 ** 80), _boundary)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.lists(_coefficient, min_size=1, max_size=40))
+@example(q=[0])
+@example(q=[-1])
+@example(q=[0, 0, 1])
+@example(q=[-2, 1])
+def test_kronecker_square_matches_schoolbook(q):
+    assert kronecker_square(q) == square_schoolbook(q)
+
+
+def test_kronecker_square_at_the_digit_bound():
+    """len copies of +-(2^k - 1), one sign or alternating: the square's
+    middle coefficient is len*(2^k - 1)^2 in magnitude, the largest the
+    digit width allows for, at every k and len around the byte steps."""
+    for k in range(0, 40):
+        for length in (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33):
+            a = (1 << k) - 1
+            for q in ([a] * length, [-a] * length, [a * (-1) ** i for i in range(length)]):
+                assert kronecker_square(q) == square_schoolbook(q), (k, length)
 
 
 def test_cos_minimal_poly_refuses_non_palindromic_cyclotomic(monkeypatch):

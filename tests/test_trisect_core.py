@@ -231,6 +231,37 @@ def test_capped_table_entries(d, q, F, rng):
         assert entry == q ** v
 
 
+def test_gcd_bound_sweep_memory_with_a_large_prime():
+    """At d = 31, height 300, the prime 31 has m = 961 > 2F + 1, so each
+    of its 9 capped-table slices is a whole 601 x 601 grid, and the primes
+    to 300 would give a ragged scan of sum q^2 cells: held at once in
+    int64, 128 MB over the import.  One slice at a time, in the smallest
+    dtype that holds m, and one line per class of the scan keep it under
+    32 MB.  Peak RSS over the import in a fresh interpreter, read as
+    VmHWM: ``ru_maxrss`` would carry over the RSS of the process that
+    started it.  The dict is the block reference's, computed here while
+    the child runs."""
+    src = os.path.dirname(os.path.dirname(trisect_core.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import json\n"
+            "from trisectlab.trisect_core import gcd_bound_sweep\n"
+            "def peak_mb():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return next(int(line.split()[1]) for line in status\n"
+            "                    if line.startswith('VmHWM:')) / 1024\n"
+            "before = peak_mb()\n"
+            "report = gcd_bound_sweep(31, 300)\n"
+            "print(json.dumps({'report': report, 'over_import_mb': peak_mb() - before}))\n")
+    child = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True, env=env)
+    want = gcd_bound_sweep_blocks(31, 300)
+    out, err = child.communicate(timeout=120)
+    assert child.returncode == 0, err
+    result = json.loads(out)
+    assert result["report"] == want
+    assert result["over_import_mb"] <= 32, result
+
+
 def test_gcd_bound_sweep_refuses_past_int64():
     start = time.perf_counter()
     with pytest.raises(CapExceeded, match="int64"):
