@@ -252,10 +252,13 @@ def test_gcd_bound_sweep_memory_with_a_large_prime():
             "before = peak_mb()\n"
             "report = gcd_bound_sweep(31, 300)\n"
             "print(json.dumps({'report': report, 'over_import_mb': peak_mb() - before}))\n")
-    child = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
-                             stderr=subprocess.PIPE, text=True, env=env)
-    want = gcd_bound_sweep_blocks(31, 300)
-    out, err = child.communicate(timeout=120)
+    with subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, env=env) as child:
+        try:
+            want = gcd_bound_sweep_blocks(31, 300)
+            out, err = child.communicate(timeout=120)
+        finally:
+            child.kill()  # a no-op once it has exited
     assert child.returncode == 0, err
     result = json.loads(out)
     assert result["report"] == want
