@@ -1,0 +1,268 @@
+"""Time one suite of cases; write its row to a BENCH_<n>.json.
+
+    python bench/run.py SUITE --label LABEL [--out PATH]
+
+Each suite records the median of REPEATS = 5 runs of each of its cases,
+with the case's verdict or value.  The row also records the Python version
+and the suite's library versions, the git revision of the checkout (marked
+-dirty when it has uncommitted changes) and the CPUs available, as
+``nproc`` counts them.  The numbers are reports, not gates.  The program
+is imported from the ``src`` tree of the checkout that holds this script.
+
+Suites (name, default output, what they time):
+
+    decide-heights  BENCH_1.json  ``decide_trisection`` over Q and Q(sqrt 2)
+                    at element heights of about 10^3, 10^60, 10^600 and
+                    10^3000: one member a = f(x) (x with a denominator of
+                    about a third as many digits) and one non-member with
+                    the same cube denominator, a + 1/denominator.
+    verify-checks   BENCH_2.json  each check of ``verify --quick --out``
+                    (its ``elapsed_s``), and ``gcd_bound_sweep`` over
+                    d = 2, 3, 5, 6, 7 together at heights 40, 80 and 200
+                    (those of ``verify --quick``, ``verify`` and acceptance
+                    criterion 07).
+    algdeg-tower    BENCH_3.json  for n = 9..12: ``tower_checks(n)``,
+                    ``cn_degree_check(n)``, ``identity_suite(n)``,
+                    ``cos_minimal_poly(3*2^(n+1))`` (the modulus of
+                    ``cn_degree_check(n)``), ``p_tower(n)`` and
+                    ``algdeg --n n`` with its output discarded.
+    mertens         BENCH_4.json  M(10^k) as ``mobius_sum`` with L = 1 and
+                    the Q denominator ``count_ball_interval`` at 10^k, for
+                    k = 10, 11, 12, and ``lehmer --sides 1e9,1e9``; each run
+                    in a fresh interpreter, which reads its own peak
+                    resident memory (VmHWM, as ``tests/test_scale.py`` does).
+
+A row with the same label in the output file is replaced; other rows are
+kept, so running this script from two checkouts into one file records a
+before and an after row.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from fractions import Fraction
+from math import gcd
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+sys.path.insert(0, SRC)
+
+REPEATS = 5
+
+
+def _median_ms(run) -> tuple[float, object]:
+    """The median time of REPEATS calls of run, in milliseconds, and the
+    result of the last call."""
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        result = run()
+        times.append(time.perf_counter() - start)
+    return round(1e3 * statistics.median(times), 4), result
+
+
+def _report(entry: dict) -> dict:
+    print(json.dumps(entry), flush=True)
+    return entry
+
+
+# -- decide-heights ---------------------------------------------------------
+
+HEIGHT_DIGITS = (3, 60, 600, 3000)
+
+
+def _preimage(digits: int, d: int | None):
+    """x in (0, 2) with denominator c = 10^(digits/3) + 1, so that f(x) has
+    height about 10^digits."""
+    from trisectlab.exact_arith import QuadElem
+
+    c = 10 ** (digits // 3) + 1
+    b1 = 3 * c // 8 + 1
+    if d is None:
+        while gcd(b1, c) != 1:
+            b1 += 1
+        return Fraction(b1, c)
+    b2 = c // 3
+    while gcd(gcd(b1, b2), c) != 1:
+        b1 += 1
+    return QuadElem(b1, b2, c, d)
+
+
+def decide_heights() -> dict:
+    from trisectlab.exact_arith import canonicalize
+    from trisectlab.trisect_core import apply_f, decide_trisection
+
+    results = []
+    for d in (None, 2):
+        field = "Q" if d is None else f"Q(sqrt {d})"
+        for digits in HEIGHT_DIGITS:
+            a = apply_f(_preimage(digits, d))
+            if d is None:
+                shifted = a + Fraction(1, a.denominator)
+            else:
+                shifted = canonicalize(a.a1 + 1, a.a2, a.b, d)
+            for kind, element in (("member", a), ("shifted", shifted)):
+                ms, verdict = _median_ms(lambda: decide_trisection(element))
+                results.append(_report({"field": field, "height_digits": digits, "input": kind,
+                                        "member": verdict.member, "median_ms": ms}))
+    return {"results": results}
+
+
+# -- verify-checks ----------------------------------------------------------
+
+SWEEP_DS = (2, 3, 5, 6, 7)
+SWEEP_HEIGHTS = (40, 80, 200)
+
+
+def verify_checks() -> dict:
+    from trisectlab.cli import main as cli_main
+    from trisectlab.trisect_core import gcd_bound_sweep
+
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "verify.json")
+        for _ in range(REPEATS):
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli_main(["verify", "--quick", "--out", path])
+            with open(path) as f:
+                runs.append(json.load(f)["results"])
+    checks = [_report({"check": first["check"], "ok": all(run[i]["ok"] for run in runs),
+                       "median_ms": round(1e3 * statistics.median(
+                           run[i]["elapsed_s"] for run in runs), 4)})
+              for i, first in enumerate(runs[0])]
+    sweeps = []
+    for height in SWEEP_HEIGHTS:
+        ms, worst = _median_ms(lambda: max(gcd_bound_sweep(d, height)["max_gcd"]
+                                           for d in SWEEP_DS))
+        sweeps.append(_report({"ds": list(SWEEP_DS), "height": height, "max_gcd": worst,
+                               "median_ms": ms}))
+    return {"verify_quick_checks": checks, "gcd_bound_sweeps": sweeps}
+
+
+# -- algdeg-tower -----------------------------------------------------------
+
+NS = (9, 10, 11, 12)
+
+
+def algdeg_tower() -> dict:
+    from trisectlab.algdeg import cn_degree_check, identity_suite, p_tower, tower_checks
+    from trisectlab.cli import main as cli_main
+    from trisectlab.polyalg import cos_minimal_poly
+
+    def verb(n: int) -> bool:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli_main(["algdeg", "--n", str(n)]) == 0
+
+    kernels = (
+        ("tower_checks", lambda n: tower_checks(n)["ok"]),
+        ("cn_degree_check", lambda n: cn_degree_check(n)["ok"]),
+        ("identity_suite", lambda n: identity_suite(n)["ok"]),
+        ("cos_minimal_poly", lambda n: cos_minimal_poly(3 * 2 ** (n + 1)).degree == 2 ** n),
+        ("p_tower", lambda n: p_tower(n).degree == 2 ** n),
+        ("algdeg", verb),
+    )
+    results = []
+    for n in NS:
+        for name, run in kernels:
+            verdicts = []
+            ms, _ = _median_ms(lambda: verdicts.append(run(n)))
+            results.append(_report({"kernel": name, "n": n, "ok": all(verdicts),
+                                    "median_ms": ms}))
+    return {"kernels": results}
+
+
+# -- mertens ----------------------------------------------------------------
+
+_FRESH = """
+import json, time
+from trisectlab.coprime_count import Box, lehmer_report, mobius_sum
+from trisectlab.exact_arith import RATIONAL_FIELD
+from trisectlab.height_enum import HeightBall, count_ball_interval
+start = time.perf_counter()
+value = {call}
+elapsed = time.perf_counter() - start
+with open("/proc/self/status") as status:  # VmHWM: this process's own peak
+    peak_mb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
+print(json.dumps({{"value": value, "elapsed_s": elapsed, "peak_mb": peak_mb}}))
+"""
+
+MERTENS_CASES = (
+    *((f"M(10^{k})", f"mobius_sum((10 ** {k},), lambda q: [1] * len(q))") for k in (10, 11, 12)),
+    *((f"Q denominator at 10^{k}",
+       f"count_ball_interval(HeightBall(RATIONAL_FIELD, 10 ** {k}), -2, 2)") for k in (10, 11, 12)),
+    ("lehmer 1e9,1e9", "lehmer_report(Box(('1e9', '1e9'))).count"),
+)
+
+
+def mertens() -> dict:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    results = []
+    for case, call in MERTENS_CASES:
+        runs = [json.loads(subprocess.run(
+            [sys.executable, "-c", _FRESH.format(call=call)], env=env, capture_output=True,
+            text=True, check=True).stdout.splitlines()[-1]) for _ in range(REPEATS)]
+        results.append(_report({
+            "case": case, "value": runs[-1]["value"],
+            "median_s": round(statistics.median(r["elapsed_s"] for r in runs), 4),
+            "peak_mb": round(statistics.median(r["peak_mb"] for r in runs), 1)}))
+    return {"cases": results}
+
+
+# name -> (default output, benchmark title, library versions recorded, run)
+SUITES = {
+    "decide-heights": ("BENCH_1.json", "decide_trisection across element heights",
+                       ("numpy",), decide_heights),
+    "verify-checks": ("BENCH_2.json", "verify --quick checks and the image-gcd sweep",
+                      ("numpy",), verify_checks),
+    "algdeg-tower": ("BENCH_3.json", "algdeg cosine-tower kernels", ("mpmath",), algdeg_tower),
+    "mertens": ("BENCH_4.json", "Mertens function and Q denominator at 10^10..10^12",
+                ("numpy",), mertens),
+}
+
+
+def _git_revision() -> str:
+    try:
+        out = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
+                             capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return out.stdout.strip()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("suite", choices=SUITES)
+    parser.add_argument("--label", required=True, help="row name, e.g. parent or change")
+    parser.add_argument("--out", help="output file (default: the suite's BENCH_<n>.json)")
+    args = parser.parse_args(argv)
+    out, title, libraries, run = SUITES[args.suite]
+    out = args.out or os.path.join(ROOT, out)
+    row = {"label": args.label, "git_revision": _git_revision(),
+           "python": platform.python_version()}
+    row.update((name, __import__(name).__version__) for name in libraries)
+    row.update(nproc=len(os.sched_getaffinity(0)), repeats=REPEATS)
+    row.update(run())
+    report = {"benchmark": title, "rows": []}
+    if os.path.exists(out):
+        with open(out) as f:
+            report = json.load(f)
+    report["rows"] = [r for r in report["rows"] if r["label"] != args.label] + [row]
+    with open(out, "w") as f:
+        json.dump(report, f, indent=1)
+        f.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -81,48 +81,189 @@ class CountReport:
         )
 
 
-# Largest Moebius sieve of one count (about 9 bytes an entry; the Mertens
-# recursion covers the rest), and most quotient blocks one count may have.
-SIEVE_MAX = 1 << 23
+# Quotient blocks one count may have (about 2*sqrt(n) per distinct n); past
+# them ``CapExceeded`` before any sieving.
 MAX_BLOCKS = 1 << 22
+# The Mertens table M(0..L) grows by doubling from L = MOBIUS_TABLE_MIN to at
+# most MOBIUS_TABLE_MAX (int32, 8 MB), which covers isqrt(n) for every n that
+# MAX_BLOCKS admits.  Past the table mu is sieved in segments of
+# MOBIUS_SEGMENT entries, and the recursion's ragged sums run over groups of
+# at most MOBIUS_CHUNK terms, so memory is bounded whatever the argument.
+MOBIUS_TABLE_MIN = 1 << 10
+MOBIUS_TABLE_MAX = 1 << 21
+MOBIUS_SEGMENT = 1 << 19
+MOBIUS_CHUNK = 1 << 13
+# Every segment starts from a copy of the signed products of the primes
+# through 7, which repeat with period 210.
+_WHEEL_PRIMES = (2, 3, 5, 7)
+_WHEEL = math.prod(_WHEEL_PRIMES)
+
+_MOBIUS_CACHE = np.zeros(1, dtype=np.int32)  # M(0..L), grown by mobius_table
 
 
-def _mobius_sieve(n: int) -> np.ndarray:
-    """mu(0..n) as int8: each prime p <= sqrt(n) flips the sign of its
-    multiples, zeroes those of p^2 and is divided out of them once, which
-    leaves a squarefree m at most one prime above sqrt(n) to flip for."""
-    mu = np.ones(n + 1, dtype=np.int8)
-    rest = np.arange(n + 1, dtype=np.int32)
+def _primes(n: int) -> list[int]:
+    """The primes <= n, by the sieve of Eratosthenes."""
+    composite = np.zeros(n + 1, dtype=bool)
+    composite[:2] = True
     for p in range(2, isqrt(n) + 1):
-        if rest[p] == p:  # p is prime
-            mu[p::p] *= -1
-            mu[p * p :: p * p] = 0
-            rest[p::p] //= p
-    mu[rest > 1] *= -1
-    mu[0] = 0
+        if not composite[p]:
+            composite[p * p :: p] = True
+    return np.flatnonzero(~composite).tolist()
+
+
+def _mobius_segment(lo: int, hi: int, primes: list[int], wheel: np.ndarray) -> np.ndarray:
+    """mu(lo..hi-1) as int8, for 1 <= lo < hi <= 2^31, given the primes
+    ascending through isqrt(hi - 1) and the signed wheel products of
+    :func:`_mertens_segments`.  Each prime p multiplies -p into the
+    products of its multiples and 0 into those of p^2, so the product of m
+    is 0 when m is not squarefree, else +-(its prime factors below
+    sqrt(hi - 1)) <= m with the sign of mu over them.  A squarefree m whose
+    product falls short of m has exactly one prime factor left, above
+    sqrt(hi - 1), and one more sign flip; when lo^2 >= hi - 1 the shortfall
+    puts the product below sqrt(hi - 1) <= lo.  No division."""
+    start = lo % _WHEEL
+    prod = wheel[start : start + hi - lo].copy()
+    for p in primes:
+        if p * p >= hi:
+            break
+        if p > _WHEEL_PRIMES[-1]:
+            prod[-lo % p :: p] *= -p
+        prod[-lo % (p * p) :: p * p] = 0
+    mu = np.sign(prod, out=np.empty(hi - lo, dtype=np.int8), casting="unsafe")
+    size = np.abs(prod, out=prod)
+    short = size < lo if lo * lo >= hi - 1 else size != np.arange(lo, hi, dtype=np.int32)
+    mu *= 1 - 2 * short.view(np.int8)
     return mu
 
 
+def _mertens_segments(lo: int, hi: int, start: int):
+    """Yield (a, M(a..b-1) as int32) for consecutive segments [a, b) of at
+    most ``MOBIUS_SEGMENT`` covering [lo, hi), 1 <= lo, from start = M(lo - 1)."""
+    if lo >= hi:
+        return
+    primes = _primes(isqrt(hi - 1))
+    wheel = np.ones(min(MOBIUS_SEGMENT, hi - lo) + _WHEEL, dtype=np.int32)
+    for p in _WHEEL_PRIMES:
+        wheel[::p] *= -p
+    for a in range(lo, hi, MOBIUS_SEGMENT):
+        b = min(a + MOBIUS_SEGMENT, hi)
+        m = np.cumsum(_mobius_segment(a, b, primes, wheel), dtype=np.int32)
+        m += start
+        start = int(m[-1])
+        yield a, m
+
+
+def mobius_table(limit: int) -> np.ndarray:
+    """``_MOBIUS_CACHE``, the process-wide table M(0..L), first grown to the
+    least L = MOBIUS_TABLE_MIN * 2^j >= limit, at most ``MOBIUS_TABLE_MAX``;
+    a growth sieves only the new range."""
+    global _MOBIUS_CACHE
+    old = len(_MOBIUS_CACHE) - 1
+    new = min(max(MOBIUS_TABLE_MIN, 1 << (limit - 1).bit_length()), MOBIUS_TABLE_MAX)
+    if new > old:
+        table = np.empty(new + 1, dtype=np.int32)
+        table[: old + 1] = _MOBIUS_CACHE
+        for a, m in _mertens_segments(old + 1, new + 1, int(table[old])):
+            table[a : a + len(m)] = m
+        _MOBIUS_CACHE = table
+    return _MOBIUS_CACHE
+
+
+def _ragged_sums(x: np.ndarray, first: np.ndarray, count: np.ndarray, term) -> np.ndarray:
+    """sum_{j < count_i} term(x_i, first_i + j) for each row i of the int64
+    arrays x, first and count; term maps flat arrays (x as float64, k as
+    int64) to integers.  Rows are cut into pieces of at most
+    ``MOBIUS_CHUNK`` terms, and the pieces that start in one window of that
+    many terms form a group: one flat evaluation and one
+    ``np.add.reduceat`` per group."""
+    out = np.zeros(len(x), dtype=np.int64)
+    pieces = -(-count // MOBIUS_CHUNK)
+    row = np.repeat(np.arange(len(x)), pieces)
+    j = np.arange(len(row)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    first = first[row] + j * MOBIUS_CHUNK
+    count = np.minimum(count[row] - j * MOBIUS_CHUNK, MOBIUS_CHUNK)
+    ends = np.cumsum(count)
+    x = x.astype(np.float64)
+    g = 0
+    while g < len(row):
+        h = int(np.searchsorted(ends, ends[g] - count[g] + MOBIUS_CHUNK, side="right"))
+        n = count[g:h]
+        offsets = np.cumsum(n) - n
+        k = np.arange(int(offsets[-1] + n[-1])) + np.repeat(first[g:h] - offsets, n)
+        sums = np.add.reduceat(term(np.repeat(x[row[g:h]], n), k), offsets, dtype=np.int64)
+        np.add.at(out, row[g:h], sums)
+        g = h
+    return out
+
+
+def _floor_div(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """floor(x/k) for float64 x < 2^52 holding integers and k >= 1: a
+    correctly rounded x/k stays below the next integer, at least 1/k away."""
+    return (x / k).astype(np.int64)
+
+
 def _mertens(xs: np.ndarray) -> np.ndarray:
-    """M(x) = mu(1) + ... + mu(x) at each x of the sorted array xs, which
-    must hold floor(x/k) wherever that passes the sieve limit, about
-    max(xs)^(2/3).  Above it M(x) = 1 - sum_{k=2}^{x} M(floor(x/k)): k up to
-    s = isqrt(x) one by one, larger k grouped by quotient q <= x/(s+1)."""
+    """M(x) = mu(1) + ... + mu(x) at each x of the sorted int64 array xs,
+    after Deleglise and Rivat.  Let top be the largest x, u the larger of
+    floor(top^(2/3)) and L, where M(0..L) is the table of
+    :func:`mobius_table` grown towards u.  x <= L is read from the table,
+    x in (L, u] from the segments of :func:`_mertens_segments`, and x > u
+    from M(x) = 1 - sum_{k=2}^{x} M(floor(x/k)), in ascending x over the
+    closure C of the large x, every floor(x/k) > u.  With s = isqrt(x),
+    split = floor(x/(u+1)) and Q = floor(x/(s+1)) <= s, the sum takes
+    k <= split from C, the k in (split, s] one by one from the segments
+    (quotients above L) and the table, and the k > s grouped by quotient
+    q <= Q, floor(x/q) - floor(x/(q+1)) values of k each, which by partial
+    summation is sum_{q<=Q} mu(q)*floor(x/q) - M(Q)*floor(x/(Q+1)) over the
+    squarefree q of the table.  Past isqrt(top) > ``MOBIUS_TABLE_MAX``,
+    ``CapExceeded``."""
     top = int(xs[-1])
-    limit = max(isqrt(top), min(int(top ** (2 / 3)), SIEVE_MAX))
-    small = np.cumsum(_mobius_sieve(limit), dtype=np.int32)
+    if isqrt(top) > MOBIUS_TABLE_MAX:
+        raise CapExceeded(f"M({int_text(top)}) needs a Mertens table past {MOBIUS_TABLE_MAX}")
+    u = max(isqrt(top), int(top ** (2 / 3)))
+    table = mobius_table(min(u, MOBIUS_TABLE_MAX))
+    L = len(table) - 1
+    u = max(u, L)
+    out = np.empty(len(xs), dtype=np.int64)
+    small, mid = np.searchsorted(xs, (L, u), side="right")
+    out[:small] = table[xs[:small]]
+    if small == len(xs):
+        return out
+
+    large = xs[mid:]
+    split = large // (u + 1)
+    k = np.arange(int(split.sum())) - np.repeat(np.cumsum(split) - split - 1, split)
+    C = np.sort(np.repeat(large, split) // k)
+    C = C[np.diff(C, prepend=0) != 0]
+    split = C // (u + 1)
+    s = np.array([isqrt(x) for x in C.tolist()], dtype=np.int64)
+    Q = C // (s + 1)
+    low = C // (L + 1)  # k > low puts floor(x/k) in the table
+    mu = np.diff(table[: int(Q.max(initial=0)) + 1], prepend=0)
+    squarefree = np.flatnonzero(mu)
+    sign = mu[squarefree].astype(np.float64)
+    squarefree = squarefree.astype(np.float64)
+    del mu
+    count = np.searchsorted(squarefree, Q, side="right").tolist()
+    rest = -table[Q] * (C // (Q + 1))
+    for i, (x, k0, k1) in enumerate(zip(C.tolist(), (low + 1).tolist(), (s + 1).tolist())):
+        for a in range(k0, k1, MOBIUS_CHUNK):
+            k = np.arange(a, min(a + MOBIUS_CHUNK, k1), dtype=np.float64)
+            rest[i] += int(table[_floor_div(x, k)].sum())
+        for a in range(0, count[i], MOBIUS_CHUNK):  # every partial sum below 2^53: exact
+            b = min(a + MOBIUS_CHUNK, count[i])
+            rest[i] += int(np.dot(sign[a:b], np.floor(x / squarefree[a:b])))
+    for a, m in _mertens_segments(L + 1, u + 1, int(table[L])):
+        b = a + len(m)
+        i, j = np.searchsorted(xs, (a, b))
+        out[i:j] = m[xs[i:j] - a]
+        kb, ke = np.maximum(split, C // b), np.minimum(s, C // a)
+        rest += _ragged_sums(C, kb + 1, np.maximum(ke - kb, 0),
+                             lambda x, k: m[_floor_div(x, k) - a])
     big = {}
-    large = xs[xs > limit].tolist()
-    for x in large:
-        s = isqrt(x)
-        split = x // (limit + 1)  # floor(x/k) passes the limit for k <= split
-        ks = np.arange(max(2, split + 1), s + 1, dtype=np.int64)
-        qs = np.arange(1, x // (s + 1) + 1, dtype=np.int64)
-        runs = x // qs - x // (qs + 1)  # the k with quotient q, all > s
-        big[x] = (1 - sum(big[x // k] for k in range(2, split + 1))
-                  - int(small[x // ks].sum()) - int(runs @ small[qs]))
-    out = small[np.minimum(xs, limit)]
-    out[xs > limit] = [big[x] for x in large]
+    for x, r, k in zip(C.tolist(), rest.tolist(), split.tolist()):
+        big[x] = 1 - r - sum(big[x // j] for j in range(2, k + 1))
+    out[mid:] = [big[x] for x in large.tolist()]
     return out
 
 
@@ -145,25 +286,37 @@ def mobius_blocks(*ns) -> tuple[np.ndarray, np.ndarray]:
     blocks = sum(min(s, m) + max(0, s - k0 + 1) for _, s, k0 in spans)
     if blocks > MAX_BLOCKS:
         raise CapExceeded(f"{int_text(blocks)} quotient blocks exceed the cap {MAX_BLOCKS}")
-    ends = [np.arange(1, min(s, m) + 1, dtype=np.int64) for _, s, _ in spans]
-    ends += [n // np.arange(k0, s + 1, dtype=np.int64) for n, s, k0 in spans if k0 <= s]
-    ends = np.sort(np.concatenate(ends))  # a repeated end gets weight 0
-    weights = np.diff(_mertens(ends), prepend=0)
-    live = weights != 0
-    return np.concatenate(([1], ends[:-1] + 1))[live], weights[live]
+    # 0, then every end; a repeated end gets weight 0
+    ends = np.zeros(blocks + 1, dtype=np.int64)
+    i = 1
+    for n, s, k0 in spans:
+        j = i + min(s, m)
+        ends[i:j] = np.arange(1, j - i + 1)
+        if k0 <= s:
+            i, j = j, j + s - k0 + 1
+            np.floor_divide(n, np.arange(k0, s + 1, dtype=np.int64), out=ends[i:j])
+        i = j
+    ends.sort()
+    weights = np.diff(_mertens(ends))
+    live = np.flatnonzero(weights)
+    starts = ends[live]
+    starts += 1
+    return starts, weights[live]
 
 
 def mobius_sum(ns, L) -> int:
     """sum_{e=1}^{min ns} mu(e) * L(floor(n_1/e), ..., floor(n_k/e)), exact,
-    over the blocks of :func:`mobius_blocks`.  L gets one object array of
-    Python ints per n_i, its quotient at each block of nonzero weight, and
-    returns their values; it is not called when min ns < 1."""
+    over the blocks of :func:`mobius_blocks`, ``MOBIUS_CHUNK`` blocks at a
+    time.  L gets one object array of Python ints per n_i, its quotient at
+    each block of the slice, and returns their values; it is not called
+    when min ns < 1."""
     starts, weights = mobius_blocks(*ns)
-    if not len(starts):
-        return 0
-    starts = starts.astype(object)
-    values = L(*(n // starts for n in ns))
-    return int(np.dot(weights.astype(object), np.asarray(values, dtype=object)))
+    total = 0
+    for i in range(0, len(starts), MOBIUS_CHUNK):
+        e = starts[i : i + MOBIUS_CHUNK].astype(object)
+        values = np.asarray(L(*(n // e for n in ns)), dtype=object)
+        total += int(np.dot(weights[i : i + MOBIUS_CHUNK].astype(object), values))
+    return total
 
 
 def sieve_count(box: Box) -> int:

@@ -73,11 +73,13 @@ def count_ball(ball: HeightBall) -> int:
     return mobius_sum((ball.bound,), lambda N: N * (2 * N + 1) ** k)
 
 
-# (row, coordinate) cells per block of the element streams, and values of
-# a2 per block of the quadratic interval count: both bound a block's memory
-# whatever the height.
+# (row, coordinate) cells per block of the element streams, values of a2
+# per block of the quadratic interval count, and quotients per slice of its
+# a2 = 0 row and weighted sums: each bounds a block's memory whatever the
+# height.
 BLOCK_CELLS = 1 << 15
 BLOCK_A2 = 1 << 14
+BLOCK_N = 1 << 16
 # Every intermediate of the kernel, of the quadratic count and of the image
 # map stays below this, so int64 arithmetic is exact on the whole domain
 # the guards admit.
@@ -390,9 +392,11 @@ def count_ball_intervals(field: FieldDescriptor, R_list, lo, hi) -> list[int]:
     row(N, a2), whose sum is empty over Q.
 
     L is evaluated once per t, on the union of the live quotients of every
-    R of the list, and each R's S(t) is the dot product of its weights with
-    its quotients' values.  The a2 = 0 row runs on Python ints over Q,
-    which has no int64 guard, and in int64 over Q(sqrt d).  Every other
+    R of the list, ``BLOCK_N`` quotients at a time, and each R's S(t) is
+    the sum over those slices of the dot product of its weights with its
+    quotients' values.  The a2 = 0 row runs in int64, except over Q (which
+    has no int64 guard) on the slices whose magnitudes could pass it, which
+    run on Python ints.  Every other
     (N, a2) pair is a cell: consecutive quotients pack into groups
     of at most ``BLOCK_A2`` cells, one ragged int64 evaluation and one
     ``np.add.reduceat`` per group; a quotient of ``BLOCK_A2`` cells or more
@@ -417,8 +421,11 @@ def count_ball_intervals(field: FieldDescriptor, R_list, lo, hi) -> list[int]:
     Ns = Ns[np.diff(Ns, prepend=0) != 0]
     cells = Ns if d else np.zeros_like(Ns)  # the (N, a2) cells a2 = 1..N of L(N)
     ends = np.cumsum(cells)
+    # each R's positions in Ns, ascending, and its weights in that order
+    places = [(np.searchsorted(Ns, quotient[::-1]), weights[::-1])
+              for quotient, (_, weights) in zip(quotients, blocks)]
 
-    def lattice_points(t: Fraction) -> np.ndarray:  # L(N) at t for every N of Ns
+    def symmetric_counts(t: Fraction) -> list[int]:  # S(t) for every R of the list
         p, q = t.numerator, t.denominator
 
         def row(N, down, up):  # the points of L(N) at one a2: floor and -ceil of q*a2*sqrt d
@@ -428,7 +435,7 @@ def count_ball_intervals(field: FieldDescriptor, R_list, lo, hi) -> list[int]:
         for i in range(0, len(fl), BLOCK_A2):
             a2 = np.arange(i, min(i + BLOCK_A2, len(fl)), dtype=np.int64)
             fl[i : i + BLOCK_A2] = _floor_sqrt_multiple(q * a2, d)
-        sums = np.zeros(len(Ns), dtype=object)
+        sums = np.zeros(len(Ns) if d else 0, dtype=object)
         # cells ascend with N; over Q there are none, and neither loop runs
         i, alone = int(np.searchsorted(cells, 1)), int(np.searchsorted(cells, BLOCK_A2))
         while i < alone:  # the group [i, j) of at most BLOCK_A2 cells
@@ -442,18 +449,28 @@ def count_ball_intervals(field: FieldDescriptor, R_list, lo, hi) -> list[int]:
         for i in range(alone, len(Ns)):  # alone, over slices of BLOCK_A2 cells
             slices = (fl[k : min(k + BLOCK_A2, Ns[i] + 1)] for k in range(1, Ns[i] + 1, BLOCK_A2))
             sums[i] = sum(int(row(Ns[i], f, -f - 1).sum()) for f in slices)
-        # the a2 = 0 row; over Q on Python ints, where L(N) passes 2^63 at R = 10^10
-        return row(Ns if d else Ns.astype(object), 0, 0).astype(object) + 2 * sums
+        totals = [0] * len(places)
+        for i in range(0, len(Ns), BLOCK_N):
+            N = Ns[i : i + BLOCK_N]
+            # the a2 = 0 row, within 7*(N + 1)^2 and 2*(p + q)*(N + 2); over Q
+            # on Python ints once that could pass int64, from N of about 10^9
+            top = int(N[-1])
+            wide = not d and max(7 * (top + 1) ** 2, 2 * (p + q) * (top + 2)) > INT64_SAFE
+            values = row(N.astype(object) if wide else N, 0, 0).astype(object)
+            if d:
+                values += 2 * sums[i : i + BLOCK_N]
+            for slot, (at, weights) in enumerate(places):
+                a, b = np.searchsorted(at, (i, i + BLOCK_N))
+                totals[slot] += int(np.dot(weights[a:b].astype(object), values[at[a:b] - i]))
+        return totals
 
-    S = {t: lattice_points(t) for t in {u, v}}
+    S = {t: symmetric_counts(t) for t in {u, v}}
     counts = []
-    for n, quotient, (_, weights) in zip(bounds, quotients, blocks):
-        at, weights = np.searchsorted(Ns, quotient), weights.astype(object)
-        s = {t: int(np.dot(weights, values[at])) for t, values in S.items()}
+    for slot, n in enumerate(bounds):
         if lo <= 0 <= hi:
-            counts.append((s[v] + s[u]) // 2)
+            counts.append((S[v][slot] + S[u][slot]) // 2)
         else:
-            counts.append((s[v] - s[u]) // 2 + (max(u.numerator, u.denominator) <= n))
+            counts.append((S[v][slot] - S[u][slot]) // 2 + (max(u.numerator, u.denominator) <= n))
     return counts
 
 

@@ -101,7 +101,7 @@ def mobius(j: int) -> int:
     return out
 
 
-def mobius_table(n: int) -> list[int]:
+def mobius_values(n: int) -> list[int]:
     """mu(0..n) by the plain sieve over every p <= n."""
     mu = np.ones(n + 1, dtype=np.int64)
     composite = np.zeros(n + 1, dtype=bool)
@@ -114,6 +114,53 @@ def mobius_table(n: int) -> list[int]:
     return mu.tolist()
 
 
+# Largest whole-table sieve of :func:`mertens_whole_table`; the recursion
+# covers the rest.
+WHOLE_SIEVE_MAX = 1 << 23
+
+
+def mobius_sieve_whole(n: int) -> np.ndarray:
+    """mu(0..n) as int8 in one table: each prime p <= sqrt(n) flips the sign
+    of its multiples, zeroes those of p^2 and is divided out of them once,
+    which leaves a squarefree m at most one prime above sqrt(n) to flip for.
+    The reference for the segmented sieve of ``coprime_count``."""
+    mu = np.ones(n + 1, dtype=np.int8)
+    rest = np.arange(n + 1, dtype=np.int32)
+    for p in range(2, isqrt(n) + 1):
+        if rest[p] == p:  # p is prime
+            mu[p::p] *= -1
+            mu[p * p :: p * p] = 0
+            rest[p::p] //= p
+    mu[rest > 1] *= -1
+    mu[0] = 0
+    return mu
+
+
+def mertens_whole_table(xs: np.ndarray) -> np.ndarray:
+    """M(x) at each x of the sorted array xs, which must hold floor(x/k)
+    wherever that passes the sieve limit, about max(xs)^(2/3), from one
+    whole sieve of :func:`mobius_sieve_whole` and, above it,
+    M(x) = 1 - sum_{k=2}^{x} M(floor(x/k)): k up to s = isqrt(x) one by one,
+    larger k grouped by quotient q <= x/(s+1).  The reference for
+    ``coprime_count._mertens``."""
+    top = int(xs[-1])
+    limit = max(isqrt(top), min(int(top ** (2 / 3)), WHOLE_SIEVE_MAX))
+    small = np.cumsum(mobius_sieve_whole(limit), dtype=np.int32)
+    big = {}
+    large = xs[xs > limit].tolist()
+    for x in large:
+        s = isqrt(x)
+        split = x // (limit + 1)  # floor(x/k) passes the limit for k <= split
+        ks = np.arange(max(2, split + 1), s + 1, dtype=np.int64)
+        qs = np.arange(1, x // (s + 1) + 1, dtype=np.int64)
+        runs = x // qs - x // (qs + 1)  # the k with quotient q, all > s
+        big[x] = (1 - sum(big[x // k] for k in range(2, split + 1))
+                  - int(small[x // ks].sum()) - int(runs @ small[qs]))
+    out = small[np.minimum(xs, limit)]
+    out[xs > limit] = [big[x] for x in large]
+    return out
+
+
 def sieve_count_loop(box) -> int:
     """The Moebius sum over every j up to the smallest floored side, each
     term from the exact rational sides: the reference for
@@ -121,7 +168,7 @@ def sieve_count_loop(box) -> int:
     jmax = min(box.floors())
     if jmax < 1:
         return 0
-    mu = mobius_table(jmax)
+    mu = mobius_values(jmax)
     total = 0
     for j in range(1, jmax + 1):
         if mu[j]:
@@ -242,7 +289,7 @@ def sieve_count_table(floors: tuple[int, ...]) -> np.ndarray:
     """Moebius-sum counts for every integer sub-box at once; same layout
     as :func:`coprime_count_table`."""
     jmax = min(floors)
-    mu = mobius_table(jmax)
+    mu = mobius_values(jmax)
     table = np.zeros(tuple(floors), dtype=np.int64)
     for j in range(1, jmax + 1):
         if mu[j] == 0:

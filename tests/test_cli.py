@@ -295,13 +295,16 @@ def _fresh_run(args, timeout=120):
 
 def test_one_process_matches_fresh_runs(capsys):
     """The parser is built once per process; a run after a refused one
-    still prints what a new interpreter prints."""
+    still prints what a new interpreter prints, and so do Moebius counts
+    read from the Mertens table that density has already grown."""
     decide = ["decide", "--field", "quad", "--d", "2", "--a", "(0+1*sqrt(2))/1"]
     density = ["density", "--field", "q", "--R", "25,50,100"]
+    lehmer = ["lehmer", "--sides", "1000000,1000000"]
+    boxcount = ["boxcount", "--field", "q", "--R", "1000"]
     bad = ["decide", "--field", "q"]  # --a is required
-    fresh = {tuple(args): _fresh_run(args) for args in (decide, density, bad)}
+    fresh = {tuple(args): _fresh_run(args) for args in (decide, density, lehmer, boxcount, bad)}
     assert fresh[tuple(bad)][0] == 2
-    for args in (decide, density, bad, decide):
+    for args in (decide, density, lehmer, boxcount, bad, decide):
         code = exit_code(args)
         out, err = capsys.readouterr()
         assert (code, out, err) == fresh[tuple(args)]

@@ -3,7 +3,10 @@ side-guards."""
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from unittest import mock
@@ -17,8 +20,10 @@ from hypothesis import strategies as st
 from oracles import (
     brute_count_recursive,
     coprime_count_table,
+    mertens_whole_table,
     mobius,
-    mobius_table,
+    mobius_sieve_whole,
+    mobius_values,
     sieve_count_loop,
     sieve_count_table,
     zeta_partial_sums,
@@ -28,13 +33,15 @@ from trisectlab.cli import main as cli_main
 from trisectlab.coprime_count import (
     Box,
     _brute_grid,
-    _mobius_sieve,
+    _mertens,
+    _mertens_segments,
     brute_count,
     eccentricity,
     error_term_budget,
     lehmer_report,
     mobius_blocks,
     mobius_sum,
+    mobius_table,
     sieve_count,
     zeta,
 )
@@ -45,15 +52,84 @@ def test_mobius_examples_and_sieve_agreement():
     assert mobius(1) == 1
     assert mobius(6) == 1
     assert mobius(12) == 0
-    table = _mobius_sieve(500)
+    table = mobius_sieve_whole(500)
     assert table.dtype == np.int8 and table[0] == 0
     assert all(table[j] == mobius(j) for j in range(1, 501))
     # past sqrt(n) one prime factor is left to the final sign flip
-    assert _mobius_sieve(10 ** 5).tolist() == mobius_table(10 ** 5)
+    assert mobius_sieve_whole(10 ** 5).tolist() == mobius_values(10 ** 5)
 
 
-# M(10^k) for k = 1..9
-KNOWN_MERTENS = tuple(enumerate((-1, 1, 2, -23, -48, 212, 1037, 1928, -222), 1))
+@pytest.mark.parametrize("lo, segment", [(1, 1000), (1, 1 << 19), (2, 61), (170, 97), (31 ** 2, 4096)])
+def test_segmented_sieve_matches_plain_sieve(lo, segment):
+    """M over [lo, 10^5] from segments of every size, each starting at
+    any residue of the wheel, both below and past the square root of its
+    end, against the plain sieve."""
+    mu = mobius_values(10 ** 5)
+    with mock.patch.object(coprime_count, "MOBIUS_SEGMENT", segment):
+        parts = list(_mertens_segments(lo, 10 ** 5 + 1, sum(mu[:lo])))
+    assert [a for a, _ in parts] == list(range(lo, 10 ** 5 + 1, segment))
+    assert all(m.dtype == np.int32 for _, m in parts)
+    assert np.concatenate([m for _, m in parts]).tolist() == np.cumsum(mu)[lo:].tolist()
+
+
+def test_mobius_table_doubles_from_its_floor_to_its_cap():
+    with mock.patch.object(coprime_count, "_MOBIUS_CACHE", np.zeros(1, dtype=np.int32)):
+        assert len(mobius_table(1)) == coprime_count.MOBIUS_TABLE_MIN + 1
+        assert len(mobius_table(coprime_count.MOBIUS_TABLE_MIN + 1)) == 2 * coprime_count.MOBIUS_TABLE_MIN + 1
+        assert len(mobius_table(5)) == 2 * coprime_count.MOBIUS_TABLE_MIN + 1  # never shrinks
+        with mock.patch.object(coprime_count, "MOBIUS_TABLE_MAX", 1 << 14):
+            table = mobius_table(10 ** 9)
+            assert len(table) == (1 << 14) + 1
+            assert table.tolist() == np.cumsum(mobius_values(1 << 14)).tolist()
+            assert mobius_table(10 ** 12) is table
+
+
+def _floor_quotients(n: int) -> list[int]:
+    s = math.isqrt(n)
+    return sorted(set(range(s + 1)) | {n // k for k in range(1, s + 1)})
+
+
+# The table states of test_mertens_matches_whole_table_oracle: cold (M(0)
+# only), warm (some power of two), and at a cap of 2^14 >= isqrt(10^8).
+_CAP = 1 << 14
+
+
+@settings(max_examples=60, deadline=None)
+@example(n=5 * 10 ** 6, state="cap", segment=97, chunk=5, data=None)
+@example(n=10 ** 8, state="cap", segment=1000, chunk=64, data=None)
+@example(n=3 * 10 ** 7 + 1, state="cold", segment=4096, chunk=1 << 16, data=None)
+@given(n=st.integers(1, 10 ** 8), state=st.sampled_from(["cold", "warm", "cap"]),
+       segment=st.sampled_from([1000, 4096]), chunk=st.sampled_from([64, 1 << 16]),
+       data=st.data())
+def test_mertens_matches_whole_table_oracle(n, state, segment, chunk, data):
+    """_mertens over a random sorted set of floor quotients of n (every
+    one when no set is drawn), with the table cold, warm or at its cap and
+    small segments and chunks, against the whole-table oracle."""
+    quotients = _floor_quotients(n)
+    want = dict(zip(quotients, mertens_whole_table(np.array(quotients, dtype=np.int64)).tolist()))
+    xs = quotients
+    if data is not None:
+        xs = sorted(set(data.draw(st.lists(st.sampled_from(quotients), min_size=1, max_size=40))))
+    table = np.zeros(1, dtype=np.int32)
+    if state != "cold":
+        size = _CAP if state == "cap" else 1 << (data.draw(st.integers(10, 13)) if data else 10)
+        table = np.cumsum(mobius_values(size), dtype=np.int32)
+    with mock.patch.object(coprime_count, "_MOBIUS_CACHE", table), \
+            mock.patch.object(coprime_count, "MOBIUS_TABLE_MAX", _CAP), \
+            mock.patch.object(coprime_count, "MOBIUS_SEGMENT", segment), \
+            mock.patch.object(coprime_count, "MOBIUS_CHUNK", chunk):
+        got = _mertens(np.array(xs, dtype=np.int64))
+        assert len(coprime_count._MOBIUS_CACHE) <= _CAP + 1
+    assert got.tolist() == [want[x] for x in xs]
+
+
+def test_mertens_refuses_past_its_table_cap():
+    with pytest.raises(CapExceeded, match="Mertens table"):
+        _mertens(np.array([(coprime_count.MOBIUS_TABLE_MAX + 1) ** 2], dtype=np.int64))
+
+
+# M(10^k) for k = 1..10 (OEIS A084237)
+KNOWN_MERTENS = tuple(enumerate((-1, 1, 2, -23, -48, 212, 1037, 1928, -222, -33722), 1))
 
 
 @pytest.mark.parametrize("k, value", KNOWN_MERTENS)
@@ -103,6 +179,28 @@ def test_block_cap_refuses_before_any_work():
     with pytest.raises(CapExceeded, match="quotient blocks"):
         sieve_count(Box((10 ** 30, 10 ** 30)))
     assert time.perf_counter() - start < 1
+
+
+def test_mertens_at_1e11_in_bounded_memory():
+    """M(10^11) in a fresh interpreter: the table stays within its cap and
+    the peak resident memory (VmHWM) under 120 MB."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import json\n"
+        "from trisectlab import coprime_count as cc\n"
+        "value = cc.mobius_sum((10 ** 11,), lambda q: [1] * len(q))\n"
+        "with open('/proc/self/status') as status:\n"
+        "    peak = next(int(l.split()[1]) for l in status if l.startswith('VmHWM:')) / 1024\n"
+        "print(json.dumps([value, len(cc._MOBIUS_CACHE), cc.MOBIUS_TABLE_MAX, peak]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    value, size, cap, peak_mb = json.loads(proc.stdout)
+    assert value == -87856
+    assert size <= cap + 1
+    assert peak_mb < 120
 
 
 def test_lehmer_at_a_billion(capsys):

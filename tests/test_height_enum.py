@@ -488,6 +488,38 @@ def test_counts_past_int64_are_exact():
     assert count == mobius_sum((F,), lambda q: [_lattice_points_q(n) for n in q.tolist()])
 
 
+def test_q_denominator_past_the_block_cap_refused_promptly():
+    """R = 10^13 needs more quotient blocks than MAX_BLOCKS: refused before
+    any sieve or table is built."""
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="quotient blocks"):
+        count_ball_interval(HeightBall(RATIONAL_FIELD, 10 ** 13), -2, 2)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("d", [0, 3])
+@pytest.mark.parametrize("slice_size", [1, 5, height_enum.BLOCK_N])
+def test_interval_counts_over_slices_of_quotients(d, slice_size, monkeypatch):
+    """The a2 = 0 row and the weighted sums run over slices of at most
+    BLOCK_N quotients of the union of the list's quotients; every slice
+    size gives the per-quotient reference's counts."""
+    field = quadratic_field(d) if d else RATIONAL_FIELD
+    sizes = []
+
+    def recorded(p, q, r, N):
+        sizes.append(np.size(N))
+        return _clipped_floor_sum(p, q, r, N)
+
+    monkeypatch.setattr(height_enum, "BLOCK_N", slice_size)
+    monkeypatch.setattr(height_enum, "_clipped_floor_sum", recorded)
+    for R_list, lo, hi in (([1, 30, 400], -2, 2), ([77, 250], Fraction(1, 3), Fraction(5, 2))):
+        sizes.clear()
+        got = count_ball_intervals(field, R_list, lo, hi)
+        if not d:
+            assert max(sizes) <= slice_size
+        assert got == interval_counts_per_quotient(field, R_list, lo, hi)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     p=st.integers(-40, 40),

@@ -36,7 +36,8 @@ print(json.dumps({{"value": value, "elapsed_s": elapsed, "peak_mb": peak_mb}}))
 """
 
 # check -> (call, exact value, time limit in seconds).  The Q count is also
-# checked against the closed-form lattice count in test_height_enum; the
+# checked against the closed-form lattice count in test_height_enum; at
+# 10^11 it sieves the Moebius function past its table, in segments; the
 # Q(sqrt 3) list shares one lattice evaluation across its four R; the
 # intervals [-1/3, 5/2] and [1/3, 5/2] each take the symmetric counts at
 # 1/3 and 5/2 (their values are those of the skew count they replace);
@@ -57,6 +58,11 @@ SCALE_RUNS = {
     "count-interval-q-1e9": (
         "count_ball_interval(HeightBall(RATIONAL_FIELD, 10 ** 9), -2, 2)",
         911890653519025243,
+        3.0,
+    ),
+    "count-interval-q-1e11": (
+        "count_ball_interval(HeightBall(RATIONAL_FIELD, 10 ** 11), -2, 2)",
+        9118906527850158633421,
         3.0,
     ),
     "count-interval-sqrt2-1e6": (
