@@ -31,6 +31,13 @@ Suites (name, default output, what they time):
                     k = 10, 11, 12, and ``lehmer --sides 1e9,1e9``; each run
                     in a fresh interpreter, which reads its own peak
                     resident memory (VmHWM, as ``tests/test_scale.py`` does).
+    certificates    BENCH_5.json  the ``witness`` verb at (m, q) = (5, 2),
+                    (17, 2), (23, 5) and (31, 2^31 - 1), the ``nsect`` verb
+                    at p = 3, 5 and 601 (each builds its certificate and
+                    verifies it by a rebuild), with output discarded; and one
+                    ``Certificate.verify()`` of each certificate kind.  Each
+                    case is called once first; a case under 0.1 s is timed
+                    over CERT_LOOPS calls per run.
 
 A row with the same label in the output file is replaced; other rows are
 kept, so running this script from two checkouts into one file records a
@@ -60,14 +67,15 @@ sys.path.insert(0, SRC)
 REPEATS = 5
 
 
-def _median_ms(run) -> tuple[float, object]:
-    """The median time of REPEATS calls of run, in milliseconds, and the
-    result of the last call."""
+def _median_ms(run, loops: int = 1) -> tuple[float, object]:
+    """The median over REPEATS runs of the time of ``loops`` calls of run,
+    per call, in milliseconds, and the result of the last call."""
     times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
-        result = run()
-        times.append(time.perf_counter() - start)
+        for _ in range(loops):
+            result = run()
+        times.append((time.perf_counter() - start) / loops)
     return round(1e3 * statistics.median(times), 4), result
 
 
@@ -219,6 +227,52 @@ def mertens() -> dict:
     return {"cases": results}
 
 
+# -- certificates -----------------------------------------------------------
+
+CERT_VERBS = (
+    *(["witness", "--m", str(m), "--q", str(q)]
+      for m, q in ((5, 2), (17, 2), (23, 5), (31, 2 ** 31 - 1))),
+    *(["nsect", "--p", str(p), "--c", str(p), "--d", str(d)]
+      for p, d in ((3, 4), (5, 7), (601, 602))),
+)
+
+
+CERT_LOOPS = 50
+
+
+def certificates() -> dict:
+    from trisectlab.cli import main as cli_main
+    from trisectlab.trisect_core import (Certificate, eisenstein_cert_3rs,
+                                         nonconstructible_witness, nonsectability_cert,
+                                         square_family_check, yates_certificate)
+
+    def verb(argv: list[str]) -> bool:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli_main(argv)
+        return code == 0 and json.loads(out.getvalue())["verified"] is True
+
+    def timed(run) -> dict:
+        start = time.perf_counter()
+        run()
+        loops = CERT_LOOPS if time.perf_counter() - start < 0.1 else 1
+        ms, ok = _median_ms(run, loops)
+        return {"verified": ok, "loops": loops, "median_ms": ms}
+
+    verbs = [_report({"verb": " ".join(argv), **timed(lambda: verb(argv))})
+             for argv in CERT_VERBS]
+    a, b = yates_certificate(7)
+    certs = (
+        ("r=1 s=2", eisenstein_cert_3rs(1, 2)),
+        ("k=7", Certificate("yates-bezout", {"k": 7, "a": a, "b": b})),
+        ("H=100", square_family_check(100)["certificate"]),
+        ("m=23 q=5", nonconstructible_witness(23, 5)),
+        ("p=5 c=5 d=7", nonsectability_cert(5, 5, 7)),
+    )
+    verifies = [_report({"kind": cert.kind, "case": case, **timed(cert.verify)})
+                 for case, cert in certs]
+    return {"verbs": verbs, "verify": verifies}
+
+
 # name -> (default output, benchmark title, library versions recorded, run)
 SUITES = {
     "decide-heights": ("BENCH_1.json", "decide_trisection across element heights",
@@ -228,6 +282,8 @@ SUITES = {
     "algdeg-tower": ("BENCH_3.json", "algdeg cosine-tower kernels", ("mpmath",), algdeg_tower),
     "mertens": ("BENCH_4.json", "Mertens function and Q denominator at 10^10..10^12",
                 ("numpy",), mertens),
+    "certificates": ("BENCH_5.json", "witness and nsect verbs and one verify per certificate kind",
+                     ("mpmath",), certificates),
 }
 
 

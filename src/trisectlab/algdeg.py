@@ -19,7 +19,8 @@ from math import gcd, lcm
 import mpmath
 
 from .errors import BadParameters, CapExceeded, NotCoprime
-from .polyalg import IntPoly, chebyshev_like, cos_minimal_poly, eisenstein_check, kronecker_square
+from .polyalg import (IntPoly, chebyshev_like, cos_minimal_poly, eisenstein_check, fixed_point_eval,
+                      kronecker_square)
 
 DEGREE_CAP = 4096
 
@@ -52,18 +53,28 @@ def angle_number(j: int, m: int) -> AngleNumber:
 ROOT_TOL_EXP = -25
 
 
-def _verify_numeric_root(num: AngleNumber) -> None:
+def _root_residual(num: AngleNumber) -> Fraction:
+    """An upper bound on |minimal_poly(x)| at x = 2cos(2*pi*j/m): x from
+    mpmath at F = bits + 2*degree + 200 bits (bits of the widest
+    coefficient), truncated to F fraction bits, and the bound is |value| + E
+    of :func:`fixed_point_eval`.  E is below 2^(bits + degree + log2(degree)
+    - F) = degree * 2^(-degree - 200)."""
     poly = num.minimal_poly
     bits = max(abs(c).bit_length() for c in poly.coeffs)
-    prec = bits + 2 * poly.degree + 200
-    with mpmath.workprec(prec):
-        x = 2 * mpmath.cos(2 * mpmath.pi * num.j / num.m)
-        residual = abs(poly.evaluate(x))
-        if residual >= mpmath.mpf(10) ** ROOT_TOL_EXP:
-            raise AssertionError(
-                f"2cos(2*pi*{num.j}/{num.m}) misses its minimal polynomial "
-                f"by {mpmath.nstr(residual, 5)}"
-            )
+    F = bits + 2 * poly.degree + 200
+    with mpmath.workprec(F):
+        X = int(mpmath.ldexp(2 * mpmath.cos(2 * mpmath.pi * num.j / num.m), F))
+    value, err = fixed_point_eval(poly, X, F)
+    return Fraction(abs(value) + err, 1 << F)
+
+
+def _verify_numeric_root(num: AngleNumber) -> None:
+    residual = _root_residual(num)
+    if residual >= Fraction(10) ** ROOT_TOL_EXP:
+        raise AssertionError(
+            f"2cos(2*pi*{num.j}/{num.m}) misses its minimal polynomial by "
+            f"{mpmath.nstr(mpmath.mpf(residual.numerator) / residual.denominator, 5)}"
+        )
 
 
 def angle_degree(j: int, m: int) -> int:

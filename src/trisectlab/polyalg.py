@@ -382,13 +382,22 @@ def kronecker_square(q: list[int]) -> list[int]:
             for k in range(0, digits * size, size)]
 
 
+# The modulus of the F_p[x] Euclid in :func:`squarefree_over_q`: the largest
+# prime below 2^32, so every reduced product fits a 64-bit word.  It lies
+# above every witness radicand q <= 2^31 (q^(1/m) <= 2, m <= 31): at p = q the
+# characteristic polynomial of f(q^(1/m)) is x^m mod p, never squarefree
+# there, and each check would fall back to the gcd over Q.
+SQUAREFREE_PRIME = (1 << 32) - 5
+
+
 def squarefree_over_q(f: IntPoly) -> bool:
     """True iff f (degree m >= 1) has no repeated factor over Q.  When
-    p = 2^61 - 1 does not divide m*lc(f), a trivial gcd(f, f') in F_p[x]
-    proves it: a repeated factor g can be taken primitive in Z[x] (Gauss),
-    so g | f and g | f' in Z[x], and p does not divide lc(g) | lc(f), so
-    g mod p keeps its degree and divides both.  Else the gcd over Q decides."""
-    p = (1 << 61) - 1
+    p = ``SQUAREFREE_PRIME`` does not divide m*lc(f), a trivial gcd(f, f')
+    in F_p[x] proves it: a repeated factor g can be taken primitive in Z[x]
+    (Gauss), so g | f and g | f' in Z[x], and p does not divide
+    lc(g) | lc(f), so g mod p keeps its degree and divides both.  Else, or
+    when the gcd mod p is not trivial, the gcd over Q decides."""
+    p = SQUAREFREE_PRIME
     if f.degree * f.leading % p:
         a, b = [c % p for c in f.coeffs], [c % p for c in f.derivative().coeffs]
         while b:  # Euclid in F_p[x], b[-1] != 0
@@ -402,6 +411,51 @@ def squarefree_over_q(f: IntPoly) -> bool:
         if len(a) == 1:
             return True
     return f.to_rat().gcd(f.derivative().to_rat()).degree == 0
+
+
+def fixed_point_eval(f: IntPoly, X: int, F: int) -> tuple[int, int]:
+    """(Y, E) with |Y - 2^F * f(x)| <= E for x = X/2^F, |x| <= 2: f at a
+    point given in fixed point with F fraction bits, on Python ints alone.
+
+    Write f(x) = A(x^2) + x*B(x^2), with A and B of degree at most
+    k = deg(f) // 2, and c for the largest |coefficient| of f.  The square
+    is truncated once, S = floor(X^2 / 2^F), s = S/2^F, so 0 <= x^2 - s
+    < 2^-F and 0 <= s <= 4; A and B run Horner at S, each step
+    acc = floor(acc*S / 2^F) + a_i*2^F, and Y = A + floor(X*B / 2^F).  In
+    units of 2^-F:
+
+    * Horner over j steps at s <= 4 errs by at most sum_(i<j) s^i
+      <= (4^j - 1)/3 (an error made i steps before the end is multiplied
+      by s^i); B's is multiplied by |x| <= 2, and the last product's floor
+      adds less than 1.
+    * Evaluating at s for x^2 moves A by at most (x^2 - s)*max|A'| on
+      [0, 4], below sum_(i<=k) i*c*4^(i-1) <= c*k*(4^k - 1)/3, and x*B by
+      twice that.
+
+    The two sum to at most (4^k - 1)*(1 + c*k) + 1 <= (1 + c*k)*4^k = E.
+    An even f (B = 0) takes k Horner steps, half of plain Horner's.  The
+    bound pays c for the truncated square, so F must exceed
+    log2(c) + deg(f) + log2(k) + log2(1/tolerance) for a residual check
+    to pass on a true root.
+    """
+    if abs(X) > 2 << F:
+        raise ValueError("fixed_point_eval needs |X| <= 2^(F+1)")
+    coeffs = f.coeffs
+    if not coeffs:
+        return 0, 0
+    S = X * X >> F
+
+    def horner(part) -> int:
+        acc = 0
+        for a in reversed(part):
+            acc = (acc * S >> F) + (a << F)
+        return acc
+
+    Y = horner(coeffs[::2])
+    if len(coeffs) > 1:
+        Y += X * horner(coeffs[1::2]) >> F
+    k = f.degree // 2
+    return Y, (1 + k * max(map(abs, coeffs))) << 2 * k
 
 
 def poly_text(coeffs) -> str:

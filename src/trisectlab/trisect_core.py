@@ -49,8 +49,8 @@ from .exact_arith import (
 from .height_enum import (BLOCK_CELLS, HeightBall, check_int64, count_ball, count_ball_intervals,
                           element_blocks, is_square)
 from .nsect import psection_poly
-from .polyalg import (IntPoly, RatPoly, divisors, eisenstein_check, is_prime, primes_below,
-                      resultant_minpoly, squarefree_over_q)
+from .polyalg import (IntPoly, RatPoly, divisors, eisenstein_check, fixed_point_eval, is_prime,
+                      primes_below, resultant_minpoly, squarefree_over_q)
 
 F_CUBIC = RatPoly((0, -3, 0, 1))  # y^3 - 3y
 
@@ -483,20 +483,20 @@ def eisenstein_cert_3rs(r: int, s: int) -> Certificate:
 # Largest value of the parameter that a verifier's re-run grows with (the
 # height H, the prime p, the degree m).  H and p sit where the slowest
 # accepted verify takes about 1 s (Python 3.11 on a 2-CPU x86 VM); at m = 31
-# it takes about 4 ms (q = 2^31 - 1, most of it the trial division of q), a
-# cap kept so `witness --m` accepts the same range.  Past a cap, or past
-# CERT_MAX_DIGITS digits in any integer a certificate holds (below Python's
-# 4,300-digit int-to-str limit), verify raises ``CapExceeded``; the p and m
-# producers refuse past their caps before they build anything.  Never read
-# from the data.
+# it takes under 1 ms (q = 2^31 - 1), a cap kept so `witness --m` accepts
+# the same range.  Past a cap, or past CERT_MAX_DIGITS digits in any integer
+# a certificate holds (below Python's 4,300-digit int-to-str limit), verify
+# raises ``CapExceeded``; the p and m producers refuse past their caps before
+# they build anything.  Never read from the data.
 SQUARE_FAMILY_MAX_H = 500_000
 PSECTION_MAX_P = 601
 WITNESS_MAX_M = 31
 CERT_MAX_DIGITS = 4000
+_CERT_LIMIT = 10 ** CERT_MAX_DIGITS  # formed once; 13,288 bits
 
 
 def _check_digits(v: int, what: str) -> None:
-    if abs(v) >= 10 ** CERT_MAX_DIGITS:
+    if abs(v) >= _CERT_LIMIT:
         raise CapExceeded(f"{what} has more than {CERT_MAX_DIGITS} digits")
 
 
@@ -717,8 +717,8 @@ def nonconstructible_witness(m: int, q: int) -> Certificate:
     if not squarefree_over_q(poly):
         raise AssertionError("resultant is not squarefree; degree collapse")
     residual_bound = _witness_residual(poly, m, q)
-    if residual_bound >= WITNESS_RESIDUAL_TOL:
-        raise AssertionError(f"numeric residual {residual_bound} too large")
+    if residual_bound >= WITNESS_RESIDUAL_TOL:  # exact Fraction-float comparison
+        raise AssertionError(f"numeric residual {float(residual_bound)} too large")
     return Certificate(
         kind="nonconstructible-witness",
         data={
@@ -732,14 +732,22 @@ def nonconstructible_witness(m: int, q: int) -> Certificate:
     )
 
 
-def _witness_residual(poly: IntPoly, m: int, q: int) -> float:
+def _witness_residual(poly: IntPoly, m: int, q: int) -> Fraction:
+    """An upper bound on |poly(x)|, x = B^3/2^(2F) - 3B/2^F truncated to
+    F fraction bits: B/2^F is mpmath's beta = q^(1/m) at F = bits + 8m +
+    160 bits (bits of the widest coefficient), exact in F fraction bits as
+    beta >= 1, and the bound is |value| + E of :func:`fixed_point_eval`.
+    E is below 2^(bits + 2m - F) = 2^(-6m - 160), and moving x by the
+    2^-F of the truncation (or of mpmath's beta) moves poly by less than
+    that too."""
     import mpmath as mp
 
     bits = max(abs(c).bit_length() for c in poly.coeffs)
-    with mp.workprec(bits + 8 * m + 160):
-        beta = mp.power(q, mp.mpf(1) / m)
-        a = beta ** 3 - 3 * beta
-        return float(abs(poly.evaluate(a)))
+    F = bits + 8 * m + 160
+    with mp.workprec(F):
+        B = int(mp.ldexp(mp.power(q, mp.mpf(1) / m), F))
+    value, err = fixed_point_eval(poly, (B ** 3 >> 2 * F) - 3 * B, F)
+    return Fraction(abs(value) + err, 1 << F)
 
 
 def _verify_nonconstructible(data: dict) -> bool:

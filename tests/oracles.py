@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 from math import gcd, isqrt
 
+import mpmath
 import numpy as np
 
 from trisectlab.coprime_count import mobius_sum
@@ -547,6 +548,25 @@ def cos_minimal_poly_extraction(m: int) -> IntPoly:
     if any(work):
         raise AssertionError(f"symmetric extraction failed for m={m}")
     return IntPoly(out)
+
+
+def witness_residual_mpf(poly: IntPoly, m: int, q: int) -> float:
+    """|poly(a)| at a = beta^3 - 3*beta, beta = q^(1/m), by mpmath Horner at
+    bits + 8m + 160 bits (bits of the widest coefficient): the residual
+    ``nonconstructible_witness`` checked before its fixed-point kernel."""
+    bits = max(abs(c).bit_length() for c in poly.coeffs)
+    with mpmath.workprec(bits + 8 * m + 160):
+        beta = mpmath.power(q, mpmath.mpf(1) / m)
+        return float(abs(poly.evaluate(beta ** 3 - 3 * beta)))
+
+
+def angle_residual_mpf(poly: IntPoly, j: int, m: int):
+    """|poly(2cos(2*pi*j/m))| as an mpf, by mpmath Horner at
+    bits + 2*degree + 200 bits: the residual ``algdeg`` checked before its
+    fixed-point kernel."""
+    bits = max(abs(c).bit_length() for c in poly.coeffs)
+    with mpmath.workprec(bits + 2 * poly.degree + 200):
+        return abs(poly.evaluate(2 * mpmath.cos(2 * mpmath.pi * j / m)))
 
 
 def square_schoolbook(q: list[int]) -> list[int]:

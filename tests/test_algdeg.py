@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import FractionBiquad
+from oracles import FractionBiquad, angle_residual_mpf
 from trisectlab import algdeg
 from trisectlab.algdeg import (
     EXACT_TABLE,
@@ -21,6 +21,7 @@ from trisectlab.algdeg import (
     _compose_square_minus_2,
     _interval_values,
     _interval_zero,
+    _root_residual,
     angle_degree,
     angle_number,
     cn_degree_check,
@@ -29,7 +30,7 @@ from trisectlab.algdeg import (
     tower_checks,
 )
 from trisectlab.errors import CapExceeded, NotCoprime
-from trisectlab.polyalg import IntPoly
+from trisectlab.polyalg import IntPoly, cos_minimal_poly
 
 
 def test_p_tower_examples():
@@ -120,6 +121,38 @@ def test_angle_degree_examples():
     assert angle_degree(7, 24) == 4
     with pytest.raises(NotCoprime):
         angle_degree(2, 12)
+
+
+def _cn_angle(n: int) -> tuple[int, int]:
+    j, m = 2 ** n + 3, 3 * 2 ** (n + 1)
+    g = math.gcd(j, m)
+    return j // g, m // g
+
+
+@pytest.mark.parametrize("n", [3, 9, 12])
+def test_numeric_root_bounds_the_mpf_oracle(n):
+    """The fixed-point residual plus its bound is at least mpmath Horner's
+    residual at the same working precision, and below the tolerance."""
+    j, m = _cn_angle(n)
+    num = algdeg.AngleNumber(j, m, cos_minimal_poly(m))
+    man, exp = angle_residual_mpf(num.minimal_poly, j, m).man_exp
+    assert Fraction(man) * Fraction(2) ** exp <= _root_residual(num) < Fraction(1, 10 ** 25)
+
+
+@pytest.mark.parametrize("n", [3, 9])
+@pytest.mark.parametrize("index", [0, 1, "middle", "below-top"])
+@pytest.mark.parametrize("step", [1, -1])
+def test_numeric_root_rejects_a_wrong_minpoly(monkeypatch, n, index, step):
+    """C_h - 1 (h = 2^n) with one coefficient moved by 1, an odd one (1,
+    below-top) making it odd, is refused by the residual check."""
+    j, m = _cn_angle(n)
+    true = cos_minimal_poly(m)
+    i = {"middle": true.degree // 2, "below-top": true.degree - 1}.get(index, index)
+    coeffs = list(true.coeffs)
+    coeffs[i] += step
+    monkeypatch.setattr(algdeg, "cos_minimal_poly", lambda m: IntPoly(coeffs))
+    with pytest.raises(AssertionError, match="misses its minimal polynomial"):
+        cn_degree_check(n)
 
 
 def test_a_sequence_degrees():

@@ -25,6 +25,7 @@ from trisectlab.exact_arith import MAX_RADICAND, is_squarefree
 from trisectlab.polyalg import (
     FACTOR_BELOW,
     MR_EXACT_BELOW,
+    SQUAREFREE_PRIME,
     IntPoly,
     RatPoly,
     chebyshev_like,
@@ -33,6 +34,7 @@ from trisectlab.polyalg import (
     eisenstein_check,
     euler_phi,
     factorize,
+    fixed_point_eval,
     is_prime,
     kronecker_square,
     newton_elementary,
@@ -287,13 +289,69 @@ def test_squarefree_over_q_matches_exact_gcd(f, g, square):
         assert squarefree_over_q(f) == exact
 
 
-def test_squarefree_over_q_falls_back_when_p_divides_lc():
-    """(p*x + 1)^2*(x + 2) with p = 2^61 - 1 is x + 2 mod p, squarefree
-    there; p | lc forces the exact gcd, which finds the square."""
-    p = (1 << 61) - 1
+def test_squarefree_over_q_falls_back_when_p_divides_lc(monkeypatch):
+    """(p*x + 1)^2*(x + 2) with p = SQUAREFREE_PRIME is x + 2 mod p,
+    squarefree there; p | lc forces the exact gcd (counted through
+    ``IntPoly.to_rat``), which finds the square."""
+    p = SQUAREFREE_PRIME
+    calls = []
+    to_rat = IntPoly.to_rat
+    monkeypatch.setattr(IntPoly, "to_rat", lambda self: calls.append(self) or to_rat(self))
     f = IntPoly((1, p)) * IntPoly((1, p)) * IntPoly((2, 1))
     assert not squarefree_over_q(f)
+    assert len(calls) == 2
     assert squarefree_over_q(IntPoly((1, p)) * IntPoly((2, 1)))
+    assert len(calls) == 4
+    assert squarefree_over_q(IntPoly((1, p + 1)) * IntPoly((2, 1)))  # mod p alone
+    assert len(calls) == 4
+
+
+def test_squarefree_prime_lies_above_every_witness_radicand():
+    """At p = q the witness polynomial is x^m mod p, so the modular test
+    could never pass; every witness q is a prime below 2^31."""
+    assert is_prime(SQUAREFREE_PRIME) and SQUAREFREE_PRIME < 1 << 32
+    assert SQUAREFREE_PRIME > 1 << 31
+
+
+def _even(coeffs):
+    return [c if i % 2 == 0 else 0 for i, c in enumerate(coeffs)]
+
+
+def _odd(coeffs):
+    return [c if i % 2 else 0 for i, c in enumerate(coeffs)]
+
+
+def _monomial(coeffs):
+    return [0] * (len(coeffs) - 1) + coeffs[-1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-(1 << 80), 1 << 80), max_size=40),
+    shape=st.sampled_from([list, _even, _odd, _monomial]),
+    F=st.integers(0, 300),
+    t=st.fractions(-1, 1),
+)
+@example(coeffs=[1 << 80] * 40, shape=list, F=0, t=Fraction(1))
+@example(coeffs=[-(1 << 80)] * 40, shape=_even, F=3, t=Fraction(-1))
+@example(coeffs=[7], shape=list, F=5, t=Fraction(-1))
+def test_fixed_point_eval_within_its_bound(coeffs, shape, F, t):
+    """|Y - 2^F*f(X/2^F)| <= E for dense, even, odd and one-term f and
+    X anywhere in [-2^(F+1), 2^(F+1)], against f at X/2^F evaluated exactly
+    over Q."""
+    f = IntPoly(shape(coeffs))
+    X = int(2 * t * 2 ** F)
+    value, err = fixed_point_eval(f, X, F)
+    exact = f.evaluate(Fraction(X, 1 << F)) * (1 << F)
+    assert abs(value - exact) <= err
+    k = f.degree // 2
+    assert err == (0 if f.is_zero() else (1 + k * max(map(abs, f.coeffs))) << 2 * k)
+
+
+def test_fixed_point_eval_refuses_points_outside_two():
+    with pytest.raises(ValueError):
+        fixed_point_eval(IntPoly((1, 1)), (2 << 10) + 1, 10)
+    assert fixed_point_eval(IntPoly((1, 1)), -(2 << 10), 10) == (-(1 << 10), 1)
 
 
 def _next_prime(n: int) -> int:

@@ -26,6 +26,7 @@ from oracles import (
     rational_roots,
     root_floors_bisect,
     sylvester_minpoly,
+    witness_residual_mpf,
 )
 from trisectlab import height_enum, trisect_core
 from trisectlab.cli import main as cli_main
@@ -57,9 +58,11 @@ from trisectlab.trisect_core import (
     WITNESS_MAX_M,
     Certificate,
     TrisectionVerdict,
+    WITNESS_RESIDUAL_TOL,
     _image_coords,
     _images,
     _try_eisenstein_cert,
+    _witness_residual,
     apply_f,
     ceil_cbrt,
     decide_trisection,
@@ -961,6 +964,31 @@ def test_nonconstructible_witness_examples():
 def test_witness_minpoly_matches_sylvester_oracle(m, q):
     got = nonconstructible_witness(m, q).data["minpoly"]
     assert got == sylvester_minpoly(m, q, F_CUBIC).coeff_strings()
+
+
+@pytest.mark.parametrize("m,q", [(5, 2), (13, 3), (23, 5), (25, 7), (31, 2147483647)])
+def test_witness_residual_bounds_the_mpf_oracle(m, q):
+    """The fixed-point residual plus its bound is at least mpmath Horner's
+    residual at the same working precision, and both pass the tolerance."""
+    poly = IntPoly([int(c) for c in nonconstructible_witness(m, q).data["minpoly"]])
+    bound = _witness_residual(poly, m, q)
+    assert witness_residual_mpf(poly, m, q) <= bound < WITNESS_RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("m,q", [(5, 2), (17, 2), (31, 2147483647)])
+@pytest.mark.parametrize("index", [0, 1, "middle", "below-top"])
+@pytest.mark.parametrize("step", [1, -1])
+def test_witness_residual_rejects_a_wrong_minpoly(monkeypatch, m, q, index, step):
+    """One coefficient of the true minimal polynomial moved by 1 still
+    passes the degree and squarefree checks; the residual check refuses it."""
+    true = trisect_core.resultant_minpoly(m, Fraction(q), F_CUBIC)
+    i = {"middle": m // 2, "below-top": m - 1}.get(index, index)
+    coeffs = list(true.coeffs)
+    coeffs[i] += step
+    wrong = IntPoly(coeffs)
+    monkeypatch.setattr(trisect_core, "resultant_minpoly", lambda *args: wrong)
+    with pytest.raises(AssertionError, match="numeric residual"):
+        nonconstructible_witness(m, q)
 
 
 @pytest.mark.parametrize(
