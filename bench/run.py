@@ -11,11 +11,14 @@ is imported from the ``src`` tree of the checkout that holds this script.
 
 Suites (name, default output, what they time):
 
-    decide-heights  BENCH_1.json  ``decide_trisection`` over Q and Q(sqrt 2)
-                    at element heights of about 10^3, 10^60, 10^600 and
+    decide-heights  BENCH_1.json  ``decide_trisection`` over Q, Q(sqrt 2) and
+                    Q(sqrt d) with d = 3*5*...*47 (tau(8d) = 65,536) at
+                    element heights of about 10^3, 10^60, 10^600 and
                     10^3000: one member a = f(x) (x with a denominator of
                     about a third as many digits) and one non-member with
-                    the same cube denominator, a + 1/denominator.
+                    the same cube denominator, a + 1/denominator; and over
+                    Q the same pair for x = r/s with r = s - 3, a root just
+                    below the cubic's turning point.
     verify-checks   BENCH_2.json  each check of ``verify --quick --out``
                     (its ``elapsed_s``), and ``gcd_bound_sweep`` over
                     d = 2, 3, 5, 6, 7 together at heights 40, 80 and 200
@@ -58,7 +61,7 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -87,20 +90,26 @@ def _report(entry: dict) -> dict:
 # -- decide-heights ---------------------------------------------------------
 
 HEIGHT_DIGITS = (3, 60, 600, 3000)
+MANY_PRIME_D = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47
+NEAR_TURNING = "Q, x = (s - 3)/s"
+# field label -> d, None over Q
+DECIDE_FIELDS = {"Q": None, "Q(sqrt 2)": 2, "Q(sqrt 3*5*...*47)": MANY_PRIME_D, NEAR_TURNING: None}
 
 
-def _preimage(digits: int, d: int | None):
+def _preimage(digits: int, d: int | None, near_turning: bool = False):
     """x in (0, 2) with denominator c = 10^(digits/3) + 1, so that f(x) has
-    height about 10^digits."""
+    height about 10^digits; x = (c - 3)/c when near_turning."""
     from trisectlab.exact_arith import QuadElem
 
     c = 10 ** (digits // 3) + 1
+    if near_turning:
+        return Fraction(c - 3, c)  # c = 2 mod 3
     b1 = 3 * c // 8 + 1
     if d is None:
         while gcd(b1, c) != 1:
             b1 += 1
         return Fraction(b1, c)
-    b2 = c // 3
+    b2 = c // (3 * isqrt(d))
     while gcd(gcd(b1, b2), c) != 1:
         b1 += 1
     return QuadElem(b1, b2, c, d)
@@ -111,10 +120,9 @@ def decide_heights() -> dict:
     from trisectlab.trisect_core import apply_f, decide_trisection
 
     results = []
-    for d in (None, 2):
-        field = "Q" if d is None else f"Q(sqrt {d})"
+    for field, d in DECIDE_FIELDS.items():
         for digits in HEIGHT_DIGITS:
-            a = apply_f(_preimage(digits, d))
+            a = apply_f(_preimage(digits, d, field == NEAR_TURNING))
             if d is None:
                 shifted = a + Fraction(1, a.denominator)
             else:

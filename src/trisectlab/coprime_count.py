@@ -17,6 +17,7 @@ from math import isqrt
 import numpy as np
 
 from .errors import BadParameters, CapExceeded, int_text
+from .polyalg import primes_below
 
 
 def _to_fraction(x) -> Fraction:
@@ -101,17 +102,7 @@ _WHEEL = math.prod(_WHEEL_PRIMES)
 _MOBIUS_CACHE = np.zeros(1, dtype=np.int32)  # M(0..L), grown by mobius_table
 
 
-def _primes(n: int) -> list[int]:
-    """The primes <= n, by the sieve of Eratosthenes."""
-    composite = np.zeros(n + 1, dtype=bool)
-    composite[:2] = True
-    for p in range(2, isqrt(n) + 1):
-        if not composite[p]:
-            composite[p * p :: p] = True
-    return np.flatnonzero(~composite).tolist()
-
-
-def _mobius_segment(lo: int, hi: int, primes: list[int], wheel: np.ndarray) -> np.ndarray:
+def _mobius_segment(lo: int, hi: int, primes: tuple[int, ...], wheel: np.ndarray) -> np.ndarray:
     """mu(lo..hi-1) as int8, for 1 <= lo < hi <= 2^31, given the primes
     ascending through isqrt(hi - 1) and the signed wheel products of
     :func:`_mertens_segments`.  Each prime p multiplies -p into the
@@ -141,7 +132,7 @@ def _mertens_segments(lo: int, hi: int, start: int):
     most ``MOBIUS_SEGMENT`` covering [lo, hi), 1 <= lo, from start = M(lo - 1)."""
     if lo >= hi:
         return
-    primes = _primes(isqrt(hi - 1))
+    primes = primes_below(isqrt(hi - 1) + 1)
     wheel = np.ones(min(MOBIUS_SEGMENT, hi - lo) + _WHEEL, dtype=np.int32)
     for p in _WHEEL_PRIMES:
         wheel[::p] *= -p

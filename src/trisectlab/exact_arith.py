@@ -24,42 +24,21 @@ from .errors import (
     RadicandMismatch,
     ZeroDenominator,
 )
-from .polyalg import SMALL_PRIMES, factorize
+from .polyalg import factorize
 
 # Radicands d < 2^62, so that 8d lies in the domain of ``polyalg.factorize``;
 # a larger one is refused with ``CapExceeded``.
 MAX_RADICAND = 1 << 62
 
 
-def _squarefree_below(n: int) -> frozenset[int]:
-    """The squarefree m with 2 <= m < n <= 2^20, sieved by prime squares."""
-    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
-    for p in SMALL_PRIMES:
-        sieve[p * p :: p * p] = bytes(len(range(p * p, n, p * p)))
-    return frozenset(m for m, squarefree in enumerate(sieve) if squarefree)
-
-
-_SMALL_SQUAREFREE = _squarefree_below(1 << 10)
-
-
 def is_squarefree(d: int) -> bool:
     """True iff d >= 2 and no prime square divides d, for d < ``MAX_RADICAND``
-    (``CapExceeded`` past it): a table below 2^10, trial division by the
-    primes below 2^10, then :func:`polyalg.factorize` (Miller-Rabin and
-    Pollard-Brent rho) on a cofactor left with no prime factor below 2^10."""
-    if d < 1 << 10:
-        return d in _SMALL_SQUAREFREE
+    (``CapExceeded`` past it), read off :func:`polyalg.factorize`."""
+    if d < 2:
+        return False
     if d >= MAX_RADICAND:
         raise CapExceeded(f"radicand {d} is past the domain d < 2^62")
-    for p in SMALL_PRIMES:
-        if p * p > d:
-            return True
-        if d % p == 0:
-            d //= p
-            if d % p == 0:
-                return False
-    # d has no prime factor below 2^10 left, so below 2^20 it is a prime
-    return d < 1 << 20 or max(factorize(d).values()) == 1
+    return max(factorize(d).values()) == 1
 
 
 def _sign(n: int) -> int:

@@ -44,7 +44,7 @@ import numpy as np
 from .coprime_count import mobius_blocks, mobius_sum, zeta
 from .errors import BadParameters, CapExceeded, ZeroDenominator, int_text
 from .exact_arith import FieldDescriptor, quad_from_canonical
-from .polyalg import SMALL_PRIMES
+from .polyalg import factorize
 
 DEFAULT_ENUM_CAP = 20_000_000
 
@@ -548,20 +548,12 @@ def _outside(x1: np.ndarray, x2: np.ndarray, b: np.ndarray, d: int, F: int) -> n
 
 
 def _coprime_upto(N: int, g: int) -> int:
-    """#{1 <= a <= N : gcd(a, g) = 1} for N >= 0 and 1 <= g < 2^20: the
-    Moebius sum of mu(e)*floor(N/e) over the squarefree divisors e of g.
-    Trial division by ``polyalg.SMALL_PRIMES`` finds the primes of g, as
-    what it leaves of g below 2^20 is 1 or a prime."""
+    """#{1 <= a <= N : gcd(a, g) = 1} for N >= 0 and 1 <= g < 2^65: the
+    Moebius sum of mu(e)*floor(N/e) over the squarefree divisors e of g,
+    whose primes :func:`polyalg.factorize` gives."""
     terms = [(1, 1)]
-    for p in SMALL_PRIMES:
-        if p * p > g:
-            break
-        if g % p == 0:
-            terms += [(e * p, -s) for e, s in terms]
-            while g % p == 0:
-                g //= p
-    if g > 1:
-        terms += [(e * g, -s) for e, s in terms]
+    for p in factorize(g):
+        terms += [(e * p, -s) for e, s in terms]
     return sum(s * (N // e) for e, s in terms)
 
 

@@ -13,7 +13,8 @@ denominators of g(y/v) makes s*g(beta) a polynomial in gamma with integer
 coefficients, an algebraic integer whose traces and Newton coefficients
 are all integers.
 
-Primality and factoring, which the radicands and certificates need, run
+This is the package's one home of primes and factoring: the sieve
+:func:`primes_below`, and for the radicands, 8d and the certificates
 trial division by the primes below 2^10, then deterministic Miller-Rabin
 (:func:`is_prime`) and Pollard-Brent rho (:func:`factorize`): polynomial
 in the digits for primality, O(n^(1/4)) steps for a factor, on a stated
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt
 
 from .errors import BadParameters, CapExceeded, NotPrime
@@ -35,7 +37,7 @@ def primes_below(n: int) -> tuple[int, ...]:
     for p in range(2, isqrt(n - 1) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
-    return tuple(p for p, prime in enumerate(sieve) if prime)
+    return tuple(compress(range(n), sieve))
 
 
 # The primes below 2^10: trial division by them decides every n < 2^20.
@@ -153,14 +155,6 @@ def factorize(n: int) -> dict[int, int]:
     for p in rest:
         out[p] = out.get(p, 0) + 1
     return out
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n >= 1, ascending."""
-    out = [1]
-    for p, e in factorize(n).items():
-        out = [d * p ** k for d in out for k in range(e + 1)]
-    return sorted(out)
 
 
 def euler_phi(n: int) -> int:

@@ -3,11 +3,12 @@
 A number a in [-2, 2] is accepted when the cubic x^3 - 3x - a has a root in
 the ambient field, witnessed by an explicit beta with f(beta) = a where
 f(x) = x^3 - 3x.  The decision is the cube-denominator argument: the
-denominator of a fixes at most tau(8d) candidate denominators of a root,
-and for each one the numerator coordinates follow from the integer floors
-of the real roots of two integer cubics.  Those floors take O(log digits)
-safeguarded integer Newton steps, never more than bisection, so the cost
-grows with the number of digits of a, not with its height.  The density
+denominator of a and the factorization of 8d fix at most two candidate
+denominators of a root, and for each one the numerator coordinates follow
+from the integer floors of the real roots of two integer cubics.  Those
+floors take O(log digits) safeguarded integer Newton steps, never more than
+bisection, so the cost grows with the number of digits of a, not with its
+height.  The density
 experiment measures how quickly the accepted fraction of a height ball
 decays as the height bound grows; it runs on int64 arrays, block by block
 through the row-block kernel of ``height_enum`` and the array image map
@@ -49,7 +50,7 @@ from .exact_arith import (
 from .height_enum import (BLOCK_CELLS, HeightBall, check_int64, count_ball, count_ball_intervals,
                           element_blocks, is_square)
 from .nsect import psection_poly
-from .polyalg import (IntPoly, RatPoly, divisors, eisenstein_check, fixed_point_eval, is_prime,
+from .polyalg import (IntPoly, RatPoly, eisenstein_check, factorize, fixed_point_eval, is_prime,
                       primes_below, resultant_minpoly, squarefree_over_q)
 
 F_CUBIC = RatPoly((0, -3, 0, 1))  # y^3 - 3y
@@ -264,14 +265,20 @@ def _upper_floor(c: int, P: int, Q: int, d, M: int, sign_c: int) -> tuple[int, b
     follows, so every iteration at least halves the bracket and no input
     takes more iterations than bisection over [c, M].  Near a simple root
     the Newton steps alone converge quadratically, in O(log digits) steps.
-    A root close to the turning point c (a near-double root, as at
-    a = 2 - 1/c^3) slows them to halving the distance to c; there about
-    3/4 of an iteration per bit of M is spent, each with two sign tests.
+
+    The search starts at hi = min(M, c + e0), with
+    e0 = isqrt(ceil((2c^3 + P + floor(Q*sqrt(d)) + 1)/(3c))) + 1.  Since
+    g(c + e) = e^2*(e + 3c) + g(c) >= 3c*e^2 + g(c) for e >= 0, and
+    -g(c) = 2c^3 + P + Q*sqrt(d) < 3c*e0^2, g(hi) >= 0, so the bracket
+    holds.  For a root close to the turning point c (a near-double root, as
+    at a = 2 - 1/c^3) the same bound is close to t - c, so Newton from there
+    does not first halve its way down from M.
     """
     c3 = 3 * c * c
     floor_q = 0 if not Q else isqrt(Q * Q * d) if Q > 0 else -isqrt(Q * Q * d) - 1
     # g(c) = 0 makes c a double root, the branch's only root
-    lo, hi, sign_lo = c, M if sign_c else c, sign_c
+    e0 = isqrt(-(-(2 * c * c * c + P + floor_q + 1) // (3 * c))) + 1
+    lo, hi, sign_lo = c, min(M, c + e0) if sign_c else c, sign_c
     while lo < hi:
         sign_hi = sign_lin(hi * (hi * hi - c3) - P, -Q, d)
         if sign_hi <= 0:  # g(hi) <= 0 <= g(t) with floor(t) <= hi
@@ -363,6 +370,19 @@ def _decide_rational(a: Fraction) -> TrisectionVerdict:
     )
 
 
+def _gcd_candidates(beta: int, d: int) -> list[int]:
+    """The divisors G of 8d with v_p(G) = -v_p(beta) mod 3 at every prime p
+    of 8d: at most two, and every G | 8d with G*beta a cube among them
+    (the argument is in :func:`_quadratic_preimage`)."""
+    candidates = [1]
+    for p, e in factorize(8 * d).items():
+        v, rest = 0, beta
+        while rest % p == 0:
+            v, rest = v + 1, rest // p
+        candidates = [G * p ** k for G in candidates for k in range(-v % 3, e + 1, 3)]
+    return candidates
+
+
 def _quadratic_preimage(a: QuadElem) -> QuadElem | None:
     """The preimage of a under f in Q(sqrt(d)) that is smallest in
     (denominator, a2, a1), or None when a has no preimage.
@@ -370,10 +390,16 @@ def _quadratic_preimage(a: QuadElem) -> QuadElem | None:
     Completeness.  Let x = (b1 + b2*sqrt(d))/c be a canonical preimage of
     the canonical a = (alpha1 + alpha2*sqrt(d))/beta.  By :func:`raw_image`
     f(x) = (A1 + A2*sqrt(d))/c^3 with G = gcd(A1, A2, c^3) dividing 8d, so
-    c^3 = G*beta for a divisor G of 8d: at most tau(8d) candidates for c,
-    each one cube test.  For such c, y = b1 + b2*sqrt(d) satisfies
-    y^3 - 3c^2*y = G*(alpha1 + alpha2*sqrt(d)), and by conjugation
-    y' = b1 - b2*sqrt(d) is a real root of the conjugate cubic.  With
+    c^3 = G*beta for a divisor G of 8d.  At each prime p of 8d that reads
+    v_p(G) = -v_p(beta) mod 3 with 0 <= v_p(G) <= v_p(8d).  As d is
+    squarefree, v_p(8d) = 1 at an odd p | d: v_p(G) is forced to 0 or 1, or
+    no value fits and a has no preimage.  v_2(8d) <= 4 leaves at most two
+    values at p = 2.  So at most two candidates G remain
+    (:func:`_gcd_candidates`), each one cube test, which checks
+    v_p(beta) = 0 mod 3 at every other prime.  For such c,
+    y = b1 + b2*sqrt(d) satisfies y^3 - 3c^2*y = G*(alpha1 + alpha2*sqrt(d)),
+    and by conjugation y' = b1 - b2*sqrt(d) is a real root of the conjugate
+    cubic.  With
     k = floor(y) and k' = floor(y') (found by :func:`_root_floors`),
     k + k' <= 2*b1 < k + k' + 2 leaves b1 = ceil((k + k')/2), and
     |2*b2*sqrt(d) - (k - k')| < 1 leaves b2 = sign(k - k') times
@@ -384,7 +410,7 @@ def _quadratic_preimage(a: QuadElem) -> QuadElem | None:
     """
     alpha1, alpha2, beta, d = a.a1, a.a2, a.b, a.d
     found = []
-    for G in divisors(8 * d):
+    for G in _gcd_candidates(beta, d):
         c = icbrt(G * beta)
         if c * c * c != G * beta:
             continue
@@ -419,15 +445,17 @@ def decide_trisection(a, field: FieldDescriptor | None = None) -> TrisectionVerd
     Over the rationals the denominator of a must be a cube s^3 and the
     witness numerator an integer root of one cubic.  Over Q(sqrt(d)) the
     witness comes from :func:`_quadratic_preimage`, the same argument with
-    the tau(8d) candidate denominators allowed by the image gcd bound;
-    rational a goes through it too (its witness may be irrational, as
-    -sqrt(3) for a = 0 over Q(sqrt(3))).  Both paths find their root
-    floors in O(log digits) Newton steps, never more than bisection, each
-    step a few products of numbers of that many digits.  ``search_bound``
-    is the proven preimage
-    height bound S(height(a)) that every witness satisfies; a non-member
-    with rational a = 3r/s carries an Eisenstein certificate when one
-    applies.
+    the at most two candidate denominators allowed by the image gcd bound.
+    A rational a with no rational preimage has none in Q(sqrt(d)) either:
+    x^3 - 3x - a is then irreducible over Q, so its roots have degree 3.
+    A rational a with a rational preimage goes through the quadratic path
+    too, since its smallest witness may be irrational, as -sqrt(3) for
+    a = 0 over Q(sqrt(3)).  Both paths find their root floors in
+    O(log digits) Newton steps, never more than bisection, each step a few
+    products of numbers of that many digits.  ``search_bound`` is the
+    proven preimage height bound S(height(a)) that every witness
+    satisfies; a non-member with rational a = 3r/s carries an Eisenstein
+    certificate when one applies.
     """
     if isinstance(a, QuadElem):
         if field is not None and (field.degree != 2 or field.d != a.d):
@@ -444,11 +472,14 @@ def decide_trisection(a, field: FieldDescriptor | None = None) -> TrisectionVerd
     if not isinstance(a, QuadElem):  # the field checked its radicand
         a = quad_from_canonical(a.numerator, 0, a.denominator, field.d)
     S = preimage_bound(field, height(a))
+    if a.is_rational:
+        rational = _decide_rational(a.as_fraction())
+        if not rational.member:  # the cubic is irreducible over Q: its roots have degree 3
+            return TrisectionVerdict(False, None, "cube-denominator", rational.certificate, S)
     beta = _quadratic_preimage(a)
     if beta is not None:
         return TrisectionVerdict(True, beta, "cube-denominator", search_bound=S)
-    cert = _try_eisenstein_cert(a.as_fraction()) if a.is_rational else None
-    return TrisectionVerdict(False, None, "cube-denominator", certificate=cert, search_bound=S)
+    return TrisectionVerdict(False, None, "cube-denominator", search_bound=S)
 
 
 def eisenstein_cert_3rs(r: int, s: int) -> Certificate:

@@ -25,7 +25,7 @@ from trisectlab.height_enum import (
     qbox_count,
     qbox_main_term,
 )
-from trisectlab.polyalg import IntPoly, RatPoly, cyclotomic, divisors, euler_phi
+from trisectlab.polyalg import IntPoly, RatPoly, cyclotomic, euler_phi
 from trisectlab.trisect_core import _images, icbrt, preimage_bound
 
 
@@ -61,6 +61,15 @@ def factorize_trial(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n >= 1, ascending, from
+    :func:`factorize_trial`."""
+    out = [1]
+    for p, e in factorize_trial(n).items():
+        out = [m * p ** k for m in out for k in range(e + 1)]
+    return sorted(out)
 
 
 def is_squarefree_trial(d: int) -> bool:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     cos_minimal_poly_extraction,
+    divisors,
     factorize_trial,
     fraction_resultant_minpoly,
     is_prime_trial,
@@ -39,6 +40,7 @@ from trisectlab.polyalg import (
     kronecker_square,
     newton_elementary,
     poly_text,
+    primes_below,
     resultant_minpoly,
     squarefree_over_q,
 )
@@ -162,8 +164,6 @@ def test_cyclotomic_examples():
 
 
 def test_cyclotomic_product_identity_up_to_200():
-    from trisectlab.polyalg import divisors
-
     for m in range(1, 201):
         assert cyclotomic(m).degree == euler_phi(m)
         prod = IntPoly((1,))
@@ -401,6 +401,15 @@ def test_number_theory_matches_trial_division(n):
     oracles: random n < 10^7, squares of primes, Carmichael numbers and
     strong pseudoprimes."""
     _check_against_oracles(n)
+
+
+def test_is_squarefree_and_primes_below_match_trial_division_below_2_12():
+    """is_squarefree (from factorize) and the sieve primes_below against
+    the trial-division oracles at every n below 2^12."""
+    for n in range(-3, 1 << 12):
+        assert is_squarefree(n) == is_squarefree_trial(n), n
+    for n in (1, 2, 3, 4, 100, 1 << 12):
+        assert primes_below(n) == tuple(p for p in range(n) if is_prime_trial(p))
 
 
 def test_carmichael_and_strong_pseudoprimes_are_composite():

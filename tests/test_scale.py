@@ -21,7 +21,7 @@ _RUN = """
 import json, sys, time
 from fractions import Fraction
 from trisectlab.coprime_count import Box, lehmer_report
-from trisectlab.exact_arith import RATIONAL_FIELD, QuadElem, quadratic_field
+from trisectlab.exact_arith import RATIONAL_FIELD, QuadElem, canonicalize, quadratic_field
 from trisectlab.height_enum import (HeightBall, QBoxSpec, count_ball_interval,
                                     count_ball_intervals, qbox)
 from trisectlab.trisect_core import (apply_f, decide_trisection, density_experiment,
@@ -53,7 +53,10 @@ print(json.dumps({{"value": value, "elapsed_s": elapsed, "peak_mb": peak_mb}}))
 # image, whose coordinates have about 3000 digits (below the 4300-digit
 # int-to-str limit).  Their limits hold only for root floors found in
 # O(log digits) Newton steps: bisection, one sign test per bit, takes about
-# 0.65 s and 7.2 s on these inputs (2-CPU VM).
+# 0.65 s and 7.2 s on these inputs (2-CPU VM).  The many-prime runs take d =
+# 3*5*...*47 (tau(8d) = 65,536) and a of height about 10^600, a member and
+# its shift a1 + 1.  Their limits hold only for at most two cube tests: one
+# per divisor of 8d takes about 2.3 s on each (2-CPU VM).
 SCALE_RUNS = {
     "count-interval-q-1e9": (
         "count_ball_interval(HeightBall(RATIONAL_FIELD, 10 ** 9), -2, 2)",
@@ -131,6 +134,19 @@ SCALE_RUNS = {
         " (10 ** 999 + 9) // 3, 10 ** 999 + 9, 2))).witness == x",
         True,
         1.0,
+    ),
+    "decide-many-prime-d-member-600-digits": (
+        "decide_trisection(apply_f(x := QuadElem(37 * (10 ** 199 + 7) // 100,"
+        " (10 ** 199 + 7) // 1663431399, 10 ** 199 + 7, 307444891294245705))).witness == x",
+        True,
+        0.5,
+    ),
+    "decide-many-prime-d-non-member-600-digits": (
+        "decide_trisection(canonicalize((a := apply_f(QuadElem(37 * (10 ** 199 + 7) // 100,"
+        " (10 ** 199 + 7) // 1663431399, 10 ** 199 + 7, 307444891294245705))).a1 + 1, a.a2,"
+        " a.b, a.d)).member",
+        False,
+        0.5,
     ),
 }
 

@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 from oracles import (
     ball_stream,
     density_points_full,
+    divisors,
+    factorize_trial,
     gcd_bound_sweep_blocks,
     phi_bound_check,
     phi_curve,
@@ -37,6 +39,7 @@ from trisectlab.exact_arith import (
     canonicalize,
     height,
     in_interval,
+    quad_from_canonical,
     quadratic_field,
 )
 from trisectlab.height_enum import (
@@ -59,8 +62,10 @@ from trisectlab.trisect_core import (
     Certificate,
     TrisectionVerdict,
     WITNESS_RESIDUAL_TOL,
+    _gcd_candidates,
     _image_coords,
     _images,
+    _quadratic_preimage,
     _try_eisenstein_cert,
     _witness_residual,
     apply_f,
@@ -503,6 +508,85 @@ def test_root_floors_match_bisection_oracle(cubic):
 )
 def test_root_floors_examples(c, P, Q, d, floors):
     assert _root_floors_within_bisection(c, P, Q, d) == floors == root_floors_bisect(c, P, Q, d)
+
+
+def test_near_turning_root_takes_few_newton_steps():
+    """f(r/s) with r = s - 3 puts a root of the cubic just below the turning
+    point s: the search starts near it rather than at M, so a 1000-digit s
+    takes a handful of Newton steps where halving from M took about 2,500."""
+    s = 10 ** 1000 + 1
+    steps = []
+    newton_floor = trisect_core._newton_floor
+
+    def counted_newton_floor(*args):
+        steps.append(args)
+        return newton_floor(*args)
+
+    for x in (Fraction(s - 3, s), Fraction(3 - s, s)):
+        steps.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trisect_core, "_newton_floor", counted_newton_floor)
+            v = decide_trisection(apply_f(x))
+        assert v.member and v.witness == x
+        assert len(steps) <= 8
+
+
+# 3*5*...*47, the product of the odd primes below 50: tau(8d) = 65,536
+_MANY_PRIME_D = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
+
+
+@st.composite
+def _denominators(draw):
+    """(d, beta): beta = c^3/G0 for a random divisor G0 of 8d (so that some
+    G | 8d makes G*beta a cube), or a random beta."""
+    d = draw(st.sampled_from((2, 3, 5, 6, 7, 30, 2310, _MANY_PRIME_D)))
+    if draw(st.booleans()):
+        return d, draw(st.integers(1, 10 ** 40))
+    odd = math.prod(p for p in factorize_trial(d) if p > 2 and draw(st.booleans()))
+    c = 4 * odd * draw(st.integers(1, 10 ** 12))
+    return d, c ** 3 // (2 ** draw(st.integers(0, factorize_trial(8 * d)[2])) * odd)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_denominators())
+def test_gcd_candidates_hold_every_cube_cofactor(case):
+    """The valuation candidates hold every divisor G of 8d (listed by the
+    oracle) with G*beta a cube, and there are at most two of them."""
+    d, beta = case
+    candidates = _gcd_candidates(beta, d)
+    assert len(candidates) <= 2 and all(8 * d % G == 0 for G in candidates)
+    cubes = [G for G in divisors(8 * d) if icbrt(G * beta) ** 3 == G * beta]
+    assert set(cubes) <= set(candidates)
+
+
+@st.composite
+def _rationals(draw):
+    """a in [-2, 2]: members f(r/s), f(r/s) shifted by k/s^3 (a cube
+    denominator and mostly no preimage), and plain fractions."""
+    s = draw(st.integers(1, 10 ** 30))
+    r = draw(st.integers(-2 * s, 2 * s))
+    kind = draw(st.sampled_from(("member", "shifted", "any")))
+    if kind == "any":
+        a = Fraction(r, s)
+    else:
+        a = apply_f(Fraction(r, s))
+        if kind == "shifted":
+            a += Fraction(draw(st.integers(-3, 3)), s ** 3)
+    assume(-2 <= a <= 2)
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_RADICANDS), _rationals())
+def test_rational_over_quadratic_field_matches_quadratic_preimage(d, a):
+    """Rational a over Q(sqrt d): the verdict, witness, certificate and
+    search bound equal those read off :func:`_quadratic_preimage` alone."""
+    field = quadratic_field(d)
+    beta = _quadratic_preimage(quad_from_canonical(a.numerator, 0, a.denominator, d))
+    cert = _try_eisenstein_cert(a) if beta is None else None
+    expected = TrisectionVerdict(beta is not None, beta, "cube-denominator", cert,
+                                 preimage_bound(field, height(a)))
+    assert decide_trisection(a, field) == expected
 
 
 @pytest.mark.parametrize(
