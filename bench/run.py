@@ -91,19 +91,14 @@ def _report(entry: dict) -> dict:
 
 HEIGHT_DIGITS = (3, 60, 600, 3000)
 MANY_PRIME_D = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47
-NEAR_TURNING = "Q, x = (s - 3)/s"
-# field label -> d, None over Q
-DECIDE_FIELDS = {"Q": None, "Q(sqrt 2)": 2, "Q(sqrt 3*5*...*47)": MANY_PRIME_D, NEAR_TURNING: None}
 
 
-def _preimage(digits: int, d: int | None, near_turning: bool = False):
+def _preimage(digits: int, d: int | None):
     """x in (0, 2) with denominator c = 10^(digits/3) + 1, so that f(x) has
-    height about 10^digits; x = (c - 3)/c when near_turning."""
+    height about 10^digits."""
     from trisectlab.exact_arith import QuadElem
 
     c = 10 ** (digits // 3) + 1
-    if near_turning:
-        return Fraction(c - 3, c)  # c = 2 mod 3
     b1 = 3 * c // 8 + 1
     if d is None:
         while gcd(b1, c) != 1:
@@ -115,14 +110,30 @@ def _preimage(digits: int, d: int | None, near_turning: bool = False):
     return QuadElem(b1, b2, c, d)
 
 
+def _near_turning(digits: int, d: None) -> Fraction:
+    """x = (c - 3)/c with c = 10^(digits/3) + 1 (c = 2 mod 3), just below
+    the turning point 1 of f."""
+    c = 10 ** (digits // 3) + 1
+    return Fraction(c - 3, c)
+
+
+# field label -> (d, None over Q; the preimage x for a height in digits)
+DECIDE_FIELDS = {
+    "Q": (None, _preimage),
+    "Q(sqrt 2)": (2, _preimage),
+    "Q(sqrt 3*5*...*47)": (MANY_PRIME_D, _preimage),
+    "Q, x = (s - 3)/s": (None, _near_turning),
+}
+
+
 def decide_heights() -> dict:
     from trisectlab.exact_arith import canonicalize
     from trisectlab.trisect_core import apply_f, decide_trisection
 
     results = []
-    for field, d in DECIDE_FIELDS.items():
+    for field, (d, preimage) in DECIDE_FIELDS.items():
         for digits in HEIGHT_DIGITS:
-            a = apply_f(_preimage(digits, d, field == NEAR_TURNING))
+            a = apply_f(preimage(digits, d))
             if d is None:
                 shifted = a + Fraction(1, a.denominator)
             else:

@@ -266,19 +266,24 @@ def _upper_floor(c: int, P: int, Q: int, d, M: int, sign_c: int) -> tuple[int, b
     takes more iterations than bisection over [c, M].  Near a simple root
     the Newton steps alone converge quadratically, in O(log digits) steps.
 
-    The search starts at hi = min(M, c + e0), with
-    e0 = isqrt(ceil((2c^3 + P + floor(Q*sqrt(d)) + 1)/(3c))) + 1.  Since
+    The search starts at hi = M, or at hi = min(M, c + e0) when
+    n = 2c^3 + P + floor(Q*sqrt(d)) + 1 has fewer than 3*bitlen(c) - 2
+    bits (so n < c^3), with e0 = isqrt(ceil(n/(3c))) + 1.  Since
     g(c + e) = e^2*(e + 3c) + g(c) >= 3c*e^2 + g(c) for e >= 0, and
-    -g(c) = 2c^3 + P + Q*sqrt(d) < 3c*e0^2, g(hi) >= 0, so the bracket
+    -g(c) = 2c^3 + P + Q*sqrt(d) < n < 3c*e0^2, g(hi) >= 0, so the bracket
     holds.  For a root close to the turning point c (a near-double root, as
-    at a = 2 - 1/c^3) the same bound is close to t - c, so Newton from there
-    does not first halve its way down from M.
+    at a = 2 - 1/c^3) -g(c) is small and c + e0 close to t, so Newton from
+    there does not first halve its way down from M.  With n > c^3/8 the
+    root is a simple one well above c, where Newton from M converges anyway
+    and e0's division and square root would be spent for little.
     """
     c3 = 3 * c * c
     floor_q = 0 if not Q else isqrt(Q * Q * d) if Q > 0 else -isqrt(Q * Q * d) - 1
     # g(c) = 0 makes c a double root, the branch's only root
-    e0 = isqrt(-(-(2 * c * c * c + P + floor_q + 1) // (3 * c))) + 1
-    lo, hi, sign_lo = c, min(M, c + e0) if sign_c else c, sign_c
+    lo, hi, sign_lo = c, M if sign_c else c, sign_c
+    n = 2 * c * c * c + P + floor_q + 1
+    if sign_c and n.bit_length() < 3 * c.bit_length() - 2:
+        hi = min(M, c + isqrt(-(-n // (3 * c))) + 1)
     while lo < hi:
         sign_hi = sign_lin(hi * (hi * hi - c3) - P, -Q, d)
         if sign_hi <= 0:  # g(hi) <= 0 <= g(t) with floor(t) <= hi
@@ -445,15 +450,12 @@ def decide_trisection(a, field: FieldDescriptor | None = None) -> TrisectionVerd
     Over the rationals the denominator of a must be a cube s^3 and the
     witness numerator an integer root of one cubic.  Over Q(sqrt(d)) the
     witness comes from :func:`_quadratic_preimage`, the same argument with
-    the at most two candidate denominators allowed by the image gcd bound.
-    A rational a with no rational preimage has none in Q(sqrt(d)) either:
-    x^3 - 3x - a is then irreducible over Q, so its roots have degree 3.
-    A rational a with a rational preimage goes through the quadratic path
-    too, since its smallest witness may be irrational, as -sqrt(3) for
-    a = 0 over Q(sqrt(3)).  Both paths find their root floors in
-    O(log digits) Newton steps, never more than bisection, each step a few
-    products of numbers of that many digits.  ``search_bound`` is the
-    proven preimage height bound S(height(a)) that every witness
+    the at most two candidate denominators allowed by the image gcd bound;
+    rational a goes through it too (its witness may be irrational, as
+    -sqrt(3) for a = 0 over Q(sqrt(3))).  Both paths find their root
+    floors in O(log digits) Newton steps, never more than bisection, each
+    step a few products of numbers of that many digits.  ``search_bound``
+    is the proven preimage height bound S(height(a)) that every witness
     satisfies; a non-member with rational a = 3r/s carries an Eisenstein
     certificate when one applies.
     """
@@ -472,14 +474,11 @@ def decide_trisection(a, field: FieldDescriptor | None = None) -> TrisectionVerd
     if not isinstance(a, QuadElem):  # the field checked its radicand
         a = quad_from_canonical(a.numerator, 0, a.denominator, field.d)
     S = preimage_bound(field, height(a))
-    if a.is_rational:
-        rational = _decide_rational(a.as_fraction())
-        if not rational.member:  # the cubic is irreducible over Q: its roots have degree 3
-            return TrisectionVerdict(False, None, "cube-denominator", rational.certificate, S)
     beta = _quadratic_preimage(a)
     if beta is not None:
         return TrisectionVerdict(True, beta, "cube-denominator", search_bound=S)
-    return TrisectionVerdict(False, None, "cube-denominator", search_bound=S)
+    cert = _try_eisenstein_cert(a.as_fraction()) if a.is_rational else None
+    return TrisectionVerdict(False, None, "cube-denominator", certificate=cert, search_bound=S)
 
 
 def eisenstein_cert_3rs(r: int, s: int) -> Certificate:

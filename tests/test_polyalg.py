@@ -403,11 +403,11 @@ def test_number_theory_matches_trial_division(n):
     _check_against_oracles(n)
 
 
-def test_is_squarefree_and_primes_below_match_trial_division_below_2_12():
-    """is_squarefree (from factorize) and the sieve primes_below against
-    the trial-division oracles at every n below 2^12."""
+def test_number_theory_and_primes_below_match_trial_division_below_2_12():
+    """The oracle checks at every n below 2^12, and the sieve primes_below
+    against is_prime_trial."""
     for n in range(-3, 1 << 12):
-        assert is_squarefree(n) == is_squarefree_trial(n), n
+        _check_against_oracles(n)
     for n in (1, 2, 3, 4, 100, 1 << 12):
         assert primes_below(n) == tuple(p for p in range(n) if is_prime_trial(p))
 
