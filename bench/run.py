@@ -36,7 +36,8 @@ Suites (name, default output, what they time):
                     resident memory (VmHWM, as ``tests/test_scale.py`` does).
     certificates    BENCH_5.json  the ``witness`` verb at (m, q) = (5, 2),
                     (17, 2), (23, 5) and (31, 2^31 - 1), the ``nsect`` verb
-                    at p = 3, 5 and 601 (each builds its certificate and
+                    with c = p at (p, d) = (3, 4), (5, 7), (601, 602) and
+                    (601, 601^2 + 1) (each builds its certificate and
                     verifies it by a rebuild), with output discarded; and one
                     ``Certificate.verify()`` of each certificate kind.  Each
                     case is called once first; a case under 0.1 s is timed
@@ -252,7 +253,7 @@ CERT_VERBS = (
     *(["witness", "--m", str(m), "--q", str(q)]
       for m, q in ((5, 2), (17, 2), (23, 5), (31, 2 ** 31 - 1))),
     *(["nsect", "--p", str(p), "--c", str(p), "--d", str(d)]
-      for p, d in ((3, 4), (5, 7), (601, 602))),
+      for p, d in ((3, 4), (5, 7), (601, 602), (601, 601 ** 2 + 1))),
 )
 
 

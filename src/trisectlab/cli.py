@@ -28,7 +28,7 @@ import tempfile
 import time
 from fractions import Fraction
 
-from . import algdeg, coprime_count, height_enum, nsect, trisect_core
+from . import algdeg, coprime_count, height_enum, trisect_core
 from .coprime_count import Box, lehmer_report
 from .errors import (
     BadParameters,
@@ -45,9 +45,9 @@ from .exact_arith import (
     height,
     parse_element,
     quadratic_field,
-    verify_commensurability,
 )
-from .height_enum import HeightBall, QBoxSpec, count_ball, count_ball_interval
+from .height_enum import (HeightBall, QBoxSpec, count_ball, count_ball_interval,
+                          verify_commensurability)
 from .trisect_core import (
     Certificate,
     apply_f,
@@ -316,11 +316,10 @@ def _check_certificates(rng: random.Random, quick: bool):
 
 def _check_psection_structure(rng: random.Random, quick: bool):
     """Multiple-angle polynomial structure and the trisection bridge."""
-    from .polyalg import IntPoly
+    from .polyalg import IntPoly, psection_poly, verify_structure
 
-    ok = all(nsect.verify_structure(nsect.psection_poly(p))["ok"]
-             for p in (3, 5, 7, 11, 13))
-    ok = ok and nsect.psection_poly(3).coeffs * 2 == IntPoly((0, -6, 0, 8))
+    ok = all(verify_structure(p, psection_poly(p))["ok"] for p in (3, 5, 7, 11, 13))
+    ok = ok and psection_poly(3) * 2 == IntPoly((0, -6, 0, 8))
     return ok, None
 
 

@@ -15,15 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
-from .errors import (
-    CapExceeded,
-    DegenerateBasis,
-    NonSquarefreeRadicand,
-    RadicandMismatch,
-    ZeroDenominator,
-)
+from .errors import CapExceeded, NonSquarefreeRadicand, RadicandMismatch, ZeroDenominator
 from .polyalg import factorize
 
 # Radicands d < 2^62, so that 8d lies in the domain of ``polyalg.factorize``;
@@ -316,47 +308,6 @@ RATIONAL_FIELD = FieldDescriptor("rational")
 
 def quadratic_field(d: int) -> FieldDescriptor:
     return FieldDescriptor("quadratic", d)
-
-
-def _basis_change_ints(w1: QuadElem, w2: QuadElem):
-    """Integers (n11, n12, n21, n22, delta), delta > 0, such that
-    x = x1 + x2*sqrt(d) has coordinates c_i = (n_i1*x1 + n_i2*x2) / delta
-    in the basis {w1, w2}: Cramer's rule on w_i = (p_i + q_i*sqrt(d))/b_i."""
-    if w1.d != w2.d:
-        raise RadicandMismatch("basis vectors from different fields")
-    det = w1.a1 * w2.a2 - w2.a1 * w1.a2
-    if det == 0:
-        raise DegenerateBasis("basis vectors are Q-linearly dependent")
-    s = 1 if det > 0 else -1
-    return s * w1.b * w2.a2, -s * w1.b * w2.a1, -s * w2.b * w1.a2, s * w2.b * w1.a1, abs(det)
-
-
-# Largest height factor ``verify_commensurability`` reports as commensurate.
-COMMENSURABILITY_CEILING = 1000
-
-
-def verify_commensurability(d: int, alt_basis, R: int):
-    """Exhaustively compare the standard height with the height in
-    ``alt_basis`` over all elements of standard height <= R, on the int64
-    element blocks of ``height_enum`` (``CapExceeded`` past 2^62).
-
-    Returns (factor, ok): the smallest integer D with h2/D <= h1 <= D*h2,
-    the largest ceil(max(h1, h2)/min(h1, h2)), and whether D <=
-    ``COMMENSURABILITY_CEILING``.
-    """
-    from .height_enum import HeightBall, check_int64, element_blocks  # imports this module
-
-    n11, n12, n21, n22, delta = _basis_change_ints(*alt_basis)
-    check_int64(max(abs(n11) + abs(n12), abs(n21) + abs(n22), delta) * R, "basis change")
-    factor = 1
-    for b, a1, a2 in element_blocks(HeightBall(quadratic_field(d), R)):
-        # x = (a1 + a2*sqrt(d))/b has coordinates u_i/(delta*b), delta > 0
-        u1, u2, den = n11 * a1 + n12 * a2, n21 * a1 + n22 * a2, delta * b
-        h1 = np.maximum(np.maximum(abs(a1), abs(a2)), b)
-        h2 = np.maximum(np.maximum(abs(u1), abs(u2)), den) // np.gcd(np.gcd(u1, u2), den)
-        ratio = -(-np.maximum(h1, h2) // np.minimum(h1, h2))
-        factor = max(factor, int(ratio.max(initial=1)))
-    return factor, factor <= COMMENSURABILITY_CEILING
 
 
 _QUAD_RE = re.compile(

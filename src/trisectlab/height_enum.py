@@ -19,6 +19,8 @@ ends fail are expanded and checked member by member, on the members kept
 by the per-member ``random.Random(seed)`` sample.
 :func:`is_square` decides exactly, on int64 arrays, whether U + V*sqrt(d)
 is a square in the field: the fibre weight of the density numerator.
+:func:`verify_commensurability` compares the heights of two bases of
+Q(sqrt(d)) on the element blocks.
 
 Counts never walk rows.  As x -> -x preserves B(R), every interval count
 comes from the symmetric count S(t) = |B(R) ∩ [-t, t]|: (S(hi) + S(-lo))/2
@@ -42,8 +44,9 @@ from math import isqrt
 import numpy as np
 
 from .coprime_count import mobius_blocks, mobius_sum, zeta
-from .errors import BadParameters, CapExceeded, ZeroDenominator, int_text
-from .exact_arith import FieldDescriptor, quad_from_canonical
+from .errors import (BadParameters, CapExceeded, DegenerateBasis, RadicandMismatch, ZeroDenominator,
+                     int_text)
+from .exact_arith import FieldDescriptor, QuadElem, quad_from_canonical, quadratic_field
 from .polyalg import factorize
 
 DEFAULT_ENUM_CAP = 20_000_000
@@ -298,6 +301,45 @@ def count_elements(ball: HeightBall, lo=None, hi=None) -> int:
         total += len(b)
         last = np.array((b[-1], a1[-1], a[-1]))
     return total
+
+
+def _basis_change_ints(w1: QuadElem, w2: QuadElem):
+    """Integers (n11, n12, n21, n22, delta), delta > 0, such that
+    x = x1 + x2*sqrt(d) has coordinates c_i = (n_i1*x1 + n_i2*x2) / delta
+    in the basis {w1, w2}: Cramer's rule on w_i = (p_i + q_i*sqrt(d))/b_i."""
+    if w1.d != w2.d:
+        raise RadicandMismatch("basis vectors from different fields")
+    det = w1.a1 * w2.a2 - w2.a1 * w1.a2
+    if det == 0:
+        raise DegenerateBasis("basis vectors are Q-linearly dependent")
+    s = 1 if det > 0 else -1
+    return s * w1.b * w2.a2, -s * w1.b * w2.a1, -s * w2.b * w1.a2, s * w2.b * w1.a1, abs(det)
+
+
+# Largest height factor ``verify_commensurability`` reports as commensurate.
+COMMENSURABILITY_CEILING = 1000
+
+
+def verify_commensurability(d: int, alt_basis, R: int):
+    """Exhaustively compare the standard height with the height in
+    ``alt_basis`` over all elements of standard height <= R, on the int64
+    blocks of :func:`element_blocks` (``CapExceeded`` past 2^62).
+
+    Returns (factor, ok): the smallest integer D with h2/D <= h1 <= D*h2,
+    the largest ceil(max(h1, h2)/min(h1, h2)), and whether D <=
+    ``COMMENSURABILITY_CEILING``.
+    """
+    n11, n12, n21, n22, delta = _basis_change_ints(*alt_basis)
+    check_int64(max(abs(n11) + abs(n12), abs(n21) + abs(n22), delta) * R, "basis change")
+    factor = 1
+    for b, a1, a2 in element_blocks(HeightBall(quadratic_field(d), R)):
+        # x = (a1 + a2*sqrt(d))/b has coordinates u_i/(delta*b), delta > 0
+        u1, u2, den = n11 * a1 + n12 * a2, n21 * a1 + n22 * a2, delta * b
+        h1 = np.maximum(np.maximum(abs(a1), abs(a2)), b)
+        h2 = np.maximum(np.maximum(abs(u1), abs(u2)), den) // np.gcd(np.gcd(u1, u2), den)
+        ratio = -(-np.maximum(h1, h2) // np.minimum(h1, h2))
+        factor = max(factor, int(ratio.max(initial=1)))
+    return factor, factor <= COMMENSURABILITY_CEILING
 
 
 def _interval(lo, hi) -> tuple[Fraction, Fraction]:
@@ -599,10 +641,6 @@ def qbox(spec: QBoxSpec, *, seed: int = 0) -> dict:
     quad = spec.field.degree == 2
     N = n[-2]
     row_count = np.full(F + 1, -1, dtype=np.int64)  # members of a row, by its g
-
-    def outside(b, a1, a):
-        return _outside(a1, a, b, d, F) if quad else _outside(a, a1, b, d, F)
-
     rows = max(1, BLOCK_CELLS // max(N, 1))
     b_range = np.arange(m[-1] + 1, n[-1] + 1, dtype=np.int64)
     for b, a1 in _grid(b_range, int(quad), n[0] if quad else 1, rows):
@@ -618,7 +656,8 @@ def qbox(spec: QBoxSpec, *, seed: int = 0) -> dict:
             kept = _draws(rng, int(ends[-1])) <= keep_prob
             checked += int(np.count_nonzero(kept))
         ones = np.ones_like(b)
-        fail = np.flatnonzero((c > 0) & (outside(b, a1, ones) | outside(b, a1, N * ones)))
+        fail = np.flatnonzero((c > 0) & (_outside(a1, ones, b, d, F)
+                                         | _outside(a1, N * ones, b, d, F)))
         if fail.size == 0:
             continue
         b, a1, a = _expand_rows(b[fail], a1[fail], ones[fail], N * ones[fail], g[fail])
@@ -627,7 +666,7 @@ def qbox(spec: QBoxSpec, *, seed: int = 0) -> dict:
             # the draws of the failing rows, sliced at their offsets in the block
             kept = kept[np.arange(len(a)) + np.repeat(ends[fail] - np.cumsum(c), c)]
             b, a1, a = b[kept], a1[kept], a[kept]
-        violations += int(np.count_nonzero(outside(b, a1, a)))
+        violations += int(np.count_nonzero(_outside(a1, a, b, d, F)))
     if members != count:
         raise AssertionError(f"box rows hold {members} members, qbox_count gives {count}")
     return {

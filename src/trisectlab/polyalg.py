@@ -5,7 +5,9 @@ rational (:class:`RatPoly`) coefficients, stored ascending with no trailing
 zero; the zero polynomial has degree -1.  On top of the ring arithmetic sit
 the Eisenstein test, characteristic polynomials in Q[y]/(y^m - q) from
 power sums, cyclotomic polynomials, the minimal polynomials of
-2*cos(2*pi/m), and the Chebyshev-like doubling family.
+2*cos(2*pi/m), and the multiple-angle polynomials: the Chebyshev-like
+family C_n with C_n(2*cos t) = 2*cos(n*t), and the p-section polynomial
+of an odd prime p, which is C_p rescaled.
 
 The characteristic polynomials never leave the integers: with q = u/v,
 gamma = v*beta is a root of y^m - u*v^(m-1), and clearing the
@@ -26,9 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 
-from .errors import BadParameters, CapExceeded, NotPrime
+from .errors import BadParameters, CapExceeded, NotOddPrime, NotPrime
 
 
 def primes_below(n: int) -> tuple[int, ...]:
@@ -155,13 +157,6 @@ def factorize(n: int) -> dict[int, int]:
     for p in rest:
         out[p] = out.get(p, 0) + 1
     return out
-
-
-def euler_phi(n: int) -> int:
-    phi = n
-    for p in factorize(n):
-        phi = phi // p * (p - 1)
-    return phi
 
 
 def _trim(coeffs):
@@ -588,8 +583,8 @@ def cos_minimal_poly(m: int) -> IntPoly:
         return IntPoly((-2, 1))
     if m == 2:
         return IntPoly((2, 1))
-    h = euler_phi(m) // 2
-    c = cyclotomic(m).coeffs
+    cyc = cyclotomic(m)
+    h, c = cyc.degree // 2, cyc.coeffs
     if c[:h] != c[:h:-1]:
         raise AssertionError(f"cyclotomic({m}) is not palindromic")
     out = [0] * (h + 1)
@@ -620,3 +615,48 @@ def chebyshev_like(n: int) -> IntPoly:
         a = -a * (n - 2 * k) * (n - 2 * k - 1) // ((k + 1) * (n - k - 1))
         out[n - 2 * k - 2] = a
     return IntPoly(out)
+
+
+def psection_poly(p: int) -> IntPoly:
+    """P(x, 0) for the multiple-angle polynomial P(x, a) of an odd prime p,
+    with P(cos t, cos pt) = 0, so P(x, a) = P(x, 0) - a: degree p, leading
+    coefficient 2^(p-1), x-coefficient (-1)^((p-1)/2) * p, and p divides
+    every other coefficient, so Eisenstein at p certifies angles that
+    cannot be p-sected.  Note the cos convention (not 2*cos).
+
+    It is C_p of :func:`chebyshev_like` rescaled: 2*P(x, a) = C_p(2x) - 2a,
+    so the x^i coefficient is 2^(i-1) * C_p[i].  C_p has only odd powers
+    for odd p, so i >= 1 and every shift is exact.  At p = 3 this is the
+    bridge to the trisection cubic: 2*P(x, a) = (2x)^3 - 3*(2x) - 2a.
+    ``NotOddPrime`` for a p that is not an odd prime; the facts of
+    :func:`verify_structure` are asserted on construction."""
+    if p < 3 or p % 2 == 0 or not is_prime(p):
+        raise NotOddPrime(f"{p} is not an odd prime")
+    poly = IntPoly([0] + [c << i for i, c in enumerate(chebyshev_like(p).coeffs[1:])])
+    report = verify_structure(p, poly)
+    if not report["ok"]:
+        raise AssertionError(f"structural invariants failed for p={p}: {report}")
+    return poly
+
+
+def verify_structure(p: int, poly: IntPoly) -> dict:
+    """Re-derive the three structural facts of the p-section polynomial
+    independently and compare: the leading coefficient is the direct
+    binomial sum over even lower indices (= 2^(p-1)), the x-coefficient is
+    (-1)^q * p with q = (p-1)/2, and p divides every non-leading
+    coefficient."""
+    q = (p - 1) // 2
+    binom_sum = sum(comb(p, 2 * k) for k in range(q + 1))
+    leading_ok = poly.degree == p and poly.leading == binom_sum == 2 ** (p - 1)
+    x_coeff_ok = poly[1] == (-1) ** q * p
+    divis_ok = all(c % p == 0 for c in poly.coeffs[:-1])
+    return {
+        "p": p,
+        "leading": poly.leading,
+        "binomial_sum": binom_sum,
+        "x_coeff": poly[1],
+        "leading_ok": leading_ok,
+        "x_coeff_ok": x_coeff_ok,
+        "divisibility_ok": divis_ok,
+        "ok": leading_ok and x_coeff_ok and divis_ok,
+    }

@@ -49,9 +49,8 @@ from .exact_arith import (
 )
 from .height_enum import (BLOCK_CELLS, HeightBall, check_int64, count_ball, count_ball_intervals,
                           element_blocks, is_square)
-from .nsect import psection_poly
 from .polyalg import (IntPoly, RatPoly, eisenstein_check, factorize, fixed_point_eval, is_prime,
-                      primes_below, resultant_minpoly, squarefree_over_q)
+                      primes_below, psection_poly, resultant_minpoly, squarefree_over_q)
 
 F_CUBIC = RatPoly((0, -3, 0, 1))  # y^3 - 3y
 
@@ -208,7 +207,8 @@ def _image_coords(x1, x2, b, d: int):
 def _images(x1: np.ndarray, x2: np.ndarray, b: np.ndarray, d: int):
     """:func:`raw_image` over int64 arrays of canonical (x1 + x2*sqrt(d))/b:
     returns the image coordinates A1, A2, B = b^3 before reduction and
-    G = gcd(A1, A2, B).  Q is the case x2 = 0, d = 1.
+    G = gcd(A1, A2, B).  Q is the case d = 1 with x1 or x2 zero; the row
+    kernel yields it with x1 = 0.
 
     Every prime of G divides b, so G is taken on small numbers first:
     g0 = gcd(b, A1, A2), then G = gcd(g0^3, A1, A2), since
@@ -226,7 +226,7 @@ def _images(x1: np.ndarray, x2: np.ndarray, b: np.ndarray, d: int):
     if bad.size:
         i = bad[0]
         x1, x2, b = int(x1[i]), int(x2[i]), int(b[i])
-        x = QuadElem(x1, x2, b, d) if d > 1 else Fraction(x1, b)
+        x = QuadElem(x1, x2, b, d) if d > 1 else Fraction(x1 + x2, b)
         raise GcdBoundViolated(f"G | 8d fails at {x}")
     return A1, A2, b * b * b, G
 
@@ -511,13 +511,15 @@ def eisenstein_cert_3rs(r: int, s: int) -> Certificate:
 
 
 # Largest value of the parameter that a verifier's re-run grows with (the
-# height H, the prime p, the degree m).  H and p sit where the slowest
-# accepted verify takes about 1 s (Python 3.11 on a 2-CPU x86 VM); at m = 31
-# it takes under 1 ms (q = 2^31 - 1), a cap kept so `witness --m` accepts
-# the same range.  Past a cap, or past CERT_MAX_DIGITS digits in any integer
-# a certificate holds (below Python's 4,300-digit int-to-str limit), verify
-# raises ``CapExceeded``; the p and m producers refuse past their caps before
-# they build anything.  Never read from the data.
+# height H, the prime p, the degree m).  H sits where the slowest accepted
+# verify takes about 1 s (Python 3.11 on a 2-CPU x86 VM).  At p = 601 it
+# takes about 75 ms (dd just below 2^20, the most the digit cap admits) and
+# at m = 31 under 1 ms (q = 2^31 - 1); those two caps are kept so that
+# `nsect --p` and `witness --m` accept the same range.  Past a cap, or past
+# CERT_MAX_DIGITS digits in any integer a certificate holds (below Python's
+# 4,300-digit int-to-str limit), verify raises ``CapExceeded``; the p and m
+# producers refuse past their caps before they build anything.  Never read
+# from the data.
 SQUARE_FAMILY_MAX_H = 500_000
 PSECTION_MAX_P = 601
 WITNESS_MAX_M = 31
@@ -696,13 +698,11 @@ def density_experiment(
             preimages += len(b)
             if preimages > cap:
                 raise CapExceeded(f"more than {cap} preimages visited in B({ball.R}) in [-2, 2]")
-        # over Q the numerator a is the only coordinate
-        x1, x2 = (a1, a) if d > 1 else (a, a1)
-        A1, A2, B, G = _images(x1, x2, b, d)
+        A1, A2, B, G = _images(a1, a, b, d)
         h = np.maximum(np.maximum(np.abs(A1), np.abs(A2)), B) // G
         keep = h <= top
-        x1, x2, b = x1[keep], x2[keep], b[keep]
-        square = is_square(3 * (4 * b * b - x1 * x1 - d * x2 * x2), -6 * x1 * x2, d)
+        a1, a, b = a1[keep], a[keep], b[keep]
+        square = is_square(3 * (4 * b * b - a1 * a1 - d * a * a), -6 * a1 * a, d)
         # float sums of one block are exact: far below 2^53
         sums += np.bincount(np.searchsorted(tops, h[keep]), weights=3 - 2 * square,
                                minlength=len(tops)).astype(np.int64)
@@ -790,10 +790,10 @@ def _verify_nonconstructible(data: dict) -> bool:
 def nonsectability_cert(p: int, c: int, dd: int) -> Certificate:
     """Certificate that dd^p * P(x, c/dd) is Eisenstein at p, so the angle
     with cos = c/dd cannot be p-sected (P is the multiple-angle polynomial
-    of :func:`nsect.psection_poly`, which refuses a p that is not an odd
+    of :func:`polyalg.psection_poly`, which refuses a p that is not an odd
     prime)."""
-    _check_cap(p, PSECTION_MAX_P)  # before the O(p^2) expansion
-    pp = psection_poly(p)
+    _check_cap(p, PSECTION_MAX_P)  # before the polynomial is built
+    poly = psection_poly(p)
     if dd < 1:
         raise BadParameters("denominator must be positive")
     if c % p != 0 or c % (p * p) == 0:
@@ -804,7 +804,7 @@ def nonsectability_cert(p: int, c: int, dd: int) -> Certificate:
         raise BadParameters("|c/dd| must be <= 1 to name a real angle")
     # cleared coefficients are below (4*dd)^p: |c| <= dd, P's below (1 + sqrt 2)^p
     _check_digits(2 ** (p * (dd.bit_length() + 2)), "a cleared coefficient")
-    cleared = pp.with_parameter(c, dd)
+    cleared = poly * dd ** p - IntPoly.const(c * dd ** (p - 1))
     if not eisenstein_check(cleared, p):
         raise AssertionError(f"Eisenstein at {p} failed for c/dd = {c}/{dd}")
     return Certificate(

@@ -25,7 +25,7 @@ from trisectlab.height_enum import (
     qbox_count,
     qbox_main_term,
 )
-from trisectlab.polyalg import IntPoly, RatPoly, cyclotomic, euler_phi
+from trisectlab.polyalg import IntPoly, RatPoly, cyclotomic
 from trisectlab.trisect_core import _images, icbrt, preimage_bound
 
 
@@ -61,6 +61,14 @@ def factorize_trial(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def euler_phi(n: int) -> int:
+    """Euler's phi from the trial-division factorization."""
+    phi = n
+    for p in factorize_trial(n):
+        phi = phi // p * (p - 1)
+    return phi
 
 
 def divisors(n: int) -> list[int]:
@@ -559,6 +567,19 @@ def cos_minimal_poly_extraction(m: int) -> IntPoly:
     return IntPoly(out)
 
 
+def psection_binomial(p: int) -> IntPoly:
+    """P(x, 0) of the multiple-angle polynomial of an odd prime p by the
+    double binomial sum for cos(p*t) in powers of cos(t): the reference for
+    ``polyalg.psection_poly``."""
+    q = (p - 1) // 2
+    coeffs = [0] * (p + 1)
+    for k in range(q + 1):
+        for ell in range(k + 1):
+            sign = -1 if (k + ell) % 2 else 1
+            coeffs[p - 2 * k + 2 * ell] += sign * math.comb(p, 2 * k) * math.comb(k, ell)
+    return IntPoly(coeffs)
+
+
 def witness_residual_mpf(poly: IntPoly, m: int, q: int) -> float:
     """|poly(a)| at a = beta^3 - 3*beta, beta = q^(1/m), by mpmath Horner at
     bits + 8m + 160 bits (bits of the widest coefficient): the residual
@@ -756,7 +777,7 @@ def density_points_full(field, R_list) -> list[tuple[int, int]]:
 
 def basis_change_fractions(w1, w2):
     """The integer inverse change of basis (n11, n12, n21, n22, delta) of
-    ``exact_arith._basis_change_ints``, from the inverse matrix over
+    ``height_enum._basis_change_ints``, from the inverse matrix over
     ``Fraction`` cleared by the lcm of its denominators."""
     if w1.d != w2.d:
         raise RadicandMismatch("basis vectors from different fields")
@@ -775,7 +796,7 @@ def basis_change_fractions(w1, w2):
 
 
 def commensurability_loop(d: int, alt_basis, R: int, ceiling: int = 1000):
-    """``exact_arith.verify_commensurability`` by a triple loop over every
+    """``height_enum.verify_commensurability`` by a triple loop over every
     (b, a1, a2) of B(R), one ``Fraction`` ratio per element."""
     n11, n12, n21, n22, delta = basis_change_fractions(*alt_basis)
     worst = Fraction(1)

@@ -26,8 +26,7 @@ from trisectlab.height_enum import (
     qbox_count,
     qbox_main_term,
 )
-from trisectlab.nsect import psection_poly, verify_structure
-from trisectlab.polyalg import IntPoly, is_prime, resultant_minpoly
+from trisectlab.polyalg import IntPoly, is_prime, psection_poly, resultant_minpoly, verify_structure
 from trisectlab.trisect_core import (
     F_CUBIC,
     decide_trisection,
@@ -174,10 +173,10 @@ def test_criterion_10_psection():
     with criterion(10, "multiple-angle structure to p=101; certificates", 10.0):
         for p in range(3, 102):
             if is_prime(p):
-                assert verify_structure(psection_poly(p))["ok"], p
+                assert verify_structure(p, psection_poly(p))["ok"], p
         assert nonsectability_cert(3, 3, 4).verify()
         assert nonsectability_cert(5, 5, 7).verify()
-        assert psection_poly(3).coeffs * 2 == IntPoly((0, -6, 0, 8))
+        assert psection_poly(3) * 2 == IntPoly((0, -6, 0, 8))
 
 
 def test_criterion_11_degree_tower():

@@ -25,8 +25,8 @@ from trisectlab.exact_arith import (
     is_squarefree,
     parse_element,
     quadratic_field,
-    verify_commensurability,
 )
+from trisectlab.height_enum import verify_commensurability
 
 RADICANDS = (2, 3, 5, 6, 7, 10, 11, 13)
 

@@ -10,18 +10,19 @@ import mpmath
 import pytest
 
 import trisectlab
+from oracles import psection_binomial
 from trisectlab.errors import BadParameters, NotOddPrime
-from trisectlab.nsect import psection_poly, verify_structure
-from trisectlab.polyalg import IntPoly, eisenstein_check, is_prime
+from trisectlab.polyalg import (IntPoly, eisenstein_check, is_prime, primes_below, psection_poly,
+                               verify_structure)
 from trisectlab.trisect_core import Certificate, decide_trisection, nonsectability_cert
 
 ODD_PRIMES_TO_31 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
 def test_psection_examples():
-    assert psection_poly(3).coeffs == IntPoly((0, -3, 0, 4))
-    assert psection_poly(5).coeffs == IntPoly((0, 5, 0, -20, 0, 16))
-    assert psection_poly(7).coeffs == IntPoly((0, -7, 0, 56, 0, -112, 0, 64))
+    assert psection_poly(3) == IntPoly((0, -3, 0, 4))
+    assert psection_poly(5) == IntPoly((0, 5, 0, -20, 0, 16))
+    assert psection_poly(7) == IntPoly((0, -7, 0, 56, 0, -112, 0, 64))
     with pytest.raises(NotOddPrime):
         psection_poly(2)
     with pytest.raises(NotOddPrime):
@@ -32,10 +33,17 @@ def test_structure_to_101():
     for p in range(3, 102):
         if not is_prime(p):
             continue
-        report = verify_structure(psection_poly(p))
+        report = verify_structure(p, psection_poly(p))
         assert report["ok"], report
         assert report["leading"] == 2 ** (p - 1)
         assert report["x_coeff"] == (-1) ** ((p - 1) // 2) * p
+
+
+def test_psection_matches_binomial_sum():
+    """C_p rescaled against the double binomial sum for cos(p*t), at every
+    odd prime p <= 151 and at the cap p = 601."""
+    for p in (*primes_below(152)[1:], 601):
+        assert psection_poly(p) == psection_binomial(p), p
 
 
 def test_multiple_angle_identity_numeric():
@@ -43,7 +51,7 @@ def test_multiple_angle_identity_numeric():
     rng = random.Random(31)
     with mpmath.workprec(150):
         for p in ODD_PRIMES_TO_31:
-            poly = psection_poly(p).coeffs
+            poly = psection_poly(p)
             for _ in range(100):
                 t = mpmath.mpf(rng.random()) * 6 - 3
                 got = poly.evaluate(mpmath.cos(t))
@@ -53,7 +61,7 @@ def test_multiple_angle_identity_numeric():
 def test_trisection_bridge_exact():
     # doubling both variables in the cos-convention cubic gives the
     # 2cos-convention cubic: 2*P(x, a) = p(2x, 2a)
-    lhs = psection_poly(3).coeffs * 2            # 8x^3 - 6x
+    lhs = psection_poly(3) * 2                   # 8x^3 - 6x
     rhs = IntPoly((0, -6, 0, 8))                 # (2x)^3 - 3*(2x)
     assert lhs == rhs
 
@@ -112,6 +120,16 @@ def test_psection_verifier_rejects_malformed_data(tamper):
     assert not Certificate("eisenstein-psection", data).verify()
 
 
+# A bare package object stands in for trisectlab/__init__.py, which imports
+# every module, so that only the imports of the modules named run.
+BARE_PACKAGE = (
+    "import importlib.util, sys, types\n"
+    "package = types.ModuleType('trisectlab')\n"
+    "package.__path__ = importlib.util.find_spec('trisectlab').submodule_search_locations\n"
+    "sys.modules['trisectlab'] = package\n"
+)
+
+
 def _fresh_python(code: str) -> None:
     """Run code in a new interpreter that finds this trisectlab first."""
     src = os.path.dirname(os.path.dirname(trisectlab.__file__))
@@ -124,20 +142,19 @@ def _fresh_python(code: str) -> None:
 
 def test_psection_kind_needs_no_import_side_effect():
     """In a fresh interpreter that imports only trisect_core, the
-    eisenstein-psection kind verifies; and nsect by itself does not load
-    trisect_core."""
+    eisenstein-psection kind verifies; and polyalg, the home of the
+    p-section polynomial, does not load trisect_core."""
     _fresh_python(
         "from trisectlab.trisect_core import Certificate\n"
         "data = {'p': 3, 'c': 3, 'dd': 4, 'coeffs': ['-48', '-192', '0', '256']}\n"
         "assert Certificate('eisenstein-psection', data).verify() is True\n"
     )
-    # A bare package object stands in for trisectlab/__init__.py (which
-    # imports trisect_core itself), so only nsect's own imports run.
-    _fresh_python(
-        "import importlib.util, sys, types\n"
-        "package = types.ModuleType('trisectlab')\n"
-        "package.__path__ = importlib.util.find_spec('trisectlab').submodule_search_locations\n"
-        "sys.modules['trisectlab'] = package\n"
-        "import trisectlab.nsect\n"
-        "assert 'trisectlab.trisect_core' not in sys.modules, sorted(sys.modules)\n"
-    )
+    _fresh_python(BARE_PACKAGE + "import trisectlab.polyalg\n"
+                  "assert 'trisectlab.trisect_core' not in sys.modules, sorted(sys.modules)\n")
+
+
+def test_exact_arith_and_polyalg_load_no_numpy():
+    """With the same bare package, the exact arithmetic and the polynomial
+    algebra import without numpy."""
+    _fresh_python(BARE_PACKAGE + "import trisectlab.exact_arith, trisectlab.polyalg\n"
+                  "assert 'numpy' not in sys.modules, sorted(sys.modules)\n")

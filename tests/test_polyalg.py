@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import (
     cos_minimal_poly_extraction,
     divisors,
+    euler_phi,
     factorize_trial,
     fraction_resultant_minpoly,
     is_prime_trial,
@@ -33,7 +34,6 @@ from trisectlab.polyalg import (
     cos_minimal_poly,
     cyclotomic,
     eisenstein_check,
-    euler_phi,
     factorize,
     fixed_point_eval,
     is_prime,
