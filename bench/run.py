@@ -42,6 +42,11 @@ Suites (name, default output, what they time):
                     ``Certificate.verify()`` of each certificate kind.  Each
                     case is called once first; a case under 0.1 s is timed
                     over CERT_LOOPS calls per run.
+    quad-counts     BENCH_6.json  ``count_ball_interval(s)`` over Q(sqrt d):
+                    Q(sqrt 2) at 10^6, Q(sqrt 3) at [10^3, 10^4, 10^5,
+                    10^6] in one call, Q(sqrt 7) at 10^5 on [-1/3, 5/2]
+                    and Q(sqrt 2) at 9*10^6, just under the int64 guard;
+                    each run in a fresh interpreter, as ``mertens`` runs.
 
 A row with the same label in the output file is replaced; other rows are
 kept, so running this script from two checkouts into one file records a
@@ -209,13 +214,14 @@ def algdeg_tower() -> dict:
     return {"kernels": results}
 
 
-# -- mertens ----------------------------------------------------------------
+# -- fresh-interpreter cases (mertens, quad-counts) -------------------------
 
 _FRESH = """
 import json, time
+from fractions import Fraction
 from trisectlab.coprime_count import Box, lehmer_report, mobius_sum
-from trisectlab.exact_arith import RATIONAL_FIELD
-from trisectlab.height_enum import HeightBall, count_ball_interval
+from trisectlab.exact_arith import RATIONAL_FIELD, quadratic_field
+from trisectlab.height_enum import HeightBall, count_ball_interval, count_ball_intervals
 start = time.perf_counter()
 value = {call}
 elapsed = time.perf_counter() - start
@@ -223,6 +229,23 @@ with open("/proc/self/status") as status:  # VmHWM: this process's own peak
     peak_mb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
 print(json.dumps({{"value": value, "elapsed_s": elapsed, "peak_mb": peak_mb}}))
 """
+
+def _fresh_cases(cases) -> dict:
+    """Run each (case, call) of ``cases`` REPEATS times, each in a fresh
+    interpreter; record its value, median time and median peak memory."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    results = []
+    for case, call in cases:
+        runs = [json.loads(subprocess.run(
+            [sys.executable, "-c", _FRESH.format(call=call)], env=env, capture_output=True,
+            text=True, check=True).stdout.splitlines()[-1]) for _ in range(REPEATS)]
+        results.append(_report({
+            "case": case, "value": runs[-1]["value"],
+            "median_s": round(statistics.median(r["elapsed_s"] for r in runs), 4),
+            "peak_mb": round(statistics.median(r["peak_mb"] for r in runs), 1)}))
+    return {"cases": results}
+
 
 MERTENS_CASES = (
     *((f"M(10^{k})", f"mobius_sum((10 ** {k},), lambda q: [1] * len(q))") for k in (10, 11, 12)),
@@ -232,19 +255,16 @@ MERTENS_CASES = (
 )
 
 
-def mertens() -> dict:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-    results = []
-    for case, call in MERTENS_CASES:
-        runs = [json.loads(subprocess.run(
-            [sys.executable, "-c", _FRESH.format(call=call)], env=env, capture_output=True,
-            text=True, check=True).stdout.splitlines()[-1]) for _ in range(REPEATS)]
-        results.append(_report({
-            "case": case, "value": runs[-1]["value"],
-            "median_s": round(statistics.median(r["elapsed_s"] for r in runs), 4),
-            "peak_mb": round(statistics.median(r["peak_mb"] for r in runs), 1)}))
-    return {"cases": results}
+# the scale runs of tests/test_scale.py over Q(sqrt d), and Q(sqrt 2) just
+# under the interval count's int64 guard (floor(R) <= 9,686,329)
+QUAD_COUNT_CASES = (
+    ("Q(sqrt 2) at 10^6", "count_ball_interval(HeightBall(quadratic_field(2), 10 ** 6), -2, 2)"),
+    ("Q(sqrt 3) at 10^3..10^6",
+     "count_ball_intervals(quadratic_field(3), [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6], -2, 2)"),
+    ("Q(sqrt 7) at 10^5 on [-1/3, 5/2]",
+     "count_ball_interval(HeightBall(quadratic_field(7), 10 ** 5), Fraction(-1, 3), Fraction(5, 2))"),
+    ("Q(sqrt 2) at 9*10^6", "count_ball_interval(HeightBall(quadratic_field(2), 9 * 10 ** 6), -2, 2)"),
+)
 
 
 # -- certificates -----------------------------------------------------------
@@ -301,9 +321,11 @@ SUITES = {
                       ("numpy",), verify_checks),
     "algdeg-tower": ("BENCH_3.json", "algdeg cosine-tower kernels", ("mpmath",), algdeg_tower),
     "mertens": ("BENCH_4.json", "Mertens function and Q denominator at 10^10..10^12",
-                ("numpy",), mertens),
+                ("numpy",), lambda: _fresh_cases(MERTENS_CASES)),
     "certificates": ("BENCH_5.json", "witness and nsect verbs and one verify per certificate kind",
                      ("mpmath",), certificates),
+    "quad-counts": ("BENCH_6.json", "quadratic interval counts, the Theorem 4.1 denominators",
+                    ("numpy",), lambda: _fresh_cases(QUAD_COUNT_CASES)),
 }
 
 

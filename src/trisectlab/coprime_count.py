@@ -88,8 +88,9 @@ MAX_BLOCKS = 1 << 22
 # The Mertens table M(0..L) grows by doubling from L = MOBIUS_TABLE_MIN to at
 # most MOBIUS_TABLE_MAX (int32, 8 MB), which covers isqrt(n) for every n that
 # MAX_BLOCKS admits.  Past the table mu is sieved in segments of
-# MOBIUS_SEGMENT entries, and the recursion's ragged sums run over groups of
-# at most MOBIUS_CHUNK terms, so memory is bounded whatever the argument.
+# MOBIUS_SEGMENT entries, and the ragged sums of the recursion (and of the
+# quadratic interval count) run over groups of at most MOBIUS_CHUNK terms,
+# so memory is bounded whatever the argument.
 MOBIUS_TABLE_MIN = 1 << 10
 MOBIUS_TABLE_MAX = 1 << 21
 MOBIUS_SEGMENT = 1 << 19
@@ -160,21 +161,21 @@ def mobius_table(limit: int) -> np.ndarray:
     return _MOBIUS_CACHE
 
 
-def _ragged_sums(x: np.ndarray, first: np.ndarray, count: np.ndarray, term) -> np.ndarray:
-    """sum_{j < count_i} term(x_i, first_i + j) for each row i of the int64
-    arrays x, first and count; term maps flat arrays (x as float64, k as
-    int64) to integers.  Rows are cut into pieces of at most
-    ``MOBIUS_CHUNK`` terms, and the pieces that start in one window of that
-    many terms form a group: one flat evaluation and one
-    ``np.add.reduceat`` per group."""
-    out = np.zeros(len(x), dtype=np.int64)
+def ragged_sums(x: np.ndarray, first: np.ndarray, count: np.ndarray, term) -> np.ndarray:
+    """sum_{j < count_i} term(x_i, first_i + j) for each row i of the arrays
+    x, first and count (first and count int64), exact, as an object array
+    of Python ints; term maps flat arrays (x repeated, k as int64) to int64
+    values whose sum over any ``MOBIUS_CHUNK`` of them stays in int64.
+    Rows are cut into pieces of at most ``MOBIUS_CHUNK`` terms, and the
+    pieces that start in one window of that many terms form a group: one
+    flat evaluation and one ``np.add.reduceat`` per group."""
+    out = np.zeros(len(x), dtype=object)
     pieces = -(-count // MOBIUS_CHUNK)
     row = np.repeat(np.arange(len(x)), pieces)
     j = np.arange(len(row)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
     first = first[row] + j * MOBIUS_CHUNK
     count = np.minimum(count[row] - j * MOBIUS_CHUNK, MOBIUS_CHUNK)
     ends = np.cumsum(count)
-    x = x.astype(np.float64)
     g = 0
     while g < len(row):
         h = int(np.searchsorted(ends, ends[g] - count[g] + MOBIUS_CHUNK, side="right"))
@@ -182,7 +183,7 @@ def _ragged_sums(x: np.ndarray, first: np.ndarray, count: np.ndarray, term) -> n
         offsets = np.cumsum(n) - n
         k = np.arange(int(offsets[-1] + n[-1])) + np.repeat(first[g:h] - offsets, n)
         sums = np.add.reduceat(term(np.repeat(x[row[g:h]], n), k), offsets, dtype=np.int64)
-        np.add.at(out, row[g:h], sums)
+        np.add.at(out, row[g:h], sums.astype(object))
         g = h
     return out
 
@@ -244,13 +245,14 @@ def _mertens(xs: np.ndarray) -> np.ndarray:
         for a in range(0, count[i], MOBIUS_CHUNK):  # every partial sum below 2^53: exact
             b = min(a + MOBIUS_CHUNK, count[i])
             rest[i] += int(np.dot(sign[a:b], np.floor(x / squarefree[a:b])))
+    Cf = C.astype(np.float64)
     for a, m in _mertens_segments(L + 1, u + 1, int(table[L])):
         b = a + len(m)
         i, j = np.searchsorted(xs, (a, b))
         out[i:j] = m[xs[i:j] - a]
         kb, ke = np.maximum(split, C // b), np.minimum(s, C // a)
-        rest += _ragged_sums(C, kb + 1, np.maximum(ke - kb, 0),
-                             lambda x, k: m[_floor_div(x, k) - a])
+        rest = rest + ragged_sums(Cf, kb + 1, np.maximum(ke - kb, 0),
+                                  lambda x, k: m[_floor_div(x, k) - a])
     big = {}
     for x, r, k in zip(C.tolist(), rest.tolist(), split.tolist()):
         big[x] = 1 - r - sum(big[x // j] for j in range(2, k + 1))

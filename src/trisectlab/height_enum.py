@@ -43,7 +43,8 @@ from math import isqrt
 
 import numpy as np
 
-from .coprime_count import mobius_blocks, mobius_sum, zeta
+from . import coprime_count
+from .coprime_count import mobius_blocks, mobius_sum, ragged_sums, zeta
 from .errors import (BadParameters, CapExceeded, DegenerateBasis, RadicandMismatch, ZeroDenominator,
                      int_text)
 from .exact_arith import FieldDescriptor, QuadElem, quad_from_canonical, quadratic_field
@@ -76,13 +77,10 @@ def count_ball(ball: HeightBall) -> int:
     return mobius_sum((ball.bound,), lambda N: N * (2 * N + 1) ** k)
 
 
-# (row, coordinate) cells per block of the element streams, values of a2
-# per block of the quadratic interval count, and quotients per slice of its
-# a2 = 0 row and weighted sums: each bounds a block's memory whatever the
-# height.
+# (row, coordinate) cells per block of the element streams: bounds a
+# block's memory whatever the height.  The quadratic interval count slices
+# its quotients, a2 table and cells by ``coprime_count.MOBIUS_CHUNK``.
 BLOCK_CELLS = 1 << 15
-BLOCK_A2 = 1 << 14
-BLOCK_N = 1 << 16
 # Every intermediate of the kernel, of the quadratic count and of the image
 # map stays below this, so int64 arithmetic is exact on the whole domain
 # the guards admit.
@@ -419,7 +417,8 @@ def count_ball_intervals(field: FieldDescriptor, R_list, lo, hi) -> list[int]:
     0 <= u <= v the endpoints' absolute values the count is
     (S(v) + S(u))/2 when lo <= 0 <= hi, else (S(v) - S(u))/2 plus 1 when
     u = p/q in lowest terms lies in B(R), that is max(p, q) <= floor(R).
-    S is evaluated once per distinct |endpoint|.
+    S is evaluated once per distinct |endpoint|.  An R below 1 has an empty
+    ball.
 
     Each S(t) is sum_e mu(e) * L(floor(R/e)) over the live blocks of
     :func:`coprime_count.mobius_blocks`: L(N) counts all integer
@@ -434,35 +433,35 @@ def count_ball_intervals(field: FieldDescriptor, R_list, lo, hi) -> list[int]:
     row(N, a2), whose sum is empty over Q.
 
     L is evaluated once per t, on the union of the live quotients of every
-    R of the list, ``BLOCK_N`` quotients at a time, and each R's S(t) is
-    the sum over those slices of the dot product of its weights with its
-    quotients' values.  The a2 = 0 row runs in int64, except over Q (which
-    has no int64 guard) on the slices whose magnitudes could pass it, which
-    run on Python ints.  Every other
-    (N, a2) pair is a cell: consecutive quotients pack into groups
-    of at most ``BLOCK_A2`` cells, one ragged int64 evaluation and one
-    ``np.add.reduceat`` per group; a quotient of ``BLOCK_A2`` cells or more
-    runs alone over slices of that size.  Memory is the table plus one
-    group, and inputs that could pass 2^62 raise ``CapExceeded`` up front.
+    R of the list, in slices of ``coprime_count.MOBIUS_CHUNK`` quotients,
+    and each R's S(t) is the sum over those slices of the dot product of
+    its weights with its quotients' values.  The a2 = 0 row runs in int64,
+    except over Q (which has no int64 guard) on the slices whose
+    magnitudes could pass it, which run on Python ints.  The rows a2 >= 1
+    of a slice are one :func:`coprime_count.ragged_sums`, exact per
+    quotient.  Memory is the table plus one group of the kernel, and
+    inputs that could pass 2^62 raise ``CapExceeded`` up front.
     """
     lo, hi = _interval(lo, hi)
     u, v = sorted((abs(lo), abs(hi)))
-    bounds = [HeightBall(field, R).bound for R in R_list]
+    bounds = [max(HeightBall(field, R).bound, 0) for R in R_list]
     F = max(bounds, default=0)
     d = field.d
+    chunk = coprime_count.MOBIUS_CHUNK
     if d:
         for t in (u, v):
             p, q = t.numerator, t.denominator
+            # a piece of the kernel sums at most chunk rows, each within
+            # 3*(F + 1)^2; the guard asks for twice that, which keeps its
+            # reach at F <= 9,686,329, where the cells take seconds
             check_int64(max(q * q * F * F * d, 2 * (p + q * (isqrt(d) + 2)) * (F + 2),
-                            BLOCK_A2 * 3 * (F + 1) ** 2), "interval count")
+                            2 * chunk * 3 * (F + 1) ** 2), "interval count")
     blocks = [mobius_blocks(n) for n in bounds]
     quotients = [n // starts for n, (starts, _) in zip(bounds, blocks)]
     # every live quotient (all >= 1) of the list once, ascending; np.unique
     # would import numpy.ma
     Ns = np.sort(np.concatenate([np.empty(0, dtype=np.int64), *quotients]))
     Ns = Ns[np.diff(Ns, prepend=0) != 0]
-    cells = Ns if d else np.zeros_like(Ns)  # the (N, a2) cells a2 = 1..N of L(N)
-    ends = np.cumsum(cells)
     # each R's positions in Ns, ascending, and its weights in that order
     places = [(np.searchsorted(Ns, quotient[::-1]), weights[::-1])
               for quotient, (_, weights) in zip(quotients, blocks)]
@@ -474,46 +473,30 @@ def count_ball_intervals(field: FieldDescriptor, R_list, lo, hi) -> list[int]:
             return N + _clipped_floor_sum(p, q, down, N) + _clipped_floor_sum(p, q, up, N)
 
         fl = np.empty(F + 1 if d else 0, dtype=np.int64)
-        for i in range(0, len(fl), BLOCK_A2):
-            a2 = np.arange(i, min(i + BLOCK_A2, len(fl)), dtype=np.int64)
-            fl[i : i + BLOCK_A2] = _floor_sqrt_multiple(q * a2, d)
-        sums = np.zeros(len(Ns) if d else 0, dtype=object)
-        # cells ascend with N; over Q there are none, and neither loop runs
-        i, alone = int(np.searchsorted(cells, 1)), int(np.searchsorted(cells, BLOCK_A2))
-        while i < alone:  # the group [i, j) of at most BLOCK_A2 cells
-            j = int(np.searchsorted(ends, ends[i] - cells[i] + BLOCK_A2, side="right"))
-            n = cells[i:j]
-            offsets = np.cumsum(n) - n
-            N = np.repeat(Ns[i:j], n)
-            f = fl[np.arange(len(N)) - np.repeat(offsets - 1, n)]  # a2 = 1..N per quotient
-            sums[i:j] = np.add.reduceat(row(N, f, -f - 1), offsets)
-            i = j
-        for i in range(alone, len(Ns)):  # alone, over slices of BLOCK_A2 cells
-            slices = (fl[k : min(k + BLOCK_A2, Ns[i] + 1)] for k in range(1, Ns[i] + 1, BLOCK_A2))
-            sums[i] = sum(int(row(Ns[i], f, -f - 1).sum()) for f in slices)
+        for i in range(0, len(fl), chunk):
+            a2 = np.arange(i, min(i + chunk, len(fl)), dtype=np.int64)
+            fl[i : i + chunk] = _floor_sqrt_multiple(q * a2, d)
         totals = [0] * len(places)
-        for i in range(0, len(Ns), BLOCK_N):
-            N = Ns[i : i + BLOCK_N]
+        for i in range(0, len(Ns), chunk):
+            N = Ns[i : i + chunk]
             # the a2 = 0 row, within 7*(N + 1)^2 and 2*(p + q)*(N + 2); over Q
             # on Python ints once that could pass int64, from N of about 10^9
             top = int(N[-1])
             wide = not d and max(7 * (top + 1) ** 2, 2 * (p + q) * (top + 2)) > INT64_SAFE
             values = row(N.astype(object) if wide else N, 0, 0).astype(object)
             if d:
-                values += 2 * sums[i : i + BLOCK_N]
+                values += 2 * ragged_sums(N, np.ones_like(N), N,
+                                          lambda N, a2: row(N, fl[a2], -fl[a2] - 1))
             for slot, (at, weights) in enumerate(places):
-                a, b = np.searchsorted(at, (i, i + BLOCK_N))
+                a, b = np.searchsorted(at, (i, i + chunk))
                 totals[slot] += int(np.dot(weights[a:b].astype(object), values[at[a:b] - i]))
         return totals
 
     S = {t: symmetric_counts(t) for t in {u, v}}
-    counts = []
-    for slot, n in enumerate(bounds):
-        if lo <= 0 <= hi:
-            counts.append((S[v][slot] + S[u][slot]) // 2)
-        else:
-            counts.append((S[v][slot] - S[u][slot]) // 2 + (max(u.numerator, u.denominator) <= n))
-    return counts
+    if lo <= 0 <= hi:
+        return [(sv + su) // 2 for sv, su in zip(S[v], S[u])]
+    return [(sv - su) // 2 + (max(u.numerator, u.denominator) <= n)
+            for sv, su, n in zip(S[v], S[u], bounds)]
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from trisectlab.coprime_count import (
     mobius_blocks,
     mobius_sum,
     mobius_table,
+    ragged_sums,
     sieve_count,
     zeta,
 )
@@ -121,6 +122,38 @@ def test_mertens_matches_whole_table_oracle(n, state, segment, chunk, data):
         got = _mertens(np.array(xs, dtype=np.int64))
         assert len(coprime_count._MOBIUS_CACHE) <= _CAP + 1
     assert got.tolist() == [want[x] for x in xs]
+
+
+_ROW = st.tuples(st.integers(0, 1 << 20), st.integers(0, 1 << 16), st.integers(0, 3),
+                 st.integers(-1, 2))
+
+
+@pytest.mark.parametrize("chunk", [coprime_count.MOBIUS_CHUNK, 1, 7])
+@settings(max_examples=30, deadline=None)
+@example(rows=[(1 << 20, 1 << 16, 3, 2), (0, 5, 0, 0), (1 << 20, 0, 0, 1)], floats=False)
+@given(rows=st.lists(_ROW, min_size=1, max_size=6), floats=st.booleans())
+def test_ragged_sums_match_double_loop(chunk, rows, floats):
+    """ragged_sums against a Python double loop, with term x*k: zero-length
+    rows, rows of up to three chunks and two terms cut into pieces over
+    several groups, int64 and float64 x, and per-row totals past 2^63
+    (int64 x near its top), which come back exact as Python ints.  x is
+    drawn as a share of the largest value that keeps every piece's sum in
+    int64, and for float64 x every product below 2^53."""
+    k_top = (1 << 16) + 3 * chunk + 2
+    x_top = (1 << 62) // (chunk * k_top)
+    if floats:
+        x_top = min(x_top, (1 << 53) // k_top)
+    rows = [(share * x_top >> 20, first, max(0, chunks * chunk + extra))
+            for share, first, chunks, extra in rows]
+    x, first, count = (np.array(column, dtype=np.int64) for column in zip(*rows))
+    with mock.patch.object(coprime_count, "MOBIUS_CHUNK", chunk):
+        got = ragged_sums(x.astype(np.float64) if floats else x, first, count,
+                          lambda x, k: (x * k).astype(np.int64))
+    want = [sum(xi * (fi + j) for j in range(ci)) for xi, fi, ci in rows]
+    assert got.tolist() == want
+    assert all(type(total) is int for total in got.tolist())
+    if not floats and rows[0] == (x_top, 1 << 16, 3 * chunk + 2):  # the largest row
+        assert want[0] > 2 ** 63
 
 
 def test_mertens_refuses_past_its_table_cap():

@@ -18,7 +18,7 @@ from oracles import (
     qbox_reference,
     row_kernel_count,
 )
-from trisectlab import height_enum
+from trisectlab import coprime_count, height_enum
 from trisectlab.cli import main
 from trisectlab.coprime_count import mobius_sum, zeta
 from trisectlab.errors import BadParameters, CapExceeded, ZeroDenominator
@@ -258,12 +258,16 @@ def test_verify_fails_ball_counts_under_kernel_faults(fault, capsys, monkeypatch
 
 @pytest.mark.parametrize("field", [RATIONAL_FIELD, quadratic_field(2), quadratic_field(7)])
 def test_interval_count_matches_enumeration(field):
-    ball = HeightBall(field, 14)
-    for lo, hi in ((-2, 2), (Fraction(-1, 2), Fraction(5, 3)), (0, 1)):
-        got = count_ball_interval(ball, lo, hi)
-        stream = list(enumerate_ball_interval(ball, lo, hi))
-        assert got == len(stream)
-        assert all(in_interval(x, lo, hi) for x in stream)
+    """The count equals the interval stream's length, at R = 14 and at
+    negative R, whose ball is empty: both count 0 and yield nothing."""
+    for R in (14, -5, Fraction(-1, 2)):
+        ball = HeightBall(field, R)
+        for lo, hi in ((-2, 2), (Fraction(-1, 2), Fraction(5, 3)), (0, 1)):
+            got = count_ball_interval(ball, lo, hi)
+            stream = list(enumerate_ball_interval(ball, lo, hi))
+            assert got == len(stream)
+            assert R > 0 or got == 0
+            assert all(in_interval(x, lo, hi) for x in stream)
 
 
 _small_fractions = st.builds(
@@ -356,6 +360,25 @@ def test_int64_domain_is_refused_up_front(ball, lo, hi, monkeypatch):
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("d", [2, 3, 30])
+def test_interval_count_guard_reach(d, monkeypatch):
+    """Over Q(sqrt d) the int64 guard admits floor(R) = 9,686,329 (the run
+    is stopped at its first step past the guard) and refuses 9,686,330
+    with ``CapExceeded`` before any work."""
+    class Admitted(Exception):
+        pass
+
+    def admitted(n):
+        raise Admitted
+
+    monkeypatch.setattr(height_enum, "mobius_blocks", admitted)
+    field = quadratic_field(d)
+    with pytest.raises(Admitted):
+        count_ball_interval(HeightBall(field, 9_686_329), -2, 2)
+    with pytest.raises(CapExceeded, match="int64"):
+        count_ball_interval(HeightBall(field, 9_686_330), -2, 2)
+
+
 _count_ends = st.builds(Fraction, st.integers(-90, 90), st.integers(1, 90))
 
 
@@ -389,7 +412,7 @@ def test_interval_count_matches_row_oracle(d, R, ends, point):
 _list_R = st.builds(Fraction, st.integers(0, 900), st.integers(1, 3)).filter(lambda R: R <= 300)
 
 
-@pytest.mark.parametrize("block", [height_enum.BLOCK_A2, 7], ids=["default-block", "block-7"])
+@pytest.mark.parametrize("block", [coprime_count.MOBIUS_CHUNK, 7], ids=["default-block", "block-7"])
 @settings(max_examples=20, deadline=None)
 @example(d=2, R_list=[Fraction(25), Fraction(50), Fraction(100), Fraction(200)],
          ends=(Fraction(-2), Fraction(2)), mirror=True)
@@ -412,11 +435,11 @@ _list_R = st.builds(Fraction, st.integers(0, 900), st.integers(1, 3)).filter(lam
     mirror=st.booleans(),
 )
 def test_packed_interval_counts_match_references(block, d, R_list, ends, mirror):
-    """The packed count of a list of R against the per-quotient reference
-    of ``oracles`` and the row-kernel count at each R, on symmetric
-    (lo = -hi) and skew intervals.  Blocks of 7 cells split the groups and
-    send every quotient of 7 cells or more down the slice path; no
-    evaluation spans more than a block of (N, a2) cells."""
+    """The count of a list of R against the per-quotient reference of
+    ``oracles`` and the row-kernel count at each R, on symmetric (lo = -hi)
+    and skew intervals.  A chunk of 7 cuts every quotient of more than 7
+    cells into pieces over several groups of the ragged kernel; no
+    evaluation spans more than a chunk of (N, a2) cells."""
     lo, hi = sorted(ends)
     if mirror:
         lo, hi = -abs(hi), abs(hi)
@@ -429,7 +452,7 @@ def test_packed_interval_counts_match_references(block, d, R_list, ends, mirror)
         return _clipped_floor_sum(p, q, r, N)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(height_enum, "BLOCK_A2", block)
+        patch.setattr(coprime_count, "MOBIUS_CHUNK", block)
         patch.setattr(height_enum, "_clipped_floor_sum", recorded)
         got = count_ball_intervals(field, R_list, lo, hi)
     assert max(cells, default=0) <= block
@@ -437,7 +460,7 @@ def test_packed_interval_counts_match_references(block, d, R_list, ends, mirror)
     assert got == [row_kernel_count(HeightBall(field, R), lo, hi) for R in R_list]
 
 
-@pytest.mark.parametrize("block", [height_enum.BLOCK_A2, 7], ids=["default-block", "block-7"])
+@pytest.mark.parametrize("block", [coprime_count.MOBIUS_CHUNK, 7], ids=["default-block", "block-7"])
 @pytest.mark.parametrize(
     "d, R_list, lo, hi",
     [
@@ -452,7 +475,7 @@ def test_one_floor_table_per_distinct_endpoint(block, d, R_list, lo, hi):
     """Every interval comes from the symmetric count at its endpoints'
     absolute values, each with one table of floor(q*a2*sqrt d) over
     a2 = 0..F: at most F + 1 values per distinct |endpoint|, however the
-    table is split into blocks."""
+    table is split into slices."""
     values = []
 
     def recorded(v, d):
@@ -461,7 +484,7 @@ def test_one_floor_table_per_distinct_endpoint(block, d, R_list, lo, hi):
 
     field = quadratic_field(d)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(height_enum, "BLOCK_A2", block)
+        patch.setattr(coprime_count, "MOBIUS_CHUNK", block)
         patch.setattr(height_enum, "_floor_sqrt_multiple", recorded)
         got = count_ball_intervals(field, R_list, lo, hi)
     assert sum(values) <= (max(R_list) + 1) * len({abs(lo), abs(hi)})
@@ -498,11 +521,12 @@ def test_q_denominator_past_the_block_cap_refused_promptly():
 
 
 @pytest.mark.parametrize("d", [0, 3])
-@pytest.mark.parametrize("slice_size", [1, 5, height_enum.BLOCK_N])
+@pytest.mark.parametrize("slice_size", [1, 5, coprime_count.MOBIUS_CHUNK])
 def test_interval_counts_over_slices_of_quotients(d, slice_size, monkeypatch):
-    """The a2 = 0 row and the weighted sums run over slices of at most
-    BLOCK_N quotients of the union of the list's quotients; every slice
-    size gives the per-quotient reference's counts."""
+    """The a2 = 0 row, the cells and the weighted sums run over slices of
+    at most MOBIUS_CHUNK quotients of the union of the list's quotients,
+    and no evaluation spans more than that many of them; every slice size
+    gives the per-quotient reference's counts."""
     field = quadratic_field(d) if d else RATIONAL_FIELD
     sizes = []
 
@@ -510,13 +534,12 @@ def test_interval_counts_over_slices_of_quotients(d, slice_size, monkeypatch):
         sizes.append(np.size(N))
         return _clipped_floor_sum(p, q, r, N)
 
-    monkeypatch.setattr(height_enum, "BLOCK_N", slice_size)
+    monkeypatch.setattr(coprime_count, "MOBIUS_CHUNK", slice_size)
     monkeypatch.setattr(height_enum, "_clipped_floor_sum", recorded)
     for R_list, lo, hi in (([1, 30, 400], -2, 2), ([77, 250], Fraction(1, 3), Fraction(5, 2))):
         sizes.clear()
         got = count_ball_intervals(field, R_list, lo, hi)
-        if not d:
-            assert max(sizes) <= slice_size
+        assert max(sizes) <= slice_size
         assert got == interval_counts_per_quotient(field, R_list, lo, hi)
 
 
