@@ -47,6 +47,10 @@ Suites (name, default output, what they time):
                     10^6] in one call, Q(sqrt 7) at 10^5 on [-1/3, 5/2]
                     and Q(sqrt 2) at 9*10^6, just under the int64 guard;
                     each run in a fresh interpreter, as ``mertens`` runs.
+    qbox            BENCH_7.json  ``qbox`` and ``qbox_count`` in-process over Q
+                    at R = 1000, 3000 and 16,384 and over Q(sqrt 2) at
+                    R = 40, 120 and 1086; R = 16,384 and 1086 are the
+                    largest boxes the cells cap admits.
 
 A row with the same label in the output file is replaced; other rows are
 kept, so running this script from two checkouts into one file records a
@@ -313,6 +317,26 @@ def certificates() -> dict:
     return {"verbs": verbs, "verify": verifies}
 
 
+# -- qbox -------------------------------------------------------------------
+
+QBOX_CASES = ((None, 1000), (None, 3000), (None, 16384), (2, 40), (2, 120), (2, 1086))
+
+
+def qbox_suite() -> dict:
+    from trisectlab.exact_arith import RATIONAL_FIELD, quadratic_field
+    from trisectlab.height_enum import QBoxSpec, qbox, qbox_count
+
+    results = []
+    for d, R in QBOX_CASES:
+        spec = QBoxSpec(quadratic_field(d) if d else RATIONAL_FIELD, R)
+        qbox_ms, report = _median_ms(lambda: qbox(spec))
+        count_ms, _ = _median_ms(lambda: qbox_count(spec))
+        results.append(_report({"field": report["field"], "R": R, "count": report["count"],
+                                "members_checked": report["members_checked"],
+                                "qbox_ms": qbox_ms, "qbox_count_ms": count_ms}))
+    return {"cases": results}
+
+
 # name -> (default output, benchmark title, library versions recorded, run)
 SUITES = {
     "decide-heights": ("BENCH_1.json", "decide_trisection across element heights",
@@ -326,6 +350,8 @@ SUITES = {
                      ("mpmath",), certificates),
     "quad-counts": ("BENCH_6.json", "quadratic interval counts, the Theorem 4.1 denominators",
                     ("numpy",), lambda: _fresh_cases(QUAD_COUNT_CASES)),
+    "qbox": ("BENCH_7.json", "qbox and its Moebius count, the certified sub-box of Theorem 4.1",
+             ("numpy",), qbox_suite),
 }
 
 

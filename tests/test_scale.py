@@ -47,8 +47,9 @@ print(json.dumps({{"value": value, "elapsed_s": elapsed, "peak_mb": peak_mb}}))
 # values are those of the image dedup the weights replaced).  The witness
 # at WITNESS_MAX_M = 31 is produced and verified, which builds it twice,
 # as `trisectlab witness --m 31 --q 2` does.
-# The qbox runs check the count and the members of the box difference
-# (sampled at R = 3000 by the seed-0 stream, exhaustively at Q(sqrt 2)).
+# The qbox runs count the box difference and prove its members at the
+# box's corner; members_checked is the seed-0 sample at R = 3000 and the
+# whole count at Q(sqrt 2).
 # The decide runs recover a witness with a 1000-digit denominator from its
 # image, whose coordinates have about 3000 digits (below the 4300-digit
 # int-to-str limit).  Their limits hold only for root floors found in
