@@ -20,10 +20,10 @@ Suites (name, default output, what they time):
                     Q the same pair for x = r/s with r = s - 3, a root just
                     below the cubic's turning point.
     verify-checks   BENCH_2.json  each check of ``verify --quick --out``
-                    (its ``elapsed_s``), and ``gcd_bound_sweep`` over
-                    d = 2, 3, 5, 6, 7 together at heights 40, 80 and 200
-                    (those of ``verify --quick``, ``verify`` and acceptance
-                    criterion 07).
+                    (its ``elapsed_s``), and ``height_enum.gcd_bound_sweep``
+                    over d = 2, 3, 5, 6, 7 together at heights 40, 80 and
+                    200 (those of ``verify --quick``, ``verify`` and
+                    acceptance criterion 07).
     algdeg-tower    BENCH_3.json  for n = 9..12: ``tower_checks(n)``,
                     ``cn_degree_check(n)``, ``identity_suite(n)``,
                     ``cos_minimal_poly(3*2^(n+1))`` (the modulus of
@@ -163,7 +163,7 @@ SWEEP_HEIGHTS = (40, 80, 200)
 
 def verify_checks() -> dict:
     from trisectlab.cli import main as cli_main
-    from trisectlab.trisect_core import gcd_bound_sweep
+    from trisectlab.height_enum import gcd_bound_sweep
 
     runs = []
     with tempfile.TemporaryDirectory() as tmp:

@@ -22,10 +22,12 @@ from .exact_arith import (
     quadratic_field,
 )
 from .height_enum import (
+    DensityReport,
     HeightBall,
     QBoxSpec,
     count_ball,
     count_ball_interval,
+    density_experiment,
     enumerate_ball,
     enumerate_ball_interval,
     qbox,
@@ -41,11 +43,9 @@ from .polyalg import (
 )
 from .trisect_core import (
     Certificate,
-    DensityReport,
     TrisectionVerdict,
     apply_f,
     decide_trisection,
-    density_experiment,
     eisenstein_cert_3rs,
     nonconstructible_witness,
     preimage_bound,

@@ -47,13 +47,11 @@ from .exact_arith import (
     quadratic_field,
 )
 from .height_enum import (HeightBall, QBoxSpec, count_ball, count_ball_interval,
-                          verify_commensurability)
+                          density_experiment, gcd_bound_sweep, verify_commensurability)
 from .trisect_core import (
     Certificate,
     apply_f,
     decide_trisection,
-    density_experiment,
-    gcd_bound_sweep,
     preimage_bound,
     square_family_check,
     yates_certificate,

@@ -1,5 +1,6 @@
-"""Enumeration and counting of height balls and the box construction that
-certifies a lower bound for the in-interval count.
+"""Enumeration and counting of height balls, the box construction that
+certifies a lower bound for the in-interval count, and the density
+experiment and image-gcd sweep that run on them.
 
 A height ball B(R) over a field is the finite set of canonical elements of
 height at most R.  Enumeration is lexicographic in (b, a1[, a2]) so streams
@@ -20,6 +21,15 @@ is a square in the field: the fibre weight of the density numerator.
 :func:`verify_commensurability` compares the heights of two bases of
 Q(sqrt(d)) on the element blocks.
 
+The density experiment measures how quickly the accepted fraction of a
+height ball decays as the height bound grows; it runs on int64 arrays,
+block by block through the row-block kernel and the array image map
+:func:`_images`.  The image-gcd sweep takes no gcd over elements: it
+multiplies capped per-prime residue tables, one gather per residue
+signature of b (:func:`gcd_bound_sweep`).  Both build on the exact core
+of ``trisect_core``: its image coordinates, integer cube root and preimage
+bound.
+
 Counts never walk rows.  As x -> -x preserves B(R), every interval count
 comes from the symmetric count S(t) = |B(R) ∩ [-t, t]|: (S(hi) + S(-lo))/2
 when lo <= 0 <= hi, else (S(v) - S(u))/2 for the endpoints' absolute
@@ -37,15 +47,17 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 
 from . import coprime_count
 from .coprime_count import mobius_blocks, mobius_sum, ragged_sums, zeta
-from .errors import (BadParameters, CapExceeded, DegenerateBasis, RadicandMismatch, ZeroDenominator,
-                     int_text)
+from .errors import (BadParameters, CapExceeded, DegenerateBasis, GcdBoundViolated,
+                     RadicandMismatch, ZeroDenominator, int_text)
 from .exact_arith import FieldDescriptor, QuadElem, quad_from_canonical, quadratic_field, sign_lin
+from .polyalg import primes_below
+from .trisect_core import _image_coords, icbrt, preimage_bound
 
 DEFAULT_ENUM_CAP = 20_000_000
 
@@ -609,3 +621,287 @@ def qbox(spec: QBoxSpec, *, seed: int = 0) -> dict:
         "membership_violations": 0,
         "exhaustive": keep_all,
     }
+
+
+@dataclass(frozen=True)
+class DensityPoint:
+    R: Fraction
+    numerator: int
+    denominator: int
+
+    @property
+    def delta(self) -> float:
+        return self.numerator / self.denominator
+
+
+@dataclass(frozen=True)
+class DensityReport:
+    field: FieldDescriptor
+    points: tuple[DensityPoint, ...]
+    slope: float | None
+    target_exponent: float
+
+    def to_dict(self) -> dict:
+        return {
+            "field": self.field.label(),
+            "d": self.field.d,
+            "points": [
+                {
+                    "R": str(p.R),
+                    "num": p.numerator,
+                    "den": p.denominator,
+                    "delta": p.delta,
+                }
+                for p in self.points
+            ],
+            "slope": self.slope,
+            "target_exponent": self.target_exponent,
+        }
+
+
+def _images(x1: np.ndarray, x2: np.ndarray, b: np.ndarray, d: int):
+    """:func:`raw_image` over int64 arrays of canonical (x1 + x2*sqrt(d))/b:
+    returns the image coordinates A1, A2, B = b^3 before reduction and
+    G = gcd(A1, A2, B).  Q is the case d = 1 with x1 or x2 zero; the row
+    kernel yields it with x1 = 0.
+
+    Every prime of G divides b, so G is taken on small numbers first:
+    g0 = gcd(b, A1, A2), then G = gcd(g0^3, A1, A2), since
+    min(v_p(A1), v_p(A2), 3*v_p(b)) = min(v_p(A1), v_p(A2), 3*v_p(g0))
+    at every prime p; where g0 = 1 that is one step.
+    Raises ``GcdBoundViolated`` when some G does not divide 8d.  Domain:
+    with S the largest coordinate, every intermediate is at most
+    (4 + 3d)*S^3 in magnitude; each caller refuses up front, with
+    ``CapExceeded``, a height where that could pass 2^62.
+    """
+    A1, A2 = _image_coords(x1, x2, b, d)
+    g0 = np.gcd(np.gcd(b, A1), A2)
+    G = np.gcd(np.gcd(g0 * g0 * g0, A1), A2)
+    bad = np.flatnonzero((8 * d) % G)
+    if bad.size:
+        i = bad[0]
+        x1, x2, b = int(x1[i]), int(x2[i]), int(b[i])
+        x = QuadElem(x1, x2, b, d) if d > 1 else Fraction(x1 + x2, b)
+        raise GcdBoundViolated(f"G | 8d fails at {x}")
+    return A1, A2, b * b * b, G
+
+
+def _slope_fit(points) -> float | None:
+    """Unweighted least-squares slope of log(delta) against log(R)."""
+    if len(points) < 3:
+        return None
+    xs = [math.log(float(p.R)) for p in points]
+    ys = [math.log(p.delta) for p in points]
+    xbar = sum(xs) / len(xs)
+    ybar = sum(ys) / len(ys)
+    num = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    den = sum((x - xbar) ** 2 for x in xs)
+    return num / den
+
+
+def density_experiment(
+    field: FieldDescriptor,
+    R_list,
+    cap: int | None = None,
+) -> DensityReport:
+    """Measure delta(R) = |accepted ∩ B(R) ∩ [-2,2]| / |B(R) ∩ [-2,2]| for
+    each R >= 1, plus the log-log slope across the points.
+
+    An image of height <= R has its preimages in B(S(R)), so one pass
+    over B(S) ∩ [-2, 2], S = S(R_max), serves every R.  The image of
+    x = (x1 + x2*sqrt(d))/b has a denominator D = b^3/G, at most its height,
+    with G | gmax(b) = gcd(8d, b^3) (1 over Q, where f(r/s) is reduced):
+    only rows with b^3 <= floor(R_max)*gmax(b) can count, and only they
+    are visited, through :func:`_images` (which checks G | 8d).
+
+    The numerator counts images by their fibres, with no comparison
+    between images.  As t^3 - 3t - f(x) = (t - x)(t^2 + x*t + x^2 - 3),
+    the other preimages of f(x) lie in K exactly when 3(4 - x^2) is a
+    square in K, that is when U + V*sqrt(d) is, with U = 3(4b^2 - x1^2 -
+    d*x2^2) and V = -6*x1*x2 (:func:`height_enum.is_square`).  So a fibre
+    has 1 or 3 elements, except {1, -2} of -2 and {-1, 2} of 2.  Each
+    visited x with an image of height <= R_max weighs 1 when the square
+    test holds and 3 otherwise; adding 2 for every R >= 2 (the two
+    2-element fibres) makes the weight below R exactly 3*N(R).  That needs
+    every member of a counted fibre visited: a 1-element fibre is covered
+    by :func:`preimage_bound`; in a 3-element fibre the conjugate cubic
+    t^3 - 3t - a' has three real roots, so |a'| <= 2 and every conjugate
+    root lies in [-2, 2], which gives |x1| <= 2b and |x2| <= 2b/sqrt(d)
+    with 2b <= 2(8dR)^(1/3) <= S, and each member passes the row cut
+    b^3 = G*D <= R*gmax(b); +-1 and +-2 are in every ball.  A total not
+    divisible by 3 raises ``AssertionError``.  The result does not depend
+    on the order or the size of the blocks.
+
+    Domain: S with (4 + 3d)*S^3 (the image map) or, over Q(sqrt(d)),
+    U^2 + d*V^2 past 2^62 raises ``CapExceeded`` before any work.  One
+    :func:`height_enum.count_ball_intervals` gives every denominator; it
+    runs before the numerator, so its guards refuse before any block.
+    ``cap`` (None: no cap) bounds the preimages visited, those of the
+    visited rows in B(S) ∩ [-2, 2]: ``CapExceeded`` as soon as the blocks
+    streamed so far hold more than ``cap`` of them.
+    """
+    R_list = [Fraction(R) for R in R_list]
+    if not R_list or any(b <= a for a, b in zip(R_list, R_list[1:])):
+        raise BadParameters("R list must be strictly increasing and nonempty")
+    if R_list[0] < 1:
+        raise BadParameters("R must be >= 1: B(R) ∩ [-2, 2] is empty below height 1")
+    ball = HeightBall(field, preimage_bound(field, R_list[-1]))
+    d, S = field.d or 1, ball.bound
+    check_int64((4 + 3 * d) * S ** 3, f"image of B({ball.R})")
+    if field.d:  # |U| <= 3(4 + d)*S^2 and |V| <= 6*S^2
+        check_int64(9 * ((4 + d) ** 2 + 4 * d) * S ** 4, f"square test on B({ball.R})")
+    tops = np.array([R.numerator // R.denominator for R in R_list], dtype=np.int64)
+    top = int(tops[-1])
+    visited = [b for b in range(1, icbrt(8 * d * top) + 1)
+               if b ** 3 <= top * (gcd(8 * d, b ** 3) if field.d else 1)]
+    denominators = count_ball_intervals(field, R_list, -2, 2)
+    sums = np.zeros(len(tops), dtype=np.int64)  # the weights per bin of tops
+    preimages = 0
+    for b, a1, a in element_blocks(ball, Fraction(-2), Fraction(2),
+                                   np.array(visited, dtype=np.int64)):
+        if cap is not None:
+            preimages += len(b)
+            if preimages > cap:
+                raise CapExceeded(f"more than {cap} preimages visited in B({ball.R}) in [-2, 2]")
+        A1, A2, B, G = _images(a1, a, b, d)
+        h = np.maximum(np.maximum(np.abs(A1), np.abs(A2)), B) // G
+        keep = h <= top
+        a1, a, b = a1[keep], a[keep], b[keep]
+        square = is_square(3 * (4 * b * b - a1 * a1 - d * a * a), -6 * a1 * a, d)
+        # float sums of one block are exact: far below 2^53
+        sums += np.bincount(np.searchsorted(tops, h[keep]), weights=3 - 2 * square,
+                               minlength=len(tops)).astype(np.int64)
+    thrice = np.cumsum(sums) + 2 * (tops >= 2)
+    if (thrice % 3).any():
+        raise AssertionError(f"fibre weights {thrice.tolist()} not divisible by 3")
+    points = [DensityPoint(*p) for p in zip(R_list, (thrice // 3).tolist(), denominators)]
+    return DensityReport(
+        field=field,
+        points=tuple(points),
+        slope=_slope_fit(points),
+        target_exponent=-(2.0 / 3.0) * (field.degree + 1),
+    )
+
+
+def _table_primes(F: int, d: int) -> list[int]:
+    """The primes q <= F whose q x q table at b = 0 mod q marks a class
+    (x1, x2) mod q other than (0, 0) with q | A1 and q | A2.  At b = 0, A1
+    and A2 are homogeneous cubics in (x1, x2), so a class is marked iff its
+    multiples by the units mod q are: each table is read on the q + 1
+    classes (t, 1), 0 <= t < q, and (1, 0) that represent its lines, in one
+    ragged scan over every prime at once of O(F^2 / log F) cells."""
+    primes = np.array(primes_below(F + 1), dtype=np.int64)
+    lines = primes + 1
+    q = np.repeat(primes, lines)
+    t = np.arange(len(q), dtype=np.int64) - np.repeat(np.cumsum(lines) - lines, lines)
+    A1, A2 = _image_coords(np.where(t < q, t, 1), (t < q).astype(np.int64), 0, d)
+    return sorted(set(q[(A1 % q == 0) & (A2 % q == 0)].tolist()))
+
+
+def _capped_table(q: int, d: int, F: int) -> tuple[int, np.ndarray]:
+    """m = q^e with e = v_q(8d) + 1, and the capped table C of q on the grid
+    [-F, F]^2 at b <= F: C[j, s, i] = q^min(v_q(A1), v_q(A2), 3*v_q(b), e)
+    = gcd(A1, A2, b^3, m) at b = q*(j + 1), x1 = s - F and x2 = i - F, or 1
+    where q divides both x1 and x2.  The entry is a function of
+    (b, x1, x2) mod m, since A1 and A2 are integer polynomials and gcd(X, m)
+    is fixed by X mod m; so slice j serves every b = q*(j + 1) mod m, grid
+    row x1 = r - F reads s = r mod m, and the columns are taken on the
+    residues and then spread over the grid.  A slice holds
+    min(m, 2F + 1) * (2F + 1) cells, and there are min(m, F)/q of them:
+    m is at most 32 for q = 2, q^2 for an odd q | d and q otherwise, so
+    the tables are small for small d but grow with F like a grid per
+    slice once q^2 > 2F + 1.  So the slices are built one at a time, each
+    with int64 temporaries of one slice only, and stored in the smallest
+    unsigned dtype that holds m.  Every representative lies in the grid,
+    whose int64 domain covers it."""
+    e = 1
+    while 8 * d % q ** e == 0:
+        e += 1
+    m = q ** e
+    x = np.arange(min(m, 2 * F + 1), dtype=np.int64) - F
+    # g[r] = gcd(r, m), in the smallest dtype that holds m: the divisors of m are a chain
+    g = np.gcd(np.arange(m), m).astype(np.min_scalar_type(m))
+    both = x % q == 0
+    both = both[:, None] & both
+    spread = np.arange(2 * F + 1) % m
+    table = np.empty((min(m, F) // q, len(x), 2 * F + 1), dtype=g.dtype)
+    for j, C in enumerate(table):
+        b = q * (j + 1)
+        A1, A2 = _image_coords(x[:, None], x, b, d)
+        capped = np.minimum(np.minimum(g[A1 % m], g[A2 % m]), g[b ** 3 % m])
+        capped[both] = 1
+        C[...] = capped[:, spread]
+    return m, table
+
+
+def gcd_bound_sweep(d: int, height_bound: int) -> dict:
+    """Check G | 8d, G = gcd(A1, A2, b^3), on every canonical element of
+    Q(sqrt(d)) of height <= F, the bound: return counts, or raise
+    ``GcdBoundViolated`` at the first violator in (b, a1, a2) order
+    (``CapExceeded`` past the int64 domain).  It takes no gcd over elements:
+    G is read from tables over residue classes, whose image coordinates
+    are formed once per class.
+
+    Which primes can divide G: every prime q of G divides b, so q <= F,
+    and q | A1, q | A2 on a class (x1, x2) mod q other than (0, 0), since
+    the element is canonical; A1 and A2 mod q depend only on the residues,
+    so q is a table prime of :func:`_table_primes`.  The scan is empirical:
+    a prime outside 2d that divides G is caught as well.
+
+    Capped tables: with C_q of :func:`_capped_table`, let
+    Ĝ = prod C_q over the table primes q | b.  At a canonical element
+    q never divides both x1 and x2 when q | b, so C_q = q^min(g_q, e_q) with
+    q^g_q the q-part of G, and q^g_q divides 8d iff g_q < e_q iff
+    min(g_q, e_q) < e_q.  Hence Ĝ divides 8d exactly when G does, and then
+    Ĝ = G, so the maximum is exact.
+
+    One gather per signature: over the grid [-F, F]^2, Ĝ depends on b only
+    through its signature, the slices (q, b mod m_q) of the table primes
+    q | b, less the slices that are 1 everywhere.  The walk goes up b and
+    gathers the product only at the first b of each signature, in row
+    chunks of at most ``BLOCK_CELLS`` cells (or one row), so the first
+    violating cell at the first such b is the least violator of the grid.
+
+    No canonical filter: A1 and A2 are homogeneous cubics, so at t*v, v
+    canonical and t > 1, C_q is 1 for q | t and C_q(v) for the other q, and
+    Ĝ(t*v) divides Ĝ(v).  Non-canonical points never raise the maximum,
+    and a non-canonical violator has a canonical one, v, at a smaller b;
+    the least violator of the grid is canonical.
+    """
+    check_int64((4 + 3 * d) * height_bound ** 3, f"image of B({height_bound})")
+    ball = HeightBall(quadratic_field(d), height_bound)
+    F = ball.bound
+    width = 2 * F + 1
+    rows = max(1, BLOCK_CELLS // width)
+    moduli, slices, capped = [], {}, set()
+    for q in _table_primes(F, d):
+        m, table = _capped_table(q, d, F)
+        moduli.append((q, m))
+        lookup = np.arange(width, dtype=np.int64) % m
+        for j, C in enumerate(table):
+            top = C.max()
+            if top > 1:
+                slices[q, j] = lookup, C
+            if top == m:
+                capped.add((q, j))
+    seen, worst = set(), 1
+    for b in range(1, F + 1):
+        key = [(q, (b // q - 1) % (m // q)) for q, m in moduli if b % q == 0]
+        key = tuple(k for k in key if k in slices)
+        if not key or key in seen:
+            continue
+        seen.add(key)
+        for s in range(0, width, rows):
+            G = np.ones(1, dtype=np.int64)  # the product in int64, whatever C's dtype
+            for lookup, C in map(slices.get, key):
+                G = G * C[lookup[s : s + rows]]
+            worst = max(worst, int(G.max()))
+            if capped.isdisjoint(key):  # no factor reaches its cap: G | 8d
+                continue
+            bad = np.flatnonzero(8 * d % G)
+            if bad.size:
+                i = s * width + int(bad[0])
+                raise GcdBoundViolated(
+                    f"G | 8d fails at {QuadElem(i // width - F, i % width - F, b, d)}")
+    return {"d": d, "height_bound": height_bound, "elements_checked": count_ball(ball),
+            "max_gcd": worst}

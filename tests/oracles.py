@@ -18,6 +18,7 @@ from trisectlab.exact_arith import QuadElem, in_interval, quadratic_field, sign_
 from trisectlab.height_enum import (
     HeightBall,
     _clipped_floor_sum,
+    _images,
     _row_blocks,
     check_int64,
     count_ball_interval,
@@ -26,7 +27,7 @@ from trisectlab.height_enum import (
     qbox_main_term,
 )
 from trisectlab.polyalg import IntPoly, RatPoly, cyclotomic
-from trisectlab.trisect_core import _images, icbrt, preimage_bound
+from trisectlab.trisect_core import icbrt, preimage_bound
 
 
 def is_prime_trial(n: int) -> bool:
@@ -741,9 +742,9 @@ def qbox_reference(spec, sample_cap: int = 200_000, seed: int = 0) -> dict:
 
 
 def gcd_bound_sweep_blocks(d: int, height_bound: int) -> dict:
-    """``trisect_core.gcd_bound_sweep`` element by element: every canonical
+    """``height_enum.gcd_bound_sweep`` element by element: every canonical
     element of B(height_bound) through the row-block kernel and
-    ``trisect_core._images``, which raises ``GcdBoundViolated`` at the
+    ``height_enum._images``, which raises ``GcdBoundViolated`` at the
     first violator of a block, so at the first in (b, a1, a2) order."""
     check_int64((4 + 3 * d) * height_bound ** 3, f"image of B({height_bound})")
     checked = 0
@@ -756,7 +757,7 @@ def gcd_bound_sweep_blocks(d: int, height_bound: int) -> dict:
 
 
 def density_points_full(field, R_list) -> list[tuple[int, int]]:
-    """(numerator, denominator) of ``trisect_core.density_experiment`` at
+    """(numerator, denominator) of ``height_enum.density_experiment`` at
     each R by the whole preimage ball: every element of
     B(S(R_max)) ∩ [-2, 2] through ``_images``, one global ``np.unique`` of
     the images of height <= R_max, and one ``count_ball_interval`` per R."""

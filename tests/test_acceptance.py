@@ -21,7 +21,9 @@ from trisectlab.height_enum import (
     HeightBall,
     QBoxSpec,
     count_ball,
+    density_experiment,
     enumerate_ball,
+    gcd_bound_sweep,
     qbox,
     qbox_count,
     qbox_main_term,
@@ -30,9 +32,7 @@ from trisectlab.polyalg import IntPoly, is_prime, psection_poly, resultant_minpo
 from trisectlab.trisect_core import (
     F_CUBIC,
     decide_trisection,
-    density_experiment,
     eisenstein_cert_3rs,
-    gcd_bound_sweep,
     nonconstructible_witness,
     nonsectability_cert,
     square_family_check,

@@ -158,3 +158,25 @@ def test_exact_arith_and_polyalg_load_no_numpy():
     algebra import without numpy."""
     _fresh_python(BARE_PACKAGE + "import trisectlab.exact_arith, trisectlab.polyalg\n"
                   "assert 'numpy' not in sys.modules, sorted(sys.modules)\n")
+
+
+def test_trisect_core_runs_on_integers_alone():
+    """With the same bare package, trisect_core loads neither numpy,
+    mpmath nor height_enum; a decide over Q(sqrt 2) and the verifiers of
+    four certificate kinds then run without loading them either."""
+    _fresh_python(
+        BARE_PACKAGE
+        + "import trisectlab.trisect_core as tc\n"
+        "heavy = {'numpy', 'mpmath', 'trisectlab.height_enum'}\n"
+        "assert not heavy & set(sys.modules), sorted(sys.modules)\n"
+        "from trisectlab.exact_arith import quad_from_canonical, quadratic_field\n"
+        "a = tc.apply_f(quad_from_canonical(1, 1, 2, 2))\n"
+        "verdict = tc.decide_trisection(a, quadratic_field(2))\n"
+        "assert verdict.member and tc.apply_f(verdict.witness) == a, verdict\n"
+        "assert tc.eisenstein_cert_3rs(1, 4).verify()\n"
+        "yates = dict(zip('kab', (7, *tc.yates_certificate(7))))\n"
+        "assert tc.Certificate('yates-bezout', yates).verify()\n"
+        "assert tc.square_family_check(40)['certificate'].verify()\n"
+        "assert tc.nonsectability_cert(5, 5, 7).verify()\n"
+        "assert not heavy & set(sys.modules), sorted(sys.modules)\n"
+    )

@@ -23,9 +23,8 @@ from fractions import Fraction
 from trisectlab.coprime_count import Box, lehmer_report
 from trisectlab.exact_arith import RATIONAL_FIELD, QuadElem, canonicalize, quadratic_field
 from trisectlab.height_enum import (HeightBall, QBoxSpec, count_ball_interval,
-                                    count_ball_intervals, qbox)
-from trisectlab.trisect_core import (apply_f, decide_trisection, density_experiment,
-                                     nonconstructible_witness)
+                                    count_ball_intervals, density_experiment, qbox)
+from trisectlab.trisect_core import apply_f, decide_trisection, nonconstructible_witness
 CHECKED = ("count", "members_checked", "exhaustive", "membership_violations")
 start = time.perf_counter()
 value = {call}

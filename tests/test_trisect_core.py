@@ -44,12 +44,15 @@ from trisectlab.exact_arith import (
 )
 from trisectlab.height_enum import (
     HeightBall,
+    _images,
     count_ball,
     count_ball_interval,
     count_ball_intervals,
+    density_experiment,
     element_blocks,
     enumerate_ball,
     enumerate_ball_interval,
+    gcd_bound_sweep,
     is_square,
 )
 from trisectlab.polyalg import IntPoly
@@ -64,16 +67,13 @@ from trisectlab.trisect_core import (
     WITNESS_RESIDUAL_TOL,
     _gcd_candidates,
     _image_coords,
-    _images,
     _quadratic_preimage,
     _try_eisenstein_cert,
     _witness_residual,
     apply_f,
     ceil_cbrt,
     decide_trisection,
-    density_experiment,
     eisenstein_cert_3rs,
-    gcd_bound_sweep,
     icbrt,
     nonconstructible_witness,
     nonsectability_cert,
@@ -156,7 +156,7 @@ def test_gcd_bound_sweep_counts_every_canonical_element(d):
     assert report["max_gcd"] == max(raw_image(x).G for x in enumerate_ball(ball))
 
 
-@pytest.mark.parametrize("cells", (trisect_core.BLOCK_CELLS, 5))
+@pytest.mark.parametrize("cells", (height_enum.BLOCK_CELLS, 5))
 @settings(max_examples=40, deadline=None)
 @given(d=st.sampled_from((2, 3, 5, 6, 7, 30, 10, 15, 21)), H=st.integers(1, 25))
 def test_gcd_bound_sweep_matches_block_reference(cells, d, H):
@@ -164,11 +164,11 @@ def test_gcd_bound_sweep_matches_block_reference(cells, d, H):
     d = 10, 15, 21 and 30 give signatures of two and three table primes,
     and at 5 cells every row x1 of the grid is its own chunk."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trisect_core, "BLOCK_CELLS", cells)
+        mp.setattr(height_enum, "BLOCK_CELLS", cells)
         assert gcd_bound_sweep(d, H) == gcd_bound_sweep_blocks(d, H)
 
 
-@pytest.mark.parametrize("cells", (trisect_core.BLOCK_CELLS, 2))
+@pytest.mark.parametrize("cells", (height_enum.BLOCK_CELLS, 2))
 @pytest.mark.parametrize("d", (2, 3, 30))
 @pytest.mark.parametrize("c", (None, 1, 4))
 def test_gcd_bound_sweep_reports_first_violator(monkeypatch, cells, d, c):
@@ -178,10 +178,10 @@ def test_gcd_bound_sweep_reports_first_violator(monkeypatch, cells, d, c):
     x1, 4.  Sweep and reference name the same first violator; at 2 cells
     every row x1 of the grid is its own chunk, so (-25, -25) at b = 3 lies
     in the first chunk and the c = 4 violator in the last."""
-    coords = trisect_core._image_coords
-    monkeypatch.setattr(trisect_core, "_image_coords", lambda x1, x2, b, d: tuple(
+    coords = height_enum._image_coords
+    monkeypatch.setattr(height_enum, "_image_coords", lambda x1, x2, b, d: tuple(
         (9 if c is None else x1 - c) * A for A in coords(x1, x2, b, d)))
-    monkeypatch.setattr(trisect_core, "BLOCK_CELLS", cells)
+    monkeypatch.setattr(height_enum, "BLOCK_CELLS", cells)
     H = 4 if c == 4 else 25
     with pytest.raises(GcdBoundViolated) as want:
         gcd_bound_sweep_blocks(d, H)
@@ -223,7 +223,7 @@ def test_capped_table_entries(d, q, F, rng):
     3*v_2(b) binds where v_2(b) = 1."""
     assume(q <= F)
     e = _capped_valuation(8 * d, q, 8) + 1
-    m, table = trisect_core._capped_table(q, d, F)
+    m, table = height_enum._capped_table(q, d, F)
     assert m == q ** e
     assert table.shape == (min(m, F) // q, min(m, 2 * F + 1), 2 * F + 1)
     for (j, s, i), entry in np.ndenumerate(table):
@@ -252,7 +252,7 @@ def test_gcd_bound_sweep_memory_with_a_large_prime():
     src = os.path.dirname(os.path.dirname(trisect_core.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import json\n"
-            "from trisectlab.trisect_core import gcd_bound_sweep\n"
+            "from trisectlab.height_enum import gcd_bound_sweep\n"
             "def peak_mb():\n"
             "    with open('/proc/self/status') as status:\n"
             "        return next(int(line.split()[1]) for line in status\n"
@@ -705,6 +705,13 @@ def test_yates_verifier_rejects_malformed_data():
     assert not Certificate("yates-bezout", {"k": "2", "a": 1, "b": -1}).verify()
 
 
+def test_yates_verifier_rejects_nonpositive_k():
+    """3a + bk = 1 holds at these k, but ``yates_certificate`` refuses any
+    k < 1, so the verifier does too."""
+    assert not Certificate("yates-bezout", {"k": -2, "a": 1, "b": 1}).verify()
+    assert not Certificate("yates-bezout", {"k": -1, "a": 0, "b": -1}).verify()
+
+
 @pytest.mark.parametrize(
     "data",
     [
@@ -999,7 +1006,7 @@ def test_density_leaves_numpy_ma_unimported():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import sys\n"
             "from trisectlab.exact_arith import RATIONAL_FIELD, quadratic_field\n"
-            "from trisectlab.trisect_core import density_experiment\n"
+            "from trisectlab.height_enum import density_experiment\n"
             "density_experiment(RATIONAL_FIELD, [25, 50, 100])\n"
             "density_experiment(quadratic_field(2), [25, 50])\n"
             "assert 'numpy.ma' not in sys.modules\n")
@@ -1146,11 +1153,16 @@ def test_verifier_caps_start_just_past_the_cap(kind, key, cap):
         ("eisenstein-psection", {"p": 5, "c": 5, "dd": 10 ** CERT_MAX_DIGITS + 1, "coeffs": []}),
         ("eisenstein-3rs", {"r": 10 ** 5000, "s": 1, "prime": 3, "a": "", "coeffs": [],
                             "in_range": False}),
+        ("yates-bezout", {"k": 10 ** 5000 + 1, "a": (10 ** 5000 + 2) // 3, "b": -1}),
+        ("nonconstructible-witness", {"m": 5, "q": 2, "minpoly": [], "degree": 10 ** 4001,
+                                      "squarefree": True, "residual_below": 1e-20}),
     ],
 )
 def test_digit_cap_refuses_huge_integers(kind, data):
     """Integers whose rebuilt certificate would pass Python's int-to-str
-    limit get a typed refusal, not a bare ValueError."""
+    limit get a typed refusal, not a bare ValueError; so does any int field
+    of any kind past the cap, whether or not its verifier re-runs a
+    producer."""
     start = time.perf_counter()
     with pytest.raises(CapExceeded, match="digits"):
         Certificate(kind, data).verify()
