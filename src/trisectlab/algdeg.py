@@ -5,16 +5,15 @@ c_n = 2cos(pi/3 + pi/2^n), d_n = 2cos(pi/3 - pi/2^n).  Degrees over Q come
 from an independent cyclotomic oracle (2cos(2*pi*j/m) has degree phi(m)/2
 for m >= 3), the doubling tower p_1 = x^2 - 2, p_n = p_1 ∘ p_{n-1} is
 checked structurally and against the Chebyshev-like family, and the eight
-standard identities linking a, b, c, d are verified exactly where the
-values live in degree <= 2 fields and by certified interval arithmetic
+standard identities linking a, b, c, d are verified: exactly for n <= 2,
+where every value lies in Q(zeta_24), and by certified interval arithmetic
 beyond that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import mpmath
 
@@ -25,62 +24,40 @@ from .polyalg import (IntPoly, chebyshev_like, cos_minimal_poly, eisenstein_chec
 DEGREE_CAP = 4096
 
 
-@dataclass(frozen=True)
-class AngleNumber:
-    """2cos(2*pi*j/m) for coprime j, m, with its minimal polynomial."""
-
-    j: int
-    m: int
-    minimal_poly: IntPoly
-
-    @property
-    def degree(self) -> int:
-        return self.minimal_poly.degree
+# The minimal polynomial must vanish at 2cos(2*pi*j/m) to below 10^ROOT_TOL_EXP.
+ROOT_TOL_EXP = -25
 
 
-def angle_number(j: int, m: int) -> AngleNumber:
+def _root_residual(poly: IntPoly, j: int, m: int) -> Fraction:
+    """An upper bound on |poly(x)| at x = 2cos(2*pi*j/m): x from mpmath at
+    F = bits + 2*degree + 200 bits (bits of the widest coefficient),
+    truncated to F fraction bits, and the bound is |value| + E of
+    :func:`fixed_point_eval`.  E is below 2^(bits + degree + log2(degree)
+    - F) = degree * 2^(-degree - 200)."""
+    bits = max(abs(c).bit_length() for c in poly.coeffs)
+    F = bits + 2 * poly.degree + 200
+    with mpmath.workprec(F):
+        X = int(mpmath.ldexp(2 * mpmath.cos(2 * mpmath.pi * j / m), F))
+    value, err = fixed_point_eval(poly, X, F)
+    return Fraction(abs(value) + err, 1 << F)
+
+
+def angle_degree(j: int, m: int) -> int:
+    """Degree over Q of 2cos(2*pi*j/m) for coprime j, m: phi(m)/2 for
+    m >= 3, else 1; the minimal polynomial is built and its numeric root
+    verified."""
     if m < 1 or j < 1:
         raise BadParameters("need positive j, m")
     if gcd(j, m) != 1:
         raise NotCoprime(f"gcd({j}, {m}) != 1")
     poly = cos_minimal_poly(m)
-    num = AngleNumber(j=j, m=m, minimal_poly=poly)
-    _verify_numeric_root(num)
-    return num
-
-
-# The minimal polynomial must vanish at 2cos(2*pi*j/m) to below 10^ROOT_TOL_EXP.
-ROOT_TOL_EXP = -25
-
-
-def _root_residual(num: AngleNumber) -> Fraction:
-    """An upper bound on |minimal_poly(x)| at x = 2cos(2*pi*j/m): x from
-    mpmath at F = bits + 2*degree + 200 bits (bits of the widest
-    coefficient), truncated to F fraction bits, and the bound is |value| + E
-    of :func:`fixed_point_eval`.  E is below 2^(bits + degree + log2(degree)
-    - F) = degree * 2^(-degree - 200)."""
-    poly = num.minimal_poly
-    bits = max(abs(c).bit_length() for c in poly.coeffs)
-    F = bits + 2 * poly.degree + 200
-    with mpmath.workprec(F):
-        X = int(mpmath.ldexp(2 * mpmath.cos(2 * mpmath.pi * num.j / num.m), F))
-    value, err = fixed_point_eval(poly, X, F)
-    return Fraction(abs(value) + err, 1 << F)
-
-
-def _verify_numeric_root(num: AngleNumber) -> None:
-    residual = _root_residual(num)
+    residual = _root_residual(poly, j, m)
     if residual >= Fraction(10) ** ROOT_TOL_EXP:
         raise AssertionError(
-            f"2cos(2*pi*{num.j}/{num.m}) misses its minimal polynomial by "
+            f"2cos(2*pi*{j}/{m}) misses its minimal polynomial by "
             f"{mpmath.nstr(mpmath.mpf(residual.numerator) / residual.denominator, 5)}"
         )
-
-
-def angle_degree(j: int, m: int) -> int:
-    """Degree over Q of 2cos(2*pi*j/m): phi(m)/2 for m >= 3, else 1; the
-    minimal polynomial is built and its numeric root verified."""
-    return angle_number(j, m).degree
+    return poly.degree
 
 
 def p_tower(n: int) -> IntPoly:
@@ -110,8 +87,8 @@ def _compose_square_minus_2(x, k: int):
 
 def tower_checks(n: int) -> dict:
     """Verify the tower polynomial p_n: the x^(2^n) + 2x*q(x) +- 2 shape,
-    Eisenstein at 2, the descent p_k(a_n) = a_{n-k} (exactly where a_n has
-    degree <= 2, by interval arithmetic elsewhere), and agreement with the
+    Eisenstein at 2, the descent p_k(a_n) = a_{n-k} (exactly in Q(zeta_24)
+    for n <= 2, by interval arithmetic beyond), and agreement with the
     Chebyshev-like family at index 2^n.  The interval a_n is formed once
     per working precision of this call."""
     poly = p_tower(n)
@@ -131,8 +108,8 @@ def tower_checks(n: int) -> dict:
     descent = []
     for k in range(1, n + 1):
         if n <= 2:
-            ok = p_tower(k).evaluate(TABLE["a"][n]) == TABLE["a"][n - k]
-            descent.append({"k": k, "method": "exact", "ok": bool(ok)})
+            ok = p_tower(k).evaluate(EXACT_TABLE["a"][n]) == EXACT_TABLE["a"][n - k]
+            descent.append({"k": k, "method": "exact", "ok": ok})
         else:
             # evaluate p_k through its defining composition; the expanded
             # monomial form cancels catastrophically near x = 2
@@ -167,103 +144,98 @@ def cn_degree_check(n: int) -> dict:
     return {"n": n, "j": j, "m": m, "degree": degree, "expected": 2 ** n, "ok": degree == 2 ** n}
 
 
-class Biquad:
-    """Exact arithmetic in Q(sqrt(2), sqrt(3)): (w + x*sqrt(2) + y*sqrt(3)
-    + z*sqrt(6))/q with integer w, x, y, z and one denominator q > 0,
-    reduced so that gcd(w, x, y, z, q) = 1; equal numbers have equal
-    coordinates.  The constructor takes rational coordinates (ints,
-    Fractions or strings such as "1/2").  Only the little that the n <= 2
-    table needs."""
+class Cyclo:
+    """A number of Q(zeta_M), M = 3*2^(n+1) = 6H, as a sparse dict from
+    exponent k < D = 2H to the nonzero coefficient of zeta^k, a Fraction
+    or, when integral, an int.  Phi_M = x^D - x^H + 1 and 1, zeta, ...,
+    zeta^(D-1) is a basis, so the constructor reduces sum(c * zeta^k for
+    k, c in pairs), any integer k, by zeta^(3H) = -1 and zeta^k =
+    zeta^(k-H) - zeta^(k-D), and equal numbers have equal dicts.  A scalar
+    (int or Fraction) adds, multiplies and compares without the
+    reduction."""
 
-    __slots__ = ("w", "x", "y", "z", "q")
+    __slots__ = ("H", "terms")
 
-    def __init__(self, w=0, x=0, y=0, z=0):
-        coords = (w, x, y, z)
-        if all(type(t) is int for t in coords):
-            self._set(w, x, y, z, 1)
-            return
-        coords = [Fraction(t) for t in coords]
-        q = lcm(*(t.denominator for t in coords))
-        self._set(*(t.numerator * (q // t.denominator) for t in coords), q)
-
-    def _set(self, w: int, x: int, y: int, z: int, q: int) -> None:
-        g = gcd(w, x, y, z, q)
-        self.w, self.x, self.y, self.z, self.q = w // g, x // g, y // g, z // g, q // g
+    def __init__(self, H: int, pairs=()):
+        terms, M, D = {}, 6 * H, 2 * H
+        for k, c in pairs:
+            k %= M
+            if k >= D + H:
+                k, c = k - D - H, -c
+            if k >= D:
+                terms[k - H] = terms.get(k - H, 0) + c
+                k, c = k - D, -c
+            terms[k] = terms.get(k, 0) + c
+        self.H, self.terms = H, {k: c if type(c) is int or c.denominator > 1 else c.numerator
+                                 for k, c in terms.items() if c}
 
     @classmethod
-    def _of(cls, w: int, x: int, y: int, z: int, q: int) -> "Biquad":
+    def _of(cls, H: int, terms: dict) -> "Cyclo":
         out = cls.__new__(cls)
-        out._set(w, x, y, z, q)
+        out.H, out.terms = H, terms
         return out
 
-    def _coords(self) -> tuple[int, int, int, int, int]:
-        return self.w, self.x, self.y, self.z, self.q
-
     def __eq__(self, other) -> bool:
-        other = other if isinstance(other, Biquad) else Biquad(other)
-        return self._coords() == other._coords()
+        if isinstance(other, Cyclo):
+            return self.terms == other.terms
+        return self.terms == ({0: other} if other else {})
 
     def __add__(self, other):
-        other = other if isinstance(other, Biquad) else Biquad(other)
-        w1, x1, y1, z1, q1 = self._coords()
-        w2, x2, y2, z2, q2 = other._coords()
-        return Biquad._of(w1 * q2 + w2 * q1, x1 * q2 + x2 * q1, y1 * q2 + y2 * q1,
-                          z1 * q2 + z2 * q1, q1 * q2)
+        terms = dict(self.terms)
+        for k, c in (other.terms.items() if isinstance(other, Cyclo) else ((0, other),)):
+            c += terms.get(k, 0)
+            if c:
+                terms[k] = c
+            else:
+                terms.pop(k, None)
+        return Cyclo._of(self.H, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Biquad._of(-self.w, -self.x, -self.y, -self.z, self.q)
+        return Cyclo._of(self.H, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = other if isinstance(other, Biquad) else Biquad(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = other if isinstance(other, Biquad) else Biquad(other)
-        w1, x1, y1, z1, q1 = self._coords()
-        w2, x2, y2, z2, q2 = other._coords()
-        return Biquad._of(
-            w1 * w2 + 2 * x1 * x2 + 3 * y1 * y2 + 6 * z1 * z2,
-            w1 * x2 + x1 * w2 + 3 * (y1 * z2 + z1 * y2),
-            w1 * y2 + y1 * w2 + 2 * (x1 * z2 + z1 * x2),
-            w1 * z2 + z1 * w2 + x1 * y2 + y1 * x2,
-            q1 * q2,
-        )
+        if isinstance(other, Cyclo):
+            return Cyclo(self.H, [(k + l, c * d) for k, c in self.terms.items()
+                                  for l, d in other.terms.items()])
+        p, q = other.numerator, other.denominator  # integral products stay ints
+        return Cyclo._of(self.H, {k: c * p // q if c * p % q == 0 else Fraction(c * p, q)
+                                  for k, c in self.terms.items()} if p else {})
 
     __rmul__ = __mul__
 
-    def _ratio(self, t: int) -> tuple[int, int]:
-        """t/q in lowest terms, denominator positive (0 is 0/1)."""
-        g = gcd(t, self.q)
-        return t // g, self.q // g
 
-    def interval(self, iv):
-        (wn, wd), (xn, xd), (yn, yd), (zn, zd) = map(self._ratio, (self.w, self.x, self.y, self.z))
-        return (
-            iv.mpf(wn) / wd
-            + iv.mpf(xn) / xd * iv.sqrt(2)
-            + iv.mpf(yn) / yd * iv.sqrt(3)
-            + iv.mpf(zn) / zd * iv.sqrt(6)
-        )
-
-    def __repr__(self):
-        terms = (Fraction(t, self.q) for t in (self.w, self.x, self.y, self.z))
-        return "Biquad({}, {}, {}, {})".format(*terms)
+def _biquad(w, x, y, z) -> Cyclo:
+    """w + x*sqrt(2) + y*sqrt(3) + z*sqrt(6) in Q(zeta_24): sqrt(2) =
+    zeta^3 + zeta^-3, sqrt(3) = zeta^2 + zeta^-2 and sqrt(6), their
+    product, = zeta + zeta^-1 + zeta^5 + zeta^-5."""
+    return Cyclo(4, [(0, w), (3, x), (-3, x), (2, y), (-2, y), (1, z), (-1, z), (5, z), (-5, z)])
 
 
-SQRT3 = Biquad(0, 0, 1, 0)
+def _coords_interval(coords, iv):
+    """The interval w + x*sqrt(2) + y*sqrt(3) + z*sqrt(6) of rational
+    coordinates (w, x, y, z), each as numerator over denominator in lowest
+    terms."""
+    w, x, y, z = (iv.mpf(t.numerator) / t.denominator for t in coords)
+    return w + x * iv.sqrt(2) + y * iv.sqrt(3) + z * iv.sqrt(6)
+
+
 HALF = Fraction(1, 2)
 
-# table of exact values for n = 0, 1, 2
+# exact values for n = 0, 1, 2 as coordinates (w, x, y, z) of
+# w + x*sqrt(2) + y*sqrt(3) + z*sqrt(6)
 TABLE = {
-    "a": {0: Biquad(-2), 1: Biquad(0), 2: Biquad(0, 1)},
-    "b": {0: Biquad(0), 1: Biquad(2), 2: Biquad(0, 1)},
-    "c": {0: Biquad(-1), 1: -SQRT3, 2: Biquad(0, HALF, 0, -HALF)},
-    "d": {0: Biquad(-1), 1: SQRT3, 2: Biquad(0, HALF, 0, HALF)},
+    "a": {0: (-2, 0, 0, 0), 1: (0, 0, 0, 0), 2: (0, 1, 0, 0)},
+    "b": {0: (0, 0, 0, 0), 1: (2, 0, 0, 0), 2: (0, 1, 0, 0)},
+    "c": {0: (-1, 0, 0, 0), 1: (0, 0, -1, 0), 2: (0, HALF, 0, -HALF)},
+    "d": {0: (-1, 0, 0, 0), 1: (0, 0, 1, 0), 2: (0, HALF, 0, HALF)},
 }
 
 # (name, lhs(vals, n), rhs(vals, n)); vals[q][n] gives the quantity q at n,
@@ -281,7 +253,9 @@ IDENTITIES = (
     ("c-prev-is-2-minus-d-squared", lambda v, n: v["c"][n - 1], lambda v, n: 2 - v["d"][n] * v["d"][n]),
 )
 
-EXACT_TABLE = {**TABLE, "root3": SQRT3, "half": Biquad(HALF)}
+EXACT_TABLE = {**{name: {n: _biquad(*coords) for n, coords in col.items()}
+                  for name, col in TABLE.items()},
+               "root3": _biquad(0, 0, 1, 0), "half": HALF}
 
 
 def _interval_values(iv, N: int) -> dict:
@@ -315,9 +289,9 @@ def _interval_zero(make_residual, prec: int = 100, retry_prec: int = 200):
 
 
 def identity_suite(N: int) -> dict:
-    """Check all eight identities for 1 <= n <= N: exactly over
-    Q(sqrt(2), sqrt(3)) while every quantity lives there (n <= 2), by
-    certified interval arithmetic beyond; also re-derives the tabulated
+    """Check all eight identities for 1 <= n <= N: exactly in Q(zeta_24)
+    while every quantity lives there (n <= 2), by certified interval
+    arithmetic beyond; also re-derives the tabulated
     values for n <= 2 against their defining cosines.  The interval values
     for n <= max(N, 2) are built once per working precision of this call:
     the value at n depends only on n and the precision."""
@@ -333,9 +307,10 @@ def identity_suite(N: int) -> dict:
     records = []
     table_ok = True
     for name, col in TABLE.items():
-        for n, exact in col.items():
+        for n, coords in col.items():
             ok, width = _interval_zero(
-                lambda iv, name=name, n=n, exact=exact: exact.interval(iv) - values(iv)[name][n]
+                lambda iv, name=name, n=n, coords=coords:
+                _coords_interval(coords, iv) - values(iv)[name][n]
             )
             table_ok = table_ok and ok
             records.append(
@@ -344,9 +319,8 @@ def identity_suite(N: int) -> dict:
     for n in range(1, N + 1):
         if n <= 2:
             for name, lhs, rhs in IDENTITIES:
-                got_l, got_r = lhs(EXACT_TABLE, n), rhs(EXACT_TABLE, n)
-                ok = got_l == got_r
-                records.append({"check": name, "n": n, "method": "exact", "ok": bool(ok)})
+                ok = lhs(EXACT_TABLE, n) == rhs(EXACT_TABLE, n)
+                records.append({"check": name, "n": n, "method": "exact", "ok": ok})
         else:
             for name, lhs, rhs in IDENTITIES:
                 ok, width = _interval_zero(

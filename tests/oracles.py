@@ -615,7 +615,7 @@ def square_schoolbook(q: list[int]) -> list[int]:
 
 class FractionBiquad:
     """w + x*sqrt(2) + y*sqrt(3) + z*sqrt(6) with one Fraction per
-    coordinate: the reference for ``algdeg.Biquad``."""
+    coordinate: the reference for ``algdeg.Cyclo`` at level 2 (M = 24)."""
 
     __slots__ = ("w", "x", "y", "z")
 

@@ -15,15 +15,17 @@ from oracles import FractionBiquad, angle_residual_mpf
 from trisectlab import algdeg
 from trisectlab.algdeg import (
     EXACT_TABLE,
+    HALF,
     IDENTITIES,
-    Biquad,
     TABLE,
+    Cyclo,
+    _biquad,
     _compose_square_minus_2,
+    _coords_interval,
     _interval_values,
     _interval_zero,
     _root_residual,
     angle_degree,
-    angle_number,
     cn_degree_check,
     identity_suite,
     p_tower,
@@ -74,7 +76,7 @@ def test_tower_descent_matches_fresh_evaluation(n, first_prec, monkeypatch):
     records = []
     for k in range(1, n + 1):
         if n <= 2:
-            ok = p_tower(k).evaluate(TABLE["a"][n]) == TABLE["a"][n - k]
+            ok = p_tower(k).evaluate(EXACT_TABLE["a"][n]) == EXACT_TABLE["a"][n - k]
             records.append({"k": k, "method": "exact", "ok": ok})
             continue
         ok, width = check(lambda iv: _compose_square_minus_2(2 * iv.cos(iv.pi / 2 ** n), k)
@@ -116,7 +118,7 @@ def test_doubling_identity_numeric():
 
 def test_angle_degree_examples():
     assert angle_degree(1, 12) == 2
-    assert angle_number(1, 12).minimal_poly == IntPoly((-3, 0, 1))
+    assert cos_minimal_poly(12) == IntPoly((-3, 0, 1))
     assert angle_degree(1, 1) == 1
     assert angle_degree(7, 24) == 4
     with pytest.raises(NotCoprime):
@@ -134,9 +136,9 @@ def test_numeric_root_bounds_the_mpf_oracle(n):
     """The fixed-point residual plus its bound is at least mpmath Horner's
     residual at the same working precision, and below the tolerance."""
     j, m = _cn_angle(n)
-    num = algdeg.AngleNumber(j, m, cos_minimal_poly(m))
-    man, exp = angle_residual_mpf(num.minimal_poly, j, m).man_exp
-    assert Fraction(man) * Fraction(2) ** exp <= _root_residual(num) < Fraction(1, 10 ** 25)
+    poly = cos_minimal_poly(m)
+    man, exp = angle_residual_mpf(poly, j, m).man_exp
+    assert Fraction(man) * Fraction(2) ** exp <= _root_residual(poly, j, m) < Fraction(1, 10 ** 25)
 
 
 @pytest.mark.parametrize("n", [3, 9])
@@ -174,12 +176,13 @@ def test_cn_dn_degrees():
 
 
 def test_biquad_arithmetic():
-    r2 = Biquad(0, 1)
-    r3 = Biquad(0, 0, 1)
-    assert r2 * r2 == Biquad(2)
-    assert r3 * r3 == Biquad(3)
-    assert r2 * r3 == Biquad(0, 0, 0, 1)
-    assert (r2 + r3) * (r2 - r3) == Biquad(-1)
+    r2 = _biquad(0, 1, 0, 0)
+    r3 = _biquad(0, 0, 1, 0)
+    assert r2 * r2 == _biquad(2, 0, 0, 0) == 2
+    assert r3 * r3 == _biquad(3, 0, 0, 0) == 3
+    assert r2 * r3 == _biquad(0, 0, 0, 1)
+    assert (r2 + r3) * (r2 - r3) == _biquad(-1, 0, 0, 0) == -1
+    assert r2 * r2 - 2 == 0 and r2 != 0
 
 
 _rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -216,23 +219,24 @@ def _evaluate(tree, cls):
 @settings(max_examples=200, deadline=None)
 @given(tree=_trees, other=_trees)
 def test_biquad_matches_fraction_oracle(tree, other):
-    """Integer coordinates over one reduced denominator against one
-    Fraction per coordinate, on random expression trees: the same value,
-    the same verdict of ==, equality across denominators, and the same
-    interval from the same reduced fractions."""
-    got, want = _evaluate(tree, Biquad), _evaluate(tree, FractionBiquad)
-    assert got.q > 0 and math.gcd(got.w, got.x, got.y, got.z, got.q) == 1
-    assert tuple(Fraction(t, got.q) for t in (got.w, got.x, got.y, got.z)) == want.coords()
-    got_other, want_other = _evaluate(other, Biquad), _evaluate(other, FractionBiquad)
+    """Q(sqrt(2), sqrt(3)) inside Q(zeta_24) against one Fraction per
+    coordinate, on random expression trees: the ring image of the same
+    value, the same verdict of ==, and the same interval from the same
+    reduced fractions."""
+    def leaf(*coords):
+        return _biquad(*map(Fraction, coords))
+
+    got, want = _evaluate(tree, leaf), _evaluate(tree, FractionBiquad)
+    assert got == _biquad(*want.coords())
+    got_other, want_other = _evaluate(other, leaf), _evaluate(other, FractionBiquad)
     assert (got == got_other) == (want == want_other)
-    assert got == Biquad(*want.coords())
-    assert (got * 3) * Biquad("1/3") == got
+    assert (got * 3) * Fraction(1, 3) == got
     assert (got + got_other) - got_other == got
     iv = mpmath.iv
     old = iv.prec
     try:
         iv.prec = 100
-        mine, ref = got.interval(iv), want.interval(iv)
+        mine, ref = _coords_interval(want.coords(), iv), want.interval(iv)
         assert (mine.a, mine.b) == (ref.a, ref.b)
     finally:
         iv.prec = old
@@ -240,10 +244,10 @@ def test_biquad_matches_fraction_oracle(tree, other):
 
 def test_exact_table_reproduces():
     # c_2 = (1 - sqrt(3))/sqrt(2) = (sqrt(2) - sqrt(6))/2 and its mirror
-    assert TABLE["c"][2] * Biquad(0, 1) == Biquad(1, 0, -1)
-    assert TABLE["d"][2] * Biquad(0, 1) == Biquad(1, 0, 1)
+    assert EXACT_TABLE["c"][2] * _biquad(0, 1, 0, 0) == _biquad(1, 0, -1, 0)
+    assert EXACT_TABLE["d"][2] * _biquad(0, 1, 0, 0) == _biquad(1, 0, 1, 0)
     # a_2 = b_2 = sqrt(2); squares are 2
-    assert TABLE["a"][2] * TABLE["a"][2] == Biquad(2)
+    assert EXACT_TABLE["a"][2] * EXACT_TABLE["a"][2] == _biquad(2, 0, 0, 0)
     suite = identity_suite(2)
     assert suite["ok"]
     table_checks = [r for r in suite["records"] if r["check"].startswith("table-")]
@@ -251,13 +255,14 @@ def test_exact_table_reproduces():
 
 
 def test_identity_examples():
+    table = EXACT_TABLE
     # d_0 = 2 - c_1^2 = 2 - 3 = -1
-    assert 2 - TABLE["c"][1] * TABLE["c"][1] == TABLE["d"][0]
+    assert 2 - table["c"][1] * table["c"][1] == table["d"][0]
     # d_1 = 2 - c_2^2 = sqrt(3)
-    assert 2 - TABLE["c"][2] * TABLE["c"][2] == Biquad(0, 0, 1)
+    assert 2 - table["c"][2] * table["c"][2] == _biquad(0, 0, 1, 0)
     # c_1 = a_1/2 - (sqrt(3)/2) b_1 = -sqrt(3)
-    lhs = (TABLE["a"][1] - Biquad(0, 0, 1) * TABLE["b"][1]) * Biquad("1/2")
-    assert lhs == TABLE["c"][1]
+    lhs = (table["a"][1] - _biquad(0, 0, 1, 0) * table["b"][1]) * HALF
+    assert lhs == table["c"][1]
 
 
 @pytest.mark.parametrize("first_prec", (100, 24))
@@ -271,8 +276,9 @@ def test_identity_suite_matches_fresh_evaluation(N, first_prec, monkeypatch):
     monkeypatch.setattr(algdeg, "_interval_zero", check)
     records = []
     for name, col in TABLE.items():
-        for n, exact in col.items():
-            ok, width = check(lambda iv: exact.interval(iv) - _interval_values(iv, n)[name][n])
+        for n, coords in col.items():
+            ok, width = check(
+                lambda iv: _coords_interval(coords, iv) - _interval_values(iv, n)[name][n])
             records.append({"check": f"table-{name}{n}", "n": n, "method": "interval",
                             "ok": ok, "width": width})
     for n in range(1, N + 1):
@@ -296,3 +302,50 @@ def test_identity_suite_residuals():
     assert suite["max_width"] < 2.0 ** -64
     exact = [r for r in suite["records"] if r["method"] == "exact"]
     assert len(exact) == 16  # eight identities at n = 1 and n = 2
+
+
+def _ring_values(n: int) -> dict:
+    """a, b, c and d at levels n and n - 1, sqrt(3) and 1/2 in Q(zeta_M),
+    M = 3*2^(n+1), from z = zeta^3 = e^(i*pi/2^n), i = zeta^(M/4) and
+    omega = zeta^(M/6) = e^(i*pi/3); level n - 1 uses z^2."""
+    M = 3 * 2 ** (n + 1)
+
+    def zeta(k):
+        return Cyclo(M // 6, [(k, 1)])
+
+    i, omega, omega_inv = zeta(M // 4), zeta(M // 6), zeta(-M // 6)
+    vals = {"a": {}, "b": {}, "c": {}, "d": {}, "half": Fraction(1, 2),
+            "root3": zeta(M // 12) + zeta(-M // 12)}
+    for level, e in ((n, 3), (n - 1, 6)):
+        z, z_inv = zeta(e), zeta(-e)
+        vals["a"][level] = z + z_inv
+        vals["b"][level] = -i * (z - z_inv)
+        vals["c"][level] = omega * z + omega_inv * z_inv
+        vals["d"][level] = omega_inv * z + omega * z_inv
+    return vals
+
+
+@functools.cache
+def _suite_records() -> dict:
+    return {(r["check"], r["n"]): r["ok"] for r in identity_suite(12)["records"]}
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_cyclotomic_ring_proves_the_tower(n):
+    """In Q(zeta_M), M = 3*2^(n+1), the eight identities hold exactly, as
+    identity_suite(12) says by intervals; the descent p_k(a_n) = a_(n-k)
+    holds for every k <= n by k squarings, as tower_checks(n) says; and a
+    wrong identity fails."""
+    vals = _ring_values(n)
+    for name, lhs, rhs in IDENTITIES:
+        assert (lhs(vals, n) == rhs(vals, n)) is _suite_records()[name, n] is True, name
+    assert vals["a"][n - 1] != vals["a"][n] * vals["a"][n] - 3
+    x = vals["a"][n]
+    descent = []
+    for k in range(1, n + 1):
+        x = x * x - 2
+        # a_(n-k) = z^(2^k) + z^-(2^k)
+        a_prev = Cyclo(x.H, [(3 * 2 ** k, 1), (-3 * 2 ** k, 1)])
+        descent.append(x == a_prev)
+        assert x != a_prev + 1
+    assert descent == [r["ok"] for r in tower_checks(n)["descent"]] == [True] * n
