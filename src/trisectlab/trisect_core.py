@@ -12,15 +12,18 @@ height.
 
 This module also owns every certificate kind: Eisenstein refusals of
 a = 3r/s, Yates Bezout pairs, the square-family check, odd-degree
-non-constructible witnesses and p-section refusals.  ``_CERT_KINDS`` is
-the one table of kinds, each with the exact key set of its data, so
-``Certificate.verify`` covers every kind whatever else was imported.  It
-refuses any integer of more than ``CERT_MAX_DIGITS`` digits, and verifiers
-that re-run a producer refuse parameters past a module cap, with
-``CapExceeded``.
+non-constructible witnesses, whose minimal polynomial is checked to vanish
+by an exact identity in Z[beta]/(beta^m - q), and p-section refusals.
+``_CERT_KINDS`` is the one table of kinds, each with the exact key set of
+its data, so ``Certificate.verify`` covers every kind whatever else was
+imported.  It refuses any integer of more than ``CERT_MAX_DIGITS`` digits,
+and verifiers that re-run a producer refuse parameters past a module cap,
+with ``CapExceeded``.
 
-Everything here is integer arithmetic: the module imports neither numpy nor
-``height_enum``, whose density experiment and image-gcd sweep build on it.
+Everything here is integer arithmetic: beside the standard library the
+module imports only ``errors``, ``exact_arith`` and ``polyalg``, so no
+numeric library and not ``height_enum``, whose density experiment and
+image-gcd sweep build on it.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ from .exact_arith import (
     quadratic_field,
     sign_lin,
 )
-from .polyalg import (IntPoly, RatPoly, eisenstein_check, factorize, fixed_point_eval, is_prime,
-                      psection_poly, resultant_minpoly, squarefree_over_q)
+from .polyalg import (IntPoly, RatPoly, eisenstein_check, factorize, is_prime, psection_poly,
+                      resultant_minpoly, squarefree_over_q)
 
 F_CUBIC = RatPoly((0, -3, 0, 1))  # y^3 - 3y
 
@@ -70,13 +73,11 @@ def icbrt(n: int) -> int:
 
 
 def ceil_cbrt(x) -> int:
-    """Smallest integer c with c^3 >= x, for positive rational x."""
+    """Smallest integer c with c^3 >= x, for rational x >= 0: for x = p/q > 0,
+    c^3 * q >= p exactly when the integer c^3 exceeds (p - 1) // q."""
     x = Fraction(x)
     p, q = x.numerator, x.denominator
-    c = icbrt(p // q)
-    while c * c * c * q < p:
-        c += 1
-    return c
+    return icbrt((p - 1) // q) + 1 if p else 0
 
 
 @dataclass(frozen=True)
@@ -554,8 +555,8 @@ def _verify_square_family(data: dict) -> bool:
     )
 
 
-# Bound on |minpoly(f(q^(1/m)))| that both the witness and its verifier
-# require; the verifier never reads it from the certificate.
+# The bound on |minpoly(f(q^(1/m)))| that a witness records, met by the
+# exact zero of its check; the verifier never reads it from the certificate.
 WITNESS_RESIDUAL_TOL = 1e-20
 
 
@@ -568,7 +569,8 @@ def nonconstructible_witness(m: int, q: int) -> Certificate:
     f(beta) over Q(beta), beta^m = q, from its power sums (traces) and
     Newton's identities; the degree is certified exactly m by a
     squarefreeness check, which in particular rejects the collapse to an
-    m-th power of a linear polynomial.
+    m-th power of a linear polynomial, and that it vanishes at a by the
+    independent exact check of :func:`_vanishes_at_f_beta`.
     """
     if m < 2 or m % 2 == 0 or m % 3 == 0:
         raise BadParameters("m must be odd, > 1, and prime to 3")
@@ -582,9 +584,8 @@ def nonconstructible_witness(m: int, q: int) -> Certificate:
         raise AssertionError(f"resultant degree {poly.degree} != {m}")
     if not squarefree_over_q(poly):
         raise AssertionError("resultant is not squarefree; degree collapse")
-    residual_bound = _witness_residual(poly, m, q)
-    if residual_bound >= WITNESS_RESIDUAL_TOL:  # exact Fraction-float comparison
-        raise AssertionError(f"numeric residual {float(residual_bound)} too large")
+    if not _vanishes_at_f_beta(poly, m, q):
+        raise AssertionError(f"minpoly(beta^3 - 3*beta) != 0 modulo beta^{m} - {q}")
     return Certificate(
         kind="nonconstructible-witness",
         data={
@@ -598,28 +599,22 @@ def nonconstructible_witness(m: int, q: int) -> Certificate:
     )
 
 
-def _witness_residual(poly: IntPoly, m: int, q: int) -> Fraction:
-    """An upper bound on |poly(x)|, x = B^3/2^(2F) - 3B/2^F truncated to
-    F fraction bits: B/2^F is mpmath's beta = q^(1/m) at F = bits + 8m +
-    160 bits (bits of the widest coefficient), exact in F fraction bits as
-    beta >= 1, and the bound is |value| + E of :func:`fixed_point_eval`.
-    E is below 2^(bits + 2m - F) = 2^(-6m - 160), and moving x by the
-    2^-F of the truncation (or of mpmath's beta) moves poly by less than
-    that too."""
-    import mpmath as mp
-
-    bits = max(abs(c).bit_length() for c in poly.coeffs)
-    F = bits + 8 * m + 160
-    with mp.workprec(F):
-        B = int(mp.ldexp(mp.power(q, mp.mpf(1) / m), F))
-    value, err = fixed_point_eval(poly, (B ** 3 >> 2 * F) - 3 * B, F)
-    return Fraction(abs(value) + err, 1 << F)
+def _vanishes_at_f_beta(poly: IntPoly, m: int, q: int) -> bool:
+    """True iff poly(beta^3 - 3*beta) = 0 in Z[beta]/(beta^m - q), m >= 3:
+    then beta^m - q divides it, so poly vanishes exactly at f(q^(1/m)).
+    Horner over coefficient vectors of length m, where times beta^k rotates
+    by k and the k wrapped coefficients come back times q."""
+    r = [0] * m
+    for c in reversed(poly.coeffs):
+        s = [q * w for w in r[-3:]] + r  # s[i] is beta^3 * r at i, s[i + 2] beta * r
+        r = [s[i] - 3 * s[i + 2] for i in range(m)]
+        r[0] += c
+    return not any(r)
 
 
 def _verify_nonconstructible(data: dict) -> bool:
-    """Rebuild the certificate from m and q, which re-runs every degree,
-    squarefreeness and residual check against ``WITNESS_RESIDUAL_TOL``, and
-    compare every field."""
+    """Rebuild the certificate from m and q, which re-runs the degree,
+    squarefreeness and exact vanishing checks, and compare every field."""
     return _rebuilds(data, nonconstructible_witness, data["m"], data["q"], cap=WITNESS_MAX_M)
 
 

@@ -581,10 +581,20 @@ def psection_binomial(p: int) -> IntPoly:
     return IntPoly(coeffs)
 
 
+def ceil_cbrt_brute(x: Fraction) -> int:
+    """The smallest integer c >= 0 with c^3 >= x, counting c up from 0: the
+    reference for ``trisect_core.ceil_cbrt``."""
+    c = 0
+    while c ** 3 < x:
+        c += 1
+    return c
+
+
 def witness_residual_mpf(poly: IntPoly, m: int, q: int) -> float:
     """|poly(a)| at a = beta^3 - 3*beta, beta = q^(1/m), by mpmath Horner at
-    bits + 8m + 160 bits (bits of the widest coefficient): the residual
-    ``nonconstructible_witness`` checked before its fixed-point kernel."""
+    bits + 8m + 160 bits (bits of the widest coefficient): the numeric
+    residual ``nonconstructible_witness`` checked before its exact identity
+    in Z[beta]/(beta^m - q)."""
     bits = max(abs(c).bit_length() for c in poly.coeffs)
     with mpmath.workprec(bits + 8 * m + 160):
         beta = mpmath.power(q, mpmath.mpf(1) / m)

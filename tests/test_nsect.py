@@ -163,7 +163,7 @@ def test_exact_arith_and_polyalg_load_no_numpy():
 def test_trisect_core_runs_on_integers_alone():
     """With the same bare package, trisect_core loads neither numpy,
     mpmath nor height_enum; a decide over Q(sqrt 2) and the verifiers of
-    four certificate kinds then run without loading them either."""
+    all five certificate kinds then run without loading them either."""
     _fresh_python(
         BARE_PACKAGE
         + "import trisectlab.trisect_core as tc\n"
@@ -178,5 +178,6 @@ def test_trisect_core_runs_on_integers_alone():
         "assert tc.Certificate('yates-bezout', yates).verify()\n"
         "assert tc.square_family_check(40)['certificate'].verify()\n"
         "assert tc.nonsectability_cert(5, 5, 7).verify()\n"
+        "assert tc.nonconstructible_witness(31, 2**31 - 1).verify()\n"
         "assert not heavy & set(sys.modules), sorted(sys.modules)\n"
     )

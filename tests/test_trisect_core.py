@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     ball_stream,
+    ceil_cbrt_brute,
     density_points_full,
     divisors,
     factorize_trial,
@@ -69,7 +70,7 @@ from trisectlab.trisect_core import (
     _image_coords,
     _quadratic_preimage,
     _try_eisenstein_cert,
-    _witness_residual,
+    _vanishes_at_f_beta,
     apply_f,
     ceil_cbrt,
     decide_trisection,
@@ -293,6 +294,24 @@ def test_cbrt_helpers():
     assert icbrt(k ** 3 + 1) == k
     assert ceil_cbrt(8) == 2 and ceil_cbrt(9) == 3
     assert ceil_cbrt(Fraction(1, 8)) == 1
+    assert ceil_cbrt(0) == 0
+    for bad in (-1, Fraction(-1, 8)):
+        with pytest.raises(ValueError):
+            ceil_cbrt(bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    c=st.integers(1, 300),
+    q=st.integers(1, 10 ** 6),
+    shift=st.sampled_from([-1, 0, 1]),
+    p=st.integers(0, 10 ** 9),
+)
+def test_ceil_cbrt_matches_brute_force(c, q, shift, p):
+    """The smallest c with c^3 >= x, at perfect cubes +-1 over q, at any
+    p/q (values below 1 included), against counting c up from 0."""
+    for x in (Fraction(c ** 3 * q + shift, q), Fraction(p, q)):
+        assert ceil_cbrt(x) == ceil_cbrt_brute(x), x
 
 
 def test_preimage_bound_examples():
@@ -1057,13 +1076,15 @@ def test_witness_minpoly_matches_sylvester_oracle(m, q):
     assert got == sylvester_minpoly(m, q, F_CUBIC).coeff_strings()
 
 
-@pytest.mark.parametrize("m,q", [(5, 2), (13, 3), (23, 5), (25, 7), (31, 2147483647)])
+@pytest.mark.parametrize("m,q", [(5, 2), (13, 3), (23, 5), (25, 7), (29, 2), (31, 2147483647)])
 def test_witness_residual_bounds_the_mpf_oracle(m, q):
-    """The fixed-point residual plus its bound is at least mpmath Horner's
-    residual at the same working precision, and both pass the tolerance."""
+    """The witness minimal polynomial vanishes exactly at f(beta) modulo
+    beta^m - q, but not modulo beta^m - q' for another prime q', and
+    mpmath Horner's residual of it passes the tolerance."""
     poly = IntPoly([int(c) for c in nonconstructible_witness(m, q).data["minpoly"]])
-    bound = _witness_residual(poly, m, q)
-    assert witness_residual_mpf(poly, m, q) <= bound < WITNESS_RESIDUAL_TOL
+    assert _vanishes_at_f_beta(poly, m, q)
+    assert not _vanishes_at_f_beta(poly, m, 3 if q == 2 else 2)
+    assert witness_residual_mpf(poly, m, q) < WITNESS_RESIDUAL_TOL
 
 
 @pytest.mark.parametrize("m,q", [(5, 2), (17, 2), (31, 2147483647)])
@@ -1071,14 +1092,14 @@ def test_witness_residual_bounds_the_mpf_oracle(m, q):
 @pytest.mark.parametrize("step", [1, -1])
 def test_witness_residual_rejects_a_wrong_minpoly(monkeypatch, m, q, index, step):
     """One coefficient of the true minimal polynomial moved by 1 still
-    passes the degree and squarefree checks; the residual check refuses it."""
+    passes the degree and squarefree checks; the exact check refuses it."""
     true = trisect_core.resultant_minpoly(m, Fraction(q), F_CUBIC)
     i = {"middle": m // 2, "below-top": m - 1}.get(index, index)
     coeffs = list(true.coeffs)
     coeffs[i] += step
     wrong = IntPoly(coeffs)
     monkeypatch.setattr(trisect_core, "resultant_minpoly", lambda *args: wrong)
-    with pytest.raises(AssertionError, match="numeric residual"):
+    with pytest.raises(AssertionError, match=rf"!= 0 modulo beta\^{m} - {q}"):
         nonconstructible_witness(m, q)
 
 
