@@ -342,12 +342,12 @@ SUITES = {
     "decide-heights": ("BENCH_1.json", "decide_trisection across element heights",
                        ("numpy",), decide_heights),
     "verify-checks": ("BENCH_2.json", "verify --quick checks and the image-gcd sweep",
-                      ("numpy",), verify_checks),
+                      ("numpy", "mpmath"), verify_checks),
     "algdeg-tower": ("BENCH_3.json", "algdeg cosine-tower kernels", ("mpmath",), algdeg_tower),
     "mertens": ("BENCH_4.json", "Mertens function and Q denominator at 10^10..10^12",
                 ("numpy",), lambda: _fresh_cases(MERTENS_CASES)),
     "certificates": ("BENCH_5.json", "witness and nsect verbs and one verify per certificate kind",
-                     ("mpmath",), certificates),
+                     (), certificates),
     "quad-counts": ("BENCH_6.json", "quadratic interval counts, the Theorem 4.1 denominators",
                     ("numpy",), lambda: _fresh_cases(QUAD_COUNT_CASES)),
     "qbox": ("BENCH_7.json", "qbox and its Moebius count, the certified sub-box of Theorem 4.1",

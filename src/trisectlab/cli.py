@@ -299,10 +299,11 @@ def _check_fast_path(rng: random.Random, quick: bool):
         img = apply_f(beta)
         if height(img) <= H:
             images.add(img)
-    ok = True
-    for x in height_enum.enumerate_ball_interval(HeightBall(RATIONAL_FIELD, H), -2, 2):
-        ok = ok and decide_trisection(x).member == (x in images)
-    return ok, len(images)
+    # every image lies in B(H) ∩ [-2, 2], so the verdicts match membership
+    # among the images exactly when the members are the images
+    members = {x for x in height_enum.enumerate_ball_interval(HeightBall(RATIONAL_FIELD, H), -2, 2)
+               if decide_trisection(x).member}
+    return members == images, len(images)
 
 
 def _check_certificates(rng: random.Random, quick: bool):

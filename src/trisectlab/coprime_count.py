@@ -9,7 +9,9 @@ assembles them into one record.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -215,12 +217,12 @@ def _mertens(xs: np.ndarray) -> np.ndarray:
     u = max(isqrt(top), int(top ** (2 / 3)))
     table = mobius_table(min(u, MOBIUS_TABLE_MAX))
     L = len(table) - 1
+    if top <= L:
+        return table[xs].astype(np.int64)
     u = max(u, L)
     out = np.empty(len(xs), dtype=np.int64)
     small, mid = np.searchsorted(xs, (L, u), side="right")
     out[:small] = table[xs[:small]]
-    if small == len(xs):
-        return out
 
     large = xs[mid:]
     split = large // (u + 1)
@@ -279,18 +281,19 @@ def mobius_blocks(*ns) -> tuple[np.ndarray, np.ndarray]:
     blocks = sum(min(s, m) + max(0, s - k0 + 1) for _, s, k0 in spans)
     if blocks > MAX_BLOCKS:
         raise CapExceeded(f"{int_text(blocks)} quotient blocks exceed the cap {MAX_BLOCKS}")
-    # 0, then every end; a repeated end gets weight 0
-    ends = np.zeros(blocks + 1, dtype=np.int64)
-    i = 1
+    # 0, every v <= min(isqrt(n), m) of any n, then every n // k; a
+    # repeated end gets weight 0
+    top = min(max(s for _, s, _ in spans), m)
+    ends = np.empty(top + 1 + sum(max(0, s - k0 + 1) for _, s, k0 in spans), dtype=np.int64)
+    ends[: top + 1] = np.arange(top + 1)
+    i = top + 1
     for n, s, k0 in spans:
-        j = i + min(s, m)
-        ends[i:j] = np.arange(1, j - i + 1)
         if k0 <= s:
-            i, j = j, j + s - k0 + 1
-            np.floor_divide(n, np.arange(k0, s + 1, dtype=np.int64), out=ends[i:j])
-        i = j
+            np.floor_divide(n, np.arange(k0, s + 1, dtype=np.int64), out=ends[i : i + s - k0 + 1])
+            i += s - k0 + 1
     ends.sort()
-    weights = np.diff(_mertens(ends))
+    M = _mertens(ends)
+    weights = M[1:] - M[:-1]
     live = np.flatnonzero(weights)
     starts = ends[live]
     starts += 1
@@ -307,8 +310,8 @@ def mobius_sum(ns, L) -> int:
     total = 0
     for i in range(0, len(starts), MOBIUS_CHUNK):
         e = starts[i : i + MOBIUS_CHUNK].astype(object)
-        values = np.asarray(L(*(n // e for n in ns)), dtype=object)
-        total += int(np.dot(weights[i : i + MOBIUS_CHUNK].astype(object), values))
+        values = np.asarray(L(*(n // e for n in ns)), dtype=object).tolist()
+        total += sum(map(operator.mul, weights[i : i + MOBIUS_CHUNK].tolist(), values))
     return total
 
 
@@ -330,22 +333,33 @@ def brute_count(box: Box) -> int:
 
 
 def _brute_grid(floors: tuple[int, ...]) -> int:
-    """#{a in [1, f_1] x ... x [1, f_k] : gcd(a) = 1}: every tuple, in
-    row-major order over consecutive blocks of at most ``BRUTE_BLOCK``, its
-    coordinates unravelled from the flat index and gcd-reduced on int64
-    arrays.  A floored volume above ``BRUTE_MAX_VOLUME`` raises
-    ``CapExceeded`` before any array is built."""
+    """#{a in [1, f_1] x ... x [1, f_k] : gcd(a) = 1}: every tuple
+    gcd-reduced on int32 arrays of at most ``BRUTE_BLOCK`` tuples.  The
+    longest run of trailing axes whose volume fits a block is one gcd grid,
+    built by broadcasting their ranges; the axis before it goes in chunks
+    of whole grids, and the axes before that one tuple at a time, as the
+    scalar gcd that seeds each chunk.  A floored volume above
+    ``BRUTE_MAX_VOLUME`` raises ``CapExceeded`` before any array is
+    built; below it every coordinate fits int32, whose gcd is faster than
+    int64's."""
     volume = math.prod(floors)
     if volume > BRUTE_MAX_VOLUME:
         raise CapExceeded(f"brute-force volume {int_text(volume)} exceeds cap {BRUTE_MAX_VOLUME}")
+    if not volume:
+        return 0
+    s = 0
+    while math.prod(floors[s + 1 :]) > BRUTE_BLOCK:
+        s += 1
+    grid = np.zeros(1, dtype=np.int32)  # gcd() = 0
+    for f in floors[s + 1 :]:
+        grid = np.gcd.outer(grid, np.arange(1, f + 1, dtype=np.int32)).ravel()
+    chunk = BRUTE_BLOCK // len(grid)
     total = 0
-    for start in range(0, volume, BRUTE_BLOCK):
-        rest = np.arange(start, min(start + BRUTE_BLOCK, volume), dtype=np.int64)
-        g = np.zeros_like(rest)
-        for f in reversed(floors):
-            rest, a = np.divmod(rest, f)
-            g = np.gcd(g, a + 1)
-        total += int(np.count_nonzero(g == 1))
+    for lead in itertools.product(*(range(1, f + 1) for f in floors[:s])):
+        seed = math.gcd(*lead)
+        for lo in range(1, floors[s] + 1, chunk):
+            head = np.gcd(seed, np.arange(lo, min(lo + chunk, floors[s] + 1), dtype=np.int32))
+            total += int(np.count_nonzero(np.gcd.outer(head, grid) == 1))
     return total
 
 

@@ -247,8 +247,7 @@ def _stream(ball: HeightBall, lo: Fraction | None = None, hi: Fraction | None = 
             for x1, x2, y in zip(a1.tolist(), a.tolist(), b.tolist()):
                 yield quad_from_canonical(x1, x2, y, d)
         else:
-            for x, y in zip(a.tolist(), b.tolist()):
-                yield Fraction(x, y)
+            yield from map(Fraction, a.tolist(), b.tolist())
 
 
 def _nonnegative(x: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:
@@ -287,20 +286,22 @@ def count_elements(ball: HeightBall, lo=None, hi=None) -> int:
     if lo is not None:
         lo, hi = _interval(lo, hi)
     F, d = ball.bound, ball.field.d or 1
-    total, last = 0, np.zeros(3, dtype=np.int64)  # b = 0 precedes every element
+    total, last = 0, (0, 0, 0)  # b = 0 precedes every element
     for b, a1, a in element_blocks(ball, lo, hi):
         _check_canonical(b, a1, a)
         if not len(b):
             continue
         if max(b.max(), np.abs(a1).max(), np.abs(a).max()) > F:
             raise AssertionError(f"an element of the block is outside B({ball.R})")
-        db, da1, da = np.diff(np.stack((b, a1, a)), prepend=last[:, None])
-        if not ((db > 0) | (db == 0) & ((da1 > 0) | (da1 == 0) & (da > 0))).all():
+        db, da1, da = b[1:] - b[:-1], a1[1:] - a1[:-1], a[1:] - a[:-1]
+        first = (int(b[0]), int(a1[0]), int(a[0]))
+        if not (first > last
+                and ((db > 0) | (db == 0) & ((da1 > 0) | (da1 == 0) & (da > 0))).all()):
             raise AssertionError("elements out of (b, a1, a) order or repeated")
         if lo is not None and not _in_interval(a1, a, b, d, lo, hi).all():
             raise AssertionError(f"an element of the block is outside [{lo}, {hi}]")
         total += len(b)
-        last = np.array((b[-1], a1[-1], a[-1]))
+        last = (int(b[-1]), int(a1[-1]), int(a[-1]))
     return total
 
 
@@ -364,10 +365,11 @@ def enumerate_ball_interval(ball: HeightBall, lo, hi):
 
     Each row is clipped to the interval exactly before the gcd test, so
     membership needs no further check.  ``DEFAULT_ENUM_CAP`` bounds the
-    exact interval count.
+    exact interval count, which is counted only when the whole ball's
+    count, its upper bound, passes the cap.
     """
     lo, hi = _interval(lo, hi)
-    if count_ball_interval(ball, lo, hi) > DEFAULT_ENUM_CAP:
+    if count_ball(ball) > DEFAULT_ENUM_CAP and count_ball_interval(ball, lo, hi) > DEFAULT_ENUM_CAP:
         raise CapExceeded(f"the interval count of B({ball.R}) exceeds cap {DEFAULT_ENUM_CAP}")
     yield from _stream(ball, lo, hi)
 
@@ -810,27 +812,40 @@ def _capped_table(q: int, d: int, F: int) -> tuple[int, np.ndarray]:
     min(m, 2F + 1) * (2F + 1) cells, and there are min(m, F)/q of them:
     m is at most 32 for q = 2, q^2 for an odd q | d and q otherwise, so
     the tables are small for small d but grow with F like a grid per
-    slice once q^2 > 2F + 1.  So the slices are built one at a time, each
-    with int64 temporaries of one slice only, and stored in the smallest
-    unsigned dtype that holds m.  Every representative lies in the grid,
-    whose int64 domain covers it."""
+    slice once q^2 > 2F + 1.  So the slices are built in chunks of
+    consecutive j, each chunk one broadcast over (j, x1 residue, x2
+    residue): as many slices as keep its int64 temporaries and its spread
+    slices within ``BLOCK_CELLS`` cells, or one slice when a slice is
+    wider.  The table is stored in the smallest unsigned dtype that holds
+    m.  By the expansion of :func:`trisect_core._image_coords`, A1 and A2
+    are their values at b = 0 less 3b^2*x1 and 3b^2*x2: the b = 0 part is
+    reduced mod m once per table, and the b part, a column over x1 or a
+    row over x2, once per slice, so no cell takes a remainder.  Every
+    representative lies in the grid, whose int64 domain covers it."""
     e = 1
     while 8 * d % q ** e == 0:
         e += 1
     m = q ** e
-    x = np.arange(min(m, 2 * F + 1), dtype=np.int64) - F
-    # g[r] = gcd(r, m), in the smallest dtype that holds m: the divisors of m are a chain
-    g = np.gcd(np.arange(m), m).astype(np.min_scalar_type(m))
+    width = 2 * F + 1
+    x = np.arange(min(m, width), dtype=np.int64) - F
+    # g[r] = gcd(r mod m, m) for 0 <= r < 2m, in the smallest dtype that
+    # holds m: the divisors of m are a chain
+    g = np.tile(np.gcd(np.arange(m), m).astype(np.min_scalar_type(m)), 2)
     both = x % q == 0
     both = both[:, None] & both
-    spread = np.arange(2 * F + 1) % m
-    table = np.empty((min(m, F) // q, len(x), 2 * F + 1), dtype=g.dtype)
-    for j, C in enumerate(table):
-        b = q * (j + 1)
-        A1, A2 = _image_coords(x[:, None], x, b, d)
-        capped = np.minimum(np.minimum(g[A1 % m], g[A2 % m]), g[b ** 3 % m])
-        capped[both] = 1
-        C[...] = capped[:, spread]
+    spread = np.arange(width) % m
+    table = np.empty((min(m, F) // q, len(x), width), dtype=g.dtype)
+    # A1 and A2 at b = 0 mod m, moved up into [m, 2m) so that less the b
+    # part mod m they index g in [0, 2m)
+    U1, U2 = (A % m + m for A in _image_coords(x[:, None], x, 0, d))
+    per = max(1, BLOCK_CELLS // (len(x) * width))  # slices per chunk
+    for j in range(0, len(table), per):
+        b = q * np.arange(j + 1, min(j + per, len(table)) + 1, dtype=np.int64)[:, None, None]
+        bb = 3 * b * b
+        capped = np.minimum(np.minimum(g[U1 - (bb * x[:, None]) % m], g[U2 - (bb * x) % m]),
+                            g[b ** 3 % m])
+        capped[:, both] = 1
+        table[j : j + len(b)] = capped[:, :, spread]
     return m, table
 
 
@@ -857,10 +872,14 @@ def gcd_bound_sweep(d: int, height_bound: int) -> dict:
 
     One gather per signature: over the grid [-F, F]^2, Ĝ depends on b only
     through its signature, the slices (q, b mod m_q) of the table primes
-    q | b, less the slices that are 1 everywhere.  The walk goes up b and
-    gathers the product only at the first b of each signature, in row
-    chunks of at most ``BLOCK_CELLS`` cells (or one row), so the first
-    violating cell at the first such b is the least violator of the grid.
+    q | b, less the slices that are 1 everywhere; each such slice lists
+    its b at once.  The walk goes up b and takes each signature at its
+    first b.  A signature of one slice that never reaches its cap is that
+    slice spread over the grid, so its maximum is the slice's, read once
+    per table.  Any other gathers the product in row chunks of at most
+    ``BLOCK_CELLS`` cells (or one row), so the first violating cell at the
+    first such b is the least violator of the grid.  Memory is the tables
+    and one chunk: the tables are built in chunks of the same bound.
 
     No canonical filter: A1 and A2 are homogeneous cubics, so at t*v, v
     canonical and t > 1, C_q is 1 for q | t and C_q(v) for the other q, and
@@ -873,30 +892,35 @@ def gcd_bound_sweep(d: int, height_bound: int) -> dict:
     F = ball.bound
     width = 2 * F + 1
     rows = max(1, BLOCK_CELLS // width)
-    moduli, slices, capped = [], {}, set()
+    slices, capped = {}, set()
+    signatures = [[] for _ in range(F + 1)]  # the slices of each b, in ascending q
     for q in _table_primes(F, d):
         m, table = _capped_table(q, d, F)
-        moduli.append((q, m))
         lookup = np.arange(width, dtype=np.int64) % m
-        for j, C in enumerate(table):
-            top = C.max()
+        for j, top in enumerate(table.max(axis=(1, 2)).tolist()):
             if top > 1:
-                slices[q, j] = lookup, C
+                slices[q, j] = lookup, table[j], top
+                for b in range(q * (j + 1), F + 1, m):
+                    signatures[b].append((q, j))
             if top == m:
                 capped.add((q, j))
     seen, worst = set(), 1
-    for b in range(1, F + 1):
-        key = [(q, (b // q - 1) % (m // q)) for q, m in moduli if b % q == 0]
-        key = tuple(k for k in key if k in slices)
+    for b, key in enumerate(signatures):
+        key = tuple(key)
         if not key or key in seen:
             continue
         seen.add(key)
+        unchecked = capped.isdisjoint(key)  # no factor reaches its cap: G | 8d
+        if unchecked and len(key) == 1:  # G is that slice, spread over the grid
+            worst = max(worst, slices[key[0]][2])
+            continue
         for s in range(0, width, rows):
-            G = np.ones(1, dtype=np.int64)  # the product in int64, whatever C's dtype
-            for lookup, C in map(slices.get, key):
-                G = G * C[lookup[s : s + rows]]
+            (lookup, C, _), *rest = map(slices.get, key)
+            G = C[lookup[s : s + rows]].astype(np.int64)  # the product in int64, whatever C's dtype
+            for lookup, C, _ in rest:
+                G *= C[lookup[s : s + rows]]
             worst = max(worst, int(G.max()))
-            if capped.isdisjoint(key):  # no factor reaches its cap: G | 8d
+            if unchecked:
                 continue
             bad = np.flatnonzero(8 * d % G)
             if bad.size:

@@ -175,7 +175,7 @@ class _Poly:
     _coeff = int
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _trim(tuple(self._coeff(c) for c in coeffs)))
+        object.__setattr__(self, "coeffs", _trim(tuple(map(self._coeff, coeffs))))
 
     @classmethod
     def zero(cls):

@@ -35,7 +35,6 @@ from math import gcd, isqrt
 
 from .errors import BadParameters, CapExceeded, GcdBoundViolated, OutOfRange
 from .exact_arith import (
-    RATIONAL_FIELD,
     FieldDescriptor,
     QuadElem,
     canonicalize,
@@ -156,8 +155,11 @@ def apply_f(x):
     if isinstance(x, QuadElem):
         t = raw_image(x)
         return canonicalize(t.A1, t.A2, t.B, x.d)
-    x = Fraction(x)
-    return x * x * x - 3 * x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    r, s = x.numerator, x.denominator
+    # (r^3 - 3rs^2)/s^3 is in lowest terms: gcd(r^2 - 3s^2, s) = gcd(r^2, s) = 1
+    return Fraction(r * (r * r - 3 * s * s), s * s * s)
 
 
 def _image_coords(x1, x2, b, d: int):
@@ -290,25 +292,31 @@ def _try_eisenstein_cert(a: Fraction) -> Certificate | None:
     p, q = a.numerator, a.denominator
     if p == 0 or p % 3 != 0 or (p // 3) % 3 == 0 or q % 3 == 0:
         return None
-    try:
-        return eisenstein_cert_3rs(p // 3, q)
-    except BadParameters:
-        return None
+    return eisenstein_cert_3rs(p // 3, q)  # r and s coprime, both prime to 3
+
+
+# Verdicts are frozen, so every rational non-member without a certificate
+# shares this one.
+_RATIONAL_NON_MEMBER = TrisectionVerdict(False, None, "rational-fast-path")
 
 
 def _decide_rational(a: Fraction) -> TrisectionVerdict:
     """Cube-denominator fast path: a = p/q is an image of a rational r/s in
     lowest terms exactly when q = s^3 (the image (r^3 - 3rs^2)/s^3 is
-    already reduced) and r is an integer root of t^3 - 3s^2*t - p."""
+    already reduced) and r is an integer root of t^3 - 3s^2*t - p.  Raises
+    ``OutOfRange`` unless a lies in [-2, 2]."""
     p, q = a.numerator, a.denominator
+    if not -2 * q <= p <= 2 * q:
+        raise OutOfRange(f"{a} lies outside [-2, 2]")
     s = icbrt(q)
     if s * s * s == q:
         for r in _root_floors(s, p, 0, None):
             if _image_coords(r, 0, s, 1)[0] == p:
                 return TrisectionVerdict(True, Fraction(r, s), "rational-fast-path")
-    return TrisectionVerdict(
-        False, None, "rational-fast-path", certificate=_try_eisenstein_cert(a)
-    )
+    cert = _try_eisenstein_cert(a)
+    if cert is None:
+        return _RATIONAL_NON_MEMBER
+    return TrisectionVerdict(False, None, "rational-fast-path", certificate=cert)
 
 
 def _gcd_candidates(beta: int, d: int) -> list[int]:
@@ -400,13 +408,12 @@ def decide_trisection(a, field: FieldDescriptor | None = None) -> TrisectionVerd
             raise BadParameters("element and field disagree")
         field = field or quadratic_field(a.d)
     else:
-        a = Fraction(a)
-        if field is None:
-            field = RATIONAL_FIELD
+        if not isinstance(a, Fraction):
+            a = Fraction(a)
+        if field is None or field.degree == 1:
+            return _decide_rational(a)
     if not in_interval(a, -2, 2):
         raise OutOfRange(f"{a} lies outside [-2, 2]")
-    if field.degree == 1:
-        return _decide_rational(a)
     if not isinstance(a, QuadElem):  # the field checked its radicand
         a = quad_from_canonical(a.numerator, 0, a.denominator, field.d)
     S = preimage_bound(field, height(a))
@@ -429,19 +436,19 @@ def eisenstein_cert_3rs(r: int, s: int) -> Certificate:
         raise BadParameters("r and s must be prime to 3")
     if s < 0:
         r, s = -r, -s
-    poly = IntPoly((-3 * r, -3 * s, 0, s))
-    if not eisenstein_check(poly, 3):
+    coeffs = (-3 * r, -3 * s, 0, s)
+    if not eisenstein_check(IntPoly(coeffs), 3):
         raise AssertionError("Eisenstein certificate failed to verify")
-    a = Fraction(3 * r, s)
+    # 3r/s is in lowest terms, as gcd(r, s) = 1 and 3 does not divide s
     return Certificate(
         kind="eisenstein-3rs",
         data={
             "r": r,
             "s": s,
             "prime": 3,
-            "a": str(a),
-            "coeffs": poly.coeff_strings(),
-            "in_range": abs(a) <= 2,
+            "a": f"{3 * r}/{s}" if s != 1 else str(3 * r),
+            "coeffs": [str(c) for c in coeffs],
+            "in_range": abs(3 * r) <= 2 * s,
         },
     )
 

@@ -26,8 +26,9 @@ from trisectlab.height_enum import (
     qbox_count,
     qbox_main_term,
 )
-from trisectlab.polyalg import IntPoly, RatPoly, cyclotomic
-from trisectlab.trisect_core import icbrt, preimage_bound
+from trisectlab.polyalg import IntPoly, RatPoly, cyclotomic, eisenstein_check
+from trisectlab.trisect_core import (Certificate, TrisectionVerdict, _image_coords, _root_floors,
+                                     icbrt, preimage_bound)
 
 
 def is_prime_trial(n: int) -> bool:
@@ -210,6 +211,24 @@ def brute_count_recursive(floors: tuple[int, ...]) -> int:
         return sum(rec(idx + 1, gcd(g, a)) for a in range(1, floors[idx] + 1))
 
     return rec(0, 0)
+
+
+def brute_grid_flat(floors: tuple[int, ...], block: int = 1 << 16) -> int:
+    """#{a in [1, f_1] x ... x [1, f_k] : gcd(a) = 1} over the flat
+    row-major index of every tuple, in blocks of at most ``block``: each
+    coordinate unravelled by a divmod per axis and gcd-reduced on int64
+    arrays.  The reference for ``coprime_count._brute_grid``, which gcds
+    whole broadcast grids instead."""
+    volume = math.prod(floors)
+    total = 0
+    for start in range(0, volume, block):
+        rest = np.arange(start, min(start + block, volume), dtype=np.int64)
+        g = np.zeros_like(rest)
+        for f in reversed(floors):
+            rest, a = np.divmod(rest, f)
+            g = np.gcd(g, a + 1)
+        total += int(np.count_nonzero(g == 1))
+    return total
 
 
 def generalized_sieve(spec, inner: bool) -> int:
@@ -425,6 +444,59 @@ def root_floors_bisect(c: int, P: int, Q: int, d) -> list[int]:
     if at_right <= 0:
         floors.add(last(c, M, lambda k: sign_g(k) <= 0))
     return sorted(floors)
+
+
+def eisenstein_cert_fraction(r: int, s: int) -> Certificate:
+    """The Eisenstein certificate of a = 3r/s for coprime r, s prime to 3,
+    s > 0, its claim fields from ``IntPoly`` and ``Fraction`` arithmetic:
+    the reference for ``trisect_core.eisenstein_cert_3rs``."""
+    poly = IntPoly((-3 * r, -3 * s, 0, s))
+    assert eisenstein_check(poly, 3)
+    a = Fraction(3 * r, s)
+    return Certificate("eisenstein-3rs", {"r": r, "s": s, "prime": 3, "a": str(a),
+                                          "coeffs": poly.coeff_strings(), "in_range": abs(a) <= 2})
+
+
+def decide_rational_reference(a) -> TrisectionVerdict:
+    """``decide_trisection`` over Q from a fresh ``Fraction``: the cube
+    denominator test and root floors, a new verdict every time, and the
+    certificate of :func:`eisenstein_cert_fraction`."""
+    a = Fraction(a)
+    assert in_interval(a, -2, 2), a
+    p, q = a.numerator, a.denominator
+    s = icbrt(q)
+    if s ** 3 == q:
+        for r in _root_floors(s, p, 0, None):
+            if r ** 3 - 3 * r * s * s == p:
+                return TrisectionVerdict(True, Fraction(r, s), "rational-fast-path")
+    cert = None
+    if p != 0 and p % 3 == 0 and p % 9 != 0 and q % 3 != 0:
+        cert = eisenstein_cert_fraction(p // 3, q)
+    return TrisectionVerdict(False, None, "rational-fast-path", certificate=cert)
+
+
+def capped_table_slices(q: int, d: int, F: int) -> tuple[int, np.ndarray]:
+    """``height_enum._capped_table`` one slice at a time: for each
+    b = q*(j + 1), the image coordinates over the residue grid, their
+    gcds with m read off g[r] = gcd(r, m), the classes with q | x1, x2 set
+    to 1, and the columns spread over the grid."""
+    e = 1
+    while 8 * d % q ** e == 0:
+        e += 1
+    m = q ** e
+    x = np.arange(min(m, 2 * F + 1), dtype=np.int64) - F
+    g = np.gcd(np.arange(m), m).astype(np.min_scalar_type(m))
+    both = x % q == 0
+    both = both[:, None] & both
+    spread = np.arange(2 * F + 1) % m
+    table = np.empty((min(m, F) // q, len(x), 2 * F + 1), dtype=g.dtype)
+    for j, C in enumerate(table):
+        b = q * (j + 1)
+        A1, A2 = _image_coords(x[:, None], x, b, d)
+        capped = np.minimum(np.minimum(g[A1 % m], g[A2 % m]), g[b ** 3 % m])
+        capped[both] = 1
+        C[...] = capped[:, spread]
+    return m, table
 
 
 def rational_roots(p) -> set[Fraction]:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     brute_count_recursive,
+    brute_grid_flat,
     coprime_count_table,
     mertens_whole_table,
     mobius,
@@ -278,6 +279,19 @@ def test_brute_grid_matches_recursive_oracle(floors, blocks):
     block = max(1, -(-math.prod(floors) // blocks))
     with mock.patch.object(coprime_count, "BRUTE_BLOCK", block):
         assert _brute_grid(floors) == brute_count_recursive(floors)
+
+
+@settings(max_examples=100, deadline=None)
+@example(floors=(3, 70000), blocks=4)  # the last axis alone is wider than a block
+@example(floors=(9, 11, 13), blocks=50)
+@given(floors=st.lists(st.integers(0, 20), min_size=1, max_size=4).map(tuple),
+       blocks=st.integers(1, 50))
+def test_brute_grid_matches_flat_oracle(floors, blocks):
+    """The broadcast gcd grids against the flat-index divmod grid
+    (:func:`oracles.brute_grid_flat`), split into up to 50 blocks."""
+    block = max(1, -(-math.prod(floors) // blocks))
+    with mock.patch.object(coprime_count, "BRUTE_BLOCK", block):
+        assert _brute_grid(floors) == brute_grid_flat(floors, block)
 
 
 @settings(max_examples=60, deadline=None)

@@ -245,6 +245,28 @@ def test_count_elements_catches_kernel_faults(field, fault, error, match, monkey
             count_elements(ball, lo, hi)
 
 
+@pytest.mark.parametrize("field", [RATIONAL_FIELD, quadratic_field(2)], ids=["Q", "Q(sqrt2)"])
+def test_count_elements_catches_a_repeat_across_blocks(field, monkeypatch):
+    """The last element of a block repeated at the start of the next
+    nonempty one raises, as a repeat inside one block does: at 25 cells
+    every block of B(12) is one row."""
+    monkeypatch.setattr(height_enum, "BLOCK_CELLS", 25)
+    blocks = height_enum.element_blocks
+
+    def spoiled(ball, lo=None, hi=None, denominators=None):
+        last, done = None, False
+        for block in blocks(ball, lo, hi, denominators):
+            if len(block[0]) and last is not None and not done:
+                block, done = tuple(np.concatenate((x[-1:], v)) for x, v in zip(last, block)), True
+            if len(block[0]):
+                last = block
+            yield block
+
+    monkeypatch.setattr(height_enum, "element_blocks", spoiled)
+    with pytest.raises(AssertionError, match="order or repeated"):
+        count_elements(HeightBall(field, 12))
+
+
 @pytest.mark.parametrize("fault", KERNEL_FAULTS)
 def test_verify_fails_ball_counts_under_kernel_faults(fault, capsys, monkeypatch):
     """verify --quick reports FAIL ball-counts, and exits 1, under each
@@ -581,6 +603,15 @@ def test_interval_validation_and_caps(monkeypatch):
     # endpoints of more digits than str converts stay out of the message
     with pytest.raises(CapExceeded, match="interval count of B"):
         next(enumerate_ball_interval(HeightBall(RATIONAL_FIELD, 100), -10 ** 5000, 10 ** 5000))
+    # past the cap as a whole ball, the interval is refused only past it too
+    ball, half = HeightBall(RATIONAL_FIELD, 5), Fraction(1, 2)
+    n = count_ball_interval(ball, 0, half)
+    assert n < count_ball(ball)
+    monkeypatch.setattr(height_enum, "DEFAULT_ENUM_CAP", n)
+    assert len(list(enumerate_ball_interval(ball, 0, half))) == n
+    monkeypatch.setattr(height_enum, "DEFAULT_ENUM_CAP", n - 1)
+    with pytest.raises(CapExceeded):
+        next(enumerate_ball_interval(ball, 0, half))
 
 
 def test_asymptotic_count_ratio():

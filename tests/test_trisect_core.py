@@ -14,14 +14,17 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     ball_stream,
+    capped_table_slices,
     ceil_cbrt_brute,
+    decide_rational_reference,
     density_points_full,
     divisors,
+    eisenstein_cert_fraction,
     factorize_trial,
     gcd_bound_sweep_blocks,
     phi_bound_check,
@@ -238,6 +241,27 @@ def test_capped_table_entries(d, q, F, rng):
         v = min(_capped_valuation(A1, q, e), _capped_valuation(A2, q, e),
                 3 * _capped_valuation(b, q, e))
         assert entry == q ** v
+
+
+@pytest.mark.parametrize("cells", (height_enum.BLOCK_CELLS, 100))
+@settings(max_examples=60, deadline=None)
+@example(d=31, F=40, q=31)  # m = 961 > 2F + 1: each slice a whole grid
+@example(d=2, F=40, q=2)  # 16 slices of m = 32, more than one chunk
+@given(d=st.sampled_from((2, 3, 5, 6, 7, 17, 30, 31)), F=st.integers(1, 40),
+       q=st.sampled_from((2, 3, 5, 7, 11, 13, 17, 31, 37)))
+def test_capped_table_matches_slice_oracle(cells, d, F, q):
+    """The chunked broadcast table against the one built slice by slice
+    (:func:`oracles.capped_table_slices`): the same m, dtype, shape and
+    every entry, at the default chunk and at 100 cells, where each chunk
+    is one slice or fewer slices than the default holds."""
+    assume(q <= F)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(height_enum, "BLOCK_CELLS", cells)
+        m, table = height_enum._capped_table(q, d, F)
+    want_m, want = capped_table_slices(q, d, F)
+    assert m == want_m
+    assert table.dtype == want.dtype and table.shape == want.shape
+    assert np.array_equal(table, want)
 
 
 def test_gcd_bound_sweep_memory_with_a_large_prime():
@@ -642,6 +666,25 @@ def test_witness_soundness_randomized():
     assert found >= 3
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_rationals(), st.fractions(min_value=-2, max_value=2, max_denominator=60)))
+def test_rational_decide_matches_reference_for_every_input_type(a):
+    """Over Q, :func:`decide_trisection` of a Fraction, of its str and,
+    when a is an integer, of its int: each verdict is == to that of
+    :func:`oracles.decide_rational_reference`, with the same
+    ``to_dict()``; an attached certificate re-verifies, and a witness maps
+    back to a.  ``apply_f`` of a Fraction is x^3 - 3x."""
+    want = decide_rational_reference(a)
+    for x in [a, str(a)] + ([int(a)] if a.denominator == 1 else []):
+        got = decide_trisection(x)
+        assert got == want and got.to_dict() == want.to_dict(), x
+    if want.certificate is not None:
+        assert decide_trisection(a).certificate.verify()
+    if want.member:
+        assert apply_f(want.witness) == a
+    assert apply_f(a) == a * a * a - 3 * a
+
+
 def test_fast_path_matches_bounded_search_up_to_200():
     H = 200
     images = _rational_image_set(H)
@@ -666,6 +709,20 @@ def test_ambient_field_consistency(d):
             over_q = decide_trisection(x).member
             over_k = decide_trisection(x, field).member
             assert over_q == over_k, x
+
+
+@settings(max_examples=200, deadline=None)
+@example(r=1, s=1)
+@example(r=-5, s=-1)
+@example(r=2, s=-7)
+@given(r=st.integers(-10 ** 6, 10 ** 6), s=st.integers(-10 ** 6, 10 ** 6))
+def test_eisenstein_cert_matches_fraction_oracle(r, s):
+    """Every field of an Eisenstein certificate, out of range and at
+    s = +-1 too, against :func:`oracles.eisenstein_cert_fraction`, which
+    forms a = 3r/s as a Fraction."""
+    assume(r and s and gcd(r, s) == 1 and r % 3 and s % 3)
+    want = eisenstein_cert_fraction(r, s) if s > 0 else eisenstein_cert_fraction(-r, -s)
+    assert eisenstein_cert_3rs(r, s) == want
 
 
 def test_eisenstein_cert_examples():
