@@ -20,10 +20,9 @@ Suites (name, default output, what they time):
                     Q the same pair for x = r/s with r = s - 3, a root just
                     below the cubic's turning point.
     verify-checks   BENCH_2.json  each check of ``verify --quick --out``
-                    (its ``elapsed_s``), and ``height_enum.gcd_bound_sweep``
-                    over d = 2, 3, 5, 6, 7 together at heights 40, 80 and
-                    200 (those of ``verify --quick``, ``verify`` and
-                    acceptance criterion 07).
+                    (its ``elapsed_s``), and the ``gcd-bound`` certificate's
+                    ``verify()`` at each d = 2, 3, 5, 6, 7 of the gcd-bound
+                    check, each timed over CERT_LOOPS calls per run.
     algdeg-tower    BENCH_3.json  for n = 9..12: ``tower_checks(n)``,
                     ``cn_degree_check(n)``, ``identity_suite(n)``,
                     ``cos_minimal_poly(3*2^(n+1))`` (the modulus of
@@ -157,13 +156,12 @@ def decide_heights() -> dict:
 
 # -- verify-checks ----------------------------------------------------------
 
-SWEEP_DS = (2, 3, 5, 6, 7)
-SWEEP_HEIGHTS = (40, 80, 200)
+GCD_BOUND_DS = (2, 3, 5, 6, 7)
 
 
 def verify_checks() -> dict:
     from trisectlab.cli import main as cli_main
-    from trisectlab.height_enum import gcd_bound_sweep
+    from trisectlab.trisect_core import Certificate
 
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -177,13 +175,11 @@ def verify_checks() -> dict:
                        "median_ms": round(1e3 * statistics.median(
                            run[i]["elapsed_s"] for run in runs), 4)})
               for i, first in enumerate(runs[0])]
-    sweeps = []
-    for height in SWEEP_HEIGHTS:
-        ms, worst = _median_ms(lambda: max(gcd_bound_sweep(d, height)["max_gcd"]
-                                           for d in SWEEP_DS))
-        sweeps.append(_report({"ds": list(SWEEP_DS), "height": height, "max_gcd": worst,
-                               "median_ms": ms}))
-    return {"verify_quick_checks": checks, "gcd_bound_sweeps": sweeps}
+    certs = []
+    for d in GCD_BOUND_DS:
+        ms, ok = _median_ms(Certificate("gcd-bound", {"d": d}).verify, CERT_LOOPS)
+        certs.append(_report({"d": d, "verified": ok, "loops": CERT_LOOPS, "median_ms": ms}))
+    return {"verify_quick_checks": checks, "gcd_bound_certs": certs}
 
 
 # -- algdeg-tower -----------------------------------------------------------
@@ -311,6 +307,7 @@ def certificates() -> dict:
         ("H=100", square_family_check(100)["certificate"]),
         ("m=23 q=5", nonconstructible_witness(23, 5)),
         ("p=5 c=5 d=7", nonsectability_cert(5, 5, 7)),
+        ("d=30", Certificate("gcd-bound", {"d": 30})),
     )
     verifies = [_report({"kind": cert.kind, "case": case, **timed(cert.verify)})
                  for case, cert in certs]
@@ -341,7 +338,7 @@ def qbox_suite() -> dict:
 SUITES = {
     "decide-heights": ("BENCH_1.json", "decide_trisection across element heights",
                        ("numpy",), decide_heights),
-    "verify-checks": ("BENCH_2.json", "verify --quick checks and the image-gcd sweep",
+    "verify-checks": ("BENCH_2.json", "verify --quick checks and the gcd-bound certificates",
                       ("numpy", "mpmath"), verify_checks),
     "algdeg-tower": ("BENCH_3.json", "algdeg cosine-tower kernels", ("mpmath",), algdeg_tower),
     "mertens": ("BENCH_4.json", "Mertens function and Q denominator at 10^10..10^12",

@@ -47,7 +47,7 @@ from .exact_arith import (
     quadratic_field,
 )
 from .height_enum import (HeightBall, QBoxSpec, count_ball, count_ball_interval,
-                          density_experiment, gcd_bound_sweep, verify_commensurability)
+                          density_experiment, verify_commensurability)
 from .trisect_core import (
     Certificate,
     apply_f,
@@ -284,10 +284,9 @@ def _check_qbox_membership(rng: random.Random, quick: bool):
 
 
 def _check_gcd_bound(rng: random.Random, quick: bool):
-    """The image gcd divides 8d; a violation raises ``GcdBoundViolated``."""
-    for d in (2, 3, 5, 6, 7):
-        gcd_bound_sweep(d, 40 if quick else 80)
-    return True, None
+    """The image gcd divides 8d at every height: the gcd-bound certificate
+    of each d verifies."""
+    return all(Certificate("gcd-bound", {"d": d}).verify() for d in (2, 3, 5, 6, 7)), None
 
 
 def _check_fast_path(rng: random.Random, quick: bool):

@@ -13,7 +13,9 @@ height.
 This module also owns every certificate kind: Eisenstein refusals of
 a = 3r/s, Yates Bezout pairs, the square-family check, odd-degree
 non-constructible witnesses, whose minimal polynomial is checked to vanish
-by an exact identity in Z[beta]/(beta^m - q), and p-section refusals.
+by an exact identity in Z[beta]/(beta^m - q), p-section refusals, and the
+image-gcd lemma G | 8d at one radicand d, proved for every height from a
+resultant, two congruences and one 2-adic table.
 ``_CERT_KINDS`` is the one table of kinds, each with the exact key set of
 its data, so ``Certificate.verify`` covers every kind whatever else was
 imported.  It refuses any integer of more than ``CERT_MAX_DIGITS`` digits,
@@ -22,8 +24,8 @@ with ``CapExceeded``.
 
 Everything here is integer arithmetic: beside the standard library the
 module imports only ``errors``, ``exact_arith`` and ``polyalg``, so no
-numeric library and not ``height_enum``, whose density experiment and
-image-gcd sweep build on it.
+numeric library and not ``height_enum``, whose density experiment builds
+on it.
 """
 
 from __future__ import annotations
@@ -138,8 +140,9 @@ class TrisectionVerdict:
 def raw_image(x: QuadElem) -> ImageTriple:
     """Expand f(x) = x^3 - 3x over the basis {1, sqrt(d)} without reducing.
 
-    The gcd G of the three coordinates always divides 8d; anything else
-    would be a defect, not an input error.
+    The gcd G of the three coordinates always divides 8d (the gcd-bound
+    certificate, :func:`_verify_gcd_bound`, proves it for every d);
+    anything else would be a defect, not an input error.
     """
     b, d = x.b, x.d
     A1, A2 = _image_coords(x.a1, x.a2, b, d)
@@ -664,6 +667,83 @@ def _verify_psection(data: dict) -> bool:
     )
 
 
+def _form_resultant(f: tuple, g: tuple) -> int:
+    """Resultant of two binary forms of one degree, given by their
+    coefficients: the determinant of their Sylvester matrix, by Bareiss'
+    fraction-free elimination, in which every division is exact."""
+    n = len(f) - 1
+    rows = [[0] * i + list(h) + [0] * (n - 1 - i) for h in (f, g) for i in range(n)]
+    sign, last = 1, 1
+    for k in range(2 * n):
+        pivot = next((i for i in range(k, 2 * n) if rows[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot], sign = rows[pivot], rows[k], -sign
+        for i in range(k + 1, 2 * n):
+            rows[i] = [(r * rows[k][k] - rows[i][k] * t) // last for r, t in zip(rows[i], rows[k])]
+        last = rows[k][k]
+    return sign * last
+
+
+def _verify_gcd_bound(data: dict) -> bool:
+    """The image-gcd lemma at d: G = gcd(A1, A2, b^3) divides 8d for every
+    canonical x = (x1 + x2*sqrt(d))/b of Q(sqrt(d)), where
+    f(x) = (A1 + A2*sqrt(d))/b^3 by :func:`_image_coords`.
+
+    A1 and A2 are cubic forms in (x1, x2, b) whose b part is -3b^2*(x1, x2),
+    so at b = 0 they are binary cubic forms in (x1, x2), read off their
+    values at (1, 0), (0, 1), (1, 1) and (1, -1).  Let d >= 2 be
+    squarefree and p a prime of G.  Then p | b, and p does not divide both
+    x1 and x2, as x is canonical.
+
+    - p prime to 2d.  Mod p, A1 and A2 are the b = 0 forms, and (x1, x2) is
+      a common zero of them other than (0, 0); so p divides their
+      resultant.  The resultant is +-64d^3, whose primes divide 2d: no such
+      p divides G.
+    - Odd p | d.  A1 = x1^3 mod p, as the other coefficients of its b = 0
+      form and its b part vanish mod p; so p does not divide A1 unless
+      p | x1.  Then p does not divide x2, and A2 = d*x2^3 mod p^2: the
+      x1^2 and x1^3 terms and the b part vanish mod p^2, and p divides the
+      coefficient of x1*x2^2.  So v_p(G) <= v_p(d*x2^3) = 1 = v_p(8d).
+    - p = 2.  Let v = v_2(8d), 3 or 4, and m = 2^(v+1).  m | b^3 needs
+      4 | b, and then x1 or x2 is odd.  Whether m divides A1 and A2 depends
+      only on (x1, x2, b) mod m, and on b only through b^2 mod m, which for
+      4 | b is fixed by b mod 8, 0 or 4.  Multiplying (x1, x2, b) by an odd
+      u multiplies A1 and A2 by the unit u^3 and keeps b mod 8, so the
+      classes with x1 = 1, or x1 even and x2 = 1, stand for all.  None has
+      m | A1 and m | A2, so v_2(G) <= v.
+
+    So v_p(G) <= v_p(8d) at every prime p.  The verifier checks that d is
+    an int >= 2 and squarefree (``factorize`` raises ``CapExceeded`` past
+    2^65), the resultant, the coefficients at each odd p | d, and the
+    2-adic table, 48 or 96 evaluations of :func:`_image_coords`.
+    """
+    d = data["d"]
+    if type(d) is not int or d < 2:
+        return False
+    factors = factorize(d)
+    if any(e > 1 for e in factors.values()):
+        return False
+    at = [_image_coords(x1, x2, 0, d) for x1, x2 in ((1, 0), (0, 1), (1, 1), (1, -1))]
+    forms = [(e, (s - t) // 2 - f, (s + t) // 2 - e, f) for e, f, s, t in zip(*at)]
+    if abs(_form_resultant(*forms)) != 64 * d ** 3:
+        return False
+    (a0, a1, a2, a3), (_, _, b2, b3) = forms
+    # A1 = x1^3 mod p, and A2 = d*x2^3 mod p^2 where p | x1
+    if any(any(c % p for c in (a0 - 1, a1, a2, a3, b2)) or (b3 - d) % (p * p)
+           for p in factors if p > 2):
+        return False
+    m = 16 if d % 2 else 32
+    classes = [(1, t) for t in range(m)] + [(t, 1) for t in range(0, m, 2)]
+    for b in (0, 4):
+        for x1, x2 in classes:
+            A1, A2 = _image_coords(x1, x2, b, d)
+            if A1 % m == 0 and A2 % m == 0:
+                return False
+    return True
+
+
 # The one table of certificate kinds: kind -> (exact key set of the data,
 # verifier).  ``Certificate.verify`` checks the key set, so a verifier may
 # index every key it names.
@@ -679,4 +759,5 @@ _CERT_KINDS = {
         _verify_nonconstructible,
     ),
     "eisenstein-psection": (frozenset({"p", "c", "dd", "coeffs"}), _verify_psection),
+    "gcd-bound": (frozenset({"d"}), _verify_gcd_bound),
 }

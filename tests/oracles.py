@@ -1,7 +1,9 @@
 """Reference oracles that the tests compare the library against.
 
 Nothing in ``trisectlab`` calls these; they are independent (and slower)
-ways to compute what the library computes, kept beside the tests.
+ways to compute what the library computes, or to check empirically what
+it proves (the image-gcd sweep, against the ``gcd-bound`` certificate),
+kept beside the tests.
 """
 
 import math
@@ -12,8 +14,9 @@ from math import gcd, isqrt
 import mpmath
 import numpy as np
 
+from trisectlab import height_enum
 from trisectlab.coprime_count import mobius_sum
-from trisectlab.errors import BadParameters, DegenerateBasis, RadicandMismatch
+from trisectlab.errors import BadParameters, DegenerateBasis, GcdBoundViolated, RadicandMismatch
 from trisectlab.exact_arith import QuadElem, in_interval, quadratic_field, sign_lin
 from trisectlab.height_enum import (
     HeightBall,
@@ -21,12 +24,13 @@ from trisectlab.height_enum import (
     _images,
     _row_blocks,
     check_int64,
+    count_ball,
     count_ball_interval,
     element_blocks,
     qbox_count,
     qbox_main_term,
 )
-from trisectlab.polyalg import IntPoly, RatPoly, cyclotomic, eisenstein_check
+from trisectlab.polyalg import IntPoly, RatPoly, cyclotomic, eisenstein_check, primes_below
 from trisectlab.trisect_core import (Certificate, TrisectionVerdict, _image_coords, _root_floors,
                                      icbrt, preimage_bound)
 
@@ -476,7 +480,7 @@ def decide_rational_reference(a) -> TrisectionVerdict:
 
 
 def capped_table_slices(q: int, d: int, F: int) -> tuple[int, np.ndarray]:
-    """``height_enum._capped_table`` one slice at a time: for each
+    """:func:`_capped_table` one slice at a time: for each
     b = q*(j + 1), the image coordinates over the residue grid, their
     gcds with m read off g[r] = gcd(r, m), the classes with q | x1, x2 set
     to 1, and the columns spread over the grid."""
@@ -823,8 +827,154 @@ def qbox_reference(spec, sample_cap: int = 200_000, seed: int = 0) -> dict:
     }
 
 
+# The capped-table sweep of the image-gcd lemma G | 8d, an empirical check
+# to a height bound of what the ``gcd-bound`` certificate proves for every
+# height.  It reads the image map as ``height_enum._image_coords``, in full
+# at every b, and reads ``height_enum.BLOCK_CELLS`` at call time: a patch of
+# either reaches the sweep and :func:`gcd_bound_sweep_blocks` alike.
+
+
+def _table_primes(F: int, d: int) -> list[int]:
+    """The primes q <= F whose q x q table at b = 0 mod q marks a class
+    (x1, x2) mod q other than (0, 0) with q | A1 and q | A2.  At b = 0, A1
+    and A2 are homogeneous cubics in (x1, x2), so a class is marked iff its
+    multiples by the units mod q are: each table is read on the q + 1
+    classes (t, 1), 0 <= t < q, and (1, 0) that represent its lines, in one
+    ragged scan over every prime at once of O(F^2 / log F) cells."""
+    primes = np.array(primes_below(F + 1), dtype=np.int64)
+    lines = primes + 1
+    q = np.repeat(primes, lines)
+    t = np.arange(len(q), dtype=np.int64) - np.repeat(np.cumsum(lines) - lines, lines)
+    A1, A2 = height_enum._image_coords(np.where(t < q, t, 1), (t < q).astype(np.int64), 0, d)
+    return sorted(set(q[(A1 % q == 0) & (A2 % q == 0)].tolist()))
+
+
+def _capped_table(q: int, d: int, F: int) -> tuple[int, np.ndarray]:
+    """m = q^e with e = v_q(8d) + 1, and the capped table C of q on the grid
+    [-F, F]^2 at b <= F: C[j, s, i] = q^min(v_q(A1), v_q(A2), 3*v_q(b), e)
+    = gcd(A1, A2, b^3, m) at b = q*(j + 1), x1 = s - F and x2 = i - F, or 1
+    where q divides both x1 and x2.  The entry is a function of
+    (b, x1, x2) mod m, since A1 and A2 are integer polynomials and gcd(X, m)
+    is fixed by X mod m; so slice j serves every b = q*(j + 1) mod m, grid
+    row x1 = r - F reads s = r mod m, and the columns are taken on the
+    residues and then spread over the grid.  A slice holds
+    min(m, 2F + 1) * (2F + 1) cells, and there are min(m, F)/q of them:
+    m is at most 32 for q = 2, q^2 for an odd q | d and q otherwise, so
+    the tables are small for small d but grow with F like a grid per
+    slice once q^2 > 2F + 1.  So the slices are built in chunks of
+    consecutive j, each chunk one broadcast of the image map over
+    (j, x1 residue, x2 residue): as many slices as keep its int64
+    temporaries and its spread slices within ``BLOCK_CELLS`` cells, or one
+    slice when a slice is wider.  The table is stored in the smallest
+    unsigned dtype that holds m.  Every representative lies in the grid,
+    whose int64 domain covers it."""
+    e = 1
+    while 8 * d % q ** e == 0:
+        e += 1
+    m = q ** e
+    width = 2 * F + 1
+    x = np.arange(min(m, width), dtype=np.int64) - F
+    # g[r] = gcd(r, m) in the smallest dtype that holds m: the divisors of
+    # m are a chain
+    g = np.gcd(np.arange(m), m).astype(np.min_scalar_type(m))
+    both = x % q == 0
+    both = both[:, None] & both
+    spread = np.arange(width) % m
+    table = np.empty((min(m, F) // q, len(x), width), dtype=g.dtype)
+    per = max(1, height_enum.BLOCK_CELLS // (len(x) * width))  # slices per chunk
+    for j in range(0, len(table), per):
+        b = q * np.arange(j + 1, min(j + per, len(table)) + 1, dtype=np.int64)[:, None, None]
+        A1, A2 = height_enum._image_coords(x[:, None], x, b, d)
+        capped = np.minimum(np.minimum(g[A1 % m], g[A2 % m]), g[b ** 3 % m])
+        capped[:, both] = 1
+        table[j : j + len(b)] = capped[:, :, spread]
+    return m, table
+
+
+def gcd_bound_sweep(d: int, height_bound: int) -> dict:
+    """Check G | 8d, G = gcd(A1, A2, b^3), on every canonical element of
+    Q(sqrt(d)) of height <= F, the bound: return counts, or raise
+    ``GcdBoundViolated`` at the first violator in (b, a1, a2) order
+    (``CapExceeded`` past the int64 domain).  It takes no gcd over elements:
+    G is read from tables over residue classes, whose image coordinates
+    are formed once per class.
+
+    Which primes can divide G: every prime q of G divides b, so q <= F,
+    and q | A1, q | A2 on a class (x1, x2) mod q other than (0, 0), since
+    the element is canonical; A1 and A2 mod q depend only on the residues,
+    so q is a table prime of :func:`_table_primes`.  The scan is empirical:
+    a prime outside 2d that divides G is caught as well.
+
+    Capped tables: with C_q of :func:`_capped_table`, let
+    Ĝ = prod C_q over the table primes q | b.  At a canonical element
+    q never divides both x1 and x2 when q | b, so C_q = q^min(g_q, e_q) with
+    q^g_q the q-part of G, and q^g_q divides 8d iff g_q < e_q iff
+    min(g_q, e_q) < e_q.  Hence Ĝ divides 8d exactly when G does, and then
+    Ĝ = G, so the maximum is exact.
+
+    One gather per signature: over the grid [-F, F]^2, Ĝ depends on b only
+    through its signature, the slices (q, b mod m_q) of the table primes
+    q | b, less the slices that are 1 everywhere; each such slice lists
+    its b at once.  The walk goes up b and takes each signature at its
+    first b.  A signature of one slice that never reaches its cap is that
+    slice spread over the grid, so its maximum is the slice's, read once
+    per table.  Any other gathers the product in row chunks of at most
+    ``BLOCK_CELLS`` cells (or one row), so the first violating cell at the
+    first such b is the least violator of the grid.  Memory is the tables
+    and one chunk: the tables are built in chunks of the same bound.
+
+    No canonical filter: A1 and A2 are homogeneous cubics, so at t*v, v
+    canonical and t > 1, C_q is 1 for q | t and C_q(v) for the other q, and
+    Ĝ(t*v) divides Ĝ(v).  Non-canonical points never raise the maximum,
+    and a non-canonical violator has a canonical one, v, at a smaller b;
+    the least violator of the grid is canonical.
+    """
+    check_int64((4 + 3 * d) * height_bound ** 3, f"image of B({height_bound})")
+    ball = HeightBall(quadratic_field(d), height_bound)
+    F = ball.bound
+    width = 2 * F + 1
+    rows = max(1, height_enum.BLOCK_CELLS // width)
+    slices, capped = {}, set()
+    signatures = [[] for _ in range(F + 1)]  # the slices of each b, in ascending q
+    for q in _table_primes(F, d):
+        m, table = _capped_table(q, d, F)
+        lookup = np.arange(width, dtype=np.int64) % m
+        for j, top in enumerate(table.max(axis=(1, 2)).tolist()):
+            if top > 1:
+                slices[q, j] = lookup, table[j], top
+                for b in range(q * (j + 1), F + 1, m):
+                    signatures[b].append((q, j))
+            if top == m:
+                capped.add((q, j))
+    seen, worst = set(), 1
+    for b, key in enumerate(signatures):
+        key = tuple(key)
+        if not key or key in seen:
+            continue
+        seen.add(key)
+        unchecked = capped.isdisjoint(key)  # no factor reaches its cap: G | 8d
+        if unchecked and len(key) == 1:  # G is that slice, spread over the grid
+            worst = max(worst, slices[key[0]][2])
+            continue
+        for s in range(0, width, rows):
+            (lookup, C, _), *rest = map(slices.get, key)
+            G = C[lookup[s : s + rows]].astype(np.int64)  # the product in int64, whatever C's dtype
+            for lookup, C, _ in rest:
+                G *= C[lookup[s : s + rows]]
+            worst = max(worst, int(G.max()))
+            if unchecked:
+                continue
+            bad = np.flatnonzero(8 * d % G)
+            if bad.size:
+                i = s * width + int(bad[0])
+                raise GcdBoundViolated(
+                    f"G | 8d fails at {QuadElem(i // width - F, i % width - F, b, d)}")
+    return {"d": d, "height_bound": height_bound, "elements_checked": count_ball(ball),
+            "max_gcd": worst}
+
+
 def gcd_bound_sweep_blocks(d: int, height_bound: int) -> dict:
-    """``height_enum.gcd_bound_sweep`` element by element: every canonical
+    """:func:`gcd_bound_sweep` element by element: every canonical
     element of B(height_bound) through the row-block kernel and
     ``height_enum._images``, which raises ``GcdBoundViolated`` at the
     first violator of a block, so at the first in (b, a1, a2) order."""

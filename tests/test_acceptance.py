@@ -13,7 +13,7 @@ from math import gcd, log
 import mpmath
 import numpy as np
 
-from oracles import coprime_count_table, rational_roots, sieve_count_table
+from oracles import coprime_count_table, gcd_bound_sweep, rational_roots, sieve_count_table
 from trisectlab.cli import main as cli_main
 from trisectlab.coprime_count import Box, brute_count, sieve_count, zeta
 from trisectlab.exact_arith import RATIONAL_FIELD, height, quadratic_field
@@ -23,7 +23,6 @@ from trisectlab.height_enum import (
     count_ball,
     density_experiment,
     enumerate_ball,
-    gcd_bound_sweep,
     qbox,
     qbox_count,
     qbox_main_term,

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisectlab import cli
+from trisectlab import cli, trisect_core
 from trisectlab.cli import VERBS, main, verb_parser
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -146,10 +146,11 @@ def test_verify_check_that_raises_fails_alone(tmp_path, capsys, monkeypatch):
     """A check that raises prints FAIL with the error and the run goes on:
     every other check still runs and passes, --out records ok false, and
     the exit code is 1."""
-    def boom(d, height_bound):
+    def boom(data):
         raise ValueError("boom")
 
-    monkeypatch.setattr(cli, "gcd_bound_sweep", boom)
+    keys, _ = trisect_core._CERT_KINDS["gcd-bound"]
+    monkeypatch.setitem(trisect_core._CERT_KINDS, "gcd-bound", (keys, boom))
     path = tmp_path / "verify.json"
     code, out = run_cli(["verify", "--quick", "-o", str(path)], capsys)
     assert code == 1

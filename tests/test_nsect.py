@@ -163,7 +163,8 @@ def test_exact_arith_and_polyalg_load_no_numpy():
 def test_trisect_core_runs_on_integers_alone():
     """With the same bare package, trisect_core loads neither numpy,
     mpmath nor height_enum; a decide over Q(sqrt 2) and the verifiers of
-    all five certificate kinds then run without loading them either."""
+    all six certificate kinds then run without loading them either, the
+    gcd-bound kind in under 1 s at each d from 2 to d = 3*5*...*47."""
     _fresh_python(
         BARE_PACKAGE
         + "import trisectlab.trisect_core as tc\n"
@@ -179,5 +180,11 @@ def test_trisect_core_runs_on_integers_alone():
         "assert tc.square_family_check(40)['certificate'].verify()\n"
         "assert tc.nonsectability_cert(5, 5, 7).verify()\n"
         "assert tc.nonconstructible_witness(31, 2**31 - 1).verify()\n"
+        "import math, time\n"
+        "for d in (2, 3, 5, 6, 7, 30, math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,"
+        " 43, 47))):\n"
+        "    start = time.perf_counter()\n"
+        "    assert tc.Certificate('gcd-bound', {'d': d}).verify(), d\n"
+        "    assert time.perf_counter() - start < 1, d\n"
         "assert not heavy & set(sys.modules), sorted(sys.modules)\n"
     )

@@ -18,6 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    _capped_table,
     ball_stream,
     capped_table_slices,
     ceil_cbrt_brute,
@@ -26,12 +27,14 @@ from oracles import (
     divisors,
     eisenstein_cert_fraction,
     factorize_trial,
+    gcd_bound_sweep,
     gcd_bound_sweep_blocks,
     phi_bound_check,
     phi_curve,
     rational_roots,
     root_floors_bisect,
     sylvester_minpoly,
+    sylvester_resultant,
     witness_residual_mpf,
 )
 from trisectlab import height_enum, trisect_core
@@ -56,10 +59,9 @@ from trisectlab.height_enum import (
     element_blocks,
     enumerate_ball,
     enumerate_ball_interval,
-    gcd_bound_sweep,
     is_square,
 )
-from trisectlab.polyalg import IntPoly
+from trisectlab.polyalg import IntPoly, RatPoly
 from trisectlab.trisect_core import (
     CERT_MAX_DIGITS,
     F_CUBIC,
@@ -69,6 +71,7 @@ from trisectlab.trisect_core import (
     Certificate,
     TrisectionVerdict,
     WITNESS_RESIDUAL_TOL,
+    _form_resultant,
     _gcd_candidates,
     _image_coords,
     _quadratic_preimage,
@@ -181,7 +184,9 @@ def test_gcd_bound_sweep_reports_first_violator(monkeypatch, cells, d, c):
     classes mod 9, and at height 4 with c = 4 (for 3 | d) only at the last
     x1, 4.  Sweep and reference name the same first violator; at 2 cells
     every row x1 of the grid is its own chunk, so (-25, -25) at b = 3 lies
-    in the first chunk and the c = 4 violator in the last."""
+    in the first chunk and the c = 4 violator in the last.  Both read the
+    image map in full, at every b, as ``height_enum._image_coords``: the
+    sweep's tables and the reference's ``_images`` alike."""
     coords = height_enum._image_coords
     monkeypatch.setattr(height_enum, "_image_coords", lambda x1, x2, b, d: tuple(
         (9 if c is None else x1 - c) * A for A in coords(x1, x2, b, d)))
@@ -194,6 +199,99 @@ def test_gcd_bound_sweep_reports_first_violator(monkeypatch, cells, d, c):
     assert str(got.value) == str(want.value)
     if c is None:
         assert str(got.value) == f"G | 8d fails at {QuadElem(-25, -25, 3, d)}"
+
+
+# 3*5*...*47, the product of the odd primes below 50: tau(8d) = 65,536
+_MANY_PRIME_D = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
+
+
+@pytest.mark.parametrize("d", (2, 3, 5, 6, 7, 30, 2310, _MANY_PRIME_D))
+def test_gcd_bound_certificate_verifies(d):
+    start = time.perf_counter()
+    assert Certificate("gcd-bound", {"d": d}).verify()
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("data", ({"d": 1}, {"d": 0}, {"d": -2}, {"d": 12}, {"d": 18},
+                                  {"d": True}, {"d": 2.0}, {"d": "2"}, {}, {"d": 2, "e": 1}))
+def test_gcd_bound_certificate_refuses(data):
+    """d below 2, not squarefree or not an int, and a missing or an extra
+    key, verify False."""
+    assert not Certificate("gcd-bound", data).verify()
+
+
+def test_gcd_bound_certificate_caps_d():
+    """Past ``polyalg.factorize``'s domain the squarefree test is refused."""
+    for d in (2 ** 65, 2 ** 65 + 1, 10 ** 30):
+        with pytest.raises(CapExceeded):
+            Certificate("gcd-bound", {"d": d}).verify()
+
+
+@pytest.mark.parametrize("d", (2, 3, 30))
+@pytest.mark.parametrize("c", (None, 1, 4))
+def test_gcd_bound_certificate_refuses_faulted_image_map(monkeypatch, d, c):
+    """The faults of :func:`test_gcd_bound_sweep_reports_first_violator`,
+    on the image map the verifier reads, make it verify False.  Times 9
+    puts 3^12 into the resultant and, at 3 | d, breaks A1 = x1^3 mod 3;
+    at d = 2 only the resultant catches it.  Times x1 - c vanishes on the
+    2-adic class x1 = c."""
+    coords = trisect_core._image_coords
+    monkeypatch.setattr(trisect_core, "_image_coords", lambda x1, x2, b, d: tuple(
+        (9 if c is None else x1 - c) * A for A in coords(x1, x2, b, d)))
+    assert not Certificate("gcd-bound", {"d": d}).verify()
+
+
+@pytest.mark.parametrize("d, alpha, beta, gamma, x", [
+    (3, 1, 19, 27, (9, 1, 3)),  # the congruences at p = 3
+    (2, 7, -2, 2, (1, 5, 4)),  # the table, only at b = 4 mod 8 with x1 = 1
+    (2, 6, 6, 32, (0, 1, 8)),  # the table, only at b = 0 mod 8 with x1 even
+])
+def test_gcd_bound_certificate_refuses_wrong_maps(monkeypatch, d, alpha, beta, gamma, x):
+    """Wrong image maps whose b = 0 forms x1(x1^2 + alpha*x2^2) and
+    x2(beta*x1^2 + gamma*x2^2) keep the resultant
+    gamma*(gamma - alpha*beta)^2 = 64d^3, but whose G does not divide 8d
+    at the canonical (x1 + x2*sqrt(d))/b.  Each is refused by one check
+    alone, named beside it."""
+    def wrong(x1, x2, b, d):
+        bb = 3 * b * b
+        return x1 * (x1 * x1 + alpha * x2 * x2 - bb), x2 * (beta * x1 * x1 + gamma * x2 * x2 - bb)
+
+    assert _form_resultant((1, 0, alpha, 0), (0, beta, 0, gamma)) == 64 * d ** 3
+    x1, x2, b = x
+    A1, A2 = wrong(x1, x2, b, d)
+    assert gcd(gcd(x1, x2), b) == 1 and 8 * d % gcd(gcd(A1, A2), b ** 3)
+    monkeypatch.setattr(trisect_core, "_image_coords", wrong)
+    assert not Certificate("gcd-bound", {"d": d}).verify()
+
+
+def test_gcd_bound_two_adic_table_over_every_class():
+    """The certificate's 2-adic table reads 48 or 96 classes.  Every class
+    mod m = 2^(v+1) of (x1, x2) with x1 or x2 odd, at every b = 0 mod 4
+    mod m, has no m | A1 and m | A2 either.  A1 and A2 mod m depend on
+    d mod 32 alone, so the odd d < 32 and their doubles stand for every
+    squarefree d."""
+    for d in [*range(1, 32, 2), *range(2, 64, 4)]:
+        m = 16 if d % 2 else 32
+        for b in range(0, m, 4):
+            for x1 in range(m):
+                for x2 in range(m):
+                    if x1 % 2 or x2 % 2:
+                        A1, A2 = _image_coords(x1, x2, b, d)
+                        assert A1 % m or A2 % m, (x1, x2, b, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=st.lists(st.integers(-20, 20), min_size=4, max_size=4),
+       g=st.lists(st.integers(-20, 20), min_size=4, max_size=4))
+@example(f=[1, 0, 6, 0], g=[0, 3, 0, 2])  # the image forms at d = 2: 512
+@example(f=[0, 0, 0, 0], g=[1, 2, 3, 4])
+def test_form_resultant_matches_sylvester_oracle(f, g):
+    """The Bareiss resultant of two binary cubic forms against the
+    Sylvester determinant over Q[x] of ``oracles``, which takes the
+    coefficients ascending in t = x1/x2 at formal degree 3."""
+    want = sylvester_resultant([RatPoly.const(c) for c in reversed(f)],
+                               [RatPoly.const(c) for c in reversed(g)])
+    assert RatPoly.const(_form_resultant(tuple(f), tuple(g))) == want
 
 
 @pytest.mark.parametrize("d", (2, 3, 5, 6, 7, 30))
@@ -227,7 +325,7 @@ def test_capped_table_entries(d, q, F, rng):
     3*v_2(b) binds where v_2(b) = 1."""
     assume(q <= F)
     e = _capped_valuation(8 * d, q, 8) + 1
-    m, table = height_enum._capped_table(q, d, F)
+    m, table = _capped_table(q, d, F)
     assert m == q ** e
     assert table.shape == (min(m, F) // q, min(m, 2 * F + 1), 2 * F + 1)
     for (j, s, i), entry in np.ndenumerate(table):
@@ -257,7 +355,7 @@ def test_capped_table_matches_slice_oracle(cells, d, F, q):
     assume(q <= F)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(height_enum, "BLOCK_CELLS", cells)
-        m, table = height_enum._capped_table(q, d, F)
+        m, table = _capped_table(q, d, F)
     want_m, want = capped_table_slices(q, d, F)
     assert m == want_m
     assert table.dtype == want.dtype and table.shape == want.shape
@@ -275,9 +373,11 @@ def test_gcd_bound_sweep_memory_with_a_large_prime():
     started it.  The dict is the block reference's, computed here while
     the child runs."""
     src = os.path.dirname(os.path.dirname(trisect_core.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")])}
     code = ("import json\n"
-            "from trisectlab.height_enum import gcd_bound_sweep\n"
+            "from oracles import gcd_bound_sweep\n"
             "def peak_mb():\n"
             "    with open('/proc/self/status') as status:\n"
             "        return next(int(line.split()[1]) for line in status\n"
@@ -572,10 +672,6 @@ def test_near_turning_root_takes_few_newton_steps():
             v = decide_trisection(apply_f(x))
         assert v.member and v.witness == x
         assert len(steps) <= 8
-
-
-# 3*5*...*47, the product of the odd primes below 50: tau(8d) = 65,536
-_MANY_PRIME_D = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
 
 
 @st.composite
@@ -1285,6 +1381,7 @@ _KINDS = {
         lambda: nonsectability_cert(3, 3, 4).data,
         lambda d: nonsectability_cert(d["p"], d["c"], d["dd"]).data,
     ),
+    "gcd-bound": (lambda: {"d": 2}, lambda d: {"d": d["d"]}),
 }
 
 
